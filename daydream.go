@@ -45,9 +45,6 @@ type (
 	Scheduler = core.Scheduler
 	// SchedContext is the read surface a Scheduler picks through.
 	SchedContext = core.SchedContext
-	// LegacyScheduler is the pre-TaskView scheduler contract
-	// (Pick(frontier, effStart) *Task); wrap values with AdaptScheduler.
-	LegacyScheduler = core.LegacyScheduler
 	// EarliestStart is the default scheduling policy.
 	EarliestStart = core.EarliestStart
 	// SimOption configures a simulation (WithScheduler, …).
@@ -151,15 +148,6 @@ func NewOverlay(g *Graph) *Overlay { return core.NewOverlay(g) }
 // view-generic: the same policy runs clone-free over a structural
 // Patch, bit-identical to scheduling the materialized graph.
 func WithScheduler(s Scheduler) SimOption { return core.WithScheduler(s) }
-
-// AdaptScheduler wraps a pre-TaskView scheduler (the legacy
-// Pick(frontier, effStart) *Task contract) as a view-generic Scheduler.
-// Adapted policies read raw Task fields, so simulations whose view
-// overlays state those fields cannot see — priorities on an Overlay,
-// any timing or priority overlay on a structural Patch — reject them
-// loudly; migrate field-reading policies to the native
-// Pick(frontier, ctx) int form.
-func AdaptScheduler(s LegacyScheduler) Scheduler { return core.AdaptScheduler(s) }
 
 // NewPatch returns an empty copy-on-write patch over the baseline
 // graph: the unified what-if application surface. Timing edits ride the

@@ -78,11 +78,6 @@
 // WithScheduler (directly or in a Scenario's SimOptions), or let the
 // optimization carry its own (OptVDNN pairs vDNN's offload/prefetch
 // surgery with its copy-stream policy via core.SchedulerCarrier).
-// Pre-TaskView schedulers (the Pick(frontier, effStart) *Task shape)
-// wrap with AdaptScheduler; since they read raw Task fields, they are
-// rejected where those fields diverge from the view — priority
-// overlays, and any timing overlay on a structural patch — instead of
-// silently diverging.
 // KeepSims consumers diagnose any scenario without materializing:
 // CriticalPath and DiagnoseSim walk the effective adjacency of the
 // TaskView the simulation ran over.

@@ -11,15 +11,25 @@
 //
 // # Simulation tiers
 //
-// One Algorithm-1 semantics, five evaluation tiers, cheapest first.
-// Every tier is bit-identical to cloning the baseline, mutating the
-// clone and cold-simulating it; they differ only in how much work a
-// what-if costs. Numbers are BENCH.json's bert-large workload (~12.7K
-// tasks); the sweep dispatches between them automatically and reports
-// its choice per scenario in Result.Tier (daydream sweep -explain).
+// One Algorithm-1 loop, five evaluation tiers, cheapest first.
+// Graph.Simulate, Overlay.Simulate and Patch.Simulate each compile their
+// view into one flat per-ID form: the live-task table, effective
+// durations, gaps and priorities, thread ordinals, and child lists that
+// default to the baseline's own adjacency and are overridden only for
+// the tasks whose out-edges a patch changed. One lazy-key heap loop runs
+// over that form under the default policy, and one scheduled loop under
+// a custom Scheduler. A *Graph is the form with no deltas, an Overlay
+// adds timing deltas, and a structural Patch adds its appendix,
+// removals and edge edits. Every tier is bit-identical to cloning the
+// baseline, mutating the clone and cold-simulating it; they differ only
+// in how much work a what-if costs. Numbers are BENCH.json's bert-large
+// workload (~12.7K tasks); the sweep dispatches between them
+// automatically and reports its choice per scenario in Result.Tier
+// (daydream sweep -explain).
 //
 //   - incremental — IncrementalSim.ReSimulate over a warm baseline
-//     schedule: recompute only the delta's affected cone, ~9.5µs for a
+//     schedule, the one tier with a loop of its own: recompute only the
+//     delta's affected cone, ~9.5µs for a
 //     single-task duration delta (~70× the overlay replay). Cost is
 //     proportional to the cone, so it shines on sparse deltas that land
 //     late in the schedule or are absorbed by slack; a delta editing
@@ -30,7 +40,8 @@
 //     copy-on-write timing deltas, ~0.67ms. The workhorse for dense
 //     timing-only what-ifs (AMP rescales half the graph).
 //   - patch — Patch.Simulate: the composite structural view (appendix
-//     IDs, masked removals) over the overlay's timing tier, ~1.0ms for
+//     IDs, masked removals, overridden child lists) over the overlay's
+//     timing tier, ~1.0ms for
 //     the Distributed insertion scenario.
 //   - cold — Graph.Simulate of the baseline itself, ~1.6ms; also the
 //     replay tier for no-op scenarios in a sweep.

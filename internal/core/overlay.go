@@ -41,13 +41,13 @@ type Overlay struct {
 	prio  []int
 
 	// prioEdited records whether any priority was overlaid; when false
-	// the simulation reads Task.Priority directly. timingEdited records
-	// whether any duration or gap was overlaid — the structural patch
-	// path uses it to reject legacy (AdaptScheduler-wrapped) policies,
-	// which read raw Task fields and would silently see baseline
-	// timings where the pre-view fallback materialized effective ones.
-	prioEdited   bool
-	timingEdited bool
+	// the simulation reads Task.Priority directly.
+	prioEdited bool
+
+	// scratch is the simulation working set of runs given no
+	// WithScratch, kept so a reused overlay (or a patch over it) does not
+	// reallocate it per simulation.
+	scratch *SimScratch
 
 	// gen counts timing edits (and rebinds); consumers that memoize
 	// state derived from the overlay's effective values — a Patch's
@@ -106,7 +106,6 @@ func (o *Overlay) Reset(g *Graph) {
 	}
 	o.base = g
 	o.prioEdited = false
-	o.timingEdited = false
 	o.gen++
 	for id := range o.sparse {
 		delete(o.sparse, id)
@@ -128,23 +127,12 @@ func (o *Overlay) snapshot() {
 	o.baseDur = growDurations(o.baseDur, n)
 	o.baseGap = growDurations(o.baseGap, n)
 	o.basePrio = growInts(o.basePrio, n)
-	o.threadOf = growInt32s(o.threadOf, n)
-	o.threadIDs = o.threadIDs[:0]
-	ord := make(map[ThreadID]int32, len(g.threads))
 	for id, t := range g.tasks {
-		if t == nil {
-			o.threadOf[id] = -1
-			continue
+		if t != nil {
+			o.baseDur[id], o.baseGap[id], o.basePrio[id] = t.Duration, t.Gap, t.Priority
 		}
-		o.baseDur[id], o.baseGap[id], o.basePrio[id] = t.Duration, t.Gap, t.Priority
-		ti, ok := ord[t.Thread]
-		if !ok {
-			ti = int32(len(o.threadIDs))
-			ord[t.Thread] = ti
-			o.threadIDs = append(o.threadIDs, t.Thread)
-		}
-		o.threadOf[id] = ti
 	}
+	o.threadOf, o.threadIDs = layoutThreads(o.threadOf[:0], o.threadIDs[:0], g.tasks)
 	o.snapBase = g
 }
 
@@ -260,7 +248,6 @@ func (o *Overlay) Priority(t *Task) int {
 // baseline.
 func (o *Overlay) SetDuration(t *Task, d time.Duration) {
 	o.gen++
-	o.timingEdited = true
 	if o.dense {
 		o.dur[t.ID] = d
 		return
@@ -279,7 +266,6 @@ func (o *Overlay) SetDuration(t *Task, d time.Duration) {
 // SetGap overrides the task's gap without touching the baseline.
 func (o *Overlay) SetGap(t *Task, d time.Duration) {
 	o.gen++
-	o.timingEdited = true
 	if o.dense {
 		o.gap[t.ID] = d
 		return
@@ -298,10 +284,7 @@ func (o *Overlay) SetGap(t *Task, d time.Duration) {
 // SetPriority overrides the task's scheduling priority without touching
 // the baseline. Priority overlays drive the default earliest-start
 // scheduler's tie-breaking exactly as mutated priorities would, and a
-// view-generic custom Scheduler sees them through SchedContext.Priority.
-// Only a legacy scheduler wrapped with AdaptScheduler — which reads
-// Task.Priority from the shared baseline — cannot, so Simulate rejects
-// that combination.
+// custom Scheduler sees them through SchedContext.Priority.
 func (o *Overlay) SetPriority(t *Task, p int) {
 	o.prioEdited = true
 	o.gen++
@@ -326,9 +309,8 @@ func (o *Overlay) ScaleDuration(t *Task, factor float64) {
 	o.SetDuration(t, time.Duration(float64(o.Duration(t))*factor))
 }
 
-// fillTiming writes the effective per-ID durations and gaps into dur
-// and gap (each sized to the baseline's ID span). The caller has run
-// snapshot().
+// fillTiming writes the effective per-ID durations and gaps of the
+// baseline's ID span into dur and gap. The caller has run snapshot().
 func (o *Overlay) fillTiming(dur, gap []time.Duration) {
 	if o.dense {
 		copy(dur, o.dur)
@@ -347,16 +329,12 @@ func (o *Overlay) fillTiming(dur, gap []time.Duration) {
 	}
 }
 
-// fillPriority writes the effective per-ID priorities into prio, or
-// returns nil when no priority was overlaid (the caller then reads
-// Task.Priority directly). The caller has run snapshot().
-func (o *Overlay) fillPriority(prio []int) []int {
-	if !o.prioEdited {
-		return nil
-	}
+// fillPriority writes the effective per-ID priorities of the baseline's
+// ID span into prio. The caller has run snapshot().
+func (o *Overlay) fillPriority(prio []int) {
 	if o.dense {
 		copy(prio, o.prio)
-		return prio
+		return
 	}
 	copy(prio, o.basePrio)
 	for id, e := range o.sparse {
@@ -364,7 +342,6 @@ func (o *Overlay) fillPriority(prio []int) []int {
 			prio[id] = e.prio
 		}
 	}
-	return prio
 }
 
 // growDurations resizes s to length n, reusing capacity.
@@ -383,169 +360,41 @@ func growInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// growInt32s resizes s to length n, reusing capacity.
-func growInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
 // Simulate executes Algorithm 1 over the baseline graph with the
 // overlay's timings — the clone-free counterpart of Graph.Simulate. The
 // baseline is only read; the returned result carries the effective
 // timings, so SimResult.Finish, TaskDuration and CriticalPath see the
 // overlaid values. Results are bit-identical to cloning the baseline,
 // applying the same edits to the clone's tasks, and simulating the
-// clone. Thread progress is tracked in a flat per-ordinal array from
-// the baseline snapshot instead of a map, which makes the overlay loop
-// faster than the clone path's even before the saved Clone.
+// clone.
 func (o *Overlay) Simulate(opts ...SimOption) (*SimResult, error) {
-	var so simOptions
-	for _, fn := range opts {
-		fn(&so)
-	}
-	if err := ctxCanceled(so.ctx); err != nil {
+	so, err := newSimOptions(opts, &o.scratch)
+	if err != nil {
 		return nil, err
 	}
-	g := o.base
-	if g == nil {
+	if o.base == nil {
 		return nil, fmt.Errorf("core: Overlay.Simulate: overlay has no baseline graph")
 	}
+	return o.compile(&so, len(o.base.tasks)).simulate(&so)
+}
+
+// compile compiles the overlaid baseline: the baseline's structure and
+// the snapshot's thread layout read in place, with effective timings
+// (and priorities, when overlaid) in per-ID arrays sized for an ID span
+// of n — room past the baseline's span is left for a patch appendix.
+func (o *Overlay) compile(so *simOptions, n int) *simForm {
 	o.snapshot()
-	scratch := so.scratch
-	if scratch == nil {
-		scratch = &SimScratch{}
-	}
-	n := len(g.tasks)
-	scratch.ensure(n)
-
-	resN := n
-	if so.window > 0 {
-		resN = 0 // windowed: starts and timings live in the window rings
-	}
-	res := newResult(so.result, resN, len(g.threads))
-	var dur, gap []time.Duration
-	if so.window > 0 {
-		win, err := newWindowState(o, so.window, true)
-		if err != nil {
-			return nil, err
-		}
-		res.win = win
-		// The loop still wants O(1) effective-timing reads, but the
-		// full arrays must not ride the retained result — borrow
-		// scratch storage instead, and let record copy each dispatched
-		// task's timings into the O(window) rings.
-		scratch.effDur = growDurations(scratch.effDur, n)
-		scratch.effGap = growDurations(scratch.effGap, n)
-		dur, gap = scratch.effDur, scratch.effGap
-	} else {
-		res.dur = growDurations(res.dur, n)
-		res.gap = growDurations(res.gap, n)
-		dur, gap = res.dur, res.gap
-	}
+	dur, gap := so.timings(n)
 	o.fillTiming(dur, gap)
-	if s := customScheduler(so.scheduler); s != nil {
-		if o.prioEdited && isLegacySched(s) {
-			return nil, fmt.Errorf("core: Overlay.Simulate: priority overlays are invisible to a legacy Scheduler (AdaptScheduler reads Task.Priority from the shared baseline); migrate the policy to the view-generic Pick(frontier, ctx) contract")
-		}
-		return simulateScheduled(o, s, scratch, res, so.ctx)
-	}
-	var prio []int
+	s := so.scratch
+	f := &s.form
+	*f = simForm{view: o, tasks: o.base.tasks, live: o.base.live, dur: dur, gap: gap, threadOf: o.threadOf, threadIDs: o.threadIDs}
 	if o.prioEdited {
-		scratch.prio = growInts(scratch.prio, n)
-		prio = o.fillPriority(scratch.prio)
+		s.prio = growInts(s.prio, n)
+		o.fillPriority(s.prio)
+		f.prio = s.prio
 	}
-
-	ref, earliest := scratch.ref, scratch.earliest
-	for id, t := range g.tasks {
-		if t == nil {
-			continue
-		}
-		ref[id] = len(t.parents)
-		earliest[id] = 0
-	}
-
-	threadOf := o.threadOf
-	// Per-thread progress, -1 = thread not yet touched (so the result
-	// map gets exactly the entries a plain simulation would).
-	tEnds := growDurations(scratch.threadEnds, len(o.threadIDs))
-	scratch.threadEnds = tEnds
-	for i := range tEnds {
-		tEnds[i] = -1
-	}
-	taskPrio := func(t *Task) int {
-		if prio != nil {
-			return prio[t.ID]
-		}
-		return t.Priority
-	}
-	h := scratch.heap
-	for _, t := range g.tasks {
-		if t != nil && len(t.parents) == 0 {
-			h = heapPush(h, heapEntry{0, taskPrio(t), t})
-		}
-	}
-	executed := 0
-	for len(h) > 0 {
-		var e heapEntry
-		e, h = heapPop(h)
-		u := e.t
-		start := earliest[u.ID]
-		if p := tEnds[threadOf[u.ID]]; p > start {
-			start = p
-		}
-		if start > e.key {
-			h = heapPush(h, heapEntry{start, e.prio, u})
-			continue
-		}
-		end := start + dur[u.ID] + gap[u.ID]
-		if res.win == nil {
-			res.Start[u.ID] = start
-		} else {
-			res.win.record(u, start, dur[u.ID], gap[u.ID])
-		}
-		tEnds[threadOf[u.ID]] = end
-		if end > res.Makespan {
-			res.Makespan = end
-		}
-		executed++
-		if so.ctx != nil && executed%cancelCheckInterval == 0 {
-			if cerr := so.ctx.Err(); cerr != nil {
-				scratch.heap = h[:0]
-				return nil, ContextError(cerr)
-			}
-		}
-		for _, c := range u.children {
-			if end > earliest[c.ID] {
-				earliest[c.ID] = end
-			}
-			ref[c.ID]--
-			if ref[c.ID] == 0 {
-				key := earliest[c.ID]
-				if p := tEnds[threadOf[c.ID]]; p > key {
-					key = p
-				}
-				h = heapPush(h, heapEntry{key, taskPrio(c), c})
-			}
-		}
-	}
-	scratch.heap = h[:0]
-	for i, end := range tEnds {
-		if end >= 0 {
-			res.ThreadEnd[o.threadIDs[i]] = end
-		}
-	}
-	if executed != g.live {
-		var blocked []*Task
-		for id, t := range g.tasks {
-			if t != nil && ref[id] > 0 {
-				blocked = append(blocked, t)
-			}
-		}
-		return nil, newStallError(executed, g.live, blocked)
-	}
-	return res, nil
+	return f
 }
 
 // Materialize returns a private clone of the baseline with the

@@ -397,9 +397,7 @@ func (prioViewScheduler) Pick(frontier []*Task, ctx *SchedContext) int {
 
 // TestOverlayPriorityWithCustomScheduler checks a view-generic custom
 // scheduler reads overlaid priorities through the SchedContext and
-// reproduces the clone path bit for bit, while the legacy adapter —
-// which reads Task.Priority from the shared baseline — is rejected
-// loudly instead of silently diverging.
+// reproduces the clone path bit for bit.
 func TestOverlayPriorityWithCustomScheduler(t *testing.T) {
 	g, ts := chainGraph(t)
 	o := NewOverlay(g)
@@ -424,45 +422,8 @@ func TestOverlayPriorityWithCustomScheduler(t *testing.T) {
 		}
 	}
 
-	// The legacy shim cannot see the overlaid priority: rejected.
-	if _, err := o.Simulate(WithScheduler(AdaptScheduler(legacyLifo{}))); err == nil {
-		t.Fatal("priority overlay + legacy scheduler did not error")
-	}
 	// The default scheduler keeps working.
 	if _, err := o.Simulate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// legacyLifo is an old-contract scheduler, used through AdaptScheduler.
-type legacyLifo struct{}
-
-func (legacyLifo) Pick(frontier []*Task, _ func(*Task) time.Duration) *Task {
-	return frontier[len(frontier)-1]
-}
-
-// TestAdaptSchedulerMatchesNative checks the compatibility shim: a
-// legacy scheduler wrapped with AdaptScheduler schedules exactly like
-// the equivalent native policy (here LIFO, on an overlay without
-// priority edits).
-func TestAdaptSchedulerMatchesNative(t *testing.T) {
-	g, ts := chainGraph(t)
-	o := NewOverlay(g)
-	o.SetDuration(ts[2], 300)
-	want, err := o.Simulate(WithScheduler(lifoScheduler{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := o.Simulate(WithScheduler(AdaptScheduler(legacyLifo{})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan != want.Makespan {
-		t.Fatalf("adapted makespan %v, native %v", got.Makespan, want.Makespan)
-	}
-	for id := range want.Start {
-		if got.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: adapted %v, native %v", id, got.Start[id], want.Start[id])
-		}
 	}
 }

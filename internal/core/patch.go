@@ -30,13 +30,14 @@ import (
 //     RemoveTask reproduces Graph.Remove's transitive-ordering
 //     reconnection on the effective adjacency.
 //
-// Patch.Simulate runs the same Algorithm-1 heap as Graph.Simulate over
-// the composite view: baseline tasks read through the delta arrays,
-// appendix tasks live past the baseline's ID span, and removed
-// tasks/edges are masked. Results are bit-identical to cloning the
-// baseline, applying the same operations to the clone, and simulating
-// it — the property internal/whatif's patch equivalence suite enforces
-// across the model zoo.
+// Patch.Simulate compiles the composite view into the flat form every
+// view simulates through: baseline tasks read through the delta arrays,
+// appendix tasks live past the baseline's ID span, removed tasks are
+// masked, and only tasks whose out-edges changed get their own child
+// lists. Results are bit-identical to cloning the baseline, applying
+// the same operations to the clone, and simulating it — the property
+// internal/whatif's patch equivalence suite enforces across the model
+// zoo.
 //
 // A Patch additionally journals its structural operations, so
 // Materialize (and the ApplyGraph adapter) can replay them onto a
@@ -91,13 +92,8 @@ type Patch struct {
 	matGen   uint64
 	matCount int
 
-	// Reusable simulation storage (see Simulate).
-	threadIDs   []ThreadID
-	threadOf    []int32
-	maskRemoved []bool
-	remOut      []bool
-	outEdges    [][]patchEdge
-	tasksView   []*Task
+	// tasksView is Tasks' reusable result storage.
+	tasksView []*Task
 }
 
 // patchEdge is one patch-added edge endpoint.
@@ -624,15 +620,19 @@ func (p *Patch) effParents(t *Task) []*Task {
 }
 
 // effChildren returns t's live effective dependents (fresh slice).
-func (p *Patch) effChildren(t *Task) []*Task {
-	var out []*Task
+func (p *Patch) effChildren(t *Task) []*Task { return p.appendChildren(nil, t) }
+
+// appendChildren appends t's live effective dependents to dst: unmasked
+// baseline children in baseline order, then patch-added out-edges in
+// addition order — the child order of the materialized graph.
+func (p *Patch) appendChildren(dst []*Task, t *Task) []*Task {
 	if !p.isAppendix(t) {
 		for _, c := range t.children {
 			if _, gone := p.removed[c.ID]; gone {
 				continue
 			}
 			if p.edgeLive(t.ID, c.ID) {
-				out = append(out, c)
+				dst = append(dst, c)
 			}
 		}
 	}
@@ -640,9 +640,9 @@ func (p *Patch) effChildren(t *Task) []*Task {
 		if _, gone := p.removed[e.to.ID]; gone {
 			continue
 		}
-		out = append(out, e.to)
+		dst = append(dst, e.to)
 	}
-	return out
+	return dst
 }
 
 // RemoveTask deletes a task from the effective view (the paper's Remove
@@ -730,26 +730,6 @@ func (p *Patch) RemoveTask(t *Task) {
 	p.removed[t.ID] = struct{}{}
 }
 
-// growBools resizes s to length n, reusing capacity, and clears it.
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// growEdgeLists resizes s to length n, reusing capacity, and clears it.
-func growEdgeLists(s [][]patchEdge, n int) [][]patchEdge {
-	if cap(s) < n {
-		return make([][]patchEdge, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
 // Simulate executes Algorithm 1 over the composite view — the
 // structural counterpart of Overlay.Simulate. Baseline tasks read their
 // timings through the patch's timing tier, appendix tasks execute with
@@ -760,268 +740,92 @@ func growEdgeLists(s [][]patchEdge, n int) [][]patchEdge {
 //
 // A patch with no structural deltas delegates to the timing tier's
 // Simulate, so timing-only scenarios keep the pure-overlay fast path.
-// Custom Schedulers run directly over the composite view too: the
-// slice-frontier scheduled path reads effective timings, priorities and
-// adjacency through the patch, so vDNN-style scheduling policies on a
-// structural patch are just as clone-free as the default policy (only a
-// legacy AdaptScheduler-wrapped policy, which reads raw Task fields, is
-// rejected when the timing tier overlays priorities).
+// Custom Schedulers run directly over the composite view too, reading
+// effective timings and priorities through their SchedContext, so
+// vDNN-style scheduling policies on a structural patch are just as
+// clone-free as the default policy.
 func (p *Patch) Simulate(opts ...SimOption) (*SimResult, error) {
 	if !p.Structural() {
 		return p.timing.Simulate(opts...)
 	}
-	var so simOptions
-	for _, fn := range opts {
-		fn(&so)
-	}
-	if err := ctxCanceled(so.ctx); err != nil {
+	so, err := newSimOptions(opts, &p.timing.scratch)
+	if err != nil {
 		return nil, err
 	}
-	g := p.base
-	if g == nil {
+	if p.base == nil {
 		return nil, fmt.Errorf("core: Patch.Simulate: patch has no baseline graph")
 	}
-	o := p.timing
-	o.snapshot()
-	baseSpan := len(g.tasks)
-	n := baseSpan + len(p.added)
-	scratch := so.scratch
-	if scratch == nil {
-		scratch = &SimScratch{}
-	}
-	scratch.ensure(n)
+	return p.compile(&so).simulate(&so)
+}
 
-	resN := n
-	if so.window > 0 {
-		resN = 0 // windowed: starts and timings live in the window rings
-	}
-	res := newResult(so.result, resN, len(g.threads)+1)
-	var dur, gap []time.Duration
-	if so.window > 0 {
-		win, err := newWindowState(p, so.window, true)
-		if err != nil {
-			return nil, err
-		}
-		res.win = win
-		// Effective timings go to borrowed scratch storage so the
-		// retained result stays O(window); record copies each dispatched
-		// task's timings into the rings.
-		scratch.effDur = growDurations(scratch.effDur, n)
-		scratch.effGap = growDurations(scratch.effGap, n)
-		dur, gap = scratch.effDur, scratch.effGap
-	} else {
-		res.dur = growDurations(res.dur, n)
-		res.gap = growDurations(res.gap, n)
-		dur, gap = res.dur, res.gap
-	}
-	o.fillTiming(dur[:baseSpan], gap[:baseSpan])
-	for i, t := range p.added {
-		dur[baseSpan+i] = t.Duration
-		gap[baseSpan+i] = t.Gap
-	}
-	if s := customScheduler(so.scheduler); s != nil {
-		if (o.prioEdited || o.timingEdited) && isLegacySched(s) {
-			return nil, fmt.Errorf("core: Patch.Simulate: timing/priority overlays are invisible to a legacy Scheduler (AdaptScheduler reads raw Task fields from the shared baseline, where the old materialized fallback carried effective values); migrate the policy to the view-generic Pick(frontier, ctx) contract")
-		}
-		return simulateScheduled(p, s, scratch, res, so.ctx)
-	}
-	var prio []int
-	if o.prioEdited {
-		scratch.prio = growInts(scratch.prio, n)
-		o.fillPriority(scratch.prio[:baseSpan])
-		for i, t := range p.added {
-			scratch.prio[baseSpan+i] = t.Priority
-		}
-		prio = scratch.prio
-	}
-
-	// Thread layout: the overlay snapshot's ordinals extended with any
-	// threads only the appendix uses.
-	p.threadIDs = append(p.threadIDs[:0], o.threadIDs...)
-	p.threadOf = growInt32s(p.threadOf, n)
-	copy(p.threadOf, o.threadOf[:baseSpan])
-	for i, t := range p.added {
-		ti := int32(-1)
-		for j, tid := range p.threadIDs {
-			if tid == t.Thread {
-				ti = int32(j)
-				break
-			}
-		}
-		if ti < 0 {
-			ti = int32(len(p.threadIDs))
-			p.threadIDs = append(p.threadIDs, t.Thread)
-		}
-		p.threadOf[baseSpan+i] = ti
-	}
-
-	// Dense delta masks for the hot loop: O(deltas) to fill after an
-	// O(n) clear, so per-edge checks cost an array index, not a map
-	// lookup.
-	p.maskRemoved = growBools(p.maskRemoved, n)
+// compile extends the timing tier's form with the structural deltas:
+// the appendix joins the task table, timings and thread layout, removed
+// IDs leave the table, and every task whose out-edges the patch changed
+// (removed, edge-masked or edge-adding sources) gets an override child
+// list in one shared buffer.
+func (p *Patch) compile(so *simOptions) *simForm {
+	n, span := p.IDSpan(), p.baseSpan()
+	f := p.timing.compile(so, n)
+	s := so.scratch
+	f.view, f.live = p, p.NumTasks()
+	s.tasks = append(append(s.tasks[:0], f.tasks...), p.added...)
 	for id := range p.removed {
-		p.maskRemoved[id] = true
+		s.tasks[id] = nil
 	}
-	p.remOut = growBools(p.remOut, n)
-	for key := range p.removedEdges {
-		p.remOut[key[0]] = true
-	}
-	p.outEdges = growEdgeLists(p.outEdges, n)
-	for id, list := range p.addedOut {
-		p.outEdges[id] = list
-	}
-	maskRemoved, remOut, outEdges := p.maskRemoved, p.remOut, p.outEdges
-
-	// Reference counts and earliest starts over the effective edge set.
-	ref, earliest := scratch.ref, scratch.earliest
-	hasRemovals := len(p.removed) > 0
-	hasEdgeRemovals := len(p.removedEdges) > 0
-	for id, t := range g.tasks {
-		earliest[id] = 0
-		if t == nil || maskRemoved[id] {
-			ref[id] = 0
-			continue
-		}
-		np := len(t.parents)
-		if hasRemovals || hasEdgeRemovals {
-			np = 0
-			for _, q := range t.parents {
-				if maskRemoved[q.ID] {
-					continue
-				}
-				if remOut[q.ID] && !p.edgeLive(q.ID, id) {
-					continue
-				}
-				np++
-			}
-		}
-		ref[id] = np
-	}
-	for i := range p.added {
-		id := baseSpan + i
-		earliest[id] = 0
-		ref[id] = 0
-	}
-	// Patch-added in-edges contribute indegree only when their source is
-	// live — the same liveness rule the relax loop and the scheduled
-	// path's eachChild apply, so the two simulation paths can never
-	// disagree about a dangling edge.
-	for id, ins := range p.addedIn {
-		if maskRemoved[id] {
-			continue
-		}
-		for _, q := range ins {
-			if !maskRemoved[q.ID] {
-				ref[id]++
-			}
-		}
-	}
-
-	threadOf := p.threadOf
-	tEnds := growDurations(scratch.threadEnds, len(p.threadIDs))
-	scratch.threadEnds = tEnds
-	for i := range tEnds {
-		tEnds[i] = -1
-	}
-	taskPrio := func(t *Task) int {
-		if prio != nil {
-			return prio[t.ID]
-		}
-		return t.Priority
-	}
-	h := scratch.heap
-	for id, t := range g.tasks {
-		if t != nil && !maskRemoved[id] && ref[id] == 0 {
-			h = heapPush(h, heapEntry{0, taskPrio(t), t})
-		}
-	}
+	f.tasks = s.tasks
 	for i, t := range p.added {
-		if id := baseSpan + i; !maskRemoved[id] && ref[id] == 0 {
-			h = heapPush(h, heapEntry{0, taskPrio(t), t})
+		f.dur[span+i], f.gap[span+i] = t.Duration, t.Gap
+		if f.prio != nil {
+			f.prio[span+i] = t.Priority
 		}
 	}
-	executed := 0
-	for len(h) > 0 {
-		var e heapEntry
-		e, h = heapPop(h)
-		u := e.t
-		start := earliest[u.ID]
-		if pe := tEnds[threadOf[u.ID]]; pe > start {
-			start = pe
+	s.threadOf, s.threadIDs = layoutThreads(append(s.threadOf[:0], f.threadOf...), append(s.threadIDs[:0], f.threadIDs...), p.added)
+	f.threadOf, f.threadIDs = s.threadOf, s.threadIDs
+
+	s.kids = growKids(s.kids, n)
+	s.changed = s.changed[:0]
+	if s.kidBuf == nil {
+		s.kidBuf = make([]*Task, 0, 64) // non-nil, so empty overrides stay non-nil
+	}
+	s.kidBuf = s.kidBuf[:0]
+	override := func(id int) {
+		if s.kids[id] != nil {
+			return
 		}
-		if start > e.key {
-			h = heapPush(h, heapEntry{start, e.prio, u})
-			continue
-		}
-		end := start + dur[u.ID] + gap[u.ID]
-		if res.win == nil {
-			res.Start[u.ID] = start
+		var u *Task
+		if id < span {
+			u = p.base.tasks[id]
 		} else {
-			res.win.record(u, start, dur[u.ID], gap[u.ID])
+			u = p.added[id-span]
 		}
-		tEnds[threadOf[u.ID]] = end
-		if end > res.Makespan {
-			res.Makespan = end
+		s.changed = append(s.changed, u)
+		from := len(s.kidBuf)
+		if f.tasks[id] != nil {
+			s.kidBuf = p.appendChildren(s.kidBuf, u)
 		}
-		executed++
-		if so.ctx != nil && executed%cancelCheckInterval == 0 {
-			if cerr := so.ctx.Err(); cerr != nil {
-				scratch.heap = h[:0]
-				return nil, ContextError(cerr)
-			}
-		}
-		relax := func(c *Task) {
-			if end > earliest[c.ID] {
-				earliest[c.ID] = end
-			}
-			ref[c.ID]--
-			if ref[c.ID] == 0 {
-				key := earliest[c.ID]
-				if pe := tEnds[threadOf[c.ID]]; pe > key {
-					key = pe
-				}
-				h = heapPush(h, heapEntry{key, taskPrio(c), c})
-			}
-		}
-		if u.ID < baseSpan {
-			fromRemoved := remOut[u.ID]
-			for _, c := range u.children {
-				if maskRemoved[c.ID] {
-					continue
-				}
-				if fromRemoved && !p.edgeLive(u.ID, c.ID) {
-					continue
-				}
-				relax(c)
-			}
-		}
-		for _, pe := range outEdges[u.ID] {
-			if !maskRemoved[pe.to.ID] {
-				relax(pe.to)
-			}
-		}
+		s.kids[id] = s.kidBuf[from:len(s.kidBuf):len(s.kidBuf)]
 	}
-	scratch.heap = h[:0]
-	for i, end := range tEnds {
-		if end >= 0 {
-			res.ThreadEnd[p.threadIDs[i]] = end
-		}
+	for id := range p.removed {
+		override(id)
 	}
-	if live := p.NumTasks(); executed != live {
-		var blocked []*Task
-		for id, t := range g.tasks {
-			if t != nil && !maskRemoved[id] && ref[id] > 0 {
-				blocked = append(blocked, t)
-			}
-		}
-		for i, t := range p.added {
-			if id := baseSpan + i; !maskRemoved[id] && ref[id] > 0 {
-				blocked = append(blocked, t)
-			}
-		}
-		return nil, newStallError(executed, live, blocked)
+	for key := range p.removedEdges {
+		override(key[0])
 	}
-	return res, nil
+	for id := range p.addedOut {
+		override(id)
+	}
+	f.kids, f.changed = s.kids, s.changed
+	return f
+}
+
+// growKids resizes s to length n, reusing capacity, and clears it.
+func growKids(s [][]*Task, n int) [][]*Task {
+	if cap(s) < n {
+		return make([][]*Task, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // PredictIteration simulates the patched baseline and returns the
@@ -1117,53 +921,45 @@ func (p *Patch) Validate() error {
 	}
 	// Effective timings: the simulator's monotonicity arguments assume
 	// non-negative durations and non-negative duration+gap.
-	var badTiming error
-	p.eachTask(func(t *Task) {
-		if badTiming != nil {
-			return
-		}
+	tasks := p.Tasks()
+	for _, t := range tasks {
 		d, gp := p.Duration(t), p.Gap(t)
 		if d < 0 {
-			badTiming = fmt.Errorf("%w: task %v has effective duration %v", ErrNegativeDuration, t, d)
+			return fmt.Errorf("%w: task %v has effective duration %v", ErrNegativeDuration, t, d)
 		} else if d+gp < 0 {
-			badTiming = fmt.Errorf("%w: task %v has effective duration+gap %v", ErrNegativeDuration, t, d+gp)
+			return fmt.Errorf("%w: task %v has effective duration+gap %v", ErrNegativeDuration, t, d+gp)
 		}
-	})
-	if badTiming != nil {
-		return badTiming
 	}
 	// Kahn's algorithm over the effective view for cycle detection.
-	span := p.IDSpan()
-	ref := make([]int, span)
+	ref := make([]int, p.IDSpan())
 	var frontier []*Task
-	live := 0
-	p.eachTask(func(t *Task) {
-		live++
-		n := len(p.effParents(t))
-		ref[t.ID] = n
-		if n == 0 {
+	for _, t := range tasks {
+		ref[t.ID] = len(p.effParents(t))
+		if ref[t.ID] == 0 {
 			frontier = append(frontier, t)
 		}
-	})
+	}
 	seen := 0
+	var kids []*Task
 	for len(frontier) > 0 {
 		t := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
 		seen++
-		p.eachChild(t, func(c *Task) {
+		kids = p.appendChildren(kids[:0], t)
+		for _, c := range kids {
 			ref[c.ID]--
 			if ref[c.ID] == 0 {
 				frontier = append(frontier, c)
 			}
-		})
+		}
 	}
-	if seen != live {
+	if seen != len(tasks) {
 		var members []*Task
-		p.eachTask(func(t *Task) {
+		for _, t := range tasks {
 			if ref[t.ID] > 0 {
 				members = append(members, t)
 			}
-		})
+		}
 		return newCycleError(members)
 	}
 	return nil

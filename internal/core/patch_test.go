@@ -390,36 +390,6 @@ func TestPatchAddDependencyRequiresLiveTasks(t *testing.T) {
 	}
 }
 
-// TestPatchLegacySchedulerRejectedUnderTimingOverlays pins the shim
-// guard: on a structural patch whose timing tier holds duration/gap
-// edits, an AdaptScheduler-wrapped policy (raw Task-field reads) is
-// rejected — the pre-view fallback materialized effective fields, so
-// running it over the view would silently diverge.
-func TestPatchLegacySchedulerRejectedUnderTimingOverlays(t *testing.T) {
-	g := patchTestGraph(t, 3)
-	p := NewPatch(g)
-	c := p.NewTask("c", trace.KindComm, Channel("x"), time.Microsecond)
-	p.AppendTask(c)
-	p.SetDuration(g.Task(1), 40*time.Microsecond)
-	if _, err := p.Simulate(WithScheduler(AdaptScheduler(legacyLifo{}))); err == nil {
-		t.Fatal("legacy scheduler + timing overlay on a structural patch did not error")
-	}
-	// The native policy and the default heap path keep working.
-	if _, err := p.Simulate(WithScheduler(lifoPatchScheduler{})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Simulate(); err != nil {
-		t.Fatal(err)
-	}
-	// Without timing edits the shim is accepted on the structural path.
-	p.Reset(g)
-	d := p.NewTask("d", trace.KindComm, Channel("x"), time.Microsecond)
-	p.AppendTask(d)
-	if _, err := p.Simulate(WithScheduler(AdaptScheduler(legacyLifo{}))); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPatchMaterializeMemo pins the materialization cache: repeated
 // Materialize calls without intervening edits return the same graph and
 // pay the clone+replay exactly once (the KeepGraphs +

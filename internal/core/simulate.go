@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 )
 
@@ -19,9 +21,6 @@ import (
 // under an overlay or patch. Implementations must be deterministic.
 // Returning an index outside [0, len(frontier)) aborts the simulation
 // with an error.
-//
-// Pre-TaskView schedulers implementing the old
-// Pick(frontier, effStart) *Task shape wrap with AdaptScheduler.
 type Scheduler interface {
 	Pick(frontier []*Task, ctx *SchedContext) int
 }
@@ -31,36 +30,38 @@ type Scheduler interface {
 // evolving schedule state (earliest starts, per-thread progress). It is
 // valid only for the duration of the Pick call that receives it.
 type SchedContext struct {
-	view      TaskView
-	earliest  []time.Duration
-	threadEnd map[ThreadID]time.Duration
+	f          *simForm
+	earliest   []time.Duration
+	threadEnds []time.Duration
 }
 
 // View returns the task view the simulation runs over: the *Graph
 // itself, or the *Overlay/*Patch whose effective attributes the
 // scheduler must read through.
-func (c *SchedContext) View() TaskView { return c.view }
+func (c *SchedContext) View() TaskView { return c.f.view }
 
 // EffStart returns the earliest time the task could begin given its
 // completed dependencies and current thread progress.
 func (c *SchedContext) EffStart(t *Task) time.Duration {
-	es := c.earliest[t.ID]
-	if p := c.threadEnd[t.Thread]; p > es {
-		es = p
-	}
-	return es
+	return max(c.earliest[t.ID], c.threadEnds[c.f.threadOf[t.ID]])
 }
 
 // Duration returns the task's effective duration under the view.
-func (c *SchedContext) Duration(t *Task) time.Duration { return c.view.Duration(t) }
+func (c *SchedContext) Duration(t *Task) time.Duration {
+	d, _ := c.f.timing(t)
+	return d
+}
 
 // Gap returns the task's effective gap under the view.
-func (c *SchedContext) Gap(t *Task) time.Duration { return c.view.Gap(t) }
+func (c *SchedContext) Gap(t *Task) time.Duration {
+	_, gp := c.f.timing(t)
+	return gp
+}
 
 // Priority returns the task's effective scheduling priority under the
 // view — including priorities overlaid by a what-if, which Task.Priority
 // cannot see.
-func (c *SchedContext) Priority(t *Task) int { return c.view.Priority(t) }
+func (c *SchedContext) Priority(t *Task) int { return c.f.priority(t) }
 
 // EarliestStart is the default scheduler: the frontier task with the
 // earliest effective start wins; ties fall to higher priority, then lower
@@ -86,49 +87,6 @@ func (EarliestStart) Pick(frontier []*Task, ctx *SchedContext) int {
 	return best
 }
 
-// LegacyScheduler is the pre-TaskView scheduler contract: pick a task
-// pointer given only an effective-start oracle. It cannot see overlaid
-// priorities or effective timings — wrap it with AdaptScheduler to run
-// it on the view-generic path, or migrate to Scheduler's
-// Pick(frontier, ctx) int form.
-type LegacyScheduler interface {
-	Pick(frontier []*Task, effStart func(*Task) time.Duration) *Task
-}
-
-// AdaptScheduler wraps a LegacyScheduler as a view-generic Scheduler:
-// the legacy pick runs with the context's EffStart and the returned
-// task is located in the frontier. Because the wrapped policy reads raw
-// Task fields, simulations reject it where those fields diverge from
-// the effective view: an Overlay with priority edits (as before this
-// shim existed), and a structural Patch with any timing or priority
-// overlay (where the pre-view fallback materialized effective fields).
-// Migrate field-reading policies to the native contract; policies that
-// only use effStart keep working unchanged through the shim.
-func AdaptScheduler(s LegacyScheduler) Scheduler { return &legacyScheduler{s: s} }
-
-// legacyScheduler is AdaptScheduler's shim.
-type legacyScheduler struct{ s LegacyScheduler }
-
-func (l *legacyScheduler) Pick(frontier []*Task, ctx *SchedContext) int {
-	t := l.s.Pick(frontier, ctx.EffStart)
-	if t == nil {
-		return -1
-	}
-	for i, f := range frontier {
-		if f == t {
-			return i
-		}
-	}
-	return -1
-}
-
-// isLegacySched reports whether sched routes through the AdaptScheduler
-// shim (and therefore reads raw Task fields).
-func isLegacySched(s Scheduler) bool {
-	_, ok := s.(*legacyScheduler)
-	return ok
-}
-
 // customScheduler returns s unless it is nil or the default
 // earliest-start policy (which stays on the heap fast path).
 func customScheduler(s Scheduler) Scheduler {
@@ -152,11 +110,11 @@ type SimResult struct {
 	// ThreadEnd maps each thread to its final progress.
 	ThreadEnd map[ThreadID]time.Duration
 
-	// dur and gap hold the effective per-task timings of an overlay
-	// simulation (empty for a plain Graph.Simulate, where the Task
-	// fields are authoritative). TaskDuration/TaskGap/Finish read
-	// through them so result consumers never see baseline timings for
-	// an overlaid task.
+	// dur and gap are the compiled form's effective per-task timings,
+	// kept by every unwindowed Overlay and Patch simulation (empty for a
+	// plain Graph.Simulate, where the Task fields are authoritative).
+	// TaskDuration/TaskGap/Finish read through them so result consumers
+	// never see baseline timings for an overlaid task.
 	dur, gap []time.Duration
 
 	// win holds the sliding-window state of a round-windowed simulation
@@ -320,38 +278,61 @@ func newResult(buf *SimResult, n, threads int) *SimResult {
 	return buf
 }
 
-// SimScratch holds the reusable per-simulation working set: the
-// reference-count and earliest-start arrays plus the frontier storage.
+// SimScratch holds the reusable per-simulation working set: the storage
+// of the compiled form (task table, effective priorities and windowed
+// timings, thread layout, adjacency overrides) and the loop state
+// (reference counts, earliest starts, per-thread progress, frontier).
 // A scratch may be reused across any number of sequential simulations of
-// graphs of any size (it grows as needed), which removes almost all
+// views of any size (it grows as needed), which removes almost all
 // per-simulation allocation — the property the sweep worker pool relies
 // on. A scratch must not be shared by concurrent simulations.
 type SimScratch struct {
+	form  simForm
+	sched SchedContext
+
 	ref        []int
 	earliest   []time.Duration
+	threadEnds []time.Duration // progress by thread ordinal
 	heap       []heapEntry
 	frontier   []*Task
-	prio       []int           // effective priorities for overlay simulations
-	threadEnds []time.Duration // per-thread-ordinal progress for overlay simulations
-	// effDur and effGap hold the effective timings of a *windowed*
-	// overlay/patch simulation: transient loop state, so the retained
-	// result stays O(window) while timing reads stay O(1).
+
+	tasks []*Task
+	prio  []int
+	// effDur and effGap hold the effective timings of a *windowed* run:
+	// transient loop state, so the retained result stays O(window) while
+	// timing reads stay O(1).
 	effDur, effGap []time.Duration
+	threadOf       []int32
+	threadIDs      []ThreadID
+	kids           [][]*Task
+	kidBuf         []*Task
+	changed        []*Task
 }
 
 // NewSimScratch returns an empty scratch, ready for WithScratch.
 func NewSimScratch() *SimScratch { return &SimScratch{} }
 
-// ensure sizes the arrays for an ID span of n.
-func (s *SimScratch) ensure(n int) {
-	if cap(s.ref) < n {
-		s.ref = make([]int, n)
-		s.earliest = make([]time.Duration, n)
+// layoutThreads appends the thread ordinal of each task to of, indexing
+// ids and appending the threads it has not seen yet. A nil task gets
+// ordinal -1. Views have few threads and consecutive tasks often share
+// one, so a remembered last hit plus a linear scan beats hashing.
+func layoutThreads(of []int32, ids []ThreadID, tasks []*Task) ([]int32, []ThreadID) {
+	of, ids = slices.Grow(of, len(tasks)), slices.Grow(ids, 8)
+	last := int32(-1)
+	for _, t := range tasks {
+		if t == nil {
+			of = append(of, -1)
+			continue
+		}
+		if last < 0 || ids[last] != t.Thread {
+			if last = int32(slices.Index(ids, t.Thread)); last < 0 {
+				last = int32(len(ids))
+				ids = append(ids, t.Thread)
+			}
+		}
+		of = append(of, last)
 	}
-	s.ref = s.ref[:n]
-	s.earliest = s.earliest[:n]
-	s.heap = s.heap[:0]
-	s.frontier = s.frontier[:0]
+	return of, ids
 }
 
 // heapEntry is one frontier task with the effective-start key it was
@@ -436,6 +417,47 @@ type simOptions struct {
 	window int
 }
 
+// newSimOptions applies opts and runs the entry cancellation check, so
+// a pre-canceled context returns promptly and typed before any scratch
+// is touched. Without WithScratch the run uses *own, allocated on first
+// use, or a fresh scratch when own is nil.
+func newSimOptions(opts []SimOption, own **SimScratch) (simOptions, error) {
+	var o simOptions
+	for _, fn := range opts {
+		fn(&o)
+	}
+	if err := ctxCanceled(o.ctx); err != nil {
+		return o, err
+	}
+	if o.scratch == nil && own != nil {
+		if *own == nil {
+			*own = &SimScratch{}
+		}
+		o.scratch = *own
+	}
+	if o.scratch == nil {
+		o.scratch = &SimScratch{}
+	}
+	return o, nil
+}
+
+// timings returns storage for n effective durations and gaps: the
+// result buffer's own arrays, so the result carries them, or scratch
+// arrays for a windowed run, whose rings keep only the window's share.
+func (o *simOptions) timings(n int) (dur, gap []time.Duration) {
+	if o.window > 0 {
+		s := o.scratch
+		s.effDur, s.effGap = growDurations(s.effDur, n), growDurations(s.effGap, n)
+		return s.effDur, s.effGap
+	}
+	if o.result == nil {
+		o.result = &SimResult{}
+	}
+	r := o.result
+	r.dur, r.gap = growDurations(r.dur, n), growDurations(r.gap, n)
+	return r.dur, r.gap
+}
+
 // cancelCheckInterval is how many task dispatches pass between context
 // polls — the cooperative-cancellation granularity of every simulate
 // path. At ~10⁷ dispatches/s a poll every 1024 tasks bounds the
@@ -488,6 +510,8 @@ func WithContext(ctx context.Context) SimOption {
 // WithScratch reuses a caller-owned working set across simulations,
 // eliminating per-simulation allocation of the frontier and bookkeeping
 // arrays. The scratch must not be used by two simulations concurrently.
+// Without it, an Overlay or Patch reuses a working set of its own and a
+// Graph, which concurrent simulations may share, allocates a fresh one.
 func WithScratch(s *SimScratch) SimOption {
 	return func(o *simOptions) { o.scratch = s }
 }
@@ -532,48 +556,147 @@ func SchedulerOf(opts ...SimOption) Scheduler {
 // with lazily updated keys; a custom Scheduler sees the frontier as a
 // plain slice, preserving the overridable schedule() contract.
 func (g *Graph) Simulate(opts ...SimOption) (*SimResult, error) {
-	o := simOptions{}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	if err := ctxCanceled(o.ctx); err != nil {
+	o, err := newSimOptions(opts, nil)
+	if err != nil {
 		return nil, err
 	}
-	scratch := o.scratch
-	if scratch == nil {
-		scratch = &SimScratch{}
-	}
-	n := len(g.tasks)
-	scratch.ensure(n)
+	return g.compile(&o).simulate(&o)
+}
 
+// compile compiles the graph itself: its Task fields are the effective
+// values, so only the thread layout is derived.
+func (g *Graph) compile(o *simOptions) *simForm {
+	s := o.scratch
+	s.threadOf, s.threadIDs = layoutThreads(s.threadOf[:0], s.threadIDs[:0], g.tasks)
+	f := &s.form
+	*f = simForm{view: g, tasks: g.tasks, live: g.live, threadOf: s.threadOf, threadIDs: s.threadIDs}
+	return f
+}
+
+// simForm is the flat per-ID form every TaskView compiles to before
+// simulating, so one heap loop and one scheduled loop serve every view.
+// A *Graph compiles to its own task table with no deltas; an Overlay
+// adds effective timings and priorities; a structural Patch adds its
+// appendix, masks removed IDs and overrides the adjacency of just the
+// tasks whose out-edges it changed, so the edge set is never copied.
+type simForm struct {
+	view TaskView
+	// tasks holds the live tasks by ID (nil for absent or removed IDs);
+	// live counts them.
+	tasks []*Task
+	live  int
+	// dur, gap and prio hold effective values by ID; nil means the Task
+	// fields are authoritative (dur and gap are nil only for a *Graph).
+	dur, gap []time.Duration
+	prio     []int
+	// threadOf maps task IDs to thread ordinals, threadIDs ordinals to
+	// threads.
+	threadOf  []int32
+	threadIDs []ThreadID
+	// kids, when non-nil, replaces Task.children for every ID with a
+	// non-nil entry; changed lists those tasks, removed ones included.
+	kids    [][]*Task
+	changed []*Task
+}
+
+// threadUntouched marks a thread that has not run a task yet.
+const threadUntouched = time.Duration(math.MinInt64)
+
+func (f *simForm) timing(t *Task) (dur, gap time.Duration) {
+	if f.dur == nil {
+		return t.Duration, t.Gap
+	}
+	return f.dur[t.ID], f.gap[t.ID]
+}
+
+func (f *simForm) priority(t *Task) int {
+	if f.prio == nil {
+		return t.Priority
+	}
+	return f.prio[t.ID]
+}
+
+func (f *simForm) children(t *Task) []*Task {
+	if f.kids != nil {
+		if k := f.kids[t.ID]; k != nil {
+			return k
+		}
+	}
+	return t.children
+}
+
+// simulate readies the result and the loop state, then runs the heap
+// loop or, for a custom policy, the scheduled loop.
+func (f *simForm) simulate(o *simOptions) (*SimResult, error) {
+	n := len(f.tasks)
 	resN := n
 	if o.window > 0 {
 		resN = 0 // windowed: starts live in the window rings, not Start
 	}
-	res := newResult(o.result, resN, len(g.threads))
+	res := newResult(o.result, resN, len(f.threadIDs))
 	if o.window > 0 {
-		win, err := newWindowState(g, o.window, false)
+		win, err := newWindowState(f, o.window)
 		if err != nil {
 			return nil, err
 		}
 		res.win = win
+	} else if f.dur != nil {
+		res.dur, res.gap = f.dur, f.gap
 	}
-	if s := customScheduler(o.scheduler); s != nil {
-		return simulateScheduled(g, s, scratch, res, o.ctx)
-	}
-	ref, earliest := scratch.ref, scratch.earliest
-	for id, t := range g.tasks {
-		if t == nil {
-			continue
+	s := o.scratch
+	s.ensure(n)
+	// Reference counts over the effective edge set: each task's baseline
+	// indegree, corrected by the out-edges of the changed tasks.
+	ref := s.ref
+	for id, t := range f.tasks {
+		s.earliest[id] = 0
+		ref[id] = 0
+		if t != nil {
+			ref[id] = len(t.parents)
 		}
-		ref[id] = len(t.parents)
-		earliest[id] = 0
 	}
+	for _, u := range f.changed {
+		for _, c := range u.children {
+			ref[c.ID]--
+		}
+		if f.tasks[u.ID] == u {
+			for _, c := range f.kids[u.ID] {
+				ref[c.ID]++
+			}
+		}
+	}
+	s.threadEnds = growDurations(s.threadEnds, len(f.threadIDs))
+	for i := range s.threadEnds {
+		s.threadEnds[i] = threadUntouched
+	}
+	if sched := customScheduler(o.scheduler); sched != nil {
+		return f.runScheduled(sched, s, res, o.ctx)
+	}
+	return f.runHeap(s, res, o)
+}
 
-	h := scratch.heap
-	for _, t := range g.tasks {
-		if t != nil && len(t.parents) == 0 {
-			h = heapPush(h, heapEntry{0, t.Priority, t})
+// ensure sizes the per-ID loop arrays for an ID span of n.
+func (s *SimScratch) ensure(n int) {
+	if cap(s.ref) < n {
+		s.ref = make([]int, n)
+		s.earliest = make([]time.Duration, n)
+	}
+	s.ref = s.ref[:n]
+	s.earliest = s.earliest[:n]
+	s.heap = s.heap[:0]
+	s.frontier = s.frontier[:0]
+}
+
+// runHeap is Algorithm 1 under the default earliest-start policy, with
+// the frontier kept as a lazy-key binary heap (see heapEntry).
+func (f *simForm) runHeap(s *SimScratch, res *SimResult, o *simOptions) (*SimResult, error) {
+	ref, earliest, threadEnds, threadOf := s.ref, s.earliest, s.threadEnds, f.threadOf
+	dur, gap := f.dur, f.gap
+	ctx, execOrder := o.ctx, o.execOrder
+	h := s.heap
+	for _, t := range f.tasks {
+		if t != nil && ref[t.ID] == 0 {
+			h = heapPush(h, heapEntry{0, f.priority(t), t})
 		}
 	}
 	executed := 0
@@ -581,156 +704,125 @@ func (g *Graph) Simulate(opts ...SimOption) (*SimResult, error) {
 		var e heapEntry
 		e, h = heapPop(h)
 		u := e.t
-		start := earliest[u.ID]
-		if p := res.ThreadEnd[u.Thread]; p > start {
-			start = p
-		}
+		start := max(earliest[u.ID], threadEnds[threadOf[u.ID]])
 		if start > e.key {
-			// Stale key: thread progress moved past the insertion-time
-			// estimate. Re-insert with the current effective start.
-			h = heapPush(h, heapEntry{start, u.Priority, u})
+			h = heapPush(h, heapEntry{start, e.prio, u})
 			continue
 		}
-		end := start + u.Duration + u.Gap
-		if res.win == nil {
-			res.Start[u.ID] = start
-		} else {
-			res.win.record(u, start, u.Duration, u.Gap)
+		d, gp := u.Duration, u.Gap
+		if dur != nil {
+			d, gp = dur[u.ID], gap[u.ID]
 		}
-		res.ThreadEnd[u.Thread] = end
-		if end > res.Makespan {
-			res.Makespan = end
-		}
-		executed++
-		if o.ctx != nil && executed%cancelCheckInterval == 0 {
-			if cerr := o.ctx.Err(); cerr != nil {
-				scratch.heap = h[:0]
-				return nil, ContextError(cerr)
-			}
-		}
-		if o.execOrder != nil {
-			*o.execOrder = append(*o.execOrder, int32(u.ID))
-		}
-		for _, c := range u.children {
-			if end > earliest[c.ID] {
-				earliest[c.ID] = end
-			}
-			ref[c.ID]--
-			if ref[c.ID] == 0 {
-				key := earliest[c.ID]
-				if p := res.ThreadEnd[c.Thread]; p > key {
-					key = p
-				}
-				h = heapPush(h, heapEntry{key, c.Priority, c})
-			}
-		}
-	}
-	scratch.heap = h[:0]
-	if executed != g.live {
-		// Frontier starvation: the effective graph cannot be fully
-		// ordered. Unexecuted tasks are exactly those whose reference
-		// count never reached zero.
-		var blocked []*Task
-		for id, t := range g.tasks {
-			if t != nil && ref[id] > 0 {
-				blocked = append(blocked, t)
-			}
-		}
-		return nil, newStallError(executed, g.live, blocked)
-	}
-	return res, nil
-}
-
-// simulateScheduled is the slice-frontier path for custom schedulers,
-// generic over the task view: the scheduler inspects every frontier
-// task through the SchedContext, which reads the view's effective
-// attributes — so the same policy runs directly over a *Graph, an
-// *Overlay or a structural *Patch, with zero clones and bit-identical
-// results to materializing the view and simulating that. The caller has
-// sized scratch (scratch.ensure) and built res for the view's ID span;
-// the scratch's frontier storage is reset on every exit path, error or
-// not, so a reused SimScratch never leaks stale frontier entries into
-// the next simulation. A non-nil ctx is polled every
-// cancelCheckInterval dispatches (the caller has run the entry check).
-func simulateScheduled(v schedView, sched Scheduler, scratch *SimScratch, res *SimResult, ctx context.Context) (*SimResult, error) {
-	ref, earliest := scratch.ref, scratch.earliest
-	for i := range ref {
-		ref[i] = 0
-		earliest[i] = 0
-	}
-	// Reference counts over the effective edge set, by one pass of
-	// live-child iteration (cheaper than enumerating parents on a patch).
-	// incRef is hoisted so the pass allocates one closure, not one per
-	// task.
-	live := 0
-	incRef := func(c *Task) { ref[c.ID]++ }
-	v.eachTask(func(t *Task) {
-		live++
-		v.eachChild(t, incRef)
-	})
-	frontier := scratch.frontier
-	v.eachTask(func(t *Task) {
-		if ref[t.ID] == 0 {
-			frontier = append(frontier, t)
-		}
-	})
-	sctx := &SchedContext{view: v, earliest: earliest, threadEnd: res.ThreadEnd}
-	executed := 0
-	// One relax closure for the whole run (a per-step literal would
-	// allocate once per executed task); end is threaded through a local.
-	var end time.Duration
-	relax := func(c *Task) {
-		if end > earliest[c.ID] {
-			earliest[c.ID] = end
-		}
-		ref[c.ID]--
-		if ref[c.ID] == 0 {
-			frontier = append(frontier, c)
-		}
-	}
-	for len(frontier) > 0 {
-		i := sched.Pick(frontier, sctx)
-		if i < 0 || i >= len(frontier) {
-			scratch.frontier = frontier[:0]
-			return nil, fmt.Errorf("core: scheduler picked frontier index %d of %d (a legacy adapter returns -1 for a nil or out-of-frontier task)", i, len(frontier))
-		}
-		u := frontier[i]
-		frontier[i] = frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		start := sctx.EffStart(u)
-		d, gp := v.Duration(u), v.Gap(u)
-		end = start + d + gp
+		end := start + d + gp
 		if res.win == nil {
 			res.Start[u.ID] = start
 		} else {
 			res.win.record(u, start, d, gp)
 		}
-		res.ThreadEnd[u.Thread] = end
-		if end > res.Makespan {
-			res.Makespan = end
-		}
+		threadEnds[threadOf[u.ID]] = end
+		res.Makespan = max(res.Makespan, end)
 		executed++
 		if ctx != nil && executed%cancelCheckInterval == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				scratch.frontier = frontier[:0]
-				return nil, ContextError(cerr)
+			if err := ctxCanceled(ctx); err != nil {
+				s.heap = h[:0]
+				return nil, err
 			}
 		}
-		v.eachChild(u, relax)
-	}
-	scratch.frontier = frontier[:0]
-	if executed != live {
-		// Frontier starvation: collect the tasks whose reference count
-		// never reached zero — the cycle members and their downstream.
-		var blocked []*Task
-		v.eachTask(func(t *Task) {
-			if ref[t.ID] > 0 {
-				blocked = append(blocked, t)
+		if execOrder != nil {
+			*execOrder = append(*execOrder, int32(u.ID))
+		}
+		for _, c := range f.children(u) {
+			earliest[c.ID] = max(earliest[c.ID], end)
+			ref[c.ID]--
+			if ref[c.ID] == 0 {
+				key := max(earliest[c.ID], threadEnds[threadOf[c.ID]])
+				h = heapPush(h, heapEntry{key, f.priority(c), c})
 			}
-		})
-		return nil, newStallError(executed, live, blocked)
+		}
 	}
-	return res, nil
+	s.heap = h[:0]
+	return f.finish(s, res, executed)
+}
+
+// runScheduled is Algorithm 1 under a custom policy: the scheduler sees
+// the frontier as a slice, in the order tasks became ready, and reads
+// effective attributes through the SchedContext, so one policy runs
+// clone-free over every view with results bit-identical to
+// materializing the view and simulating that. It records a dispatch
+// exactly as runHeap does; the two stay separate loops, each with the
+// dispatch written out, because a merged loop or a shared dispatch
+// helper measurably slows the heap loop's overlay replays. The
+// scratch's frontier storage is reset on every exit path, error or not,
+// so a reused SimScratch never leaks stale frontier entries into the
+// next simulation.
+func (f *simForm) runScheduled(sched Scheduler, s *SimScratch, res *SimResult, ctx context.Context) (*SimResult, error) {
+	ref, earliest, threadEnds, threadOf := s.ref, s.earliest, s.threadEnds, f.threadOf
+	frontier := s.frontier
+	for _, t := range f.tasks {
+		if t != nil && ref[t.ID] == 0 {
+			frontier = append(frontier, t)
+		}
+	}
+	s.sched = SchedContext{f: f, earliest: earliest, threadEnds: threadEnds}
+	executed := 0
+	for len(frontier) > 0 {
+		i := sched.Pick(frontier, &s.sched)
+		if i < 0 || i >= len(frontier) {
+			s.frontier = frontier[:0]
+			return nil, fmt.Errorf("core: scheduler picked frontier index %d of %d", i, len(frontier))
+		}
+		u := frontier[i]
+		frontier[i] = frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		start := s.sched.EffStart(u)
+		d, gp := f.timing(u)
+		end := start + d + gp
+		if res.win == nil {
+			res.Start[u.ID] = start
+		} else {
+			res.win.record(u, start, d, gp)
+		}
+		threadEnds[threadOf[u.ID]] = end
+		res.Makespan = max(res.Makespan, end)
+		executed++
+		if ctx != nil && executed%cancelCheckInterval == 0 {
+			if err := ctxCanceled(ctx); err != nil {
+				s.frontier = frontier[:0]
+				return nil, err
+			}
+		}
+		for _, c := range f.children(u) {
+			earliest[c.ID] = max(earliest[c.ID], end)
+			ref[c.ID]--
+			if ref[c.ID] == 0 {
+				frontier = append(frontier, c)
+			}
+		}
+	}
+	s.frontier = frontier[:0]
+	return f.finish(s, res, executed)
+}
+
+// finish records the touched threads' ends and reports a stall — a
+// frontier that emptied with live tasks left: the effective graph cannot
+// be fully ordered, and the unexecuted tasks are exactly those whose
+// reference count never reached zero.
+func (f *simForm) finish(s *SimScratch, res *SimResult, executed int) (*SimResult, error) {
+	for i, end := range s.threadEnds {
+		if end != threadUntouched {
+			res.ThreadEnd[f.threadIDs[i]] = end
+		}
+	}
+	if executed == f.live {
+		return res, nil
+	}
+	var blocked []*Task
+	for _, t := range f.tasks {
+		if t != nil && s.ref[t.ID] > 0 {
+			blocked = append(blocked, t)
+		}
+	}
+	return nil, newStallError(executed, f.live, blocked)
 }
 
 // PredictIteration simulates the graph and returns the makespan — the

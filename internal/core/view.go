@@ -14,7 +14,7 @@ import "time"
 // attributes — duration, gap, priority, thread, dependency parents and
 // children, sequence links. For a *Graph these are the raw Task fields;
 // for an *Overlay or *Patch they read through the copy-on-write deltas,
-// so code written against the view (the scheduled simulator,
+// so code written against the view (scheduling policies,
 // CriticalPathView, Measure functions) works identically over all three
 // without cloning or materializing anything.
 type TaskView interface {
@@ -47,15 +47,6 @@ type TaskView interface {
 	SeqNext(t *Task) *Task
 }
 
-// schedView is the internal contract the view-generic scheduled
-// simulator needs on top of TaskView: allocation-free, deterministic
-// task and live-child iteration. All three views implement it.
-type schedView interface {
-	TaskView
-	eachTask(fn func(*Task))
-	eachChild(t *Task, fn func(*Task))
-}
-
 // Graph's TaskView accessors read the raw Task fields — the graph IS
 // its own effective view.
 
@@ -85,20 +76,6 @@ func (g *Graph) SeqPrev(t *Task) *Task { return t.seqPrev }
 
 // SeqNext returns the next task on the same thread, or nil (TaskView).
 func (g *Graph) SeqNext(t *Task) *Task { return t.seqNext }
-
-func (g *Graph) eachTask(fn func(*Task)) {
-	for _, t := range g.tasks {
-		if t != nil {
-			fn(t)
-		}
-	}
-}
-
-func (g *Graph) eachChild(t *Task, fn func(*Task)) {
-	for _, c := range t.children {
-		fn(c)
-	}
-}
 
 // Overlay's TaskView accessors delegate structure to the baseline
 // (an overlay never changes it) and timings/priorities to the deltas.
@@ -131,10 +108,6 @@ func (o *Overlay) SeqPrev(t *Task) *Task { return t.seqPrev }
 // SeqNext returns the next task on the same thread, or nil (TaskView).
 func (o *Overlay) SeqNext(t *Task) *Task { return t.seqNext }
 
-func (o *Overlay) eachTask(fn func(*Task)) { o.base.eachTask(fn) }
-
-func (o *Overlay) eachChild(t *Task, fn func(*Task)) { o.base.eachChild(t, fn) }
-
 // Patch's TaskView accessors read through the structural deltas; its
 // Tasks/Task/IDSpan/NumTasks/Duration/Gap/Priority live in patch.go.
 
@@ -160,42 +133,3 @@ func (p *Patch) SeqPrev(t *Task) *Task { return p.effSeqPrev(t) }
 // SeqNext returns the next task in the effective thread sequence, or
 // nil (TaskView).
 func (p *Patch) SeqNext(t *Task) *Task { return p.effSeqNext(t) }
-
-func (p *Patch) eachTask(fn func(*Task)) {
-	for _, t := range p.base.tasks {
-		if t == nil {
-			continue
-		}
-		if _, gone := p.removed[t.ID]; gone {
-			continue
-		}
-		fn(t)
-	}
-	for _, t := range p.added {
-		if _, gone := p.removed[t.ID]; gone {
-			continue
-		}
-		fn(t)
-	}
-}
-
-func (p *Patch) eachChild(t *Task, fn func(*Task)) {
-	if !p.isAppendix(t) {
-		masked := len(p.removedEdges) > 0
-		for _, c := range t.children {
-			if _, gone := p.removed[c.ID]; gone {
-				continue
-			}
-			if masked && !p.edgeLive(t.ID, c.ID) {
-				continue
-			}
-			fn(c)
-		}
-	}
-	for _, e := range p.addedOut[t.ID] {
-		if _, gone := p.removed[e.to.ID]; gone {
-			continue
-		}
-		fn(e.to)
-	}
-}

@@ -81,23 +81,21 @@ type windowState struct {
 	summaries []RoundSummary
 }
 
-// newWindowState scans the view once to build the per-round layout and
-// sizes the rings for w retained rounds plus one executing round. A
-// view whose IDs are not non-decreasing in Round is rejected with
-// ErrNotRoundMajor. withTimings selects effective-timing rings for
-// views whose timings diverge from the raw Task fields.
-func newWindowState(v schedView, w int, withTimings bool) (*windowState, error) {
+// newWindowState scans the compiled form once to build the per-round
+// layout and sizes the rings for w retained rounds plus one executing
+// round. A view whose IDs are not non-decreasing in Round is rejected
+// with ErrNotRoundMajor. Forms with effective timings (every view but a
+// *Graph) get effective-timing rings too.
+func newWindowState(f *simForm, w int) (*windowState, error) {
 	ws := &windowState{w: w, maxID: -1}
 	prev := 0
-	var scanErr error
-	v.eachTask(func(t *Task) {
-		if scanErr != nil {
-			return
+	for _, t := range f.tasks {
+		if t == nil {
+			continue
 		}
 		r := t.Round
 		if r < prev || r < 0 {
-			scanErr = fmt.Errorf("%w: task #%d %q has round %d after round %d", ErrNotRoundMajor, t.ID, t.Name, r, prev)
-			return
+			return nil, fmt.Errorf("%w: task #%d %q has round %d after round %d", ErrNotRoundMajor, t.ID, t.Name, r, prev)
 		}
 		for ws.rounds <= r {
 			// New round (empty rounds between two populated ones get
@@ -112,9 +110,6 @@ func newWindowState(v schedView, w int, withTimings bool) (*windowState, error) 
 		}
 		ws.left[r]++
 		prev = r
-	})
-	if scanErr != nil {
-		return nil, scanErr
 	}
 	if ws.rounds == 0 {
 		ws.rounds = 1
@@ -136,7 +131,7 @@ func newWindowState(v schedView, w int, withTimings bool) (*windowState, error) 
 		}
 	}
 	ws.ring = make([]time.Duration, cap)
-	if withTimings {
+	if f.dur != nil {
 		ws.durRing = make([]time.Duration, cap)
 		ws.gapRing = make([]time.Duration, cap)
 	}
