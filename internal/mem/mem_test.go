@@ -148,10 +148,10 @@ func TestProfilePostPassAcrossTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiers := []struct {
-		name      string
-		view      core.TaskView
-		simulate  func() (*core.SimResult, error)
-		samePlan  bool // default scheduler, unedited → profile must equal cold's
+		name     string
+		view     core.TaskView
+		simulate func() (*core.SimResult, error)
+		samePlan bool // default scheduler, unedited → profile must equal cold's
 	}{
 		{"cold", g, func() (*core.SimResult, error) { return g.Simulate() }, true},
 		{"overlay", core.NewOverlay(g), nil, true},
