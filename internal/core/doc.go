@@ -29,23 +29,22 @@
 //
 //   - incremental — IncrementalSim.ReSimulate over a warm baseline
 //     schedule, the one tier with a loop of its own: recompute only the
-//     delta's affected cone, ~9.5µs for a
-//     single-task duration delta (~70× the overlay replay). Cost is
-//     proportional to the cone, so it shines on sparse deltas that land
-//     late in the schedule or are absorbed by slack; a delta editing
-//     more than 1/8 of the tasks is answered cold (the cutoff), and
-//     deltas it cannot model — priority edits, structural ops, custom
-//     schedulers, negative timings — take the documented cold fallback.
+//     delta's affected cone, ~11µs for a single-task duration delta
+//     (~75× the overlay replay). Cost is proportional to the cone, so it
+//     shines on sparse deltas that land late in the schedule or are
+//     absorbed by slack; a delta editing more than 1/8 of the tasks is
+//     answered cold (the cutoff), and deltas it cannot model — priority
+//     edits, structural ops, custom schedulers, negative timings — take
+//     the documented cold fallback.
 //   - overlay replay — Overlay.Simulate: a full cold replay through
-//     copy-on-write timing deltas, ~0.67ms. The workhorse for dense
+//     copy-on-write timing deltas, ~0.82ms. The workhorse for dense
 //     timing-only what-ifs (AMP rescales half the graph).
 //   - patch — Patch.Simulate: the composite structural view (appendix
 //     IDs, masked removals, overridden child lists) over the overlay's
-//     timing tier, ~1.0ms for
-//     the Distributed insertion scenario.
-//   - cold — Graph.Simulate of the baseline itself, ~1.6ms; also the
+//     timing tier, ~1.3ms for the Distributed insertion scenario.
+//   - cold — Graph.Simulate of the baseline itself, ~1.3ms; also the
 //     replay tier for no-op scenarios in a sweep.
-//   - clone — materialize a private mutated copy, ~7.7ms per scenario;
+//   - clone — materialize a private mutated copy, ~6.0ms per scenario;
 //     only for rewriters that must replace the graph (OptP3's Repeat
 //     form, manual Transforms).
 //

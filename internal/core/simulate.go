@@ -287,6 +287,9 @@ func newResult(buf *SimResult, n, threads int) *SimResult {
 // per-simulation allocation — the property the sweep worker pool relies
 // on. A scratch must not be shared by concurrent simulations.
 type SimScratch struct {
+	// form and sched live here, not on the stack, because the
+	// scheduler's read surface escapes through Pick: per-run values
+	// would cost an allocation each.
 	form  simForm
 	sched SchedContext
 
