@@ -240,18 +240,23 @@ func (p *Patch) Task(id int) *Task {
 // it.
 func (p *Patch) Tasks() []*Task {
 	out := p.tasksView[:0]
+	masked := len(p.removed) > 0
 	for _, t := range p.base.tasks {
 		if t == nil {
 			continue
 		}
-		if _, gone := p.removed[t.ID]; gone {
-			continue
+		if masked {
+			if _, gone := p.removed[t.ID]; gone {
+				continue
+			}
 		}
 		out = append(out, t)
 	}
 	for _, t := range p.added {
-		if _, gone := p.removed[t.ID]; gone {
-			continue
+		if masked {
+			if _, gone := p.removed[t.ID]; gone {
+				continue
+			}
 		}
 		out = append(out, t)
 	}

@@ -46,21 +46,22 @@ func Gist(g *core.Graph, opts GistOptions) error {
 		return err
 	}
 	opts.defaults()
-	ew := g.Select(core.And(core.OnGPUPred, core.NameContains("elementwise")))
-	est := core.MeanDuration(ew)
+	est := core.MeanDuration(g.LayerPhaseIndex().GPUTasksMatching("elementwise"))
 	if est == 0 {
 		return fmt.Errorf("whatif: Gist: no element-wise kernels to estimate from")
 	}
 	grads := gradientsByIndex(g)
+	layers := sortedLayerIndices(grads)
+	anchors := scanLayerAnchors(g, layerSpan(layers))
 	inserted := 0
-	for _, li := range sortedLayerIndices(grads) {
+	for _, li := range layers {
 		gr := grads[li]
 		isTarget := opts.EncodeLayer(gr)
 		if !isTarget && !(opts.Lossy && gr.Kind != "relu" && gr.ActBytes > 0) {
 			continue
 		}
-		fwdLast := lastFwdGPUTask(g, li)
-		bwdFirst := firstBwdGPUTask(g, li)
+		fwdLast := anchors.lastFwd(li)
+		bwdFirst := anchors.firstBwd(li)
 		if fwdLast == nil || bwdFirst == nil {
 			continue
 		}
@@ -142,7 +143,7 @@ func GistPatch(p *core.Patch, opts GistOptions) error {
 }
 
 // gistInto reads workload metadata from the baseline g, scans the
-// effective view for anchors, and emits the encode/decode insertions
+// effective view once for anchors, and emits the encode/decode insertions
 // through ed — the same shape as vdnnInto, so the patch form and an
 // in-place application are bit-equivalent by construction.
 func gistInto(g *core.Graph, view core.TaskView, ed gistEditor, opts GistOptions) error {
@@ -150,23 +151,26 @@ func gistInto(g *core.Graph, view core.TaskView, ed gistEditor, opts GistOptions
 		return err
 	}
 	opts.defaults()
-	est := core.MeanDuration(g.Select(core.And(core.OnGPUPred, core.NameContains("elementwise"))))
+	ix := g.LayerPhaseIndex()
+	est := core.MeanDuration(ix.GPUTasksMatching("elementwise"))
 	if est == 0 {
-		est = core.MeanDuration(g.Select(core.OnGPUPred))
+		est = core.MeanDuration(ix.GPUTasks())
 	}
 	if est == 0 {
 		return fmt.Errorf("whatif: Gist: no GPU kernels to estimate encode/decode durations from")
 	}
 	grads := gradientsByIndex(g)
+	layers := sortedLayerIndices(grads)
+	anchors := scanLayerAnchors(view, layerSpan(layers))
 	inserted := 0
-	for _, li := range sortedLayerIndices(grads) {
+	for _, li := range layers {
 		gr := grads[li]
 		isTarget := opts.EncodeLayer(gr)
 		if !isTarget && !(opts.Lossy && gr.Kind != "relu" && gr.ActBytes > 0) {
 			continue
 		}
-		fwdLast := lastFwdGPUTask(view, li)
-		bwdFirst := firstBwdGPUTask(view, li)
+		fwdLast := anchors.lastFwd(li)
+		bwdFirst := anchors.firstBwd(li)
 		if fwdLast == nil || bwdFirst == nil {
 			continue
 		}

@@ -75,7 +75,7 @@ func VDNNPatch(p *core.Patch, opts VDNNOptions) error {
 }
 
 // vdnnInto reads workload metadata from the baseline g, scans the
-// effective task view for anchor tasks, and emits Algorithm 10's
+// effective task view once for anchor tasks, and emits Algorithm 10's
 // insertions through ed (the graph itself, or a patch over it). For the
 // in-place form g, view and ed are all the graph.
 func vdnnInto(g *core.Graph, view core.TaskView, ed graphEditor, opts VDNNOptions) error {
@@ -86,20 +86,16 @@ func vdnnInto(g *core.Graph, view core.TaskView, ed graphEditor, opts VDNNOption
 	grads := gradientsByIndex(g)
 	layers := sortedLayerIndices(grads)
 	copyStream := core.Channel(vdnnCopyChannel) // dedicated memcpy engine
-	maxIdx := 0
-	for _, li := range layers {
-		if li > maxIdx {
-			maxIdx = li
-		}
-	}
+	maxIdx := layerSpan(layers) - 1
+	anchors := scanLayerAnchors(view, maxIdx+1)
 	inserted := 0
 	for _, li := range layers {
 		gr := grads[li]
 		if !opts.OffloadLayer(gr) || gr.ActBytes == 0 {
 			continue
 		}
-		fwdLast := lastFwdGPUTask(view, li)
-		bwdFirst := firstBwdGPUTask(view, li)
+		fwdLast := anchors.lastFwd(li)
+		bwdFirst := anchors.firstBwd(li)
 		if fwdLast == nil || bwdFirst == nil {
 			continue
 		}
@@ -122,7 +118,7 @@ func vdnnInto(g *core.Graph, view core.TaskView, ed graphEditor, opts VDNNOption
 		}
 		// … nor before backward has progressed close enough (delayed
 		// prefetching policy) …
-		if trigger := firstBwdGPUTask(view, gateIndex(li, opts.PrefetchDistance, maxIdx)); trigger != nil && trigger != bwdFirst {
+		if trigger := anchors.firstBwd(gateIndex(li, opts.PrefetchDistance, maxIdx)); trigger != nil && trigger != bwdFirst {
 			if err := ed.AddDependency(trigger, prefetch, core.DepCustom); err != nil {
 				return err
 			}
@@ -252,32 +248,52 @@ func gateIndex(li, distance, maxIdx int) int {
 	return g
 }
 
-// lastFwdGPUTask returns the layer's last forward GPU task live in the
-// view (removed tasks of a structural patch are excluded).
-func lastFwdGPUTask(v core.TaskView, layerIndex int) *core.Task {
-	var best *core.Task
-	for _, t := range v.Tasks() {
-		if !t.OnGPU() || !t.HasLayer || t.Phase != trace.Forward || t.LayerIndex != layerIndex {
-			continue
-		}
-		if best == nil || t.TracedStart > best.TracedStart {
-			best = t
-		}
-	}
-	return best
+// layerAnchors holds, per layer index, the GPU tasks vDNN and Gist
+// splice their insertions next to: the layer's last forward GPU task and
+// its first backward GPU task, across all rounds, live in the view.
+type layerAnchors struct {
+	fwdLast, bwdFirst []*core.Task
 }
 
-// firstBwdGPUTask returns the layer's first backward GPU task live in
-// the view.
-func firstBwdGPUTask(v core.TaskView, layerIndex int) *core.Task {
-	var best *core.Task
+// scanLayerAnchors builds the anchor table for layers [0, layers) in one
+// pass over the view. Tasks are visited in creation order and replaced
+// only on a strictly later (forward) or earlier (backward) TracedStart,
+// so ties go to the first task created. The table stays valid while a
+// transformation walks the layers once each: vDNN only adds copy-channel
+// tasks, which are not on the GPU, and Gist's encode/decode kernels carry
+// the index of the layer being processed.
+func scanLayerAnchors(v core.TaskView, layers int) layerAnchors {
+	a := layerAnchors{fwdLast: make([]*core.Task, layers), bwdFirst: make([]*core.Task, layers)}
 	for _, t := range v.Tasks() {
-		if !t.OnGPU() || !t.HasLayer || t.Phase != trace.Backward || t.LayerIndex != layerIndex {
+		if !t.OnGPU() || !t.HasLayer || t.LayerIndex < 0 || t.LayerIndex >= layers {
 			continue
 		}
-		if best == nil || t.TracedStart < best.TracedStart {
-			best = t
+		switch t.Phase {
+		case trace.Forward:
+			if cur := a.fwdLast[t.LayerIndex]; cur == nil || t.TracedStart > cur.TracedStart {
+				a.fwdLast[t.LayerIndex] = t
+			}
+		case trace.Backward:
+			if cur := a.bwdFirst[t.LayerIndex]; cur == nil || t.TracedStart < cur.TracedStart {
+				a.bwdFirst[t.LayerIndex] = t
+			}
 		}
 	}
-	return best
+	return a
+}
+
+// lastFwd returns the layer's last forward GPU task, or nil.
+func (a layerAnchors) lastFwd(li int) *core.Task {
+	if li < 0 || li >= len(a.fwdLast) {
+		return nil
+	}
+	return a.fwdLast[li]
+}
+
+// firstBwd returns the layer's first backward GPU task, or nil.
+func (a layerAnchors) firstBwd(li int) *core.Task {
+	if li < 0 || li >= len(a.bwdFirst) {
+		return nil
+	}
+	return a.bwdFirst[li]
 }

@@ -44,6 +44,15 @@ func sortedLayerIndices(grads map[int]trace.GradientInfo) []int {
 	return out
 }
 
+// layerSpan returns one past the largest of the ascending layer indices,
+// or 0 when there are none.
+func layerSpan(sorted []int) int {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[len(sorted)-1] + 1
+}
+
 // requireLayers verifies the graph carries a layer mapping, which most
 // transformations need.
 func requireLayers(g *core.Graph, who string) error {
