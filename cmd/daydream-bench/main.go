@@ -11,7 +11,8 @@
 //	daydream-bench -micro -against BENCH.json  # …and fail on >25% regression
 //	daydream-bench -serve                  # HTTP serving load harness (qps, P50/P99)
 //
-// With -micro, the pipeline stages (trace collection, graph construction,
+// With -micro, the pipeline stages (trace collection, trace decoding,
+// graph construction,
 // simulation, clone, AMP transform, clone-path, overlay-path and
 // stacked-overlay (AMP+FusedAdam via one Stack value) scenario
 // evaluation, the structural clone-vs-patch pair (Algorithm-6
@@ -238,6 +239,13 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 		{"CollectTrace", 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := daydream.Collect(daydream.CollectConfig{Model: workload}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"ReadTraceJSON", 0, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := trace.ReadJSON(bytes.NewReader(trBuf.Bytes())); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"strings"
 	"time"
 
 	"daydream/internal/core"
@@ -33,13 +34,23 @@ type CorruptTrace struct {
 }
 
 // CorruptTraces enumerates the trace corruptions the ingestion layer
-// must reject with typed errors: malformed bytes, non-finite and
-// fractional timestamps, negative and overflowing times, duplicate
-// IDs, broken correlation pairing, inverted layer spans.
+// must reject with typed errors: malformed bytes, JSON the parser must
+// refuse (too deep, trailing commas, bad escapes, mistyped or
+// out-of-range numbers, unterminated keys), non-finite and fractional
+// timestamps, negative and overflowing times, duplicate IDs, broken
+// correlation pairing, inverted layer spans.
 func CorruptTraces() []CorruptTrace {
+	deep := strings.Repeat("[", 10000) + strings.Repeat("]", 10000)
 	return []CorruptTrace{
 		{"garbage", []byte("\x00\xff not json"), trace.ErrMalformed},
 		{"truncated", []byte(`{"activities":[{"id":1,"na`), trace.ErrMalformed},
+		{"too-deep", []byte(`{"unknown":` + deep + `}`), trace.ErrMalformed},
+		{"trailing-comma", []byte(`{"activities":[{"id":1,"kind":5,"stream":7},]}`), trace.ErrMalformed},
+		{"bad-escape", []byte(`{"model":"bert\x"}`), trace.ErrMalformed},
+		{"string-in-int-field", []byte(`{"activities":[{"id":"1","kind":5,"stream":7}]}`), trace.ErrMalformed},
+		{"negative-correlation", []byte(`{"activities":[{"id":1,"kind":1,"thread":1,"correlation":-5}]}`), trace.ErrMalformed},
+		{"leading-zero", []byte(`{"activities":[{"id":01,"kind":5,"stream":7}]}`), trace.ErrMalformed},
+		{"unterminated-key", []byte(`{"activities":[{"id`), trace.ErrMalformed},
 		{"nan-duration", []byte(`{"activities":[{"id":1,"kind":5,"duration":NaN,"stream":7}]}`), trace.ErrMalformed},
 		{"inf-start", []byte(`{"activities":[{"id":1,"kind":5,"start":1e999,"stream":7}]}`), trace.ErrMalformed},
 		{"fractional-time", []byte(`{"activities":[{"id":1,"kind":5,"duration":1.25,"stream":7}]}`), trace.ErrMalformed},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"daydream/internal/trace"
@@ -16,7 +17,7 @@ func OnGPUPred(t *Task) bool { return t.OnGPU() }
 // NameContains matches tasks whose name contains the substring — the
 // paper's select-by-keyword (e.g. "sgemm", "elementwise").
 func NameContains(sub string) func(*Task) bool {
-	return func(t *Task) bool { return contains(t.Name, sub) }
+	return func(t *Task) bool { return strings.Contains(t.Name, sub) }
 }
 
 // ComputeIntensivePred matches tasks the paper's Algorithm 3 treats as
@@ -25,7 +26,7 @@ func NameContains(sub string) func(*Task) bool {
 // and LayerPhaseIndex caches it per GPU task so overlay scenarios skip
 // the substring scans entirely.
 func ComputeIntensivePred(t *Task) bool {
-	return contains(t.Name, "sgemm") || contains(t.Name, "scudnn")
+	return strings.Contains(t.Name, "sgemm") || strings.Contains(t.Name, "scudnn")
 }
 
 // InPhase matches tasks mapped to the given training phase.
@@ -53,20 +54,6 @@ func And(ps ...func(*Task) bool) func(*Task) bool {
 		}
 		return true
 	}
-}
-
-// contains reports whether s contains sub (strings.Contains without the
-// import, keeping the hot path allocation-free).
-func contains(s, sub string) bool {
-	if len(sub) == 0 {
-		return true
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // KernelInsertion describes a GPU kernel to insert together with its CPU

@@ -46,8 +46,8 @@ func TestContains(t *testing.T) {
 		{"hello", "hellos", false}, {"", "x", false}, {"abc", "cb", false},
 	}
 	for _, c := range cases {
-		if got := contains(c.s, c.sub); got != c.want {
-			t.Errorf("contains(%q, %q) = %v", c.s, c.sub, got)
+		if got := NameContains(c.sub)(&Task{Name: c.s}); got != c.want {
+			t.Errorf("NameContains(%q) on %q = %v", c.sub, c.s, got)
 		}
 	}
 }
