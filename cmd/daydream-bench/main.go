@@ -257,6 +257,13 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 				}
 			}
 		}},
+		{"RepeatGraph", 0, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := g.Repeat(2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{"Simulate", 0, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := g.PredictIteration(); err != nil {

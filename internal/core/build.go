@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"daydream/internal/trace"
@@ -33,116 +34,281 @@ func Build(tr *trace.Trace) (*Graph, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("core: build: %w", err)
 	}
-	g := NewGraph()
-	g.Meta = Metadata{
-		Model:         tr.Model,
-		Device:        tr.Device,
-		Framework:     tr.Framework,
-		Precision:     tr.Precision,
-		BatchSize:     tr.BatchSize,
-		IterationTime: tr.IterationTime,
-		Gradients:     append([]trace.GradientInfo(nil), tr.Gradients...),
+
+	// Visit the activities in time order through a permutation; the
+	// tracer already emits them sorted.
+	acts := tr.Activities
+	n := len(acts)
+	order := make([]int32, n)
+	correlated := 0
+	for i := range order {
+		order[i] = int32(i)
+		if acts[i].Correlation != 0 {
+			correlated++
+		}
+	}
+	byTime := func(i, j int32) int {
+		a, b := &acts[i], &acts[j]
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
+	}
+	if !slices.IsSortedFunc(order, byTime) {
+		slices.SortStableFunc(order, byTime)
 	}
 
-	// Work over a time-sorted copy of the activities.
-	acts := append([]trace.Activity(nil), tr.Activities...)
-	sort.SliceStable(acts, func(i, j int) bool {
-		if acts[i].Start != acts[j].Start {
-			return acts[i].Start < acts[j].Start
-		}
-		return acts[i].ID < acts[j].ID
-	})
+	arena := make([]Task, n)
+	g := &Graph{
+		Meta: Metadata{
+			Model:         tr.Model,
+			Device:        tr.Device,
+			Framework:     tr.Framework,
+			Precision:     tr.Precision,
+			BatchSize:     tr.BatchSize,
+			IterationTime: tr.IterationTime,
+			Gradients:     append([]trace.GradientInfo(nil), tr.Gradients...),
+		},
+		tasks: make([]*Task, n),
+		live:  n,
+	}
 
-	tasks := make([]*Task, len(acts))
-	byCorrAPI := make(map[uint64]*Task)
-	byCorrGPU := make(map[uint64]*Task)
-	for i := range acts {
-		a := &acts[i]
+	// Create the tasks in time order and chain each onto its thread
+	// (dependency types 1 and 2, and channel order; per-thread order is
+	// trace order). Each activity's thread resolves to a dense ordinal
+	// once, usually from the last thread of its kind; CPU gaps are
+	// computed against the next CPU task on the same thread. Correlated
+	// records pair up through one map: Validate guarantees exactly one
+	// API and one GPU record per correlation.
+	ords := make(map[ThreadID]int32)
+	var threads []buildThread
+	threadOrd := make([]int32, n)
+	partner := make(map[uint64]int32, correlated/2)
+	var recent [3]struct { // the last thread resolved, per ThreadKind
+		tid ThreadID
+		ord int32
+	}
+	for k := range recent {
+		recent[k].ord = -1
+	}
+	for i, ai := range order {
+		a := &acts[ai]
 		tid, err := threadOf(a)
 		if err != nil {
 			return nil, err
 		}
-		t := g.NewTask(a.Name, a.Kind, tid, a.Duration)
+		r := &recent[tid.Kind]
+		if r.ord < 0 || tid != r.tid {
+			o, ok := ords[tid]
+			if !ok {
+				o = int32(len(threads))
+				ords[tid] = o
+				threads = append(threads, buildThread{tid: tid, head: int32(i), tail: -1})
+			}
+			r.tid, r.ord = tid, o
+		}
+		threadOrd[i] = r.ord
+		t := &arena[i]
+		t.ID = i
+		t.Name = a.Name
+		t.Kind = a.Kind
+		t.Thread = tid
+		t.Duration = a.Duration
 		t.TracedStart = a.Start
 		t.TracedDuration = a.Duration
+		t.LayerIndex = -1
 		t.Correlation = a.Correlation
 		t.Bytes = a.Bytes
 		t.Dir = a.Dir
-		tasks[i] = t
-		if a.Correlation != 0 {
-			if a.Kind.OnCPU() {
-				byCorrAPI[a.Correlation] = t
-			} else {
-				byCorrGPU[a.Correlation] = t
-			}
-		}
-	}
-
-	// Dependency types 1, 2 and channel order: append each task to its
-	// thread sequence (the input is time-sorted, so per-thread order is
-	// trace order). CPU gaps are computed against the next CPU task on
-	// the same thread.
-	lastOnThread := make(map[ThreadID]*Task)
-	for _, t := range tasks {
-		if prev := lastOnThread[t.Thread]; prev != nil && t.Thread.Kind == CPUThread {
-			gap := t.TracedStart - prev.End()
-			if gap > 0 {
-				prev.Gap = gap
-			}
-		}
-		g.AppendTask(t)
-		lastOnThread[t.Thread] = t
-	}
-
-	// Dependency type 3: correlation edges.
-	for corr, api := range byCorrAPI {
-		gpu := byCorrGPU[corr]
-		if gpu == nil {
-			return nil, fmt.Errorf("core: correlation %d has no GPU record", corr)
-		}
-		if err := g.Correlate(api, gpu); err != nil {
-			return nil, err
-		}
-	}
-
-	// Dependency types 4 and 5: sweep in time order tracking, per
-	// stream, the most recently enqueued GPU task (a GPU task is
-	// "enqueued" when its correlated API record appears; uncorrelated
-	// GPU tasks count at their own start).
-	lastEnqueued := make(map[ThreadID]*Task)
-	var lastGPU *Task
-	for _, t := range tasks {
-		// A blocking call waits for the GPU work enqueued strictly
-		// before it, so resolve its edges before registering its own
-		// correlated copy.
-		if isBlockingCall(t) {
-			var waited time.Duration
-			for _, gpu := range lastEnqueued {
-				g.addEdge(gpu, t, DepSync)
-				if gpu.End() > waited {
-					waited = gpu.End()
+		g.tasks[i] = t
+		th := &threads[r.ord]
+		if th.tail >= 0 {
+			prev := &arena[th.tail]
+			if tid.Kind == CPUThread {
+				if gap := t.TracedStart - prev.End(); gap > 0 {
+					prev.Gap = gap
 				}
 			}
-			t.Duration = syncResidual(t, waited)
-		} else if t.Kind == trace.KindComm && lastGPU != nil {
-			g.addEdge(lastGPU, t, DepComm)
+			prev.seqNext = t
+			t.seqPrev = prev
 		}
-		switch {
-		case t.OnCPU() && t.Correlation != 0:
-			if gpu := t.peer; gpu != nil {
-				lastEnqueued[gpu.Thread] = gpu
-				lastGPU = gpu
+		th.tail = int32(i)
+		if a.Correlation != 0 {
+			if j, ok := partner[a.Correlation]; ok {
+				t.peer = &arena[j]
+				arena[j].peer = t
+			} else {
+				partner[a.Correlation] = int32(i)
 			}
-		case t.OnGPU() && t.Correlation == 0:
-			lastEnqueued[t.Thread] = t
-			lastGPU = t
 		}
 	}
+	// partner keeps one entry per correlation, so each record beyond
+	// those completed a pair.
+	pairs := correlated - len(partner)
+	if 2*pairs != correlated {
+		for i := range arena {
+			if t := &arena[i]; t.Correlation != 0 && t.peer == nil && t.OnCPU() {
+				return nil, fmt.Errorf("core: correlation %d has no GPU record", t.Correlation)
+			}
+		}
+	}
+
+	// Count the edges exactly, then record them in the order one
+	// addEdge per dependency would have added them: every sequence edge,
+	// then every correlation edge, then the synchronization and
+	// communication sweep. That order fixes each task's adjacency order.
+	// No two recorded edges join the same pair: sequence edges stay on
+	// one thread, correlation edges run CPU → GPU and synchronization
+	// edges GPU → CPU, and a communication task on its channel has no
+	// correlation, so its one sweep edge comes from a GPU stream.
+	edges := make([]edge, 0, n-len(threads)+pairs+syncSweep(arena, threadOrd, threads, nil))
+	for i := range arena {
+		if p := arena[i].seqPrev; p != nil {
+			edges = append(edges, edge{from: int32(p.ID), to: int32(i), kind: DepSequence})
+		}
+	}
+	for i := range arena {
+		if t := &arena[i]; t.peer != nil && t.OnCPU() {
+			edges = append(edges, edge{from: int32(i), to: int32(t.peer.ID), kind: DepCorrelation})
+		}
+	}
+	syncSweep(arena, threadOrd, threads, &edges)
+	g.edges = layoutEdges(arena, edges)
+
+	seqs := make([]seqList, len(threads))
+	g.threads = make(map[ThreadID]*seqList, len(threads))
+	for o, th := range threads {
+		seqs[o] = seqList{head: &arena[th.head], tail: &arena[th.tail]}
+		g.threads[th.tid] = &seqs[o]
+	}
+	g.InvalidateLayerPhaseIndex()
 
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// buildThread is Build's per-thread state, indexed by thread ordinal:
+// the thread's first and last task, and for a GPU stream the last task
+// enqueued on it (-1 while none).
+type buildThread struct {
+	tid        ThreadID
+	head, tail int32
+	enq        int32
+}
+
+// syncSweep adds dependency types 4 and 5. It sweeps the time-sorted
+// tasks tracking, per stream, the most recently enqueued GPU task (a GPU
+// task is "enqueued" when its correlated API record appears; uncorrelated
+// GPU tasks count at their own start). A blocking call depends on the
+// last task enqueued on every stream so far, in the order the streams
+// were first enqueued on; a communication task depends on the last GPU
+// task enqueued anywhere.
+//
+// With a nil rec the sweep only counts the edges. Otherwise it appends
+// them to *rec and cuts each blocking call down to its residual
+// duration. It returns the number of edges.
+func syncSweep(arena []Task, threadOrd []int32, threads []buildThread, rec *[]edge) int {
+	for o := range threads {
+		threads[o].enq = -1
+	}
+	var streams []int32 // ordinals of enqueued-on streams, first-enqueued order
+	enqueue := func(gpu *Task) {
+		th := &threads[threadOrd[gpu.ID]]
+		if th.enq < 0 {
+			streams = append(streams, threadOrd[gpu.ID])
+		}
+		th.enq = int32(gpu.ID)
+	}
+	count := 0
+	var lastGPU *Task
+	for i := range arena {
+		t := &arena[i]
+		// A blocking call waits for the GPU work enqueued strictly
+		// before it, so resolve its edges before registering its own
+		// correlated copy.
+		if isBlockingCall(t) {
+			count += len(streams)
+			if rec != nil {
+				var waited time.Duration
+				for _, o := range streams {
+					gpu := &arena[threads[o].enq]
+					*rec = append(*rec, edge{from: int32(gpu.ID), to: int32(i), kind: DepSync})
+					waited = max(waited, gpu.End())
+				}
+				t.Duration = syncResidual(t, waited)
+			}
+		} else if t.Kind == trace.KindComm && lastGPU != nil {
+			count++
+			if rec != nil {
+				*rec = append(*rec, edge{from: int32(lastGPU.ID), to: int32(i), kind: DepComm})
+			}
+		}
+		switch {
+		case t.OnCPU() && t.Correlation != 0:
+			if gpu := t.peer; gpu != nil {
+				enqueue(gpu)
+				lastGPU = gpu
+			}
+		case t.OnGPU() && t.Correlation == 0:
+			enqueue(t)
+			lastGPU = t
+		}
+	}
+	return count
+}
+
+// edge is one dependency edge recorded for layoutEdges: arena indices of
+// its endpoints and its kind.
+type edge struct {
+	from, to int32
+	kind     DepKind
+}
+
+// layoutEdges installs distinct edges, recorded in insertion order, as
+// the arena tasks' adjacency and returns their number. Each task's
+// children, childKinds and parents become capacity-clipped windows of
+// three shared buffers, in insertion order: the order one addEdge per
+// edge gives, and the shape Clone produces, so a later in-place edit
+// copies that task's slice out instead of writing into a neighbour's.
+func layoutEdges(arena []Task, edges []edge) int {
+	n := len(arena)
+	// out[i+1] and in[i+1] count task i's children and parents; the
+	// prefix sums make out[i] and in[i] the task's first slot, and
+	// placement advances them to its end.
+	off := make([]int32, 2*(n+1))
+	out, in := off[:n+1], off[n+1:]
+	for _, e := range edges {
+		out[e.from+1]++
+		in[e.to+1]++
+	}
+	for i := 1; i <= n; i++ {
+		out[i] += out[i-1]
+		in[i] += in[i-1]
+	}
+	children := make([]*Task, len(edges))
+	kinds := make([]DepKind, len(edges))
+	parents := make([]*Task, len(edges))
+	for _, e := range edges {
+		c := out[e.from]
+		out[e.from]++
+		children[c], kinds[c] = &arena[e.to], e.kind
+		p := in[e.to]
+		in[e.to]++
+		parents[p] = &arena[e.from]
+	}
+	var clo, plo int32
+	for i := range arena {
+		t := &arena[i]
+		if chi := out[i]; chi > clo {
+			t.children = children[clo:chi:chi]
+			t.childKinds = kinds[clo:chi:chi]
+			clo = chi
+		}
+		if phi := in[i]; phi > plo {
+			t.parents = parents[plo:phi:phi]
+			plo = phi
+		}
+	}
+	return len(edges)
 }
 
 // threadOf maps an activity to its execution thread.

@@ -9,6 +9,17 @@
 //     Remove and overridable task scheduling (§4.4), and
 //   - the frontier-based runtime simulator of Algorithm 1.
 //
+// # Graph layout
+//
+// Build, Graph.Repeat and Graph.Clone produce arena layouts: all tasks in
+// one []Task, and all adjacency in three shared buffers (children, child
+// kinds, parents) of which each task holds capacity-clipped windows.
+// Build and Repeat record their edges in insertion order into one flat
+// list counted exactly up front, then lay it out in one pass, so a
+// task's adjacency order is the order one AddDependency per edge would
+// give. Later edits reallocate per task: a task whose adjacency grows
+// copies its own window out and leaves its neighbours' alone.
+//
 // # Simulation tiers
 //
 // One Algorithm-1 loop, five evaluation tiers, cheapest first.

@@ -17,6 +17,13 @@ import (
 // parallel children/childKinds slices. This makes Clone a near-memcpy
 // and Simulate array-indexed — the properties the concurrent what-if
 // sweep subsystem (internal/sweep) builds on.
+//
+// Build, Repeat and Clone lay a graph out as an arena: one []Task
+// backing every task, and three shared buffers holding every task's
+// children, child kinds and parents as capacity-clipped windows. Later
+// edits (NewTask, Insert*, Remove, AddDependency) work per task: a task
+// whose adjacency grows reallocates its own slice and leaves its
+// neighbours' windows alone.
 type Graph struct {
 	// Meta carries workload metadata copied from the source trace,
 	// needed by what-if transformations (gradient sizes, bucketing).

@@ -153,68 +153,124 @@ func MeanDuration(tasks []*Task) time.Duration {
 // training iterations in steady state. Tasks carry their copy index in
 // Round. Cross-iteration what-ifs (P3's pull-before-next-forward, vDNN
 // prefetching) transform the repeated graph.
+//
+// The copy is laid out in bulk, like Build's: round r's tasks take IDs
+// [r·live, (r+1)·live) in g's ID order. Each task's adjacency lists its
+// within-round edges first, then the sequence edge chaining it to the
+// adjacent round.
 func (g *Graph) Repeat(n int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: Repeat: n must be ≥1, got %d", n)
 	}
-	out := NewGraph()
-	out.Meta = g.Meta
-	// idMap[r][oldID] = new task for round r.
-	idMap := make([][]*Task, n)
+	// Round r's copy of the task with old ID id is arena[r*live+pos[id]],
+	// where pos numbers the live tasks in ID order.
+	live := g.live
+	pos := make([]int32, len(g.tasks))
+	k := int32(0)
+	perRound := 0 // non-sequence edges per round
+	for id, t := range g.tasks {
+		if t == nil {
+			pos[id] = -1
+			continue
+		}
+		pos[id] = k
+		k++
+		for i, c := range t.children {
+			if t.childKinds[i] != DepSequence && c != t.seqNext {
+				perRound++
+			}
+		}
+	}
+	// Each thread's chain from its head to its last task.
+	type chain struct {
+		tid        ThreadID
+		head, last *Task
+	}
+	chains := make([]chain, 0, len(g.threads))
+	chained := 0 // threads with at least one task
+	for tid, l := range g.threads {
+		c := chain{tid: tid, head: l.head}
+		for t := l.head; t != nil; t = t.seqNext {
+			c.last = t
+		}
+		if c.head != nil {
+			chained++
+		}
+		chains = append(chains, c)
+	}
+	perRound += live - chained
+	arena := make([]Task, n*live)
+	out := &Graph{
+		Meta:  g.Meta,
+		tasks: make([]*Task, n*live),
+		live:  n * live,
+	}
+	edges := make([]edge, 0, n*perRound+(n-1)*chained)
 	for r := 0; r < n; r++ {
-		idMap[r] = make([]*Task, len(g.tasks))
+		base := int32(r * live)
 		for id, t := range g.tasks {
 			if t == nil {
 				continue
 			}
-			nt := out.NewTask(t.Name, t.Kind, t.Thread, t.Duration)
-			nt.Gap = t.Gap
-			nt.TracedStart = t.TracedStart
-			nt.TracedDuration = t.TracedDuration
-			nt.Layer, nt.LayerIndex, nt.Phase, nt.HasLayer = t.Layer, t.LayerIndex, t.Phase, t.HasLayer
-			nt.Correlation = t.Correlation
-			nt.Bytes = t.Bytes
-			nt.Dir = t.Dir
-			nt.Priority = t.Priority
+			i := base + pos[id]
+			nt := &arena[i]
+			*nt = *t
+			nt.ID = int(i)
 			nt.Round = r
-			idMap[r][id] = nt
+			nt.parents, nt.children, nt.childKinds = nil, nil, nil
+			nt.seqPrev, nt.seqNext, nt.peer = nil, nil, nil
+			if t.peer != nil {
+				if p := pos[t.peer.ID]; p >= 0 {
+					nt.peer = &arena[base+p]
+				}
+			}
+			out.tasks[i] = nt
 		}
 		// Thread sequences, chained to the previous round.
-		for tid := range g.threads {
-			var prev *Task
-			if r > 0 {
-				prev = out.seq(tid).tail
+		for _, c := range chains {
+			prev := int32(-1)
+			if r > 0 && c.last != nil {
+				prev = base - int32(live) + pos[c.last.ID]
 			}
-			for t := g.threads[tid].head; t != nil; t = t.seqNext {
-				nt := idMap[r][t.ID]
-				if prev != nil {
-					nt.seqPrev = prev
-					prev.seqNext = nt
-					out.addEdge(prev, nt, DepSequence)
-				} else {
-					out.seq(tid).head = nt
+			for t := c.head; t != nil; t = t.seqNext {
+				i := base + pos[t.ID]
+				if prev >= 0 {
+					arena[i].seqPrev = &arena[prev]
+					arena[prev].seqNext = &arena[i]
+					edges = append(edges, edge{from: prev, to: i, kind: DepSequence})
 				}
-				out.seq(tid).tail = nt
-				prev = nt
+				prev = i
 			}
 		}
-		// Non-sequence edges within the round, and correlation peers.
+		// Non-sequence edges within the round. One that joins a task to
+		// its thread successor duplicates the sequence edge just added,
+		// and the first edge between two tasks wins.
 		for id, t := range g.tasks {
 			if t == nil {
 				continue
 			}
 			for i, c := range t.children {
-				if kind := t.childKinds[i]; kind != DepSequence {
-					out.addEdge(idMap[r][id], idMap[r][c.ID], kind)
-				}
-			}
-			if t.peer != nil {
-				if np := idMap[r][t.peer.ID]; np != nil {
-					idMap[r][id].peer = np
+				if kind := t.childKinds[i]; kind != DepSequence && c != t.seqNext {
+					edges = append(edges, edge{from: base + pos[id], to: base + pos[c.ID], kind: kind})
 				}
 			}
 		}
 	}
+	out.edges = layoutEdges(arena, edges)
+
+	// A thread with no tasks left is listed, empty, only when n > 1.
+	seqs := make([]seqList, len(chains))
+	out.threads = make(map[ThreadID]*seqList, len(chains))
+	last := int32((n - 1) * live)
+	for i, c := range chains {
+		if c.head != nil {
+			seqs[i] = seqList{head: &arena[pos[c.head.ID]], tail: &arena[last+pos[c.last.ID]]}
+		} else if n == 1 {
+			continue
+		}
+		out.threads[c.tid] = &seqs[i]
+	}
+	out.InvalidateLayerPhaseIndex()
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}

@@ -289,41 +289,8 @@ func (t *Trace) locations(f func(*Activity) (int, bool)) []int {
 // (ErrNegativeTime, ErrTimeOverflow, ErrDuplicateID, ErrBadCorrelation,
 // ErrSpanInverted) so callers can classify with errors.Is.
 func (t *Trace) Validate() error {
-	ids := make(map[int]bool, len(t.Activities))
-	api := make(map[uint64]int) // correlation -> count of CPU-side records
-	gpu := make(map[uint64]int) // correlation -> count of GPU-side records
-	for i := range t.Activities {
-		a := &t.Activities[i]
-		if a.Start < 0 || a.Duration < 0 {
-			return fmt.Errorf("%w: activity %d (%s) has start %v, duration %v", ErrNegativeTime, a.ID, a.Name, a.Start, a.Duration)
-		}
-		if a.Duration > math.MaxInt64-a.Start {
-			return fmt.Errorf("%w: activity %d (%s) ends past the time axis (start %v + duration %v)", ErrTimeOverflow, a.ID, a.Name, a.Start, a.Duration)
-		}
-		if ids[a.ID] {
-			return fmt.Errorf("%w: activity ID %d", ErrDuplicateID, a.ID)
-		}
-		ids[a.ID] = true
-		if a.Correlation != 0 {
-			switch {
-			case a.Kind.OnCPU():
-				api[a.Correlation]++
-			case a.Kind.OnGPU():
-				gpu[a.Correlation]++
-			default:
-				return fmt.Errorf("%w: activity %d (%s) of kind %s carries a correlation ID", ErrBadCorrelation, a.ID, a.Name, a.Kind)
-			}
-		}
-	}
-	for c, n := range api {
-		if n != 1 || gpu[c] != 1 {
-			return fmt.Errorf("%w: correlation %d pairs %d API records with %d GPU records; want 1 and 1", ErrBadCorrelation, c, n, gpu[c])
-		}
-	}
-	for c, n := range gpu {
-		if api[c] != 1 {
-			return fmt.Errorf("%w: correlation %d pairs %d API records with %d GPU records; want 1 and 1", ErrBadCorrelation, c, api[c], n)
-		}
+	if err := validateActivities(t.Activities, true); err != nil {
+		return err
 	}
 	for i := range t.LayerSpans {
 		s := &t.LayerSpans[i]
@@ -335,6 +302,184 @@ func (t *Trace) Validate() error {
 		}
 	}
 	return nil
+}
+
+// validateActivities checks the activity records for Validate. The first
+// bad activity in slice order wins. Correlations are checked once every
+// record is counted; the reported one is the first bad correlation of an
+// API record, or failing that of a GPU record, in slice order.
+//
+// Activity IDs and correlations are counted in flat arrays when their
+// ranges are dense, within denseSpan(n) values (the tracer numbers both
+// sequentially), and in maps otherwise; allowDense=false forces the maps.
+// Both give the same answer.
+func validateActivities(acts []Activity, allowDense bool) error {
+	var b recordBook
+	b.init(acts, allowDense)
+	for i := range acts {
+		a := &acts[i]
+		if a.Start < 0 || a.Duration < 0 {
+			return fmt.Errorf("%w: activity %d (%s) has start %v, duration %v", ErrNegativeTime, a.ID, a.Name, a.Start, a.Duration)
+		}
+		if a.Duration > math.MaxInt64-a.Start {
+			return fmt.Errorf("%w: activity %d (%s) ends past the time axis (start %v + duration %v)", ErrTimeOverflow, a.ID, a.Name, a.Start, a.Duration)
+		}
+		if !b.addID(a.ID) {
+			return fmt.Errorf("%w: activity ID %d", ErrDuplicateID, a.ID)
+		}
+		if a.Correlation != 0 {
+			switch {
+			case a.Kind.OnCPU():
+				b.addCorr(a.Correlation, apiOne)
+			case a.Kind.OnGPU():
+				b.addCorr(a.Correlation, gpuOne)
+			default:
+				return fmt.Errorf("%w: activity %d (%s) of kind %s carries a correlation ID", ErrBadCorrelation, a.ID, a.Name, a.Kind)
+			}
+		}
+	}
+	if b.paired() {
+		return nil
+	}
+	for _, cpuSide := range []bool{true, false} {
+		for i := range acts {
+			a := &acts[i]
+			if c := a.Correlation; c != 0 && a.Kind.OnCPU() == cpuSide && !b.pairedOne(c) {
+				nAPI, nGPU := 0, 0
+				for j := range acts {
+					if acts[j].Correlation == c {
+						if acts[j].Kind.OnCPU() {
+							nAPI++
+						} else {
+							nGPU++
+						}
+					}
+				}
+				return fmt.Errorf("%w: correlation %d pairs %d API records with %d GPU records; want 1 and 1", ErrBadCorrelation, c, nAPI, nGPU)
+			}
+		}
+	}
+	return nil
+}
+
+// denseSpan is the widest range of IDs or correlations, for n records,
+// that validateActivities counts in flat arrays.
+func denseSpan(n int) uint64 { return 8*uint64(n) + 64 }
+
+// Correlation tallies: two bits per side, saturating at two records.
+const (
+	apiOne   = 1 << 0
+	gpuOne   = 1 << 2
+	pairOnce = apiOne | gpuOne
+)
+
+// recordBook tracks which activity IDs and correlations validateActivities
+// has seen: a bitmap of IDs offset by the smallest and a byte of tallies
+// per correlation when dense, maps otherwise.
+type recordBook struct {
+	minID   int
+	idBits  []uint64
+	ids     map[int]bool
+	tallies []uint8
+	api     map[uint64]int // correlation -> count of CPU-side records
+	gpu     map[uint64]int // correlation -> count of GPU-side records
+}
+
+func (b *recordBook) init(acts []Activity, allowDense bool) {
+	if len(acts) == 0 {
+		return
+	}
+	minID, maxID := acts[0].ID, acts[0].ID
+	var maxCorr uint64
+	for i := range acts {
+		a := &acts[i]
+		minID, maxID = min(minID, a.ID), max(maxID, a.ID)
+		maxCorr = max(maxCorr, a.Correlation)
+	}
+	span := denseSpan(len(acts))
+	if allowDense && uint64(maxID)-uint64(minID) < span {
+		b.minID = minID
+		b.idBits = make([]uint64, (uint64(maxID)-uint64(minID))/64+1)
+	} else {
+		b.ids = make(map[int]bool, len(acts))
+	}
+	if allowDense && maxCorr < span {
+		b.tallies = make([]uint8, maxCorr+1)
+	} else {
+		b.api = make(map[uint64]int)
+		b.gpu = make(map[uint64]int)
+	}
+}
+
+// addID records an activity ID, reporting false if it was seen before.
+func (b *recordBook) addID(id int) bool {
+	if b.idBits == nil {
+		if b.ids[id] {
+			return false
+		}
+		b.ids[id] = true
+		return true
+	}
+	k := uint64(id) - uint64(b.minID)
+	w, bit := k/64, uint64(1)<<(k%64)
+	if b.idBits[w]&bit != 0 {
+		return false
+	}
+	b.idBits[w] |= bit
+	return true
+}
+
+// addCorr counts one record of correlation c on the side one names
+// (apiOne or gpuOne).
+func (b *recordBook) addCorr(c uint64, one uint8) {
+	if b.tallies == nil {
+		if one == apiOne {
+			b.api[c]++
+		} else {
+			b.gpu[c]++
+		}
+		return
+	}
+	// A side's field saturates at 2 (binary 10): adding one to 01 gives
+	// 10, and 10 stays.
+	t := b.tallies[c]
+	if t&(one<<1) == 0 {
+		t += one
+	}
+	b.tallies[c] = t
+}
+
+// pairedOne reports whether correlation c pairs exactly one API record
+// with exactly one GPU record.
+func (b *recordBook) pairedOne(c uint64) bool {
+	if b.tallies == nil {
+		return b.api[c] == 1 && b.gpu[c] == 1
+	}
+	return b.tallies[c] == pairOnce
+}
+
+// paired reports whether every counted correlation pairs one API record
+// with one GPU record.
+func (b *recordBook) paired() bool {
+	if b.tallies == nil {
+		for c, n := range b.api {
+			if n != 1 || b.gpu[c] != 1 {
+				return false
+			}
+		}
+		for c := range b.gpu {
+			if b.api[c] != 1 {
+				return false
+			}
+		}
+		return true
+	}
+	for _, t := range b.tallies {
+		if t != 0 && t != pairOnce {
+			return false
+		}
+	}
+	return true
 }
 
 // Clone returns a deep copy of the trace.
