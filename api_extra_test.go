@@ -43,17 +43,19 @@ func TestDeviceUpgradeAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, pred, err := daydream.Compare(g, func(c *daydream.Graph) error {
-		// The trace records the full marketing name; both resolve.
-		return daydream.DeviceUpgrade(c, tr.Device, "v100")
-	})
+	// The trace records the full marketing name; both resolve.
+	upgrade, err := daydream.OptDeviceUpgrade(tr.Device, "v100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, pred, err := daydream.Compare(g, upgrade)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pred >= base {
 		t.Fatalf("V100 upgrade predicted no gain: %v vs %v", pred, base)
 	}
-	if err := daydream.DeviceUpgrade(g.Clone(), "tpu", "v100"); err == nil {
+	if _, err := daydream.OptDeviceUpgrade("tpu", "v100"); err == nil {
 		t.Fatal("unknown device accepted")
 	}
 }
@@ -67,8 +69,12 @@ func TestKernelProfileAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := daydream.ApplyKernelProfile(g, daydream.KernelProfile{"sgemm": 0}); n == 0 {
-		t.Fatal("profile matched nothing")
+	base, pred, err := daydream.Compare(g, daydream.OptKernelProfile(daydream.KernelProfile{"sgemm": 0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred >= base {
+		t.Fatalf("zero-time GEMMs predicted no gain (%v vs %v): profile matched nothing", pred, base)
 	}
 }
 

@@ -138,24 +138,6 @@ func BenchmarkClone(b *testing.B) {
 	}
 }
 
-// BenchmarkAMPTransform measures the Algorithm-3 transformation alone.
-func BenchmarkAMPTransform(b *testing.B) {
-	tr, err := daydream.Collect(daydream.CollectConfig{Model: "bert-large"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := daydream.BuildGraph(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := g.Clone()
-		daydream.AMP(c)
-	}
-}
-
 // benchGraph builds the bert-large fixture shared by the scenario-path
 // benchmarks.
 func benchGraph(b *testing.B) *daydream.Graph {
@@ -171,39 +153,24 @@ func benchGraph(b *testing.B) *daydream.Graph {
 	return g
 }
 
-// BenchmarkScenarioClonePath measures one duration-only scenario
-// (Algorithm-3 AMP on bert-large) the way the sweep's structural path
-// evaluates it: clone, mutate, simulate with a reusable scratch. This
-// is the baseline the overlay path is compared against.
-func BenchmarkScenarioClonePath(b *testing.B) {
-	g := benchGraph(b)
-	scratch := core.NewSimScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := g.Clone()
-		daydream.AMP(c)
-		if _, err := c.Simulate(core.WithScratch(scratch)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScenarioOverlayPath measures the same scenario through the
-// clone-free copy-on-write path: reset a worker-owned overlay, record
-// the Algorithm-3 deltas, simulate through them into a reusable result
-// buffer. The acceptance bar is ≥3× over BenchmarkScenarioClonePath.
+// BenchmarkScenarioOverlayPath measures one duration-only scenario
+// (Algorithm-3 AMP on bert-large) through the clone-free copy-on-write
+// path: reset a worker-owned patch, record the Algorithm-3 deltas in
+// its timing tier, simulate through them into a reusable result buffer.
 func BenchmarkScenarioOverlayPath(b *testing.B) {
 	g := benchGraph(b)
 	scratch := core.NewSimScratch()
-	o := daydream.NewOverlay(g)
+	p := daydream.NewPatch(g)
+	amp := daydream.OptAMP()
 	buf := &daydream.SimResult{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Reset(g)
-		daydream.AMPOverlay(o)
-		if _, err := o.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
+		p.Reset(g)
+		if err := amp.Apply(p); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,36 +187,7 @@ func BenchmarkSweepOverlay64(b *testing.B) {
 	g := benchGraph(b)
 	scenarios := make([]daydream.Scenario, 64)
 	for i := range scenarios {
-		scenarios[i] = daydream.Scenario{
-			Name: fmt.Sprintf("amp%d", i),
-			ScaleTransform: func(o *daydream.Overlay) error {
-				daydream.AMPOverlay(o)
-				return nil
-			},
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := daydream.Sweep(g, scenarios, daydream.SweepWorkers(benchSweepWorkers)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepClone64 is BenchmarkSweepOverlay64 on the structural
-// clone path, for the trajectory comparison.
-func BenchmarkSweepClone64(b *testing.B) {
-	g := benchGraph(b)
-	scenarios := make([]daydream.Scenario, 64)
-	for i := range scenarios {
-		scenarios[i] = daydream.Scenario{
-			Name: fmt.Sprintf("amp%d", i),
-			Transform: func(c *daydream.Graph) (*daydream.Graph, error) {
-				daydream.AMP(c)
-				return c, nil
-			},
-		}
+		scenarios[i] = daydream.Scenario{Name: fmt.Sprintf("amp%d", i), Opt: daydream.OptAMP()}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -9,22 +9,18 @@
 //	daydream-bench -run fig8               # run experiments whose ID contains "fig8"
 //	daydream-bench -micro                  # pipeline micro-benchmarks → BENCH.json
 //	daydream-bench -micro -against BENCH.json  # …and fail on >25% regression
-//	daydream-bench -serve                  # HTTP serving load harness (qps, P50/P99)
 //
 // With -micro, the pipeline stages (trace collection, trace decoding,
-// graph construction,
-// simulation, clone, AMP transform, clone-path, overlay-path and
+// graph construction, simulation, clone, overlay-path and
 // stacked-overlay (AMP+FusedAdam via one Stack value) scenario
-// evaluation, the structural clone-vs-patch pair (Algorithm-6
-// Distributed on bert-large via a private clone vs copy-on-write
-// structural patch deltas), the scheduled clone-vs-patch pair (the same
-// scenario under a custom Scheduler, run view-generically over the
-// patch), the incremental tier (a warm IncrementalSim re-simulating a
-// single-task delta's affected cone, and the per-layer Figure-5 grid
-// swept over one shared baseline), and Figure-8-sized concurrent
-// sweeps) are
-// measured with
-// testing.Benchmark and written as machine-readable JSON (ns/op,
+// evaluation, a structural patch scenario (Algorithm-6 Distributed on
+// bert-large as copy-on-write patch deltas), the same scenario under a
+// custom Scheduler run view-generically over the patch, the
+// incremental tier (a warm IncrementalSim re-simulating a single-task
+// delta's affected cone, and the per-layer Figure-5 grid swept over
+// one shared baseline), Figure-8-sized concurrent sweeps, and the
+// serving path) are measured with testing.Benchmark and written as
+// machine-readable JSON (ns/op,
 // bytes/op, allocs/op, and scenarios/sec for the sweep benchmarks), so
 // the performance trajectory is tracked across changes. With -against,
 // the fresh numbers are compared to a committed baseline file and the
@@ -60,19 +56,8 @@ func main() {
 	against := flag.String("against", "", "baseline BENCH.json to compare -micro results to (fails on regression)")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional regression vs -against before failing")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); expiry surfaces as a typed cancellation error")
-	serveLoad := flag.Bool("serve", false, "run the HTTP serving load harness over localhost and report qps with P50/P99")
-	serveModel := flag.String("serve-model", "bert-large", "workload profiled for -serve")
-	serveClients := flag.Int("serve-clients", 4, "closed-loop client goroutines for -serve")
-	servePhase := flag.Duration("serve-phase", 3*time.Second, "duration of each -serve phase")
 	flag.Parse()
 
-	if *serveLoad {
-		if err := runServeLoad(*serveModel, *serveClients, *servePhase); err != nil {
-			fmt.Fprintln(os.Stderr, "daydream-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *list {
 		for _, e := range exp.All() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
@@ -205,7 +190,7 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 			critTask = u
 		}
 	}
-	layerScenarios := fig5LayerScenarios(g)
+	layerScenarios := exp.AMPLayerScenarios(g)
 	var pipelineScenarios []sweep.Scenario
 	for _, stages := range []int{2, 4} {
 		for _, mb := range []int{2, 4, 8} {
@@ -284,32 +269,19 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 				g.Clone()
 			}
 		}},
-		{"AMPTransform", 0, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c := g.Clone()
-				daydream.AMP(c)
-			}
-		}},
-		// One duration-only scenario (Algorithm-3 AMP) end to end on
-		// both evaluation paths — the clone-vs-overlay headline.
-		{"CloneScenario", 0, func(b *testing.B) {
-			scratch := core.NewSimScratch()
-			for i := 0; i < b.N; i++ {
-				c := g.Clone()
-				daydream.AMP(c)
-				if _, err := c.Simulate(core.WithScratch(scratch)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
+		// One duration-only scenario (Algorithm-3 AMP) end to end
+		// through a reused patch's timing tier.
 		{"OverlayScenario", 0, func(b *testing.B) {
+			amp := daydream.OptAMP()
 			scratch := core.NewSimScratch()
-			o := daydream.NewOverlay(g)
+			p := daydream.NewPatch(g)
 			buf := &daydream.SimResult{}
 			for i := 0; i < b.N; i++ {
-				o.Reset(g)
-				daydream.AMPOverlay(o)
-				if _, err := o.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
+				p.Reset(g)
+				if err := amp.Apply(p); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := p.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -338,39 +310,25 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 			}
 		}},
 		// A composed what-if (AMP+FusedAdam as one Stack value) end to
-		// end through one overlay — the trajectory gate's eye on the
+		// end through a reused patch — the trajectory gate's eye on the
 		// stacked clone-free path.
 		{"StackedOverlayScenario", 0, func(b *testing.B) {
 			stacked := daydream.Stack(daydream.OptAMP(), daydream.OptFusedAdam())
 			scratch := core.NewSimScratch()
-			o := daydream.NewOverlay(g)
+			p := daydream.NewPatch(g)
 			buf := &daydream.SimResult{}
 			for i := 0; i < b.N; i++ {
-				o.Reset(g)
-				if err := core.ApplyOverlay(stacked, o); err != nil {
+				p.Reset(g)
+				if err := stacked.Apply(p); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := o.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
+				if _, err := p.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		// One structural scenario (Algorithm-6 Distributed, 4×2 @
-		// 10Gbps) end to end on both evaluation paths — the
-		// clone-vs-patch headline for structural what-ifs.
-		{"StructuralCloneScenario", 0, func(b *testing.B) {
-			topo := daydream.NewTopology(4, 2, 10)
-			scratch := core.NewSimScratch()
-			for i := 0; i < b.N; i++ {
-				c := g.Clone()
-				if err := daydream.Distributed(c, topo); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := c.Simulate(core.WithScratch(scratch)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
+		// 10Gbps) end to end through copy-on-write patch deltas.
 		{"StructuralPatchScenario", 0, func(b *testing.B) {
 			opt := daydream.OptDistributed(daydream.NewTopology(4, 2, 10))
 			scratch := core.NewSimScratch()
@@ -387,24 +345,7 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 			}
 		}},
 		// The same structural scenario under a custom (non-default)
-		// Scheduler on both evaluation paths — the clone-vs-patch
-		// headline for scheduled what-ifs. Before schedulers were
-		// view-generic, the patch form fell back to materializing a
-		// private clone per scenario; now it runs the slice-frontier
-		// policy directly over the composite view.
-		{"ScheduledCloneScenario", 0, func(b *testing.B) {
-			topo := daydream.NewTopology(4, 2, 10)
-			scratch := core.NewSimScratch()
-			for i := 0; i < b.N; i++ {
-				c := g.Clone()
-				if err := daydream.Distributed(c, topo); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := c.Simulate(core.WithScratch(scratch), core.WithScheduler(benchSched{})); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
+		// Scheduler, run view-generically over the composite patch.
 		{"ScheduledPatchScenario", 0, func(b *testing.B) {
 			opt := daydream.OptDistributed(daydream.NewTopology(4, 2, 10))
 			scratch := core.NewSimScratch()
@@ -671,36 +612,6 @@ func checkTrajectory(againstPath string, fresh *benchFile, tolerance float64) er
 	}
 	fmt.Printf("trajectory OK vs %s (tolerance %.0f%%)\n", againstPath, 100*tolerance)
 	return nil
-}
-
-// fig5LayerScenarios builds the ampgrid experiment's per-layer AMP
-// grid over an already-built profile: one duration-only scenario per
-// DNN layer, every scenario sharing the one baseline so the sweep's
-// incremental tier engages.
-func fig5LayerScenarios(g *core.Graph) []sweep.Scenario {
-	ix := g.LayerPhaseIndex()
-	scenarios := make([]sweep.Scenario, ix.Layers())
-	for layer := range scenarios {
-		layer := layer
-		scenarios[layer] = sweep.Scenario{
-			Name: fmt.Sprintf("layer-%d", layer),
-			ScaleTransform: func(o *core.Overlay) error {
-				compute := ix.GPUComputeBound()
-				for i, u := range ix.GPUTasks() {
-					if !u.HasLayer || u.LayerIndex != layer {
-						continue
-					}
-					if compute[i] {
-						o.SetDuration(u, o.Duration(u)/3)
-					} else {
-						o.SetDuration(u, o.Duration(u)/2)
-					}
-				}
-				return nil
-			},
-		}
-	}
-	return scenarios
 }
 
 // fig8SizedScenarios builds the full Figure-8 prediction grid — 4 models

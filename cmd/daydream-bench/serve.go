@@ -7,8 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,9 +15,9 @@ import (
 )
 
 // serveBench hosts an in-process prediction server on a real localhost
-// TCP listener, so the load harness and the Serve* micro benchmarks
-// measure the full request path — kernel sockets, HTTP framing, JSON,
-// admission, cache, simulation — not a handler called in a vacuum.
+// TCP listener, so the Serve* micro benchmarks measure the full request
+// path — kernel sockets, HTTP framing, JSON, admission, cache,
+// simulation — not a handler called in a vacuum.
 type serveBench struct {
 	srv    *daydream.Server
 	hs     *http.Server
@@ -119,93 +117,4 @@ func (sb *serveBench) sweepGrid() error {
 	body := `{"opts":["amp","fusedadam","reconbn","reconbn-removal","upgrade","scale","amp+fusedadam","amp+reconbn"],` +
 		`"params":{"from_device":"2080ti","to_device":"v100","scale_target":"sgemm","scale_factor":0.5}}`
 	return sb.post("/v1/baselines/"+sb.baseID+"/sweep", []byte(body))
-}
-
-// runServeLoad is the -serve load harness: closed-loop clients hammer
-// the in-process server over localhost for two phases — unique
-// scenarios (every request simulates) and cache-hit repeats — and
-// report queries/sec with P50/P99 per phase, separately, since the two
-// regimes differ by orders of magnitude.
-func runServeLoad(model string, clients int, phaseDur time.Duration) error {
-	fmt.Printf("serve load: collecting %s profile...\n", model)
-	tr, err := daydream.Collect(daydream.CollectConfig{Model: model})
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		return err
-	}
-	sb, err := startServeBench(buf.Bytes(), clients)
-	if err != nil {
-		return err
-	}
-	defer sb.close()
-	fmt.Printf("serve load: %s on %s, %d clients, %v per phase\n\n",
-		model, sb.url, clients, phaseDur)
-
-	phases := []struct {
-		name string
-		fn   func() error
-	}{
-		{"predict-unique", sb.predictUnique},
-		{"predict-cached", sb.predictCached},
-	}
-	fmt.Printf("%-16s %10s %10s %12s %12s %8s\n",
-		"phase", "requests", "qps", "p50", "p99", "errors")
-	for _, ph := range phases {
-		n, errs, qps, p50, p99 := loadPhase(ph.fn, clients, phaseDur)
-		fmt.Printf("%-16s %10d %10.0f %12v %12v %8d\n",
-			ph.name, n, qps, p50, p99, errs)
-		if ph.name == "predict-unique" {
-			verdict := "PASS"
-			if qps < 500 || p99 >= 50*time.Millisecond {
-				verdict = "FAIL"
-			}
-			fmt.Printf("%-16s target ≥500 qps at p99 < 50ms: %s\n", "", verdict)
-		}
-	}
-	return nil
-}
-
-// loadPhase drives fn from `clients` closed-loop goroutines for dur and
-// returns request count, error count, throughput, and latency
-// percentiles over every successful request.
-func loadPhase(fn func() error, clients int, dur time.Duration) (n, errs int, qps float64, p50, p99 time.Duration) {
-	var wg sync.WaitGroup
-	lats := make([][]time.Duration, clients)
-	errCounts := make([]int, clients)
-	deadline := time.Now().Add(dur)
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for time.Now().Before(deadline) {
-				t0 := time.Now()
-				if err := fn(); err != nil {
-					errCounts[c]++
-					continue
-				}
-				lats[c] = append(lats[c], time.Since(t0))
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	var all []time.Duration
-	for c := range lats {
-		all = append(all, lats[c]...)
-		errs += errCounts[c]
-	}
-	n = len(all) + errs
-	if len(all) == 0 {
-		return n, errs, 0, 0, 0
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	qps = float64(len(all)) / elapsed.Seconds()
-	p50 = all[len(all)/2]
-	p99 = all[(len(all)*99)/100]
-	return n, errs, qps, p50, p99
 }

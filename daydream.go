@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"reflect"
 	"time"
 
 	"daydream/internal/comm"
@@ -95,7 +94,7 @@ type (
 	// touches — a fast-path hint and display label: TimingOnly values
 	// write only the Patch's Overlay timing tier, Structural ones
 	// record structural deltas too. Neither clones; only
-	// graph-replacing rewrites and legacy in-place transforms do.
+	// graph-replacing rewrites (OptP3, StructuralOptimization) do.
 	OptFootprint = core.OptFootprint
 	// OptimizationSpec describes one entry of the optimization
 	// registry (see Optimizations).
@@ -122,8 +121,7 @@ const (
 // evaluate clone-free — including under a custom Scheduler, supplied in
 // SimOptions or carried by the value itself (OptVDNN) — and only
 // graph-replacing rewriters (OptP3) get a private clone. Scenarios may
-// carry their own Base graph for model × config grids, and the manual
-// Transform/ScaleTransform fields remain for one-off custom edits.
+// carry their own Base graph for model × config grids.
 //
 //	results, err := daydream.Sweep(g, []daydream.Scenario{
 //	    {Opt: daydream.OptAMP()},
@@ -135,11 +133,10 @@ func Sweep(baseline *Graph, scenarios []Scenario, opts ...SweepOption) ([]SweepR
 }
 
 // NewOverlay returns an empty copy-on-write timing overlay over the
-// baseline graph. Duration-only what-ifs (AMPOverlay, FusedAdamOverlay,
-// DeviceUpgradeOverlay, ApplyKernelProfileOverlay, custom
-// SetDuration/SetGap/SetPriority edits) apply through it and simulate
-// with Overlay.Simulate — no clone, and any number of overlays may
-// share one baseline concurrently as long as nothing mutates it.
+// baseline graph — the timing tier a Patch embeds. Duration-only edits
+// (SetDuration/SetGap/SetPriority) apply through it and simulate with
+// Overlay.Simulate — no clone, and any number of overlays may share one
+// baseline concurrently as long as nothing mutates it.
 func NewOverlay(g *Graph) *Overlay { return core.NewOverlay(g) }
 
 // WithScheduler overrides the default earliest-start scheduling policy
@@ -509,8 +506,10 @@ type PipelineOptions = whatif.PipelineOptions
 func OptPipeline(opts PipelineOptions) Optimization { return whatif.OptPipeline(opts) }
 
 // OptDeviceUpgrade returns the device-upgrade what-if as an Optimization
-// value. Names resolve like DeviceUpgrade's: short presets and full
-// marketing names.
+// value: compute-bound kernels scale by the FLOPS ratio, memory-bound
+// ones by the bandwidth ratio, copies by the PCIe ratio. from must match
+// the device the trace was collected on; names are the device presets
+// plus full marketing names.
 func OptDeviceUpgrade(from, to string) (Optimization, error) {
 	f, err := deviceByAnyName(from)
 	if err != nil {
@@ -544,11 +543,11 @@ func OptScale(sub string, factor float64) Optimization {
 func Stack(opts ...Optimization) Optimization { return core.Stack(opts...) }
 
 // TimingOptimization builds a custom timing-only Optimization from a
-// single overlay-edit function; the clone-path form is derived
-// automatically. Use it for user-defined duration/gap/priority what-ifs
-// that should compose with the built-ins via Stack.
+// single edit of the patch's timing tier. Use it for user-defined
+// duration/gap/priority what-ifs that should compose with the built-ins
+// via Stack.
 func TimingOptimization(name string, apply func(*Overlay) error) Optimization {
-	return core.TimingOpt(name, apply, nil)
+	return core.PatchOpt(name, TimingOnly, func(p *Patch) error { return apply(p.Timing()) }, nil)
 }
 
 // PatchOptimization builds a custom Optimization from its unified patch
@@ -561,9 +560,9 @@ func PatchOptimization(name string, fp OptFootprint, apply func(*Patch) error) O
 	return core.PatchOpt(name, fp, apply, nil)
 }
 
-// StructuralOptimization builds a custom structural Optimization from a
-// legacy in-place graph transformation. The arbitrary mutation cannot
-// be expressed as patch deltas, so evaluation hands the value a private
+// StructuralOptimization builds a custom structural Optimization from an
+// in-place graph transformation. The arbitrary mutation cannot be
+// expressed as patch deltas, so evaluation hands the value a private
 // clone; prefer PatchOptimization for structural what-ifs that should
 // ride the clone-free patch path.
 func StructuralOptimization(name string, apply func(*Graph) error) Optimization {
@@ -590,84 +589,6 @@ func ParseOptimization(expr string, p OptimizationParams) (Optimization, error) 
 	return whatif.ParseStack(expr, p)
 }
 
-// What-if transformations (paper §5), retained as the free-function
-// form of the Optimization values above. Each mutates the graph in
-// place; clone first to keep the baseline:
-//
-//	pred := g.Clone()
-//	daydream.AMP(pred)
-
-// AMP models automatic mixed precision (Algorithm 3).
-func AMP(g *Graph) { whatif.AMP(g) }
-
-// AMPOverlay is AMP's clone-free form: the same Algorithm-3 scaling
-// recorded as copy-on-write deltas over the shared baseline.
-func AMPOverlay(o *Overlay) { whatif.AMPOverlay(o) }
-
-// FusedAdam models Apex's fused Adam optimizer (Algorithm 4).
-func FusedAdam(g *Graph) error { return whatif.FusedAdam(g) }
-
-// FusedAdamOverlay is FusedAdam's clone-free form: superseded
-// weight-update kernels and their launches drop to zero time instead of
-// being removed, which simulates identically.
-func FusedAdamOverlay(o *Overlay) error { return whatif.FusedAdamOverlay(o) }
-
-// ReconBatchnorm models batchnorm restructuring (Algorithm 5).
-func ReconBatchnorm(g *Graph) error {
-	return whatif.ReconBatchnorm(g, whatif.ReconBatchnormOptions{})
-}
-
-// ReconBatchnormOverlay is ReconBatchnorm's clone-free form.
-func ReconBatchnormOverlay(o *Overlay) error {
-	return whatif.ReconBatchnormOverlay(o, whatif.ReconBatchnormOptions{})
-}
-
-// Distributed predicts data-parallel training from a single-GPU profile
-// (Algorithm 6).
-func Distributed(g *Graph, topo Topology) error {
-	return whatif.Distributed(g, whatif.DistributedOptions{Topology: topo})
-}
-
-// P3Prediction predicts MXNet parameter-server training with
-// priority-based parameter propagation (Algorithm 7) and returns the
-// steady-state iteration time. sliceBytes == 0 selects P3's default slice
-// size; sliceBytes < 0 disables slicing and priorities, modeling the
-// plain FIFO parameter server (Figure 10's "Baseline").
-func P3Prediction(g *Graph, topo Topology, sliceBytes int64) (time.Duration, error) {
-	return predictOptimization(g, OptP3(topo, sliceBytes))
-}
-
-// DeviceUpgrade predicts the effect of moving the workload to a different
-// accelerator: compute-bound kernels scale by the FLOPS ratio,
-// memory-bound ones by the bandwidth ratio, copies by the PCIe ratio.
-// fromName must match the device the trace was collected on; names are
-// the device presets plus full marketing names.
-func DeviceUpgrade(g *Graph, fromName, toName string) error {
-	from, err := deviceByAnyName(fromName)
-	if err != nil {
-		return err
-	}
-	to, err := deviceByAnyName(toName)
-	if err != nil {
-		return err
-	}
-	return whatif.DeviceUpgrade(g, from, to)
-}
-
-// DeviceUpgradeOverlay is DeviceUpgrade's clone-free form, for device
-// grids answered from one shared profile.
-func DeviceUpgradeOverlay(o *Overlay, fromName, toName string) error {
-	from, err := deviceByAnyName(fromName)
-	if err != nil {
-		return err
-	}
-	to, err := deviceByAnyName(toName)
-	if err != nil {
-		return err
-	}
-	return whatif.DeviceUpgradeOverlay(o, from, to)
-}
-
 // deviceByAnyName resolves short preset names and full marketing names
 // from the xpu preset table, so the accepted-name list (and the error
 // message listing it) can never drift from the device models.
@@ -687,19 +608,6 @@ func DeviceNames() []string { return xpu.DeviceNames() }
 // name substring (paper §7.4: profile a new kernel once, feed the result
 // to Daydream instead of porting the kernel into the framework).
 type KernelProfile = whatif.KernelProfile
-
-// ApplyKernelProfile overwrites matching GPU task durations and returns
-// the number of tasks updated.
-func ApplyKernelProfile(g *Graph, p KernelProfile) int {
-	return whatif.ApplyKernelProfile(g, p)
-}
-
-// ApplyKernelProfileOverlay is ApplyKernelProfile's clone-free form:
-// profiled durations become sparse overlay deltas over the shared
-// baseline.
-func ApplyKernelProfileOverlay(o *Overlay, p KernelProfile) int {
-	return whatif.ApplyKernelProfileOverlay(o, p)
-}
 
 // Footprint is an analytic training-memory estimate.
 type Footprint = dnn.Footprint
@@ -835,22 +743,15 @@ func ByPhase(t *Task) string { return core.ByPhase(t) }
 func ByLayer(t *Task) string { return core.ByLayer(t) }
 
 // Compare answers one what-if question against the baseline graph and
-// reports (baseline, predicted) iteration times. The what-if is one of:
-//
-//   - an Optimization value — the preferred form. Every value applies
-//     through one copy-on-write Patch over the baseline: timing-only
-//     and patch-form structural optimizations (and Stacks of them)
-//     evaluate clone-free, a value that demands a materialized graph
-//     (a GraphRewriter like OptP3, or a legacy in-place transform)
-//     gets a private clone, and a no-op (an empty Stack) replays the
-//     baseline. An optimization carrying its own metric (OptP3)
-//     reports it instead of the makespan.
-//   - func(*Patch) error — a one-off unified what-if: timing and
-//     structural deltas over the baseline, clone-free.
-//   - func(*Graph) error — the pre-Optimization structural form,
-//     applied to a private clone (retained for compatibility).
-//   - func(*Overlay) error — the duration-only overlay form
-//     (CompareScale's shape).
+// reports (baseline, predicted) iteration times. Every Optimization
+// applies through one copy-on-write Patch over the baseline:
+// timing-only and patch-form structural values (and Stacks of them)
+// evaluate clone-free, a value that demands a materialized graph (a
+// GraphRewriter like OptP3, or a StructuralOptimization) gets a private
+// clone, and a no-op (an empty Stack) replays the baseline. An
+// optimization carrying its own metric (OptP3) reports it instead of
+// the makespan, and one carrying a scheduling policy (OptVDNN)
+// simulates under it.
 //
 // Optional SimOptions apply to both the baseline and predicted
 // simulations — most usefully WithContext, which bounds the whole
@@ -858,79 +759,20 @@ func ByLayer(t *Task) string { return core.ByLayer(t) }
 // ErrDeadlineExceeded instead of an unbounded compute.
 //
 // The baseline graph is never mutated.
-func Compare(g *Graph, what any, opts ...SimOption) (baseline, predicted time.Duration, err error) {
-	// Defined function types (type myWhatIf func(*Graph) error) don't
-	// match the exact type switch below; normalize them first.
-	switch what.(type) {
-	case Optimization, func(*Patch) error, func(*Graph) error, func(*Overlay) error, nil:
-	default:
-		if conv, ok := convertWhatIf(what); ok {
-			what = conv
-		}
+func Compare(g *Graph, opt Optimization, opts ...SimOption) (baseline, predicted time.Duration, err error) {
+	if opt == nil {
+		return 0, 0, fmt.Errorf("daydream: Compare: nil what-if")
 	}
 	// PredictIteration does not mutate, so the baseline needs no clone.
 	baseline, err = g.PredictIteration(opts...)
 	if err != nil {
 		return 0, 0, err
 	}
-	switch w := what.(type) {
-	case Optimization:
-		if core.OptIsNoop(w) {
-			return baseline, baseline, nil
-		}
-		predicted, err = predictOptimization(g, w, opts...)
-	case func(*Patch) error:
-		if w == nil {
-			return 0, 0, fmt.Errorf("daydream: Compare: nil what-if")
-		}
-		p := core.NewPatch(g)
-		if err := w(p); err != nil {
-			return 0, 0, err
-		}
-		predicted, err = p.PredictIteration(opts...)
-	case func(*Graph) error:
-		if w == nil {
-			return 0, 0, fmt.Errorf("daydream: Compare: nil what-if")
-		}
-		c := g.Clone()
-		if err := w(c); err != nil {
-			return 0, 0, err
-		}
-		predicted, err = c.PredictIteration(opts...)
-	case func(*Overlay) error:
-		if w == nil {
-			return 0, 0, fmt.Errorf("daydream: Compare: nil what-if")
-		}
-		o := core.NewOverlay(g)
-		if err := w(o); err != nil {
-			return 0, 0, err
-		}
-		predicted, err = o.PredictIteration(opts...)
-	case nil:
-		err = fmt.Errorf("daydream: Compare: nil what-if")
-	default:
-		err = fmt.Errorf("daydream: Compare: unsupported what-if type %T (want Optimization, func(*Patch) error, func(*Graph) error, or func(*Overlay) error)", what)
+	if core.OptIsNoop(opt) {
+		return baseline, baseline, nil
 	}
+	predicted, err = predictOptimization(g, opt, opts...)
 	return baseline, predicted, err
-}
-
-// convertWhatIf converts defined function types whose underlying type
-// is one of Compare's function shapes.
-func convertWhatIf(what any) (any, bool) {
-	v := reflect.ValueOf(what)
-	if v.Kind() != reflect.Func || v.IsNil() {
-		return nil, false
-	}
-	if pt := reflect.TypeOf((func(*Patch) error)(nil)); v.Type().ConvertibleTo(pt) {
-		return v.Convert(pt).Interface(), true
-	}
-	if gt := reflect.TypeOf((func(*Graph) error)(nil)); v.Type().ConvertibleTo(gt) {
-		return v.Convert(gt).Interface(), true
-	}
-	if ot := reflect.TypeOf((func(*Overlay) error)(nil)); v.Type().ConvertibleTo(ot) {
-		return v.Convert(ot).Interface(), true
-	}
-	return nil, false
 }
 
 // predictOptimization evaluates a non-noop Optimization on its cheapest
@@ -970,13 +812,4 @@ func predictOptimization(g *Graph, opt Optimization, opts ...SimOption) (time.Du
 		return measure(p, res)
 	}
 	return res.Makespan, nil
-}
-
-// CompareScale is Compare for duration-only what-ifs, retained as a
-// typed wrapper: the transform records copy-on-write timing deltas in
-// an overlay over the baseline — no clone — and the prediction
-// simulates through them. Results are bit-identical to the equivalent
-// Compare.
-func CompareScale(g *Graph, transform func(*Overlay) error) (baseline, predicted time.Duration, err error) {
-	return Compare(g, transform)
 }

@@ -82,10 +82,7 @@ func TestCompareAMP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, pred, err := daydream.Compare(g, func(c *daydream.Graph) error {
-		daydream.AMP(c)
-		return nil
-	})
+	base, pred, err := daydream.Compare(g, daydream.OptAMP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +112,7 @@ func TestDistributedAPI(t *testing.T) {
 	if topo.TotalGPUs() != 8 {
 		t.Fatal("topology wrong")
 	}
-	base, pred, err := daydream.Compare(g, func(c *daydream.Graph) error {
-		return daydream.Distributed(c, topo)
-	})
+	base, pred, err := daydream.Compare(g, daydream.OptDistributed(topo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +132,14 @@ func TestP3PredictionAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iter, err := daydream.P3Prediction(g, daydream.NewTopology(4, 1, 5), 0)
+	_, iter, err := daydream.Compare(g, daydream.OptP3(daydream.NewTopology(4, 1, 5), 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if iter <= 0 {
 		t.Fatal("non-positive P3 prediction")
 	}
-	fifo, err := daydream.P3Prediction(g, daydream.NewTopology(4, 1, 5), -1)
+	_, fifo, err := daydream.Compare(g, daydream.OptP3(daydream.NewTopology(4, 1, 5), -1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +157,7 @@ func TestFusedAdamAndReconAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, pred, err := daydream.Compare(g, daydream.FusedAdam)
+	base, pred, err := daydream.Compare(g, daydream.OptFusedAdam())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +173,7 @@ func TestFusedAdamAndReconAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, pred, err = daydream.Compare(dg, daydream.ReconBatchnorm)
+	base, pred, err = daydream.Compare(dg, daydream.OptReconBatchnorm())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@
 // path and structural edits through masked/appendix arrays. Sweep fans
 // a whole scenario grid out over a worker pool sharing one baseline,
 // with every Opt on the clone-free patch path — only graph-replacing
-// rewriters (OptP3's Repeat form) and legacy in-place transforms get a
-// private clone:
+// rewriters (OptP3's Repeat form, StructuralOptimization) get a private
+// clone:
 //
 //	results, _ := daydream.Sweep(g, []daydream.Scenario{
 //	    {Opt: daydream.OptAMP()},                                  // timing tier
@@ -82,18 +82,11 @@
 // CriticalPath and DiagnoseSim walk the effective adjacency of the
 // TaskView the simulation ran over.
 //
-// Migration from the previous per-path interface: the ApplyOverlay and
-// ApplyGraph methods are now package-level adapters in internal/core
-// synthesized from Apply (core.ApplyOverlay(opt, o) errors if the
-// value records structural deltas; core.ApplyGraph(opt, g)
-// materializes the patch into g), GraphRewriter is unchanged, and
-// Measurer / Scenario.Measure take a read-only TaskView (a *Graph or
-// *Patch) instead of a *Graph. The pre-Optimization API also remains:
-// the free functions (AMP, FusedAdam, Distributed, …), their *Overlay
-// forms, and the func-typed Compare / CompareScale /
-// Scenario.Transform / Scenario.ScaleTransform shapes all still
-// compile and behave identically — they are the same models the values
-// wrap, and Compare additionally accepts a one-off func(*Patch) error.
+// Every what-if has one form. The built-ins are Opt* values (OptAMP,
+// OptFusedAdam, OptDistributed, …); custom what-ifs are built with
+// PatchOptimization, TimingOptimization or StructuralOptimization; and
+// Compare and Scenario take only an Optimization. Measurer and
+// Scenario.Measure read a read-only TaskView (a *Graph or *Patch).
 //
 // See the examples/ directory for complete programs, and cmd/daydream-bench
 // for the harness that regenerates every table and figure of the paper's

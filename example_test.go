@@ -50,10 +50,7 @@ func ExampleCompare() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, pred, err := daydream.Compare(g, func(c *daydream.Graph) error {
-		daydream.AMP(c)
-		return nil
-	})
+	base, pred, err := daydream.Compare(g, daydream.OptAMP())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,6 +34,12 @@ func baselineGraph(t *testing.T) *core.Graph {
 	return g
 }
 
+// timingOpt wraps an edit of the patch's timing tier as a timing-only
+// value.
+func timingOpt(edit func(*core.Overlay) error) core.Optimization {
+	return core.PatchOpt("timing", core.TimingOnly, func(p *core.Patch) error { return edit(p.Timing()) }, nil)
+}
+
 func TestCorruptTracesRejectedTyped(t *testing.T) {
 	for _, ct := range CorruptTraces() {
 		ct := ct
@@ -58,13 +64,14 @@ func TestAdversarialPatchesAcrossTiers(t *testing.T) {
 	fp := Fingerprint(g)
 	before := Goroutines()
 
-	shrink := func(factor float64) func(o *core.Overlay) error {
-		return func(o *core.Overlay) error {
+	shrink := func(factor float64) core.Optimization {
+		return core.PatchOpt("shrink", core.TimingOnly, func(p *core.Patch) error {
+			o := p.Timing()
 			for _, task := range o.Base().Select(core.OnGPUPred) {
 				o.ScaleDuration(task, factor)
 			}
 			return nil
-		}
+		}, nil)
 	}
 	structural := core.PatchOpt("drop-a-kernel", core.Structural, func(p *core.Patch) error {
 		kerns := p.Base().Select(core.OnGPUPred)
@@ -76,14 +83,14 @@ func TestAdversarialPatchesAcrossTiers(t *testing.T) {
 		// Healthy rows on each tier, bracketing the faults: replay,
 		// timing-only (overlay/incremental), structural patch, clone.
 		{Name: "replay"},
-		{Name: "timing-1", ScaleTransform: shrink(0.9)},
-		{Name: "timing-2", ScaleTransform: shrink(0.8)},
-		{Name: "timing-3", ScaleTransform: shrink(0.7)},
+		{Name: "timing-1", Opt: shrink(0.9)},
+		{Name: "timing-2", Opt: shrink(0.8)},
+		{Name: "timing-3", Opt: shrink(0.7)},
 		{Name: "structural", Opt: structural},
-		{Name: "clone", Transform: func(c *core.Graph) (*core.Graph, error) {
+		{Name: "clone", Opt: core.RewriteOpt("clone", func(c *core.Graph) (*core.Graph, error) {
 			core.Scale(c.Select(core.OnGPUPred), 0.5)
 			return c, nil
-		}},
+		}, nil)},
 		// Faults.
 		{Name: "cycle", Opt: core.PatchOpt("cycle", core.Structural, CyclicPatch, nil)},
 		{Name: "neg-timing", Opt: core.PatchOpt("neg", core.TimingOnly, NegativeTimingPatch, nil)},
@@ -91,9 +98,9 @@ func TestAdversarialPatchesAcrossTiers(t *testing.T) {
 		{Name: "half-edit-panic", Opt: HalfEditPanicOpt()},
 		{Name: "panic-sched", SimOptions: []core.SimOption{core.WithScheduler(&PanicScheduler{AfterPicks: 100})}},
 		{Name: "rogue-sched", SimOptions: []core.SimOption{core.WithScheduler(RoguePicker{})}},
-		{Name: "panic-measure", ScaleTransform: shrink(0.95), Measure: PanicMeasure},
+		{Name: "panic-measure", Opt: shrink(0.95), Measure: PanicMeasure},
 		// Healthy tail re-using the (possibly quarantined) workers.
-		{Name: "timing-tail", ScaleTransform: shrink(0.9)},
+		{Name: "timing-tail", Opt: shrink(0.9)},
 		{Name: "structural-tail", Opt: structural},
 		{Name: "replay-tail"},
 	}
@@ -176,12 +183,12 @@ func TestChaosCancellationUnderLoad(t *testing.T) {
 		factor := 1.0 - float64(i)/128
 		scenarios[i] = sweep.Scenario{
 			Name: fmt.Sprintf("s%d", i),
-			ScaleTransform: func(o *core.Overlay) error {
+			Opt: timingOpt(func(o *core.Overlay) error {
 				for _, task := range o.Base().Select(core.OnGPUPred) {
 					o.ScaleDuration(task, factor)
 				}
 				return nil
-			},
+			}),
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -225,12 +232,12 @@ func TestChaosIncrementalTierFaults(t *testing.T) {
 	shrink := func(factor float64) sweep.Scenario {
 		return sweep.Scenario{
 			Name: fmt.Sprintf("shrink-%v", factor),
-			ScaleTransform: func(o *core.Overlay) error {
+			Opt: timingOpt(func(o *core.Overlay) error {
 				for _, task := range o.Base().Select(core.OnGPUPred) {
 					o.ScaleDuration(task, factor)
 				}
 				return nil
-			},
+			}),
 		}
 	}
 	// Workers(1): scenarios 1..N share one worker; by the third
@@ -238,7 +245,7 @@ func TestChaosIncrementalTierFaults(t *testing.T) {
 	// panic then lands on warm state, which quarantine discards.
 	scenarios := []sweep.Scenario{
 		shrink(0.9), shrink(0.8), shrink(0.7), shrink(0.6),
-		{Name: "kaboom", ScaleTransform: func(o *core.Overlay) error { panic("chaos") }},
+		{Name: "kaboom", Opt: timingOpt(func(o *core.Overlay) error { panic("chaos") })},
 		shrink(0.5), shrink(0.4),
 	}
 	results, err := sweep.Run(g, scenarios, sweep.Workers(1))

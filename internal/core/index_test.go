@@ -69,9 +69,22 @@ func TestLayerPhaseIndexMatchesNaiveScans(t *testing.T) {
 	if got, want := ix.EarliestWeightUpdate(), naiveEarliestWU(g); got != want {
 		t.Fatalf("EarliestWeightUpdate = %v, naive scan = %v", got, want)
 	}
-	// Cached GPU lists agree with Select.
-	if got, want := len(ix.GPUTasks()), len(g.Select(OnGPUPred)); got != want {
-		t.Fatalf("GPUTasks: %d entries, Select: %d", got, want)
+	// Cached GPU lists and their compute classification agree with
+	// Select and the predicate, element by element: the timing-only
+	// what-ifs (AMP, device upgrades, kernel profiles, batchnorm
+	// restructuring) classify through them.
+	gpu := g.Select(OnGPUPred)
+	got, compute := ix.GPUTasks(), ix.GPUComputeBound()
+	if len(got) != len(gpu) || len(compute) != len(gpu) {
+		t.Fatalf("GPUTasks: %d entries, GPUComputeBound: %d, Select: %d", len(got), len(compute), len(gpu))
+	}
+	for i, u := range gpu {
+		if got[i] != u {
+			t.Fatalf("GPUTasks[%d] = %v, Select[%d] = %v", i, got[i], i, u)
+		}
+		if compute[i] != ComputeIntensivePred(u) {
+			t.Fatalf("GPUComputeBound[%d] = %v, ComputeIntensivePred(%v) = %v", i, compute[i], u, !compute[i])
+		}
 	}
 	wu := g.Select(And(OnGPUPred, InPhase(trace.WeightUpdate)))
 	if got := ix.WeightUpdateGPUTasks(); len(got) != len(wu) {

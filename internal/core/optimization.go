@@ -41,11 +41,8 @@ func (f OptFootprint) String() string {
 // Apply is the single application surface: the optimization records its
 // timing edits and structural deltas (task/edge additions and removals)
 // on the Patch, which views the shared immutable baseline copy-on-write
-// — no optimization ever needs to clone. The deprecated per-path
-// methods of the previous interface are now package-level adapters
-// synthesized from Apply: ApplyOverlay applies the timing tier into a
-// caller-owned Overlay, ApplyGraph materializes the patch into a
-// private graph for legacy callers.
+// — no optimization ever needs to clone. Patch.Materialize turns the
+// result into a private graph when a caller needs one.
 //
 // Two optional interfaces extend the contract: GraphRewriter for
 // transformations that must replace the graph (P3's Repeat), and
@@ -65,10 +62,10 @@ type Optimization interface {
 
 // GraphRewriter is the optional interface of optimizations that must
 // replace the graph instead of patching over it (P3 repeats the
-// iteration graph before annotating it, and legacy in-place transforms
-// built from func(*Graph) funcs mutate arbitrary task state a patch
-// cannot express). ApplyOptimization prefers it over the patch path;
-// the sweep gives such optimizations a private clone.
+// iteration graph before annotating it, and in-place transforms built
+// by StructuralOpt mutate arbitrary task state a patch cannot express).
+// ApplyOptimization prefers it over the patch path; the sweep gives
+// such optimizations a private clone.
 type GraphRewriter interface {
 	RewriteGraph(*Graph) (*Graph, error)
 }
@@ -81,8 +78,8 @@ type graphDemander interface {
 }
 
 // OptNeedsGraph reports whether opt demands a materialized private
-// graph (a GraphRewriter, a legacy in-place transform, or a Stack
-// containing one) instead of the clone-free patch path.
+// graph (a GraphRewriter, or a Stack containing one) instead of the
+// clone-free patch path.
 func OptNeedsGraph(opt Optimization) bool {
 	if d, ok := opt.(graphDemander); ok {
 		return d.needsGraph()
@@ -157,134 +154,39 @@ func OptIsNoop(opt Optimization) bool {
 	return false
 }
 
-// ApplyOverlay is the deprecated timing-tier adapter, synthesized from
-// Apply: it binds a transient Patch whose timing tier is the
-// caller-owned overlay and applies opt through it, so the edits land in
-// o. Only valid for TimingOnly footprints; structural optimizations
-// (and any Apply that records structural deltas) return an error.
-func ApplyOverlay(opt Optimization, o *Overlay) error {
-	if opt.Footprint() != TimingOnly {
-		return fmt.Errorf("core: optimization %q is structural and cannot apply through an overlay", opt.Name())
-	}
-	p := patchOverOverlay(o)
-	if err := opt.Apply(p); err != nil {
-		return err
-	}
-	if p.Structural() {
-		return fmt.Errorf("core: optimization %q recorded structural deltas and cannot apply through an overlay", opt.Name())
-	}
-	return nil
-}
-
-// ApplyGraph is the deprecated in-place adapter, synthesized from
-// Apply: it records opt on a Patch over g and materializes the patch
-// back into g. g must be private to the caller (a clone when the
-// baseline is shared). Optimizations that must replace the graph
-// (GraphRewriter) report that they cannot apply in place — use
-// ApplyOptimization.
-func ApplyGraph(opt Optimization, g *Graph) error {
-	if ga, ok := opt.(graphApplier); ok {
-		return ga.applyGraphInPlace(g)
-	}
-	if _, ok := opt.(GraphRewriter); ok {
-		return fmt.Errorf("core: optimization %q replaces the graph; apply it through RewriteGraph", opt.Name())
-	}
-	p := NewPatch(g)
-	if err := opt.Apply(p); err != nil {
-		return err
-	}
-	return p.materializeInto(g)
-}
-
-// graphApplier is the internal fast path of ApplyGraph: built-in
-// optimization values that carry a direct in-place form apply it
-// without the patch round trip.
-type graphApplier interface {
-	applyGraphInPlace(*Graph) error
-}
-
 // ApplyOptimization applies opt to g — through GraphRewriter when it
-// replaces the graph, in place otherwise — and returns the graph to
+// replaces the graph, otherwise by recording opt on a Patch over g and
+// materializing the patch back into g — and returns the graph to
 // simulate. g must be private to the caller (a clone when the baseline
 // is shared); rewriters may consume it.
 func ApplyOptimization(g *Graph, opt Optimization) (*Graph, error) {
 	if rw, ok := opt.(GraphRewriter); ok {
 		return rw.RewriteGraph(g)
 	}
-	if err := ApplyGraph(opt, g); err != nil {
+	p := NewPatch(g)
+	if err := opt.Apply(p); err != nil {
+		return nil, err
+	}
+	if err := p.materializeInto(g); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
-// funcOpt is the ready-made Optimization implementation behind
-// PatchOpt, TimingOpt, StructuralOpt and RewriteOpt.
+// funcOpt is the ready-made Optimization implementation behind PatchOpt.
 type funcOpt struct {
 	name    string
 	fp      OptFootprint
 	apply   func(*Patch) error
-	overlay func(*Overlay) error
-	graph   func(*Graph) error
 	measure func(TaskView, *SimResult) (time.Duration, error)
 }
 
 func (f *funcOpt) Name() string            { return f.name }
 func (f *funcOpt) Footprint() OptFootprint { return f.fp }
-
-func (f *funcOpt) Apply(p *Patch) error {
-	switch {
-	case f.apply != nil:
-		return f.apply(p)
-	case f.overlay != nil:
-		return f.overlay(p.Timing())
-	case f.graph != nil:
-		return fmt.Errorf("core: optimization %q is a legacy in-place transform and needs a materialized graph; apply it through ApplyGraph or ApplyOptimization", f.name)
-	}
-	return fmt.Errorf("core: optimization %q replaces the graph; apply it through RewriteGraph", f.name)
-}
-
-// needsGraph reports whether the value lacks a patch form entirely
-// (legacy in-place transforms and rewriters).
-func (f *funcOpt) needsGraph() bool { return f.apply == nil && f.overlay == nil }
-
-func (f *funcOpt) applyGraphInPlace(g *Graph) error {
-	switch {
-	case f.graph != nil:
-		return f.graph(g)
-	case f.overlay != nil:
-		return applyOverlayInPlace(g, f.overlay)
-	case f.apply != nil:
-		p := NewPatch(g)
-		if err := f.apply(p); err != nil {
-			return err
-		}
-		return p.materializeInto(g)
-	}
-	return fmt.Errorf("core: optimization %q replaces the graph; apply it through RewriteGraph", f.name)
-}
+func (f *funcOpt) Apply(p *Patch) error    { return f.apply(p) }
 
 func (f *funcOpt) MeasureFunc() func(TaskView, *SimResult) (time.Duration, error) {
 	return f.measure
-}
-
-// applyOverlayInPlace derives a clone-path application from an overlay
-// form: record the edits over g, then write the effective timings into
-// g's own tasks. Correct because the overlay only reads the baseline
-// while edits are recorded.
-func applyOverlayInPlace(g *Graph, apply func(*Overlay) error) error {
-	o := NewOverlay(g)
-	if err := apply(o); err != nil {
-		return err
-	}
-	for _, t := range g.tasks {
-		if t == nil {
-			continue
-		}
-		t.Duration = o.Duration(t)
-		t.Gap = o.Gap(t)
-		t.Priority = o.Priority(t)
-	}
-	return nil
 }
 
 // PatchOpt builds an Optimization from its unified patch form — the
@@ -297,29 +199,29 @@ func PatchOpt(name string, fp OptFootprint, apply func(*Patch) error, measure fu
 	return &funcOpt{name: name, fp: fp, apply: apply, measure: measure}
 }
 
-// TimingOpt builds a TimingOnly Optimization from its overlay form and
-// (optionally) a direct clone-path form. Apply writes the overlay form
-// into the patch's timing tier; when graph is nil the in-place adapter
-// is derived from the overlay form — apply the edits, write the
-// effective timings back — so a custom duration-only what-if only needs
-// one function.
-func TimingOpt(name string, overlay func(*Overlay) error, graph func(*Graph) error) Optimization {
-	return &funcOpt{name: name, fp: TimingOnly, overlay: overlay, graph: graph}
-}
-
-// StructuralOpt builds a Structural Optimization from a legacy in-place
-// graph transformation. The arbitrary mutation cannot be expressed as
-// patch deltas, so the value demands a materialized private graph
-// (OptNeedsGraph reports true and evaluation clones); prefer PatchOpt
-// for structural what-ifs that should ride the clone-free patch path.
+// StructuralOpt builds a Structural Optimization from an in-place graph
+// transformation. The arbitrary mutation cannot be expressed as patch
+// deltas, so the value is a GraphRewriter that demands a materialized
+// private graph (OptNeedsGraph reports true and evaluation clones);
+// prefer PatchOpt for structural what-ifs that should ride the
+// clone-free patch path.
 func StructuralOpt(name string, graph func(*Graph) error) Optimization {
-	return &funcOpt{name: name, fp: Structural, graph: graph}
+	return RewriteOpt(name, func(g *Graph) (*Graph, error) {
+		if err := graph(g); err != nil {
+			return nil, err
+		}
+		return g, nil
+	}, nil)
 }
 
 // rewriteOpt is a structural optimization that replaces the graph.
 type rewriteOpt struct {
 	funcOpt
 	rewrite func(*Graph) (*Graph, error)
+}
+
+func (r *rewriteOpt) Apply(*Patch) error {
+	return fmt.Errorf("core: optimization %q needs a materialized graph; apply it through ApplyOptimization", r.name)
 }
 
 func (r *rewriteOpt) RewriteGraph(g *Graph) (*Graph, error) { return r.rewrite(g) }
@@ -346,10 +248,10 @@ type stack struct {
 // stacks are flattened. The stack's footprint is the maximum of its
 // parts', and a stack applies through one shared Patch, so any mix of
 // timing-only and patch-form structural optimizations still evaluates
-// clone-free; only a part that demands a materialized graph
-// (GraphRewriter, legacy in-place transforms) moves the whole stack to
-// the clone path. An empty Stack is a named no-op: evaluation replays
-// the baseline without cloning.
+// clone-free; only a part that demands a materialized graph (a
+// GraphRewriter) moves the whole stack to the clone path. An empty
+// Stack is a named no-op: evaluation replays the baseline without
+// cloning.
 func Stack(parts ...Optimization) Optimization {
 	ps := make([]Optimization, 0, len(parts))
 	for _, p := range parts {
@@ -409,31 +311,13 @@ func (s *stack) Apply(p *Patch) error {
 	return nil
 }
 
-func (s *stack) applyGraphInPlace(g *Graph) error {
-	for _, p := range s.parts {
-		if _, ok := p.(GraphRewriter); ok {
-			return fmt.Errorf("core: stack part %q replaces the graph; apply the stack through RewriteGraph", p.Name())
-		}
-		if err := ApplyGraph(p, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RewriteGraph applies every part in order, threading the graph through
-// rewriting parts, so a stack may mix in-place, patch-form and
-// graph-replacing optimizations.
+// rewriting parts, so a stack may mix patch-form and graph-replacing
+// optimizations.
 func (s *stack) RewriteGraph(g *Graph) (*Graph, error) {
 	for _, p := range s.parts {
-		if rw, ok := p.(GraphRewriter); ok {
-			var err error
-			if g, err = rw.RewriteGraph(g); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := ApplyGraph(p, g); err != nil {
+		var err error
+		if g, err = ApplyOptimization(g, p); err != nil {
 			return nil, err
 		}
 	}

@@ -27,7 +27,8 @@ func optTestGraph(t *testing.T, n int) *Graph {
 
 // halveGPU is a timing-only test optimization.
 func halveGPU() Optimization {
-	return TimingOpt("halve-gpu", func(o *Overlay) error {
+	return PatchOpt("halve-gpu", TimingOnly, func(p *Patch) error {
+		o := p.Timing()
 		for _, u := range o.Base().Tasks() {
 			if u.OnGPU() {
 				o.SetDuration(u, o.Duration(u)/2)
@@ -56,7 +57,7 @@ func TestOptFootprintString(t *testing.T) {
 	}
 }
 
-func TestTimingOptAppliesThroughPatchAndAdapters(t *testing.T) {
+func TestTimingOnlyOptAppliesThroughPatch(t *testing.T) {
 	g := optTestGraph(t, 6)
 	opt := halveGPU()
 	if opt.Footprint() != TimingOnly {
@@ -66,7 +67,6 @@ func TestTimingOptAppliesThroughPatchAndAdapters(t *testing.T) {
 		t.Fatal("timing-only optimization demands a materialized graph")
 	}
 
-	// Unified patch path.
 	p := NewPatch(g)
 	if err := opt.Apply(p); err != nil {
 		t.Fatal(err)
@@ -79,22 +79,10 @@ func TestTimingOptAppliesThroughPatchAndAdapters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Deprecated overlay adapter: edits land in the caller's overlay.
-	o := NewOverlay(g)
-	if err := ApplyOverlay(opt, o); err != nil {
-		t.Fatal(err)
-	}
-	fromOverlay, err := o.PredictIteration()
+	// ApplyOptimization materializes the same timing edits into a
+	// private graph.
+	c, err := ApplyOptimization(g.Clone(), opt)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if fromOverlay != want {
-		t.Fatalf("overlay adapter %v, patch path %v", fromOverlay, want)
-	}
-
-	// Deprecated in-place adapter, derived from the overlay form.
-	c := g.Clone()
-	if err := ApplyGraph(opt, c); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.PredictIteration()
@@ -102,11 +90,11 @@ func TestTimingOptAppliesThroughPatchAndAdapters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("derived clone path %v, patch path %v", got, want)
+		t.Fatalf("materialized path %v, patch path %v", got, want)
 	}
 	for _, u := range c.Tasks() {
 		if u.OnGPU() && u.Duration != 5*time.Microsecond {
-			t.Fatalf("derived ApplyGraph did not write back: %v", u)
+			t.Fatalf("ApplyOptimization did not write back: %v", u)
 		}
 	}
 	// The baseline is untouched by every path.
@@ -140,13 +128,13 @@ func TestPatchOptAppliesStructurally(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// ApplyGraph adapter materializes the same deltas in place.
-	c := g.Clone()
-	if err := ApplyGraph(opt, c); err != nil {
+	// ApplyOptimization materializes the same deltas in place.
+	c, err := ApplyOptimization(g.Clone(), opt)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if c.NumTasks() != g.NumTasks()-1 {
-		t.Fatalf("adapter removed %d tasks, want 1", g.NumTasks()-c.NumTasks())
+		t.Fatalf("materialization removed %d tasks, want 1", g.NumTasks()-c.NumTasks())
 	}
 	got, err := c.PredictIteration()
 	if err != nil {
@@ -154,11 +142,6 @@ func TestPatchOptAppliesStructurally(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("materialized path %v, patch path %v", got, want)
-	}
-
-	// The overlay adapter refuses structural footprints.
-	if err := ApplyOverlay(opt, NewOverlay(g)); err == nil {
-		t.Fatal("structural optimization applied through an overlay")
 	}
 }
 
@@ -168,17 +151,15 @@ func TestStructuralOptNeedsGraph(t *testing.T) {
 		t.Fatalf("footprint = %v", opt.Footprint())
 	}
 	if !OptNeedsGraph(opt) {
-		t.Fatal("legacy in-place transform does not demand a materialized graph")
-	}
-	if err := ApplyOverlay(opt, NewOverlay(optTestGraph(t, 1))); err == nil {
-		t.Fatal("structural optimization applied through an overlay")
+		t.Fatal("in-place transform does not demand a materialized graph")
 	}
 	if err := opt.Apply(NewPatch(optTestGraph(t, 1))); err == nil {
-		t.Fatal("legacy in-place transform applied through a patch")
+		t.Fatal("in-place transform applied through a patch")
 	}
-	// ApplyGraph still runs the legacy func directly.
-	if err := ApplyGraph(opt, optTestGraph(t, 1)); err != nil {
-		t.Fatal(err)
+	// ApplyOptimization runs the func in place on the private graph.
+	g := optTestGraph(t, 1)
+	if got, err := ApplyOptimization(g, opt); err != nil || got != g {
+		t.Fatalf("ApplyOptimization = %p, %v; want the graph itself", got, err)
 	}
 }
 
@@ -201,12 +182,12 @@ func TestStackFootprintAndName(t *testing.T) {
 		t.Fatalf("flattened stack name = %q", name)
 	}
 	// A stack of patch-capable parts does not demand a graph; one
-	// legacy part moves the whole stack to the clone path.
+	// in-place part moves the whole stack to the clone path.
 	if OptNeedsGraph(Stack(timing, dropFirstKernel())) {
 		t.Fatal("patch-capable stack demands a materialized graph")
 	}
 	if !OptNeedsGraph(Stack(timing, structural)) {
-		t.Fatal("stack with a legacy part does not demand a materialized graph")
+		t.Fatal("stack with an in-place part does not demand a materialized graph")
 	}
 }
 
@@ -234,19 +215,19 @@ func TestEmptyStackIsNoop(t *testing.T) {
 	if got, _ := p.PredictIteration(); got != want {
 		t.Fatalf("no-op patch changed prediction: %v vs %v", got, want)
 	}
-	c := g.Clone()
-	if err := ApplyGraph(empty, c); err != nil {
+	c, err := ApplyOptimization(g.Clone(), empty)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := c.PredictIteration(); got != want {
-		t.Fatalf("no-op ApplyGraph changed prediction: %v vs %v", got, want)
+		t.Fatalf("no-op ApplyOptimization changed prediction: %v vs %v", got, want)
 	}
 }
 
 func TestStackAppliesInOrder(t *testing.T) {
 	var order []string
 	mk := func(name string) Optimization {
-		return TimingOpt(name, func(*Overlay) error {
+		return PatchOpt(name, TimingOnly, func(*Patch) error {
 			order = append(order, name)
 			return nil
 		}, nil)
@@ -277,11 +258,11 @@ func TestStackMixesTimingAndPatchParts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := g.Clone()
-	if err := ApplyGraph(halveGPU(), c); err != nil {
+	c, err := ApplyOptimization(g.Clone(), halveGPU())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ApplyGraph(dropFirstKernel(), c); err != nil {
+	if c, err = ApplyOptimization(c, dropFirstKernel()); err != nil {
 		t.Fatal(err)
 	}
 	want, err := c.PredictIteration()
@@ -306,9 +287,6 @@ func TestRewriteOptAndStackRewrite(t *testing.T) {
 	if !OptNeedsGraph(repeat) {
 		t.Fatal("rewriter does not demand a materialized graph")
 	}
-	if err := ApplyGraph(repeat, g.Clone()); err == nil {
-		t.Fatal("rewriter applied in place")
-	}
 	if err := repeat.Apply(NewPatch(g)); err == nil {
 		t.Fatal("rewriter applied through a patch")
 	}
@@ -325,11 +303,11 @@ func TestRewriteOptAndStackRewrite(t *testing.T) {
 		t.Fatalf("rewritten graph has %d tasks, want %d", rg.NumTasks(), 2*g.NumTasks())
 	}
 
-	// A stack mixing in-place and rewriting parts threads the graph
-	// through, keeps the rewriter's measure, and refuses ApplyGraph.
+	// A stack mixing patch-form and rewriting parts threads the graph
+	// through, keeps the rewriter's measure, and refuses the patch path.
 	mixed := Stack(halveGPU(), repeat)
-	if err := ApplyGraph(mixed, g.Clone()); err == nil {
-		t.Fatal("stack with a rewriter applied in place")
+	if err := mixed.Apply(NewPatch(g)); err == nil {
+		t.Fatal("stack with a rewriter applied through a patch")
 	}
 	if OptMeasure(mixed) == nil {
 		t.Fatal("stack lost the rewriter's measure")
@@ -343,18 +321,13 @@ func TestRewriteOptAndStackRewrite(t *testing.T) {
 	}
 }
 
-func TestStackOverlayRejectsStructuralPart(t *testing.T) {
+func TestStackPatchRejectsGraphPart(t *testing.T) {
 	s := Stack(halveGPU(), StructuralOpt("surgery", func(g *Graph) error { return nil }))
-	if err := ApplyOverlay(s, NewOverlay(optTestGraph(t, 1))); err == nil {
-		t.Fatal("structural stack applied through an overlay")
+	if err := s.Apply(NewPatch(optTestGraph(t, 1))); err == nil {
+		t.Fatal("stack with an in-place part applied through a patch")
 	}
-	// A timing-only Apply that sneaks structural deltas in is also
-	// rejected by the overlay adapter.
-	sneaky := PatchOpt("sneaky", TimingOnly, func(p *Patch) error {
-		p.NewTask("x", trace.KindKernel, Stream(1), time.Microsecond)
-		return nil
-	}, nil)
-	if err := ApplyOverlay(sneaky, NewOverlay(optTestGraph(t, 1))); err == nil {
-		t.Fatal("structural deltas leaked through the overlay adapter")
+	// ApplyOptimization threads a private graph through both parts.
+	if _, err := ApplyOptimization(optTestGraph(t, 1), s); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -40,8 +40,8 @@ import (
 // zoo.
 //
 // A Patch additionally journals its structural operations, so
-// Materialize (and the ApplyGraph adapter) can replay them onto a
-// private graph for legacy callers that need a real *Graph.
+// Materialize (and ApplyOptimization) can replay them onto a private
+// graph for callers that need a real *Graph.
 //
 // A Patch is not safe for concurrent use; the sharing model is one
 // patch per goroutine over one shared baseline (the sweep worker pool
@@ -124,28 +124,14 @@ const (
 
 // NewPatch returns an empty patch over the baseline graph.
 func NewPatch(g *Graph) *Patch {
-	p := &Patch{timing: NewOverlay(g)}
-	p.init(g)
-	return p
-}
-
-// patchOverOverlay wraps a caller-owned overlay as a patch's timing
-// tier, so the ApplyOverlay adapter lands edits in the caller's overlay.
-func patchOverOverlay(o *Overlay) *Patch {
-	p := &Patch{timing: o}
-	p.init(o.Base())
-	return p
-}
-
-func (p *Patch) init(g *Graph) {
-	p.base = g
+	return &Patch{base: g, timing: NewOverlay(g)}
 }
 
 // ensureStructural lazily allocates the structural delta maps on the
 // first structural mutator call. A pure-timing patch (the common case
-// for the ApplyOverlay adapter and timing-only sweeps) therefore never
-// allocates them; every read path tolerates the nil maps (nil-map
-// reads, ranges and clears are all no-ops in Go).
+// for timing-only sweeps) therefore never allocates them; every read
+// path tolerates the nil maps (nil-map reads, ranges and clears are
+// all no-ops in Go).
 func (p *Patch) ensureStructural() {
 	if p.removed != nil {
 		return

@@ -430,8 +430,8 @@ func TestPatchMaterializeMemo(t *testing.T) {
 	if _, err := p.Materialize(); err != nil {
 		t.Fatal(err)
 	}
-	// …and one through the timing tier directly (the sweep's
-	// ScaleTransform shape) does too.
+	// …and one through the timing tier directly (the shape of a
+	// timing-only optimization) does too.
 	p.Timing().SetGap(g.Task(1), time.Microsecond)
 	if _, err := p.Materialize(); err != nil {
 		t.Fatal(err)

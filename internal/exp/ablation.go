@@ -26,7 +26,7 @@ type AblationRow struct {
 
 // ablationVariants knock out one design ingredient the paper argues
 // for. Each ablation is a custom core.Optimization value — built with
-// the same TimingOpt/StructuralOpt constructors user code extends the
+// the same PatchOpt/StructuralOpt constructors user code extends the
 // system with — so the sweep dispatches it like any registry
 // optimization: duration-only ablations ride the clone-free overlay
 // path, only the structural one (dropping CPU tasks) pays for a clone,
@@ -45,7 +45,8 @@ var ablationVariants = []struct {
 		// "indispensable to simulation accuracy".
 		name: "no CPU gaps",
 		note: "drop the un-instrumented framework time between CUDA calls",
-		opt: core.TimingOpt("no-cpu-gaps", func(o *core.Overlay) error {
+		opt: core.PatchOpt("no-cpu-gaps", core.TimingOnly, func(p *core.Patch) error {
+			o := p.Timing()
 			for _, t := range o.Base().Tasks() {
 				o.SetGap(t, 0)
 			}
@@ -58,7 +59,8 @@ var ablationVariants = []struct {
 		// duration double-counts the waiting.
 		name: "no sync decomposition",
 		note: "keep blocking calls' full traced durations (waiting counted twice)",
-		opt: core.TimingOpt("no-sync-decomposition", func(o *core.Overlay) error {
+		opt: core.PatchOpt("no-sync-decomposition", core.TimingOnly, func(p *core.Patch) error {
+			o := p.Timing()
 			for _, t := range o.Base().Tasks() {
 				if t.Kind == trace.KindSync ||
 					(t.Kind == trace.KindMemcpyAPI && t.Dir == trace.MemcpyD2H) {

@@ -54,9 +54,7 @@ func RunAMPLayerGrid() ([]AMPLayerRow, time.Duration, time.Duration, []string, e
 	ix := g.LayerPhaseIndex()
 	layers := ix.Layers()
 	rows := make([]AMPLayerRow, layers)
-	scenarios := make([]sweep.Scenario, 0, layers+1)
-	for layer := 0; layer < layers; layer++ {
-		layer := layer
+	for layer := range rows {
 		row := &rows[layer]
 		row.Layer = layer
 		for _, u := range ix.GPUTasks() {
@@ -67,25 +65,8 @@ func RunAMPLayerGrid() ([]AMPLayerRow, time.Duration, time.Duration, []string, e
 				}
 			}
 		}
-		scenarios = append(scenarios, sweep.Scenario{
-			Name: fmt.Sprintf("layer-%d", layer),
-			ScaleTransform: func(o *core.Overlay) error {
-				compute := ix.GPUComputeBound()
-				for i, u := range ix.GPUTasks() {
-					if !u.HasLayer || u.LayerIndex != layer {
-						continue
-					}
-					if compute[i] {
-						o.SetDuration(u, o.Duration(u)/3)
-					} else {
-						o.SetDuration(u, o.Duration(u)/2)
-					}
-				}
-				return nil
-			},
-		})
 	}
-	scenarios = append(scenarios, sweep.Scenario{Name: "full-amp", Opt: whatif.OptAMP()})
+	scenarios := append(AMPLayerScenarios(g), sweep.Scenario{Name: "full-amp", Opt: whatif.OptAMP()})
 	results, err := sweep.Run(g, scenarios)
 	if err != nil {
 		return nil, 0, 0, nil, err
@@ -102,6 +83,34 @@ func RunAMPLayerGrid() ([]AMPLayerRow, time.Duration, time.Duration, []string, e
 		}
 	}
 	return rows, baseline, fullSaving, tiers, nil
+}
+
+// AMPLayerScenarios returns the per-layer AMP grid over g: one
+// timing-only scenario per DNN layer, named "layer-N", applying
+// Algorithm 3's scaling to that layer's GPU tasks only. Every scenario
+// shares the one baseline, so the sweep's incremental tier engages.
+func AMPLayerScenarios(g *core.Graph) []sweep.Scenario {
+	ix := g.LayerPhaseIndex()
+	scenarios := make([]sweep.Scenario, ix.Layers())
+	for layer := range scenarios {
+		layer := layer
+		scenarios[layer].Opt = core.PatchOpt(fmt.Sprintf("layer-%d", layer), core.TimingOnly, func(p *core.Patch) error {
+			o := p.Timing()
+			compute := ix.GPUComputeBound()
+			for i, u := range ix.GPUTasks() {
+				if !u.HasLayer || u.LayerIndex != layer {
+					continue
+				}
+				if compute[i] {
+					o.SetDuration(u, o.Duration(u)/3)
+				} else {
+					o.SetDuration(u, o.Duration(u)/2)
+				}
+			}
+			return nil
+		}, nil)
+	}
+	return scenarios
 }
 
 // AMPLayerGrid renders the per-layer AMP attribution grid as a table:

@@ -41,8 +41,8 @@ func RunBatchnormRecon() (*ReconResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred := g.Clone()
-	if err := core.ApplyGraph(whatif.OptReconBatchnorm(whatif.ReconBatchnormOptions{}), pred); err != nil {
+	pred := core.NewPatch(g)
+	if err := whatif.OptReconBatchnorm(whatif.ReconBatchnormOptions{}).Apply(pred); err != nil {
 		return nil, err
 	}
 	predicted, err := pred.PredictIteration()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"daydream/internal/comm"
+	"daydream/internal/core"
 	"daydream/internal/framework"
 	"daydream/internal/whatif"
 )
@@ -89,37 +90,43 @@ func RunTable1Coverage() ([]CoverageRow, error) {
 		return nil
 	}
 
+	// predictPatch predicts opt recorded on a patch over g (without the
+	// value's carried scheduler: vDNN is tabulated under the default
+	// policy).
+	predictPatch := func(g *core.Graph, opt core.Optimization) (time.Duration, error) {
+		p := core.NewPatch(g)
+		if err := opt.Apply(p); err != nil {
+			return 0, err
+		}
+		return p.PredictIteration()
+	}
+	// distributed materializes Algorithm 6's graph for the models that
+	// rewrite its all-reduces (BlueConnect, DGC).
+	distributed := func() (*core.Graph, error) {
+		p := core.NewPatch(rg)
+		if err := whatif.DistributedPatch(p, whatif.DistributedOptions{Topology: topo}); err != nil {
+			return nil, err
+		}
+		return p.Materialize()
+	}
+
 	if err := add("AMP (Alg 3)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		whatif.AMP(c)
-		return c.PredictIteration()
+		return predictPatch(rg, whatif.OptAMP())
 	}); err != nil {
 		return nil, err
 	}
 	if err := add("FusedAdam (Alg 4)", gnmt.Name, gBase, func() (time.Duration, error) {
-		c := gg.Clone()
-		if err := whatif.FusedAdam(c); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
+		return predictPatch(gg, whatif.OptFusedAdam())
 	}); err != nil {
 		return nil, err
 	}
 	if err := add("Recon. batchnorm (Alg 5)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		if err := whatif.ReconBatchnorm(c, whatif.ReconBatchnormOptions{}); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
+		return predictPatch(rg, whatif.OptReconBatchnorm(whatif.ReconBatchnormOptions{}))
 	}); err != nil {
 		return nil, err
 	}
 	if err := add("Distributed (Alg 6)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		if err := whatif.Distributed(c, whatif.DistributedOptions{Topology: topo}); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
+		return predictPatch(rg, whatif.OptDistributed(whatif.DistributedOptions{Topology: topo}))
 	}); err != nil {
 		return nil, err
 	}
@@ -153,8 +160,8 @@ func RunTable1Coverage() ([]CoverageRow, error) {
 		return nil, err
 	}
 	if err := add("BlueConnect (Alg 8)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		if err := whatif.Distributed(c, whatif.DistributedOptions{Topology: topo}); err != nil {
+		c, err := distributed()
+		if err != nil {
 			return 0, err
 		}
 		if err := whatif.BlueConnect(c, whatif.BlueConnectOptions{
@@ -182,11 +189,7 @@ func RunTable1Coverage() ([]CoverageRow, error) {
 		return nil, err
 	}
 	if err := add("vDNN (Alg 10)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		if err := whatif.VDNN(c, whatif.VDNNOptions{}); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
+		return predictPatch(rg, whatif.OptVDNN(whatif.VDNNOptions{}))
 	}); err != nil {
 		return nil, err
 	}
@@ -200,8 +203,8 @@ func RunTable1Coverage() ([]CoverageRow, error) {
 		return nil, err
 	}
 	if err := add("DGC (Alg 12)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		if err := whatif.Distributed(c, whatif.DistributedOptions{Topology: topo}); err != nil {
+		c, err := distributed()
+		if err != nil {
 			return 0, err
 		}
 		if err := whatif.DGC(c, whatif.DGCOptions{}); err != nil {

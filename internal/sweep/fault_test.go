@@ -37,12 +37,12 @@ func leakCheck(t *testing.T) func() {
 func shrinkScenario(name string, factor float64) Scenario {
 	return Scenario{
 		Name: name,
-		ScaleTransform: func(o *core.Overlay) error {
+		Opt: timingOpt(func(o *core.Overlay) error {
 			for _, task := range o.Base().Select(core.OnGPUPred) {
 				o.ScaleDuration(task, factor)
 			}
 			return nil
-		},
+		}),
 	}
 }
 
@@ -131,14 +131,14 @@ func TestSweepFailFast(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		i := i
 		sc := shrinkScenario(fmt.Sprintf("s%d", i), 0.9)
-		inner := sc.ScaleTransform
-		sc.ScaleTransform = func(o *core.Overlay) error {
+		inner := sc.Opt
+		sc.Opt = core.PatchOpt(sc.Name, core.TimingOnly, func(p *core.Patch) error {
 			ran[i] = true
 			if i == 2 {
 				return boom
 			}
-			return inner(o)
-		}
+			return inner.Apply(p)
+		}, nil)
 		scenarios = append(scenarios, sc)
 	}
 
@@ -201,9 +201,9 @@ func TestSweepPanicIsolation(t *testing.T) {
 	// transform, a panicking scheduler, and a panicking measurer, all
 	// on the one worker whose buffers they poison.
 	faults := []Scenario{
-		{Name: "panic-transform", ScaleTransform: func(o *core.Overlay) error { panic("bad transform") }},
+		{Name: "panic-transform", Opt: timingOpt(func(o *core.Overlay) error { panic("bad transform") })},
 		{Name: "panic-sched", SimOptions: []core.SimOption{core.WithScheduler(panicSched{})}},
-		{Name: "panic-measure", ScaleTransform: clean[0].ScaleTransform,
+		{Name: "panic-measure", Opt: clean[0].Opt,
 			Measure: func(v core.TaskView, res *core.SimResult) (time.Duration, error) { panic("bad measure") }},
 	}
 	mixed := make([]Scenario, 0, len(clean)+len(faults))
@@ -259,7 +259,7 @@ func TestSweepPanicIsolationAcrossTiers(t *testing.T) {
 		}, nil),
 	}
 	cloneSc := scaleScenario("clone", 0.5)
-	panicSc := Scenario{Name: "kaboom", ScaleTransform: func(o *core.Overlay) error { panic("x") }}
+	panicSc := Scenario{Name: "kaboom", Opt: timingOpt(func(o *core.Overlay) error { panic("x") })}
 
 	want, err := Run(g, []Scenario{structural, cloneSc}, Workers(1))
 	if err != nil {

@@ -21,11 +21,11 @@ func TestSweepWorkerMixedScenarioReuse(t *testing.T) {
 			Scenario{Name: fmt.Sprintf("struct%d", i), Opt: insertCommOpt(time.Duration(i+1) * time.Millisecond)},
 			Scenario{Name: fmt.Sprintf("timing%d", i), Opt: gpuScaleOpt(0.5 + 0.05*float64(i))},
 			Scenario{Name: fmt.Sprintf("replay%d", i)},
-			Scenario{Name: fmt.Sprintf("rewrite%d", i), Transform: func(c *core.Graph) (*core.Graph, error) {
+			Scenario{Name: fmt.Sprintf("rewrite%d", i), Opt: rewriteOpt(func(c *core.Graph) (*core.Graph, error) {
 				k := c.NewTask("x", trace.KindComm, core.Channel("z"), time.Millisecond)
 				c.AppendTask(k)
 				return c, c.AddDependency(c.Task(1), k, core.DepComm)
-			}},
+			})},
 		)
 	}
 	want, err := Run(g, scenarios, Workers(1))

@@ -21,10 +21,10 @@ func singleTaskScenarios(g *core.Graph, n int) []Scenario {
 		u := tasks[len(tasks)-1-(i%len(tasks))]
 		delta := time.Duration(i+1) * time.Microsecond
 		scenarios[i] = Scenario{
-			ScaleTransform: func(o *core.Overlay) error {
+			Opt: timingOpt(func(o *core.Overlay) error {
 				o.SetDuration(u, o.Duration(u)+delta)
 				return nil
-			},
+			}),
 		}
 	}
 	return scenarios

@@ -6,9 +6,10 @@
 // scenarios.
 //
 // Run fans a scenario list out over a worker pool. The baseline graph
-// is shared immutably, and a scenario takes one of three paths:
+// is shared immutably. A scenario declares its what-if as one
+// core.Optimization value in Opt, and takes one of three paths:
 //
-//   - Patch scenarios (an Opt value, or ScaleTransform) record
+//   - Patch scenarios (every Opt that applies through Apply) record
 //     copy-on-write deltas in a worker-owned core.Patch and simulate
 //     through it — zero clone for timing edits AND structural edits
 //     (task/edge additions and removals). Timing-only patches keep the
@@ -20,19 +21,18 @@
 //     (core.SchedulerCarrier, e.g. vDNN's copy-stream policy) — run
 //     view-generically over the same patch, so scheduled structural
 //     scenarios are clone-free too.
-//   - Rewrite scenarios (a Transform, or an Opt that demands a
-//     materialized graph: a core.GraphRewriter such as P3's Repeat, or
-//     a legacy in-place transform) mutate a private Graph.Clone.
+//   - Rewrite scenarios (an Opt that demands a materialized graph: a
+//     core.GraphRewriter such as P3's Repeat, core.RewriteOpt or
+//     core.StructuralOpt) mutate a private Graph.Clone.
 //   - Replay scenarios (no what-if at all, or a no-op Opt such as an
 //     empty core.Stack) simulate the shared baseline directly, which
 //     never mutates it.
 //
-// Scenarios should declare their what-if as a core.Optimization value
-// in Opt — every value applies through the one Patch surface, so a
-// core.Stack mixing timing-only and patch-form structural optimizations
-// still runs clone-free; the sweep materializes a private graph only
-// when a rewrite demands one. The manual Transform/ScaleTransform
-// fields remain for one-off custom edits.
+// A core.Stack mixing timing-only and patch-form structural
+// optimizations still runs clone-free; the sweep materializes a private
+// graph only when a rewrite demands one. One-off custom edits are
+// values too: core.PatchOpt for timing or structural deltas,
+// core.RewriteOpt for a graph replacement.
 //
 // Each worker owns one reusable core.SimScratch, one patch and one
 // result buffer, so steady-state scenario evaluation allocates almost
@@ -55,10 +55,10 @@ import (
 )
 
 // ErrPanic marks a scenario whose user callback (Optimization,
-// Transform, Scheduler, Measure) panicked. The worker recovered, the
-// panic became the scenario's Result.Err (a *PanicError carrying the
-// value and stack), and the worker's reusable buffers were quarantined
-// so later scenarios start from fresh state.
+// Scheduler, Measure) panicked. The worker recovered, the panic became
+// the scenario's Result.Err (a *PanicError carrying the value and
+// stack), and the worker's reusable buffers were quarantined so later
+// scenarios start from fresh state.
 var ErrPanic = errors.New("sweep: scenario panicked")
 
 // PanicError is a recovered scenario panic: the panic value and the
@@ -88,32 +88,16 @@ type Scenario struct {
 	// Base optionally overrides the sweep-wide baseline for this
 	// scenario — e.g. a per-model profile in a models × configs grid.
 	Base *core.Graph
-	// Opt is the preferred way to declare the scenario's what-if: a
-	// self-describing core.Optimization value. Every value applies
-	// through a worker-owned core.Patch over the shared baseline —
-	// timing-only and patch-form structural optimizations alike run
-	// clone-free; only values that demand a materialized graph (a
-	// core.GraphRewriter such as P3's Repeat form, or a legacy in-place
-	// transform) get a private clone, and a known no-op (an empty
-	// core.Stack) replays the baseline without cloning. An optimization
-	// carrying its own metric (P3) supplies the Measure unless the
-	// scenario sets one. Setting Opt together with Transform or
-	// ScaleTransform is an error.
+	// Opt is the scenario's what-if: a self-describing
+	// core.Optimization value. Every value applies through a
+	// worker-owned core.Patch over the shared baseline — timing-only and
+	// patch-form structural optimizations alike run clone-free; only
+	// values that demand a materialized graph (a core.GraphRewriter
+	// such as P3's Repeat form) get a private clone, and a nil Opt or a
+	// known no-op (an empty core.Stack) replays the baseline without
+	// cloning. An optimization carrying its own metric (P3) supplies the
+	// Measure unless the scenario sets one.
 	Opt core.Optimization
-	// Transform mutates the scenario's private clone, or returns a
-	// different graph to simulate (e.g. a Repeat-expanded one). A nil
-	// Transform with a nil ScaleTransform and a nil Opt replays the
-	// baseline unchanged (without cloning — Simulate never mutates).
-	// Prefer Opt for anything expressible as an Optimization value;
-	// Transform remains for one-off custom structural edits.
-	Transform func(g *core.Graph) (*core.Graph, error)
-	// ScaleTransform declares a duration-only what-if as a function of
-	// the patch's timing tier: the scenario edits per-task durations,
-	// gaps and priorities through the copy-on-write overlay over the
-	// shared baseline. Prefer Opt for anything expressible as an
-	// Optimization value. Setting both Transform and ScaleTransform is
-	// an error.
-	ScaleTransform func(o *core.Overlay) error
 	// SimOptions are extra simulation options (e.g. a custom scheduler,
 	// which runs view-generically over the worker's patch — clone-free —
 	// and overrides any policy the Opt itself carries).
@@ -381,7 +365,7 @@ func nearTotalCone(o *core.Overlay) bool {
 // per-scenario errors are also in the results.
 //
 // The baseline (and any scenario Base) must not be mutated while the
-// sweep runs; the sweep itself clones it only for rewrite transforms.
+// sweep runs; the sweep itself clones it only for graph rewrites.
 //
 // Fault-tolerance contract: a scenario whose callback panics yields
 // exactly one *PanicError row and quarantines that worker's reusable
@@ -487,8 +471,8 @@ func nameOf(sc *Scenario) string {
 }
 
 // runOneSafe runs one scenario with panic isolation: a panic in any
-// user callback — Optimization.Apply, Transform, ScaleTransform, a
-// custom Scheduler picking inside Simulate, Measure — is recovered
+// user callback — Optimization.Apply or RewriteGraph, a custom
+// Scheduler picking inside Simulate, Measure — is recovered
 // into a *PanicError result row, and the worker's reusable state is
 // quarantined before the next scenario.
 func runOneSafe(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) (r Result) {
@@ -517,40 +501,17 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 		r.Err = fmt.Errorf("no baseline graph (neither sweep-wide nor scenario Base)")
 		return r
 	}
-	if sc.Transform != nil && sc.ScaleTransform != nil {
-		r.Err = fmt.Errorf("scenario sets both Transform and ScaleTransform")
-		return r
-	}
-	if sc.Opt != nil && (sc.Transform != nil || sc.ScaleTransform != nil) {
-		r.Err = fmt.Errorf("scenario sets Opt together with Transform/ScaleTransform")
-		return r
-	}
-
 	// Resolve the scenario's what-if onto the unified evaluation paths:
-	// one patch branch for every Opt (and ScaleTransform), a rewrite
-	// branch only when a transform demands a materialized graph, and
-	// the replay fast path for no-ops.
+	// the patch path for every Opt that applies through Apply, the
+	// rewrite path only when the value demands a materialized graph,
+	// and the replay fast path for no-ops.
+	opt := sc.Opt
 	measure := sc.Measure
-	var patchApply func(*core.Patch) error
-	transform := sc.Transform
-	if st := sc.ScaleTransform; st != nil {
-		patchApply = func(p *core.Patch) error { return st(p.Timing()) }
+	if measure == nil {
+		measure = core.OptMeasure(opt)
 	}
-	if opt := sc.Opt; opt != nil {
-		if measure == nil {
-			measure = core.OptMeasure(opt)
-		}
-		switch {
-		case core.OptIsNoop(opt):
-			// Replay path: nothing to apply.
-		case core.OptNeedsGraph(opt):
-			transform = func(c *core.Graph) (*core.Graph, error) {
-				return core.ApplyOptimization(c, opt)
-			}
-		default:
-			patchApply = opt.Apply
-		}
-	}
+	replay := core.OptIsNoop(opt)
+	rewrite := !replay && core.OptNeedsGraph(opt)
 
 	simOpts := make([]core.SimOption, 0, len(sc.SimOptions)+4)
 	// The sweep's context rides into every simulation tier, so an
@@ -563,10 +524,8 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 	// An optimization carrying its own scheduling policy (vDNN's
 	// delayed-prefetch ordering) supplies it first, so an explicit
 	// WithScheduler in the scenario's SimOptions still wins.
-	if sc.Opt != nil {
-		if s := core.OptScheduler(sc.Opt); s != nil {
-			simOpts = append(simOpts, core.WithScheduler(s))
-		}
+	if s := core.OptScheduler(opt); s != nil {
+		simOpts = append(simOpts, core.WithScheduler(s))
 	}
 	simOpts = append(simOpts, sc.SimOptions...)
 	simOpts = append(simOpts, core.WithScratch(w.scratch))
@@ -583,7 +542,29 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 		err  error
 	)
 	switch {
-	case patchApply != nil:
+	case replay:
+		// Replay path: Simulate never mutates, so the baseline is
+		// simulated in place and handed to Measure read-only. Cloning
+		// still happens under KeepGraphs, where the caller receives a
+		// graph it may legally mutate.
+		view = base
+		r.Tier = TierReplay
+		res, err = base.Simulate(simOpts...)
+	case rewrite:
+		// Rewrite path: a private clone to mutate or replace.
+		var g *core.Graph
+		if g, err = core.ApplyOptimization(base.Clone(), opt); err != nil {
+			r.Err = err
+			return r
+		}
+		if g == nil {
+			r.Err = fmt.Errorf("rewrite returned a nil graph")
+			return r
+		}
+		view = g
+		r.Tier = TierClone
+		res, err = g.Simulate(simOpts...)
+	default:
 		// Clone-free path: timing and structural deltas over the
 		// shared baseline through the worker-owned patch.
 		if w.patch == nil {
@@ -591,7 +572,7 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 		} else {
 			w.patch.Reset(base)
 		}
-		if err = patchApply(w.patch); err != nil {
+		if err = opt.Apply(w.patch); err != nil {
 			r.Err = err
 			return r
 		}
@@ -603,29 +584,6 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 			hasSched := core.SchedulerOf(simOpts...) != nil
 			res, r.Tier, err = w.simTimingOnly(base, hasSched, simOpts)
 		}
-	case transform != nil:
-		// Rewrite path: a private clone to mutate or replace.
-		g := base.Clone()
-		g, err = transform(g)
-		if err != nil {
-			r.Err = err
-			return r
-		}
-		if g == nil {
-			r.Err = fmt.Errorf("transform returned a nil graph")
-			return r
-		}
-		view = g
-		r.Tier = TierClone
-		res, err = g.Simulate(simOpts...)
-	default:
-		// Replay path: Simulate never mutates, so the baseline is
-		// simulated in place and handed to Measure read-only. Cloning
-		// still happens under KeepGraphs, where the caller receives a
-		// graph it may legally mutate.
-		view = base
-		r.Tier = TierReplay
-		res, err = base.Simulate(simOpts...)
 	}
 	if err != nil {
 		r.Err = err
@@ -641,7 +599,11 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 	}
 	if cfg.keepGraphs {
 		switch {
-		case patchApply != nil:
+		case replay:
+			r.Graph = base.Clone()
+		case rewrite:
+			r.Graph = view.(*core.Graph)
+		default:
 			// Honor the private-graph contract: hand back a clone
 			// carrying the patch's timing and structural deltas, never
 			// the shared baseline.
@@ -649,10 +611,6 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 			if r.Err != nil {
 				return r
 			}
-		case transform != nil:
-			r.Graph = view.(*core.Graph)
-		default:
-			r.Graph = base.Clone()
 		}
 	}
 	if cfg.keepSims {

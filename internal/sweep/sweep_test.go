@@ -26,14 +26,26 @@ func testGraph(n int) *core.Graph {
 	return g
 }
 
+// rewriteOpt wraps a graph transform as a value evaluated on a private
+// clone (the clone tier).
+func rewriteOpt(rewrite func(*core.Graph) (*core.Graph, error)) core.Optimization {
+	return core.RewriteOpt("", rewrite, nil)
+}
+
+// timingOpt wraps an edit of the patch's timing tier as a timing-only
+// value (the overlay and incremental tiers).
+func timingOpt(edit func(*core.Overlay) error) core.Optimization {
+	return core.PatchOpt("", core.TimingOnly, func(p *core.Patch) error { return edit(p.Timing()) }, nil)
+}
+
 // scaleScenario shrinks every GPU kernel by the given factor.
 func scaleScenario(name string, factor float64) Scenario {
 	return Scenario{
 		Name: name,
-		Transform: func(g *core.Graph) (*core.Graph, error) {
+		Opt: rewriteOpt(func(g *core.Graph) (*core.Graph, error) {
 			core.Scale(g.Select(core.OnGPUPred), factor)
 			return g, nil
-		},
+		}),
 	}
 }
 
@@ -48,8 +60,8 @@ func sequential(t *testing.T, baseline *core.Graph, scenarios []Scenario) []time
 		}
 		g := base.Clone()
 		var err error
-		if sc.Transform != nil {
-			g, err = sc.Transform(g)
+		if sc.Opt != nil {
+			g, err = core.ApplyOptimization(g, sc.Opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +137,7 @@ func TestSweepScenarioError(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	results, err := Run(g, []Scenario{
 		scaleScenario("ok", 0.5),
-		{Name: "bad", Transform: func(*core.Graph) (*core.Graph, error) { return nil, boom }},
+		{Name: "bad", Opt: rewriteOpt(func(*core.Graph) (*core.Graph, error) { return nil, boom })},
 		scaleScenario("also ok", 0.25),
 	})
 	if err == nil {
@@ -143,9 +155,9 @@ func TestSweepMeasureAndKeep(t *testing.T) {
 	g := testGraph(8)
 	results, err := Run(g, []Scenario{{
 		Name: "repeat",
-		Transform: func(c *core.Graph) (*core.Graph, error) {
+		Opt: rewriteOpt(func(c *core.Graph) (*core.Graph, error) {
 			return c.Repeat(3)
-		},
+		}),
 		Measure: func(rg core.TaskView, res *core.SimResult) (time.Duration, error) {
 			return core.RoundSpan(rg, res, 2) - core.RoundSpan(rg, res, 1), nil
 		},
@@ -198,17 +210,17 @@ func TestSweepEmpty(t *testing.T) {
 func overlayScaleScenario(name string, factor float64) Scenario {
 	return Scenario{
 		Name: name,
-		ScaleTransform: func(o *core.Overlay) error {
+		Opt: timingOpt(func(o *core.Overlay) error {
 			for _, u := range o.Base().LayerPhaseIndex().GPUTasks() {
 				o.ScaleDuration(u, factor)
 			}
 			return nil
-		},
+		}),
 	}
 }
 
 // TestSweepOverlayMatchesClonePath checks the clone-free dispatch: a
-// duration-only scenario evaluated through ScaleTransform is
+// duration-only scenario evaluated through a timing-only value is
 // bit-identical to the same edit through the structural clone path.
 func TestSweepOverlayMatchesClonePath(t *testing.T) {
 	g := testGraph(60)
@@ -236,20 +248,6 @@ func TestSweepOverlayMatchesClonePath(t *testing.T) {
 		if u.OnGPU() && u.Duration != 10*time.Microsecond {
 			t.Fatalf("overlay sweep mutated baseline task %v", u)
 		}
-	}
-}
-
-// TestSweepBothTransformsRejected checks the ambiguous scenario shape
-// errors out instead of silently picking a path.
-func TestSweepBothTransformsRejected(t *testing.T) {
-	g := testGraph(4)
-	sc := Scenario{
-		Name:           "both",
-		Transform:      func(c *core.Graph) (*core.Graph, error) { return c, nil },
-		ScaleTransform: func(o *core.Overlay) error { return nil },
-	}
-	if _, err := Run(g, []Scenario{sc}); err == nil {
-		t.Fatal("scenario with both Transform and ScaleTransform did not error")
 	}
 }
 
@@ -287,10 +285,10 @@ func TestSweepOverlayMeasureSeesEffectiveTimings(t *testing.T) {
 	last := kernels[len(kernels)-1]
 	sc := Scenario{
 		Name: "measure",
-		ScaleTransform: func(o *core.Overlay) error {
+		Opt: timingOpt(func(o *core.Overlay) error {
 			o.SetDuration(last, time.Millisecond)
 			return nil
-		},
+		}),
 		Measure: func(v core.TaskView, res *core.SimResult) (time.Duration, error) {
 			p, ok := v.(*core.Patch)
 			if !ok {
@@ -430,7 +428,8 @@ func TestSweepNamePrecedence(t *testing.T) {
 // gpuScaleOpt is scaleScenario's what-if as a timing-only Optimization
 // value.
 func gpuScaleOpt(factor float64) core.Optimization {
-	return core.TimingOpt(fmt.Sprintf("gpu-x%g", factor), func(o *core.Overlay) error {
+	return core.PatchOpt(fmt.Sprintf("gpu-x%g", factor), core.TimingOnly, func(p *core.Patch) error {
+		o := p.Timing()
 		for _, u := range o.Base().Tasks() {
 			if u.OnGPU() {
 				o.ScaleDuration(u, factor)
@@ -458,9 +457,9 @@ func TestSweepOptDispatch(t *testing.T) {
 	manual := []Scenario{
 		overlayScaleScenario("a", 0.5),
 		overlayScaleScenario("b", 0.25),
-		{Name: "c", Transform: func(c *core.Graph) (*core.Graph, error) {
-			return c, core.ApplyGraph(structural, c)
-		}},
+		{Name: "c", Opt: rewriteOpt(func(c *core.Graph) (*core.Graph, error) {
+			return core.ApplyOptimization(c, structural)
+		})},
 	}
 	got, err := Run(g, opts)
 	if err != nil {
@@ -483,20 +482,6 @@ func TestSweepOptDispatch(t *testing.T) {
 	for _, u := range g.Tasks() {
 		if u.OnGPU() && u.Duration != 10*time.Microsecond {
 			t.Fatalf("Opt sweep mutated baseline task %v", u)
-		}
-	}
-}
-
-// TestSweepOptRejectsManualTransforms checks the ambiguous shape (Opt
-// together with a manual transform) errors out.
-func TestSweepOptRejectsManualTransforms(t *testing.T) {
-	g := testGraph(4)
-	for _, sc := range []Scenario{
-		{Opt: gpuScaleOpt(0.5), Transform: func(c *core.Graph) (*core.Graph, error) { return c, nil }},
-		{Opt: gpuScaleOpt(0.5), ScaleTransform: func(*core.Overlay) error { return nil }},
-	} {
-		if _, err := Run(g, []Scenario{sc}); err == nil {
-			t.Fatal("scenario with Opt and a manual transform did not error")
 		}
 	}
 }
@@ -536,7 +521,7 @@ func TestSweepOptCarriesMeasure(t *testing.T) {
 // TestSweepNoopStackReplaysWithoutClone pins the replay-path fast path
 // for a no-op stack: a Scenario whose Opt is Stack() with zero parts
 // must predict the baseline exactly and allocate no more than the
-// existing "neither Transform" replay scenario — i.e. it takes the same
+// existing no-what-if replay scenario — i.e. it takes the same
 // clone-free, overlay-free path.
 func TestSweepNoopStackReplaysWithoutClone(t *testing.T) {
 	g := testGraph(20)
@@ -602,9 +587,9 @@ func TestSweepStructuralPatchMatchesClonePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(g, []Scenario{{Name: "clone", Transform: func(c *core.Graph) (*core.Graph, error) {
+	want, err := Run(g, []Scenario{{Name: "clone", Opt: rewriteOpt(func(c *core.Graph) (*core.Graph, error) {
 		return core.ApplyOptimization(c, opt)
-	}}})
+	})}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -655,9 +640,9 @@ func TestSweepStructuralOptWithCustomScheduler(t *testing.T) {
 	}
 	want, err := Run(g, []Scenario{{
 		Name: "clone",
-		Transform: func(c *core.Graph) (*core.Graph, error) {
+		Opt: rewriteOpt(func(c *core.Graph) (*core.Graph, error) {
 			return core.ApplyOptimization(c, opt)
-		},
+		}),
 		SimOptions: simOpts,
 	}})
 	if err != nil {
@@ -726,10 +711,10 @@ type wrappedEarliest struct{ core.EarliestStart }
 func TestSweepNearTotalConeTakesOverlay(t *testing.T) {
 	g := testGraph(40)
 	edit := func(name string, pick func(ks []*core.Task) *core.Task, d time.Duration) Scenario {
-		return Scenario{Name: name, ScaleTransform: func(o *core.Overlay) error {
+		return Scenario{Name: name, Opt: timingOpt(func(o *core.Overlay) error {
 			o.SetDuration(pick(o.Base().Select(core.OnGPUPred)), d)
 			return nil
-		}}
+		})}
 	}
 	head := func(ks []*core.Task) *core.Task { return ks[0] }
 	tail := func(ks []*core.Task) *core.Task { return ks[len(ks)-1] }
@@ -771,18 +756,18 @@ func TestSweepTierDispatch(t *testing.T) {
 	// task (like scaleScenario) would trip the dense-delta cutoff and
 	// legitimately report the overlay tier instead.
 	sparseOverlay := func(name string, d time.Duration) Scenario {
-		return Scenario{Name: name, ScaleTransform: func(o *core.Overlay) error {
+		return Scenario{Name: name, Opt: timingOpt(func(o *core.Overlay) error {
 			ks := o.Base().Select(core.OnGPUPred)
 			o.SetDuration(ks[len(ks)-1], d)
 			return nil
-		}}
+		})}
 	}
 	sparseClone := func(name string, d time.Duration) Scenario {
-		return Scenario{Name: name, Transform: func(c *core.Graph) (*core.Graph, error) {
+		return Scenario{Name: name, Opt: rewriteOpt(func(c *core.Graph) (*core.Graph, error) {
 			ks := c.Select(core.OnGPUPred)
 			ks[len(ks)-1].Duration = d
 			return c, nil
-		}}
+		})}
 	}
 	scenarios := []Scenario{
 		{Name: "replay"},
@@ -797,8 +782,9 @@ func TestSweepTierDispatch(t *testing.T) {
 			return sc
 		}(),
 	}
-	// sequential() only evaluates Transform scenarios, so the expected
-	// values come from the clone-path equivalents of the first five.
+	// sequential() evaluates every scenario on a private clone; the
+	// expected values come from the clone-path equivalents of the
+	// first five.
 	want := sequential(t, g, []Scenario{
 		{Name: "replay"},
 		sparseClone("warmup", 40*time.Microsecond),

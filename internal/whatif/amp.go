@@ -2,36 +2,31 @@ package whatif
 
 import "daydream/internal/core"
 
-// AMP models automatic mixed precision (Micikevicius et al., implemented
-// by NVIDIA Apex) exactly as the paper's Algorithm 3: every GPU task whose
-// name marks it compute-intensive ("sgemm"/"scudnn") shrinks 3× — the
-// empirical tensor-core ceiling the paper cites [57] — and every other GPU
-// task shrinks 2×, because halving the transferred bits halves a
-// memory-bound kernel's time. CPU tasks are untouched, which is why AMP's
-// end-to-end gains are far below 3× on CPU-bound models (paper §6.2).
-func AMP(g *core.Graph) {
-	for _, u := range g.Select(core.OnGPUPred) {
-		if core.ComputeIntensivePred(u) {
-			u.Duration /= 3
-		} else {
-			u.Duration /= 2
-		}
-	}
-}
-
-// AMPOverlay is AMP's clone-free form: the same Algorithm-3 scaling
-// recorded as copy-on-write duration deltas over the shared baseline.
-// Both the GPU task list and the compute-intensive classification come
+// OptAMP returns automatic mixed precision (Micikevicius et al.,
+// implemented by NVIDIA Apex) exactly as the paper's Algorithm 3: every
+// GPU task whose name marks it compute-intensive ("sgemm"/"scudnn")
+// shrinks 3× — the empirical tensor-core ceiling the paper cites [57] —
+// and every other GPU task shrinks 2×, because halving the transferred
+// bits halves a memory-bound kernel's time. CPU tasks are untouched,
+// which is why AMP's end-to-end gains are far below 3× on CPU-bound
+// models (paper §6.2).
+//
+// Timing-only: the scaling is recorded in the patch's timing tier, and
+// both the GPU task list and the compute-intensive classification come
 // from the baseline's memoized layer/phase index, so repeated AMP
 // scenarios over one profile neither scan nor string-match anything.
-func AMPOverlay(o *core.Overlay) {
-	ix := o.Base().LayerPhaseIndex()
-	compute := ix.GPUComputeBound()
-	for i, u := range ix.GPUTasks() {
-		if compute[i] {
-			o.SetDuration(u, o.Duration(u)/3)
-		} else {
-			o.SetDuration(u, o.Duration(u)/2)
+func OptAMP() core.Optimization {
+	return core.PatchOpt("amp", core.TimingOnly, func(p *core.Patch) error {
+		o := p.Timing()
+		ix := p.Base().LayerPhaseIndex()
+		compute := ix.GPUComputeBound()
+		for i, u := range ix.GPUTasks() {
+			if compute[i] {
+				o.SetDuration(u, o.Duration(u)/3)
+			} else {
+				o.SetDuration(u, o.Duration(u)/2)
+			}
 		}
-	}
+		return nil
+	}, nil)
 }

@@ -191,7 +191,7 @@ func TestAnchorScanOncePerApply(t *testing.T) {
 			name  string
 			apply func(v core.TaskView, p *core.Patch) error
 		}{
-			{"vdnn", func(v core.TaskView, p *core.Patch) error { return vdnnInto(g, v, p, VDNNOptions{}) }},
+			{"vdnn", func(v core.TaskView, p *core.Patch) error { return vdnnInto(p, v, VDNNOptions{}) }},
 			{"gist", func(v core.TaskView, p *core.Patch) error { return gistInto(g, v, p, GistOptions{Lossy: true}) }},
 		}
 		for _, tc := range cases {

@@ -31,7 +31,7 @@ type BlueConnectOptions struct {
 func BlueConnect(g *core.Graph, opts BlueConnectOptions) error {
 	reduces := g.Select(core.And(core.KindIs(trace.KindComm), core.NameContains("AllReduce")))
 	if len(reduces) == 0 {
-		return fmt.Errorf("whatif: BlueConnect: no allReduce tasks in graph (apply Distributed first)")
+		return fmt.Errorf("whatif: BlueConnect: no allReduce tasks in graph (apply DistributedPatch and materialize first)")
 	}
 	for _, u := range reduces {
 		stages, err := comm.Decompose(u.Bytes, opts.Factors, opts.Bandwidths, opts.StepLatency)

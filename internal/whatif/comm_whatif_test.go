@@ -21,16 +21,9 @@ func TestBlueConnectHelpsOnHierarchicalTopology(t *testing.T) {
 		IntraBandwidth: 11e9,
 		StepLatency:    15 * time.Microsecond,
 	}
-	flat := g.Clone()
-	if err := whatif.Distributed(flat, whatif.DistributedOptions{Topology: topo}); err != nil {
-		t.Fatal(err)
-	}
-	flatTime := predict(t, flat)
+	flatTime := predict(t, applied(t, g, whatif.OptDistributed(whatif.DistributedOptions{Topology: topo})))
 
-	blue := g.Clone()
-	if err := whatif.Distributed(blue, whatif.DistributedOptions{Topology: topo}); err != nil {
-		t.Fatal(err)
-	}
+	blue := applied(t, g, whatif.OptDistributed(whatif.DistributedOptions{Topology: topo}))
 	// Dimension 0: across the 2 machines over the NIC; dimension 1:
 	// the 4 GPUs within a machine over PCIe.
 	if err := whatif.BlueConnect(blue, whatif.BlueConnectOptions{
@@ -50,10 +43,8 @@ func TestBlueConnectHelpsOnHierarchicalTopology(t *testing.T) {
 // TestDGCCompressionRatioMatters checks that heavier compression predicts
 // faster iterations in a comm-bound setting.
 func TestDGCCompressionRatioMatters(t *testing.T) {
-	g := profile(t, "vgg19", framework.PyTorch)
-	if err := whatif.Distributed(g, whatif.DistributedOptions{Topology: topo4x1(2)}); err != nil {
-		t.Fatal(err)
-	}
+	g := applied(t, profile(t, "vgg19", framework.PyTorch),
+		whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(2)}))
 	run := func(ratio float64) time.Duration {
 		c := g.Clone()
 		if err := whatif.DGC(c, whatif.DGCOptions{CompressionRatio: ratio}); err != nil {
@@ -80,12 +71,9 @@ func TestDistributedBucketSizeTradeoff(t *testing.T) {
 		}
 		topo := topo4x1(10)
 		topo.StepLatency = 200 * time.Microsecond
-		if err := whatif.Distributed(c, whatif.DistributedOptions{
+		return predict(t, applied(t, c, whatif.OptDistributed(whatif.DistributedOptions{
 			Topology: topo, BucketBytes: bucketBytes,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return predict(t, c)
+		})))
 	}
 	tiny := run(256 << 10) // 256 KB buckets: many high-latency primitives
 	deflt := run(comm.DefaultBucketBytes)

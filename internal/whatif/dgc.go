@@ -30,15 +30,16 @@ func (o *DGCOptions) defaults() {
 
 // DGC models deep gradient compression (Lin et al.) per the paper's §5.2
 // and Algorithm 12, applied to a graph that already carries communication
-// tasks (run Distributed first): (i) every all-reduce's duration is scaled
-// by the compression ratio, and (ii) compression kernels are inserted
-// before, and decompression kernels after, each communication primitive,
-// with durations estimated from existing element-wise kernels.
+// tasks (a materialized DistributedPatch): (i) every all-reduce's
+// duration is scaled by the compression ratio, and (ii) compression
+// kernels are inserted before, and decompression kernels after, each
+// communication primitive, with durations estimated from existing
+// element-wise kernels.
 func DGC(g *core.Graph, opts DGCOptions) error {
 	opts.defaults()
 	reduces := g.Select(core.And(core.KindIs(trace.KindComm), core.NameContains("AllReduce")))
 	if len(reduces) == 0 {
-		return fmt.Errorf("whatif: DGC: no allReduce tasks in graph (apply Distributed first)")
+		return fmt.Errorf("whatif: DGC: no allReduce tasks in graph (apply DistributedPatch and materialize first)")
 	}
 	ew := g.Select(core.And(core.OnGPUPred, core.NameContains("elementwise")))
 	est := core.MeanDuration(ew)

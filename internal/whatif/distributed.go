@@ -2,23 +2,11 @@ package whatif
 
 import (
 	"fmt"
-	"time"
 
 	"daydream/internal/comm"
 	"daydream/internal/core"
 	"daydream/internal/trace"
 )
-
-// graphEditor is the write surface shared by *core.Graph and
-// *core.Patch: the structural models read the baseline (tasks, layer
-// index, gradient metadata) and emit their surgery through this
-// interface, so the in-place form and the clone-free patch form are the
-// same code — and therefore bit-equivalent by construction.
-type graphEditor interface {
-	NewTask(name string, kind trace.Kind, thread core.ThreadID, dur time.Duration) *core.Task
-	AppendTask(t *core.Task)
-	AddDependency(from, to *core.Task, kind core.DepKind) error
-}
 
 // DistributedOptions configures the distributed-training what-if.
 type DistributedOptions struct {
@@ -29,33 +17,20 @@ type DistributedOptions struct {
 	BucketBytes int64
 }
 
-// Distributed predicts data-parallel training performance from a
+// DistributedPatch predicts data-parallel training performance from a
 // single-GPU profile, per the paper's §5.1 and Algorithm 6: one
-// ncclAllReduce task is inserted per gradient bucket on the communication
-// channel, depending on the last backward GPU task of the bucket's layers
-// and feeding the earliest weight-update node. Durations come from the
-// analytic ring all-reduce formula — the paper's predictor knows the
-// gradient sizes, primitive type and network bandwidth, nothing more.
-//
-// Distributed mutates g in place; DistributedPatch is the clone-free
-// form that records the same insertions as structural deltas over a
-// shared baseline.
-func Distributed(g *core.Graph, opts DistributedOptions) error {
-	return distributedInto(g, g, opts)
-}
-
-// DistributedPatch is Algorithm 6 as a copy-on-write structural patch:
-// the all-reduce tasks and their dependency edges are recorded as
-// deltas over the patch's shared baseline instead of being inserted
-// into a clone. Simulating the patch is bit-identical to cloning the
-// baseline and applying Distributed to the clone.
+// ncclAllReduce task is inserted per gradient bucket on the
+// communication channel, depending on the last backward GPU task of the
+// bucket's layers and feeding the earliest weight-update node.
+// Durations come from the analytic ring all-reduce formula — the
+// paper's predictor knows the gradient sizes, primitive type and
+// network bandwidth, nothing more. The all-reduce tasks and their
+// dependency edges are recorded as copy-on-write deltas over the
+// patch's shared baseline; Patch.Materialize yields the distributed
+// graph itself for the models that rewrite it further (BlueConnect,
+// DGC).
 func DistributedPatch(p *core.Patch, opts DistributedOptions) error {
-	return distributedInto(p.Base(), p, opts)
-}
-
-// distributedInto reads the baseline g and emits Algorithm 6's
-// insertions through ed (the graph itself, or a patch over it).
-func distributedInto(g *core.Graph, ed graphEditor, opts DistributedOptions) error {
+	g := p.Base()
 	n := opts.Topology.TotalGPUs()
 	if n <= 1 {
 		return nil // single worker: the baseline graph is the answer
@@ -71,11 +46,10 @@ func distributedInto(g *core.Graph, ed graphEditor, opts DistributedOptions) err
 	if len(buckets) == 0 {
 		return fmt.Errorf("whatif: Distributed: model has no gradients")
 	}
-	// Hold the layer/phase index across the insertions below: the new
-	// communication tasks carry no layer mapping, so the snapshot stays
-	// correct, and the O(layers × tasks) per-bucket scans collapse into
-	// one O(tasks) build. On the patch path the baseline is never
-	// mutated at all, so the memoized index is shared as-is.
+	// The baseline's memoized layer/phase index answers every bucket's
+	// queries: the O(layers × tasks) per-bucket scans collapse into one
+	// O(tasks) build, shared as-is because the patch never mutates the
+	// baseline.
 	idx := g.LayerPhaseIndex()
 	wu := idx.EarliestWeightUpdate()
 	if wu == nil {
@@ -83,16 +57,16 @@ func distributedInto(g *core.Graph, ed graphEditor, opts DistributedOptions) err
 	}
 	ch := core.Channel("nccl")
 	for _, b := range buckets {
-		task := ed.NewTask("ncclAllReduce", trace.KindComm, ch, opts.Topology.AllReduceTime(b.Bytes))
+		task := p.NewTask("ncclAllReduce", trace.KindComm, ch, opts.Topology.AllReduceTime(b.Bytes))
 		task.Bytes = b.Bytes
 		// NCCL calls on one communicator serialize in launch order.
-		ed.AppendTask(task)
+		p.AppendTask(task)
 		// The all-reduce starts when the bucket's last gradient is
 		// computed …
 		deps := 0
 		for _, li := range b.Layers {
 			if u := idx.LastBackwardGPUAnyRound(li); u != nil {
-				if err := ed.AddDependency(u, task, core.DepComm); err != nil {
+				if err := p.AddDependency(u, task, core.DepComm); err != nil {
 					return err
 				}
 				deps++
@@ -102,9 +76,20 @@ func distributedInto(g *core.Graph, ed graphEditor, opts DistributedOptions) err
 			return fmt.Errorf("whatif: Distributed: bucket %d has no backward tasks", b.ID)
 		}
 		// … and the weight update waits for every bucket.
-		if err := ed.AddDependency(task, wu, core.DepComm); err != nil {
+		if err := p.AddDependency(task, wu, core.DepComm); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// OptDistributed returns the data-parallel prediction (Algorithm 6,
+// DistributedPatch) as a structural Optimization value: the all-reduce
+// insertions are recorded as copy-on-write deltas, so sweep grids over
+// one shared profile stay clone-free.
+func OptDistributed(opts DistributedOptions) core.Optimization {
+	t := opts.Topology
+	name := fmt.Sprintf("distributed %s @%.0fGbps", t.String(), t.NICBandwidth/comm.Gbps(1))
+	return core.PatchOpt(name, core.Structural,
+		func(p *core.Patch) error { return DistributedPatch(p, opts) }, nil)
 }

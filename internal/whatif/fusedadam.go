@@ -5,92 +5,59 @@ import (
 	"time"
 
 	"daydream/internal/core"
-	"daydream/internal/trace"
 )
 
-// fusedAdamPlan computes the parts of Algorithm 4 both forms share: the
-// weight-update GPU kernels, the one that becomes the fused kernel (the
-// earliest in the traced schedule), and the summed duration estimate.
-func fusedAdamPlan(g *core.Graph, wuGPU []*core.Task, dur func(*core.Task) time.Duration) (first *core.Task, sum time.Duration, err error) {
-	if err := requireLayers(g, "FusedAdam"); err != nil {
-		return nil, 0, err
-	}
-	if len(wuGPU) == 0 {
-		return nil, 0, fmt.Errorf("whatif: FusedAdam: no weight-update GPU tasks found")
-	}
-	for _, u := range wuGPU {
-		sum += dur(u)
-	}
-	first = wuGPU[0]
-	for _, u := range wuGPU {
-		if u.TracedStart < first.TracedStart {
-			first = u
+// OptFusedAdam returns Apex's fused Adam optimizer per the paper's §5.1
+// and Algorithm 4: the weight-update phase collapses into one fused GPU
+// kernel — the earliest weight-update kernel in the traced schedule —
+// whose duration is estimated as the sum of the superseded kernels'
+// durations, and the thousands of CUDA launches that bottleneck the CPU
+// disappear. The estimate is deliberately the paper's (it cannot know
+// the fused implementation's true memory traffic), which is one of the
+// places prediction error comes from.
+//
+// Timing-only: instead of removing the superseded kernels and their
+// launch calls, the value zeroes their durations and gaps in the
+// patch's timing tier, which yields the same simulated makespan and the
+// same start time for every surviving task as Algorithm 4's removal.
+// The equivalence holds because every zeroed task is sequence-chained
+// on its thread (they are traced kernels/launches): its thread-progress
+// term equals its sequence parent's end, so everything a zero-time task
+// forwards — dependency-parent ends and thread progress alike — is an
+// ordering constraint Remove's reconnection edges preserve. (The zeroed
+// tasks still exist, so a critical path may route through them where
+// the removal routes through the reconnection edges.)
+func OptFusedAdam() core.Optimization {
+	return core.PatchOpt("fusedadam", core.TimingOnly, func(p *core.Patch) error {
+		g := p.Base()
+		if err := requireLayers(g, "FusedAdam"); err != nil {
+			return err
 		}
-	}
-	return first, sum, nil
-}
-
-// FusedAdam models Apex's fused Adam optimizer per the paper's §5.1 and
-// Algorithm 4: all weight-update-phase tasks are removed — eliminating the
-// thousands of CUDA launches that bottleneck the CPU — and one fused GPU
-// kernel is inserted whose duration is estimated as the sum of the removed
-// kernels' durations. The estimate is deliberately the paper's (it cannot
-// know the fused implementation's true memory traffic), which is one of
-// the places prediction error comes from.
-func FusedAdam(g *core.Graph) error {
-	wuGPU := g.Select(core.And(core.OnGPUPred, core.InPhase(trace.WeightUpdate)))
-	first, sum, err := fusedAdamPlan(g, wuGPU,
-		func(t *core.Task) time.Duration { return t.Duration })
-	if err != nil {
-		return err
-	}
-	first.Duration = sum
-	first.Name = "multi_tensor_apply_kernel_adam"
-	for _, u := range wuGPU {
-		if u == first {
-			continue
+		wuGPU := g.LayerPhaseIndex().WeightUpdateGPUTasks()
+		if len(wuGPU) == 0 {
+			return fmt.Errorf("whatif: FusedAdam: no weight-update GPU tasks found")
 		}
-		// Remove the launch that triggered the kernel, then the
-		// kernel itself: FusedAdam's win is precisely these CPU
-		// tasks disappearing.
-		if peer := u.Peer(); peer != nil && peer.OnCPU() {
-			g.Remove(peer)
+		o := p.Timing()
+		first := wuGPU[0]
+		var sum time.Duration
+		for _, u := range wuGPU {
+			sum += o.Duration(u)
+			if u.TracedStart < first.TracedStart {
+				first = u
+			}
 		}
-		g.Remove(u)
-	}
-	return nil
-}
-
-// FusedAdamOverlay is FusedAdam's clone-free form: instead of removing
-// the superseded weight-update kernels and their launch calls, it
-// zeroes their durations and gaps through the overlay, which yields the
-// same simulated makespan and the same start time for every surviving
-// task. The equivalence holds because every zeroed task is
-// sequence-chained on its thread (they are traced kernels/launches):
-// its thread-progress term equals its sequence parent's end, so
-// everything a zero-time task forwards — dependency-parent ends and
-// thread progress alike — is an ordering constraint Remove's
-// reconnection edges preserve. (The zeroed tasks still exist, so a
-// critical path may legitimately route through them where the removal
-// form routes through the reconnection edges.)
-func FusedAdamOverlay(o *core.Overlay) error {
-	g := o.Base()
-	wuGPU := g.LayerPhaseIndex().WeightUpdateGPUTasks()
-	first, sum, err := fusedAdamPlan(g, wuGPU, o.Duration)
-	if err != nil {
-		return err
-	}
-	o.SetDuration(first, sum)
-	for _, u := range wuGPU {
-		if u == first {
-			continue
+		o.SetDuration(first, sum)
+		for _, u := range wuGPU {
+			if u == first {
+				continue
+			}
+			if peer := u.Peer(); peer != nil && peer.OnCPU() {
+				o.SetDuration(peer, 0)
+				o.SetGap(peer, 0)
+			}
+			o.SetDuration(u, 0)
+			o.SetGap(u, 0)
 		}
-		if peer := u.Peer(); peer != nil && peer.OnCPU() {
-			o.SetDuration(peer, 0)
-			o.SetGap(peer, 0)
-		}
-		o.SetDuration(u, 0)
-		o.SetGap(u, 0)
-	}
-	return nil
+		return nil
+	}, nil)
 }

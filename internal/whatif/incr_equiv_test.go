@@ -50,8 +50,8 @@ func assertIncrEquiv(t *testing.T, v core.TaskView, got, want *core.SimResult) {
 }
 
 // TestIncrementalEquivalenceAcrossZoo re-simulates every registry
-// duration-only what-if (the overlay forms of the clone-vs-overlay
-// suite) incrementally and pins bit-identity with the cold path. These
+// duration-only what-if (the timing tiers of the timing-tier
+// equivalence suite) incrementally and pins bit-identity with the cold path. These
 // deltas are all timing-only over dependency-forced threads, so the
 // only fallback allowed is the dense-delta performance cutoff: a
 // what-if editing more than 1/8 of the live tasks (AMP, fusedadam,
@@ -71,10 +71,11 @@ func TestIncrementalEquivalenceAcrossZoo(t *testing.T) {
 			for _, tc := range equivCases() {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					o := core.NewOverlay(g)
-					if err := tc.overlay(o); err != nil {
+					p := core.NewPatch(g)
+					if err := tc.opt.Apply(p); err != nil {
 						return // the workload is rejected; nothing to compare
 					}
+					o := p.Timing()
 					edits := 0
 					for _, u := range g.Tasks() {
 						if o.Duration(u) != u.Duration || o.Gap(u) != u.Gap {

@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -27,56 +28,43 @@ func (p KernelProfile) sortedKeys() []string {
 	return keys
 }
 
-// applyKernelProfile matches every GPU task in the list against the
-// profile and hands the overridden duration to set, returning the
-// number of tasks updated — the shared core of both forms.
-func applyKernelProfile(gpu []*core.Task, profile KernelProfile, set func(*core.Task, time.Duration)) int {
-	if len(profile) == 0 {
-		return 0
-	}
-	keys := profile.sortedKeys()
-	updated := 0
-	for _, u := range gpu {
-		for _, k := range keys {
-			if core.NameContains(k)(u) {
-				set(u, profile[k])
-				updated++
-				break
+// OptKernelProfile returns the externally-profiled-kernel what-if
+// (paper §7.4) as an Optimization value: the duration of every GPU task
+// whose name contains a profile key is overwritten with the profiled
+// one. When several keys match one task, the longest key wins (most
+// specific). Timing-only: the profiled durations are recorded as
+// copy-on-write deltas — typically a handful of sparse edits — over the
+// shared baseline.
+func OptKernelProfile(profile KernelProfile) core.Optimization {
+	return core.PatchOpt("kprofile", core.TimingOnly, func(p *core.Patch) error {
+		if len(profile) == 0 {
+			return nil
+		}
+		keys := profile.sortedKeys()
+		o := p.Timing()
+		for _, u := range p.Base().LayerPhaseIndex().GPUTasks() {
+			for _, k := range keys {
+				if core.NameContains(k)(u) {
+					o.SetDuration(u, profile[k])
+					break
+				}
 			}
 		}
-	}
-	return updated
+		return nil
+	}, nil)
 }
 
-// ApplyKernelProfile overwrites the duration of every GPU task whose name
-// contains a profile key, and returns how many tasks were updated. When
-// several keys match one task, the longest key wins (most specific).
-func ApplyKernelProfile(g *core.Graph, profile KernelProfile) int {
-	return applyKernelProfile(g.Select(core.OnGPUPred), profile,
-		func(t *core.Task, d time.Duration) { t.Duration = d })
-}
-
-// ApplyKernelProfileOverlay is ApplyKernelProfile's clone-free form:
-// profiled durations are recorded as overlay deltas — typically a
-// handful of sparse edits — over the shared baseline.
-func ApplyKernelProfileOverlay(o *core.Overlay, profile KernelProfile) int {
-	return applyKernelProfile(o.Base().LayerPhaseIndex().GPUTasks(), profile, o.SetDuration)
-}
-
-// ScaleByName multiplies the durations of GPU tasks whose name contains
-// the substring — the generic COZ-style "what if task T were N× faster"
-// question the paper's related work poses, expressed with the primitives.
-func ScaleByName(g *core.Graph, sub string, factor float64) int {
-	tasks := g.Select(core.And(core.OnGPUPred, core.NameContains(sub)))
-	core.Scale(tasks, factor)
-	return len(tasks)
-}
-
-// ScaleByNameOverlay is ScaleByName's clone-free form.
-func ScaleByNameOverlay(o *core.Overlay, sub string, factor float64) int {
-	tasks := o.Base().LayerPhaseIndex().GPUTasksMatching(sub)
-	for _, u := range tasks {
-		o.ScaleDuration(u, factor)
-	}
-	return len(tasks)
+// OptScale returns the COZ-style "what if GPU kernels whose name
+// contains sub ran at factor× their duration" question — the generic
+// what-if the paper's related work poses, expressed with the
+// primitives — as a timing-only Optimization value.
+func OptScale(sub string, factor float64) core.Optimization {
+	name := fmt.Sprintf("scale %q x%g", sub, factor)
+	return core.PatchOpt(name, core.TimingOnly, func(p *core.Patch) error {
+		o := p.Timing()
+		for _, u := range p.Base().LayerPhaseIndex().GPUTasksMatching(sub) {
+			o.ScaleDuration(u, factor)
+		}
+		return nil
+	}, nil)
 }

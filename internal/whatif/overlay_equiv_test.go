@@ -1,17 +1,16 @@
 package whatif_test
 
-// Overlay-vs-clone equivalence suite: for every zoo model and every
-// duration-only what-if optimization, the clone-free overlay form must
-// reproduce the clone+mutate form bit for bit — same makespan and same
-// start time for every task alive in the mutated clone. For the pure
-// rescaling transforms (no task removal) the critical path must also
-// match task for task; the zeroing forms (FusedAdam, ReconBatchnorm)
-// keep the zeroed tasks in the graph, so their critical path may
-// legitimately route through a zero-duration task where the removal
-// form routes through Remove's reconnection edges, and only
-// makespan+starts are compared.
+// Timing-tier equivalence suite: for every zoo model and every
+// timing-only what-if, simulating the patch's copy-on-write timing tier
+// over the shared baseline must reproduce the reference — the patch
+// materialized into a private graph and cold-simulated — bit for bit:
+// same makespan, same start time for every task, same critical path.
+// The zeroing forms (FusedAdam, batchnorm restructuring) are further
+// held to the removal forms of Algorithms 4 and 5 on makespan and the
+// starts of every task the removal keeps.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -22,14 +21,10 @@ import (
 	"daydream/internal/xpu"
 )
 
-// equivCase pairs a clone-path transform with its overlay form.
+// equivCase names one timing-only what-if of the suite.
 type equivCase struct {
 	name string
-	// strictPath additionally requires identical critical paths (holds
-	// for pure rescaling, where both graphs have identical structure).
-	strictPath bool
-	clone      func(*core.Graph) error
-	overlay    func(*core.Overlay) error
+	opt  core.Optimization
 }
 
 func equivCases() []equivCase {
@@ -38,58 +33,13 @@ func equivCases() []equivCase {
 		"elemwise": 20 * time.Microsecond,
 		"sgemm_fp": 900 * time.Microsecond, // longer key must win over "sgemm"
 	}
-	from, to := xpu.RTX2080Ti(), xpu.V100()
 	return []equivCase{
-		{
-			name:       "amp",
-			strictPath: true,
-			clone:      func(g *core.Graph) error { whatif.AMP(g); return nil },
-			overlay:    func(o *core.Overlay) error { whatif.AMPOverlay(o); return nil },
-		},
-		{
-			name:       "kernelprofile",
-			strictPath: true,
-			clone: func(g *core.Graph) error {
-				whatif.ApplyKernelProfile(g, profile)
-				return nil
-			},
-			overlay: func(o *core.Overlay) error {
-				whatif.ApplyKernelProfileOverlay(o, profile)
-				return nil
-			},
-		},
-		{
-			name:       "scalebyname",
-			strictPath: true,
-			clone: func(g *core.Graph) error {
-				whatif.ScaleByName(g, "elemwise", 0.25)
-				return nil
-			},
-			overlay: func(o *core.Overlay) error {
-				whatif.ScaleByNameOverlay(o, "elemwise", 0.25)
-				return nil
-			},
-		},
-		{
-			name:       "upgrade",
-			strictPath: true,
-			clone:      func(g *core.Graph) error { return whatif.DeviceUpgrade(g, from, to) },
-			overlay:    func(o *core.Overlay) error { return whatif.DeviceUpgradeOverlay(o, from, to) },
-		},
-		{
-			name:    "fusedadam",
-			clone:   whatif.FusedAdam,
-			overlay: whatif.FusedAdamOverlay,
-		},
-		{
-			name: "batchnorm",
-			clone: func(g *core.Graph) error {
-				return whatif.ReconBatchnorm(g, whatif.ReconBatchnormOptions{})
-			},
-			overlay: func(o *core.Overlay) error {
-				return whatif.ReconBatchnormOverlay(o, whatif.ReconBatchnormOptions{})
-			},
-		},
+		{"amp", whatif.OptAMP()},
+		{"kernelprofile", whatif.OptKernelProfile(profile)},
+		{"scalebyname", whatif.OptScale("elemwise", 0.25)},
+		{"upgrade", whatif.OptDeviceUpgrade(xpu.RTX2080Ti(), xpu.V100())},
+		{"fusedadam", whatif.OptFusedAdam()},
+		{"batchnorm", whatif.OptReconBatchnorm(whatif.ReconBatchnormOptions{})},
 	}
 }
 
@@ -101,58 +51,113 @@ func TestOverlayEquivalenceAcrossZoo(t *testing.T) {
 			for _, tc := range equivCases() {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					assertOverlayEquivalence(t, g, tc)
+					assertOverlayEquivalence(t, g, tc.opt)
 				})
 			}
 		})
 	}
 }
 
-func assertOverlayEquivalence(t *testing.T, g *core.Graph, tc equivCase) {
+func assertOverlayEquivalence(t *testing.T, g *core.Graph, opt core.Optimization) {
 	t.Helper()
-	c := g.Clone()
-	cloneErr := tc.clone(c)
-	o := core.NewOverlay(g)
-	overlayErr := tc.overlay(o)
-	if (cloneErr == nil) != (overlayErr == nil) {
-		t.Fatalf("error mismatch: clone=%v overlay=%v", cloneErr, overlayErr)
+	if opt.Footprint() != core.TimingOnly {
+		t.Fatalf("footprint = %v", opt.Footprint())
 	}
-	if cloneErr != nil {
-		return // both forms reject the workload the same way
+	p := core.NewPatch(g)
+	if err := opt.Apply(p); err != nil {
+		return // the workload lacks what the model needs (FusedAdam on SGD)
 	}
+	if p.Structural() {
+		t.Fatal("timing-only Apply recorded structural deltas")
+	}
+	got, err := p.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSchedule(t, p, got, m, want, true)
+}
 
-	want, err := c.Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := o.Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan != want.Makespan {
-		t.Fatalf("makespan: overlay %v, clone %v", got.Makespan, want.Makespan)
-	}
-	// Start times of every task alive in the mutated clone (IDs are
-	// preserved by Clone and left as holes by Remove).
-	for id := 0; id < c.IDSpan(); id++ {
-		if c.Task(id) == nil {
-			continue
+// fusedAdamRemoval is Algorithm 4 as the paper states it: the earliest
+// weight-update kernel becomes the fused kernel carrying the summed
+// duration, and every other weight-update kernel is removed together
+// with the CPU launch that triggered it.
+func fusedAdamRemoval() core.Optimization {
+	return core.PatchOpt("fusedadam-removal", core.Structural, func(p *core.Patch) error {
+		wu := p.Base().LayerPhaseIndex().WeightUpdateGPUTasks()
+		if len(wu) == 0 {
+			return fmt.Errorf("no weight-update GPU tasks")
 		}
-		if got.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: overlay %v, clone %v", id, got.Start[id], want.Start[id])
-		}
-	}
-	if tc.strictPath {
-		gotPath := core.CriticalPath(g, got)
-		wantPath := core.CriticalPath(c, want)
-		if len(gotPath) != len(wantPath) {
-			t.Fatalf("critical path length: overlay %d, clone %d", len(gotPath), len(wantPath))
-		}
-		for i := range gotPath {
-			if gotPath[i].ID != wantPath[i].ID {
-				t.Fatalf("critical path[%d]: overlay #%d, clone #%d",
-					i, gotPath[i].ID, wantPath[i].ID)
+		first := wu[0]
+		var sum time.Duration
+		for _, u := range wu {
+			sum += p.Duration(u)
+			if u.TracedStart < first.TracedStart {
+				first = u
 			}
 		}
+		p.SetDuration(first, sum)
+		for _, u := range wu {
+			if u == first {
+				continue
+			}
+			if peer := u.Peer(); peer != nil && peer.OnCPU() {
+				p.RemoveTask(peer)
+			}
+			p.RemoveTask(u)
+		}
+		return nil
+	}, nil)
+}
+
+// TestZeroingMatchesRemovalAcrossZoo holds the timing-only zeroing
+// forms of Algorithms 4 and 5 to their removal forms: the same makespan
+// and the same start for every task the removal keeps. Only the
+// critical path may differ, routing through the zeroed tasks instead of
+// around them.
+func TestZeroingMatchesRemovalAcrossZoo(t *testing.T) {
+	pairs := []struct {
+		name              string
+		zeroing, removing core.Optimization
+	}{
+		{"fusedadam", whatif.OptFusedAdam(), fusedAdamRemoval()},
+		{"reconbn", whatif.OptReconBatchnorm(whatif.ReconBatchnormOptions{}),
+			whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{})},
+	}
+	for _, name := range dnn.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			g := profile(t, name, framework.PyTorch)
+			for _, pair := range pairs {
+				pair := pair
+				t.Run(pair.name, func(t *testing.T) {
+					zp := core.NewPatch(g)
+					zErr := pair.zeroing.Apply(zp)
+					removed, rErr := materialized(g, pair.removing)
+					if (zErr == nil) != (rErr == nil) {
+						t.Fatalf("error mismatch: zeroing=%v removal=%v", zErr, rErr)
+					}
+					if zErr != nil {
+						return // both forms reject the workload the same way
+					}
+					got, err := zp.Simulate()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := removed.Simulate()
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameSchedule(t, zp, got, removed, want, false)
+				})
+			}
+		})
 	}
 }

@@ -168,3 +168,71 @@ func p3AnnotateInto(rep *core.Graph, ed graphEditor, opts P3Options, rounds int)
 	}
 	return nil
 }
+
+// p3Name renders the shared name shape of the parameter-server values.
+func p3Name(opts P3Options) string {
+	t := opts.Topology
+	label := "p3"
+	if opts.SliceBytes <= 0 {
+		label = "ps-fifo"
+	}
+	return fmt.Sprintf("%s %s @%.0fGbps", label, t.String(), t.NICBandwidth/comm.Gbps(1))
+}
+
+// p3SteadyState measures the steady-state iteration time — the distance
+// between the last two rounds' completion frontiers — from whatever
+// task view the simulation ran over (the rewritten graph, or the
+// annotation patch over a shared repeated baseline). Equivalent to
+// RoundSpan(last) − RoundSpan(last−1), computed in one pass.
+func p3SteadyState(v core.TaskView, res *core.SimResult) (time.Duration, error) {
+	var spans []time.Duration
+	for _, t := range v.Tasks() {
+		for t.Round >= len(spans) {
+			spans = append(spans, 0)
+		}
+		if f := res.Finish(t); f > spans[t.Round] {
+			spans[t.Round] = f
+		}
+	}
+	if len(spans) < 2 {
+		return 0, fmt.Errorf("whatif: p3 steady-state measure needs ≥2 rounds, have %d", len(spans))
+	}
+	return spans[len(spans)-1] - spans[len(spans)-2], nil
+}
+
+// OptP3 returns the parameter-server prediction (Algorithm 7) as an
+// Optimization value: a graph rewriter (the iteration is repeated
+// before annotation) carrying its own metric — the steady-state round
+// distance rather than the multi-round makespan. SliceBytes follows
+// P3Options: positive enables P3's slicing and priorities, zero models
+// the plain FIFO parameter server. For clone-free grids over a shared
+// pre-repeated baseline, use OptP3Annotate.
+func OptP3(opts P3Options) core.Optimization {
+	rounds := opts.Rounds
+	if rounds < 2 {
+		rounds = 2
+	}
+	opts.Rounds = rounds
+	return core.RewriteOpt(p3Name(opts),
+		func(g *core.Graph) (*core.Graph, error) {
+			r, err := P3(g, opts)
+			if err != nil {
+				return nil, err
+			}
+			return r.Graph, nil
+		},
+		p3SteadyState)
+}
+
+// OptP3Annotate returns Algorithm 7's annotation phase as a patch-form
+// Optimization value: the baseline must already be the Repeat-expanded
+// multi-round graph (Rounds rounds, default 2), and the push/pull
+// annotation is recorded as copy-on-write deltas over it — the
+// clone-free path for bandwidth grids that share one repeated profile
+// across every scenario (Figure 10). Carries the same steady-state
+// metric as OptP3 and predicts identically.
+func OptP3Annotate(opts P3Options) core.Optimization {
+	return core.PatchOpt(p3Name(opts), core.Structural,
+		func(p *core.Patch) error { return P3Annotate(p, opts) },
+		p3SteadyState)
+}

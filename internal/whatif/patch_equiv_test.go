@@ -4,12 +4,14 @@ package whatif_test
 // structural what-if with a patch form — Distributed (Algorithm 6),
 // P3's annotation over a pre-repeated baseline (Algorithm 7, non-rewrite
 // form), and removal-form batchnorm restructuring (Algorithm 5) — the
-// clone-free patch must reproduce the clone+mutate form bit for bit:
-// same makespan, same start time for every task (baseline and appendix
-// IDs alike; Patch.NewTask allocates exactly the IDs a clone would
-// have), same per-thread end times, and an identical materialized
-// graph prediction. A -race sweep drives concurrent structural patches
-// over one shared baseline.
+// clone-free patch simulation must reproduce the reference, the patch
+// materialized into a private graph (its structural journal replayed
+// through the real Graph primitives) and cold-simulated, bit for bit:
+// same makespan, same start time and duration for every task (baseline
+// and appendix IDs alike; Patch.NewTask allocates exactly the IDs a
+// clone would have), same per-thread end times and the same critical
+// path. A -race sweep drives concurrent structural patches over one
+// shared baseline.
 
 import (
 	"fmt"
@@ -23,18 +25,16 @@ import (
 	"daydream/internal/whatif"
 )
 
-// patchEquivCase pairs a clone-path structural transform with its patch
-// form. base lets a case substitute a derived baseline (P3's annotation
-// runs over the Repeat-expanded graph).
+// patchEquivCase names one structural what-if of the suite. base lets
+// a case substitute a derived baseline (P3's annotation runs over the
+// Repeat-expanded graph).
 type patchEquivCase struct {
-	name  string
-	base  func(t *testing.T, g *core.Graph) *core.Graph
-	clone func(*core.Graph) error
-	patch func(*core.Patch) error
+	name string
+	base func(t *testing.T, g *core.Graph) *core.Graph
+	opt  core.Optimization
 }
 
 func patchEquivCases() []patchEquivCase {
-	dist := whatif.DistributedOptions{Topology: topo4x1(10)}
 	p3 := whatif.P3Options{Topology: topo4x1(5), SliceBytes: 800 << 10, Rounds: 2}
 	fifo := whatif.P3Options{Topology: topo4x1(5), Rounds: 2}
 	repeated := func(t *testing.T, g *core.Graph) *core.Graph {
@@ -45,41 +45,11 @@ func patchEquivCases() []patchEquivCase {
 		}
 		return rep
 	}
-	// The p3 clone forms route through core.ApplyGraph, which replays
-	// the recorded journal onto the private graph through the real
-	// Graph primitives — genuine surgery, so the comparison pits the
-	// patch's composite simulation view against a truly mutated graph.
 	return []patchEquivCase{
-		{
-			name:  "distributed",
-			clone: func(c *core.Graph) error { return whatif.Distributed(c, dist) },
-			patch: func(p *core.Patch) error { return whatif.DistributedPatch(p, dist) },
-		},
-		{
-			name: "p3-annotate",
-			base: repeated,
-			clone: func(c *core.Graph) error {
-				return core.ApplyGraph(whatif.OptP3Annotate(p3), c)
-			},
-			patch: func(p *core.Patch) error { return whatif.P3Annotate(p, p3) },
-		},
-		{
-			name: "ps-fifo-annotate",
-			base: repeated,
-			clone: func(c *core.Graph) error {
-				return core.ApplyGraph(whatif.OptP3Annotate(fifo), c)
-			},
-			patch: func(p *core.Patch) error { return whatif.P3Annotate(p, fifo) },
-		},
-		{
-			name: "reconbn-removal",
-			clone: func(c *core.Graph) error {
-				return whatif.ReconBatchnorm(c, whatif.ReconBatchnormOptions{})
-			},
-			patch: func(p *core.Patch) error {
-				return whatif.ReconBatchnormPatch(p, whatif.ReconBatchnormOptions{})
-			},
-		},
+		{name: "distributed", opt: whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(10)})},
+		{name: "p3-annotate", base: repeated, opt: whatif.OptP3Annotate(p3)},
+		{name: "ps-fifo-annotate", base: repeated, opt: whatif.OptP3Annotate(fifo)},
+		{name: "reconbn-removal", opt: whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{})},
 	}
 }
 
@@ -104,72 +74,55 @@ func TestStructuralPatchEquivalenceAcrossZoo(t *testing.T) {
 
 func assertPatchEquivalence(t *testing.T, g *core.Graph, tc patchEquivCase) {
 	t.Helper()
-	c := g.Clone()
-	cloneErr := tc.clone(c)
 	p := core.NewPatch(g)
-	patchErr := tc.patch(p)
-	if (cloneErr == nil) != (patchErr == nil) {
-		t.Fatalf("error mismatch: clone=%v patch=%v", cloneErr, patchErr)
-	}
-	if cloneErr != nil {
-		return // both forms reject the workload the same way
-	}
-
-	want, err := c.Simulate()
-	if err != nil {
+	if err := tc.opt.Apply(p); err != nil {
 		t.Fatal(err)
 	}
 	got, err := p.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Makespan != want.Makespan {
-		t.Fatalf("makespan: patch %v, clone %v", got.Makespan, want.Makespan)
-	}
-	// The patch's effective ID span must equal the clone's after its
-	// insertions — Patch.NewTask hands out the clone's IDs.
-	if p.IDSpan() != c.IDSpan() {
-		t.Fatalf("ID span: patch %d, clone %d", p.IDSpan(), c.IDSpan())
-	}
-	// Start times of every live task, baseline and appendix alike (IDs
-	// are preserved by Clone and left as holes by Remove).
-	for id := 0; id < c.IDSpan(); id++ {
-		ct := c.Task(id)
-		pt := p.Task(id)
-		if (ct == nil) != (pt == nil) {
-			t.Fatalf("task %d liveness: patch %v, clone %v", id, pt, ct)
-		}
-		if ct == nil {
-			continue
-		}
-		if got.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: patch %v, clone %v", id, got.Start[id], want.Start[id])
-		}
-		if gd, wd := got.TaskDuration(pt), want.TaskDuration(ct); gd != wd {
-			t.Fatalf("task %d duration: patch %v, clone %v", id, gd, wd)
-		}
-	}
-	// Per-thread completion must agree (including threads that exist
-	// only in the patch's appendix, e.g. fresh comm channels).
-	if len(got.ThreadEnd) != len(want.ThreadEnd) {
-		t.Fatalf("thread-end count: patch %d, clone %d", len(got.ThreadEnd), len(want.ThreadEnd))
-	}
-	for tid, end := range want.ThreadEnd {
-		if got.ThreadEnd[tid] != end {
-			t.Fatalf("thread %v end: patch %v, clone %v", tid, got.ThreadEnd[tid], end)
-		}
-	}
-	// The materialized patch is the clone-path graph: same prediction.
 	m, err := p.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := m.PredictIteration()
+	want, err := m.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mp != want.Makespan {
-		t.Fatalf("materialized prediction %v, clone %v", mp, want.Makespan)
+	assertSameStructure(t, p, got, m, want)
+	assertSameSchedule(t, p, got, m, want, true)
+}
+
+// assertSameStructure checks a patch view against its materialized
+// reference beyond the schedule: the same effective ID span, the same
+// live tasks with the same effective durations, and the same per-thread
+// completion (including threads that exist only in the patch's
+// appendix, e.g. fresh comm channels).
+func assertSameStructure(t *testing.T, p *core.Patch, got *core.SimResult, m *core.Graph, want *core.SimResult) {
+	t.Helper()
+	if p.IDSpan() != m.IDSpan() {
+		t.Fatalf("ID span: patch %d, reference %d", p.IDSpan(), m.IDSpan())
+	}
+	for id := 0; id < m.IDSpan(); id++ {
+		mt, pt := m.Task(id), p.Task(id)
+		if (mt == nil) != (pt == nil) {
+			t.Fatalf("task %d liveness: patch %v, reference %v", id, pt, mt)
+		}
+		if mt == nil {
+			continue
+		}
+		if gd, wd := got.TaskDuration(pt), want.TaskDuration(mt); gd != wd {
+			t.Fatalf("task %d duration: patch %v, reference %v", id, gd, wd)
+		}
+	}
+	if len(got.ThreadEnd) != len(want.ThreadEnd) {
+		t.Fatalf("thread-end count: patch %d, reference %d", len(got.ThreadEnd), len(want.ThreadEnd))
+	}
+	for tid, end := range want.ThreadEnd {
+		if got.ThreadEnd[tid] != end {
+			t.Fatalf("thread %v end: patch %v, reference %v", tid, got.ThreadEnd[tid], end)
+		}
 	}
 }
 

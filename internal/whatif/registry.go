@@ -83,7 +83,7 @@ const p3DefaultSlice = 800 << 10
 // field: zero selects P3's default slice, negative disables slicing
 // and priorities (whole tensors in FIFO order — the plain parameter
 // server), positive passes through. Shared by the registry and the
-// daydream-level OptP3/P3Prediction so the convention cannot drift.
+// daydream-level OptP3 so the convention cannot drift.
 func P3SliceBytes(slice int64) int64 {
 	switch {
 	case slice == 0:

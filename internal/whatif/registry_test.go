@@ -149,26 +149,23 @@ func TestParseStackRejectsDuplicates(t *testing.T) {
 
 // TestParsedStackPredicts pins the registry end to end: a parsed
 // amp+fusedadam stack predicts the same iteration as the sequential
-// clone application on a real profile.
+// application (each part over the previous part's materialized graph)
+// on a real profile.
 func TestParsedStackPredicts(t *testing.T) {
 	g := profile(t, "bert-base", framework.PyTorch)
 	opt, err := whatif.ParseStack("amp+fusedadam", whatif.OptParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := core.NewOverlay(g)
-	if err := core.ApplyOverlay(opt, o); err != nil {
+	p := core.NewPatch(g)
+	if err := opt.Apply(p); err != nil {
 		t.Fatal(err)
 	}
-	got, err := o.PredictIteration()
+	got, err := p.PredictIteration()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := g.Clone()
-	whatif.AMP(c)
-	if err := whatif.FusedAdam(c); err != nil {
-		t.Fatal(err)
-	}
+	c := applied(t, applied(t, g, whatif.OptAMP()), whatif.OptFusedAdam())
 	want, err := c.PredictIteration()
 	if err != nil {
 		t.Fatal(err)

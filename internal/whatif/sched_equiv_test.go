@@ -6,8 +6,8 @@ package whatif_test
 // simulating the patch under a non-default Scheduler must reproduce
 // materialize+simulate under the same Scheduler bit for bit: same
 // makespan, same start time for every task (baseline and appendix IDs
-// alike), same per-thread end times — and without ever paying a
-// materialization. A -race sweep drives concurrent scheduled structural
+// alike), same per-thread end times, same critical path — and without
+// ever paying a materialization. A -race sweep drives concurrent scheduled structural
 // scenarios over one shared baseline.
 
 import (
@@ -68,19 +68,8 @@ func TestScheduledPatchEquivalenceAcrossZoo(t *testing.T) {
 
 func assertScheduledEquivalence(t *testing.T, g *core.Graph, tc patchEquivCase, sched core.Scheduler) {
 	t.Helper()
-	c := g.Clone()
-	cloneErr := tc.clone(c)
 	p := core.NewPatch(g)
-	patchErr := tc.patch(p)
-	if (cloneErr == nil) != (patchErr == nil) {
-		t.Fatalf("error mismatch: clone=%v patch=%v", cloneErr, patchErr)
-	}
-	if cloneErr != nil {
-		return // both forms reject the workload the same way
-	}
-
-	want, err := c.Simulate(core.WithScheduler(sched))
-	if err != nil {
+	if err := tc.opt.Apply(p); err != nil {
 		t.Fatal(err)
 	}
 	got, err := p.Simulate(core.WithScheduler(sched))
@@ -92,39 +81,22 @@ func assertScheduledEquivalence(t *testing.T, g *core.Graph, tc patchEquivCase, 
 	if n := p.Materializations(); n != 0 {
 		t.Fatalf("scheduled patch simulation materialized %d times, want 0", n)
 	}
-	if got.Makespan != want.Makespan {
-		t.Fatalf("makespan: patch %v, clone %v", got.Makespan, want.Makespan)
+	m, err := p.Materialize()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.IDSpan() != c.IDSpan() {
-		t.Fatalf("ID span: patch %d, clone %d", p.IDSpan(), c.IDSpan())
+	want, err := m.Simulate(core.WithScheduler(sched))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id := 0; id < c.IDSpan(); id++ {
-		ct := c.Task(id)
-		pt := p.Task(id)
-		if (ct == nil) != (pt == nil) {
-			t.Fatalf("task %d liveness: patch %v, clone %v", id, pt, ct)
-		}
-		if ct == nil {
-			continue
-		}
-		if got.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: patch %v, clone %v", id, got.Start[id], want.Start[id])
-		}
-	}
-	if len(got.ThreadEnd) != len(want.ThreadEnd) {
-		t.Fatalf("thread-end count: patch %d, clone %d", len(got.ThreadEnd), len(want.ThreadEnd))
-	}
-	for tid, end := range want.ThreadEnd {
-		if got.ThreadEnd[tid] != end {
-			t.Fatalf("thread %v end: patch %v, clone %v", tid, got.ThreadEnd[tid], end)
-		}
-	}
+	assertSameStructure(t, p, got, m, want)
+	assertSameSchedule(t, p, got, m, want, true)
 }
 
 // TestOptVDNNSchedulerCarriedThroughSweep pins the scheduler-carrying
 // form end to end: a sweep scenario with OptVDNN (no SimOptions at all)
 // simulates under VDNNScheduler over the worker's patch, and must equal
-// the explicit clone path — clone, mutate with VDNN, simulate under the
+// the reference — the vDNN patch materialized and simulated under the
 // same policy. An explicit WithScheduler in SimOptions overrides the
 // carried policy.
 func TestOptVDNNSchedulerCarriedThroughSweep(t *testing.T) {
@@ -133,16 +105,13 @@ func TestOptVDNNSchedulerCarriedThroughSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := g.Clone()
-	if err := whatif.VDNN(c, whatif.VDNNOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	c := applied(t, g, whatif.OptVDNN(whatif.VDNNOptions{}))
 	want, err := c.PredictIteration(core.WithScheduler(whatif.VDNNScheduler{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0].Value != want {
-		t.Fatalf("carried-scheduler sweep %v, explicit clone path %v", got[0].Value, want)
+		t.Fatalf("carried-scheduler sweep %v, materialized reference %v", got[0].Value, want)
 	}
 	// Compare honors the carried policy the same way.
 	_, pred, err := whatifCompare(g, whatif.OptVDNN(whatif.VDNNOptions{}))
@@ -150,7 +119,7 @@ func TestOptVDNNSchedulerCarriedThroughSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pred != want {
-		t.Fatalf("Compare with carried scheduler %v, explicit clone path %v", pred, want)
+		t.Fatalf("Compare with carried scheduler %v, materialized reference %v", pred, want)
 	}
 	// An explicit scenario scheduler wins over the carried one.
 	over, err := sweep.Run(g, []sweep.Scenario{{
@@ -160,20 +129,12 @@ func TestOptVDNNSchedulerCarriedThroughSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := sweep.Run(g, []sweep.Scenario{{
-		Name: "default-sched",
-		Transform: func(c *core.Graph) (*core.Graph, error) {
-			if err := whatif.VDNN(c, whatif.VDNNOptions{}); err != nil {
-				return nil, err
-			}
-			return c, nil
-		},
-	}})
+	def, err := c.PredictIteration()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if over[0].Value != def[0].Value {
-		t.Fatalf("SimOptions override %v, default-policy clone path %v", over[0].Value, def[0].Value)
+	if over[0].Value != def {
+		t.Fatalf("SimOptions override %v, default-policy reference %v", over[0].Value, def)
 	}
 }
 
@@ -200,8 +161,9 @@ func whatifCompare(g *core.Graph, opt core.Optimization) (time.Duration, time.Du
 // TestStackedRemovalThenVDNN pins structural composition: vDNN applied
 // after removal-form batchnorm restructuring in one Stack must gate its
 // copies on tasks that are still live in the effective view — the same
-// anchors sequential clone application finds — and predict identically
-// under the carried scheduler.
+// anchors sequential application finds — and predict identically under
+// the carried scheduler. The sequential reference applies each part to
+// the materialized result of the previous one.
 func TestStackedRemovalThenVDNN(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
 	stacked := core.Stack(
@@ -212,19 +174,14 @@ func TestStackedRemovalThenVDNN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := g.Clone()
-	if err := core.ApplyGraph(whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{}), c); err != nil {
-		t.Fatal(err)
-	}
-	if err := whatif.VDNN(c, whatif.VDNNOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	c := applied(t, g, whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{}))
+	c = applied(t, c, whatif.OptVDNN(whatif.VDNNOptions{}))
 	want, err := c.PredictIteration(core.WithScheduler(whatif.VDNNScheduler{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0].Value != want {
-		t.Fatalf("stacked removal+vdnn patch %v, sequential clone path %v", got[0].Value, want)
+		t.Fatalf("stacked removal+vdnn patch %v, sequential reference %v", got[0].Value, want)
 	}
 }
 

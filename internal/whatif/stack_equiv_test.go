@@ -1,13 +1,11 @@
 package whatif_test
 
-// Stack equivalence suite: for every zoo model, the composed
-// Stack(OptAMP(), OptFusedAdam()) what-if must be bit-identical to
-// applying the two optimizations sequentially on a clone — on both of
-// the stack's evaluation paths. Same makespan and same start time for
-// every task alive in the sequentially-mutated clone; the overlay path
-// keeps zeroed tasks in the graph (FusedAdam's zeroing model), so like
-// the single-optimization equivalence suite only makespan+starts are
-// compared there.
+// Stack equivalence suite: for every zoo model, a composed Stack of
+// timing-only what-ifs applied through one patch must be bit-identical
+// to applying its parts one after another — each part recorded on a
+// patch over the previous part's materialized graph, the last
+// materialization cold-simulated: same makespan, same start time for
+// every task, same critical path.
 
 import (
 	"testing"
@@ -19,35 +17,20 @@ import (
 )
 
 // stackCases lists composed what-ifs checked zoo-wide against their
-// sequential clone-path application.
+// sequential application.
 func stackCases() []struct {
-	name       string
-	stack      core.Optimization
-	sequential []func(*core.Graph) error
+	name  string
+	parts []core.Optimization
 } {
 	profile := whatif.KernelProfile{"sgemm": 0}
 	return []struct {
-		name       string
-		stack      core.Optimization
-		sequential []func(*core.Graph) error
+		name  string
+		parts []core.Optimization
 	}{
-		{
-			name:  "amp+fusedadam",
-			stack: core.Stack(whatif.OptAMP(), whatif.OptFusedAdam()),
-			sequential: []func(*core.Graph) error{
-				func(g *core.Graph) error { whatif.AMP(g); return nil },
-				whatif.FusedAdam,
-			},
-		},
-		{
-			name:  "amp+kprofile+reconbn",
-			stack: core.Stack(whatif.OptAMP(), whatif.OptKernelProfile(profile), whatif.OptReconBatchnorm(whatif.ReconBatchnormOptions{})),
-			sequential: []func(*core.Graph) error{
-				func(g *core.Graph) error { whatif.AMP(g); return nil },
-				func(g *core.Graph) error { whatif.ApplyKernelProfile(g, profile); return nil },
-				func(g *core.Graph) error { return whatif.ReconBatchnorm(g, whatif.ReconBatchnormOptions{}) },
-			},
-		},
+		{"amp+fusedadam", []core.Optimization{whatif.OptAMP(), whatif.OptFusedAdam()}},
+		{"amp+kprofile+reconbn", []core.Optimization{
+			whatif.OptAMP(), whatif.OptKernelProfile(profile), whatif.OptReconBatchnorm(whatif.ReconBatchnormOptions{}),
+		}},
 	}
 }
 
@@ -59,76 +42,45 @@ func TestStackEquivalenceAcrossZoo(t *testing.T) {
 			for _, tc := range stackCases() {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					assertStackEquivalence(t, g, tc.stack, tc.sequential)
+					assertStackEquivalence(t, g, tc.parts)
 				})
 			}
 		})
 	}
 }
 
-func assertStackEquivalence(t *testing.T, g *core.Graph, stack core.Optimization, sequential []func(*core.Graph) error) {
+func assertStackEquivalence(t *testing.T, g *core.Graph, parts []core.Optimization) {
 	t.Helper()
+	stack := core.Stack(parts...)
 	if fp := stack.Footprint(); fp != core.TimingOnly {
 		t.Fatalf("stack of timing-only optimizations has footprint %v", fp)
 	}
 
-	// Reference: the optimizations applied one after the other on a
-	// clone, the way pre-Stack callers composed them.
-	seq := g.Clone()
+	// Reference: the parts applied one after the other, each over the
+	// previous part's materialized graph.
+	seq := g
 	var seqErr error
-	for _, apply := range sequential {
-		if seqErr = apply(seq); seqErr != nil {
+	for _, part := range parts {
+		if seq, seqErr = materialized(seq, part); seqErr != nil {
 			break
 		}
 	}
-
-	// Stack clone path (through the deprecated in-place adapter).
-	sc := g.Clone()
-	cloneErr := core.ApplyGraph(stack, sc)
-	// Stack overlay path over the shared baseline (through the
-	// deprecated timing-tier adapter).
-	o := core.NewOverlay(g)
-	overlayErr := core.ApplyOverlay(stack, o)
-
-	if (seqErr == nil) != (cloneErr == nil) || (seqErr == nil) != (overlayErr == nil) {
-		t.Fatalf("error mismatch: sequential=%v stack-clone=%v stack-overlay=%v",
-			seqErr, cloneErr, overlayErr)
+	p := core.NewPatch(g)
+	stackErr := stack.Apply(p)
+	if (seqErr == nil) != (stackErr == nil) {
+		t.Fatalf("error mismatch: sequential=%v stack=%v", seqErr, stackErr)
 	}
 	if seqErr != nil {
-		return // all three forms reject the workload the same way
+		return // both forms reject the workload the same way
 	}
 
 	want, err := seq.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotClone, err := sc.Simulate()
+	got, err := p.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotOverlay, err := o.Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotClone.Makespan != want.Makespan {
-		t.Fatalf("makespan: stack clone path %v, sequential %v", gotClone.Makespan, want.Makespan)
-	}
-	if gotOverlay.Makespan != want.Makespan {
-		t.Fatalf("makespan: stack overlay path %v, sequential %v", gotOverlay.Makespan, want.Makespan)
-	}
-	// Start times of every task alive in the sequentially-mutated clone
-	// (IDs are preserved by Clone and left as holes by Remove).
-	for id := 0; id < seq.IDSpan(); id++ {
-		if seq.Task(id) == nil {
-			continue
-		}
-		if gotClone.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: stack clone path %v, sequential %v",
-				id, gotClone.Start[id], want.Start[id])
-		}
-		if gotOverlay.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: stack overlay path %v, sequential %v",
-				id, gotOverlay.Start[id], want.Start[id])
-		}
-	}
+	assertSameSchedule(t, p, got, seq, want, true)
 }

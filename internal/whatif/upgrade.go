@@ -2,7 +2,6 @@ package whatif
 
 import (
 	"fmt"
-	"time"
 
 	"daydream/internal/core"
 	"daydream/internal/trace"
@@ -10,7 +9,7 @@ import (
 )
 
 // upgradeRatios validates the devices and returns the three scaling
-// ratios both DeviceUpgrade forms share.
+// ratios of a device upgrade.
 func upgradeRatios(from, to *xpu.Device) (compute, mem, pcie float64, err error) {
 	if from == nil || to == nil {
 		return 0, 0, 0, fmt.Errorf("whatif: DeviceUpgrade: both devices are required")
@@ -23,61 +22,47 @@ func upgradeRatios(from, to *xpu.Device) (compute, mem, pcie float64, err error)
 		from.PCIeBandwidth / to.PCIeBandwidth, nil
 }
 
-// upgradeDuration applies one task's rescale: copies by the PCIe ratio,
-// compute-bound kernels by the arithmetic-throughput ratio, everything
-// else by the memory-bandwidth ratio, clamped to the target's floor.
-func upgradeDuration(d time.Duration, isMemcpy, isCompute bool, compute, mem, pcie float64, to *xpu.Device) time.Duration {
-	switch {
-	case isMemcpy:
-		d = scaleDuration(d, pcie)
-	case isCompute:
-		d = scaleDuration(d, compute)
-	default:
-		d = scaleDuration(d, mem)
-	}
-	if d < to.KernelFloor {
-		d = to.KernelFloor
-	}
-	return d
-}
-
-// DeviceUpgrade answers "would a faster GPU help?" (one of the paper's
-// introductory what-if questions) from an existing profile: compute-bound
-// kernels — identified by the same name convention Algorithm 3 uses —
-// scale by the devices' arithmetic-throughput ratio, every other GPU task
-// by the memory-bandwidth ratio, and host↔device copies by the PCIe
-// ratio. CPU tasks are untouched, so the prediction exposes where an
-// upgrade would merely shift the bottleneck to the host — the same
-// insight as the paper's AMP analysis (§6.2).
-func DeviceUpgrade(g *core.Graph, from, to *xpu.Device) error {
-	compute, mem, pcie, err := upgradeRatios(from, to)
-	if err != nil {
-		return err
-	}
-	for _, u := range g.Select(core.OnGPUPred) {
-		u.Duration = upgradeDuration(u.Duration,
-			u.Kind == trace.KindMemcpy, core.ComputeIntensivePred(u),
-			compute, mem, pcie, to)
-	}
-	return nil
-}
-
-// DeviceUpgradeOverlay is DeviceUpgrade's clone-free form: the rescaled
-// durations are recorded as copy-on-write deltas over the shared
-// baseline, with the task list and compute classification served by the
+// OptDeviceUpgrade answers "would a faster GPU help?" (one of the
+// paper's introductory what-if questions) from an existing profile:
+// compute-bound kernels — identified by the same name convention
+// Algorithm 3 uses — scale by the devices' arithmetic-throughput ratio,
+// every other GPU task by the memory-bandwidth ratio, and host↔device
+// copies by the PCIe ratio, each clamped to the target's kernel floor.
+// CPU tasks are untouched, so the prediction exposes where an upgrade
+// would merely shift the bottleneck to the host — the same insight as
+// the paper's AMP analysis (§6.2).
+//
+// Timing-only: the rescaled durations are recorded as copy-on-write
+// deltas, with the task list and compute classification served by the
 // memoized layer/phase index — device grids (many targets from one
 // profile) neither clone nor string-match anything.
-func DeviceUpgradeOverlay(o *core.Overlay, from, to *xpu.Device) error {
-	compute, mem, pcie, err := upgradeRatios(from, to)
-	if err != nil {
-		return err
+func OptDeviceUpgrade(from, to *xpu.Device) core.Optimization {
+	name := "upgrade"
+	if to != nil {
+		name = fmt.Sprintf("upgrade to %s", to.Name)
 	}
-	ix := o.Base().LayerPhaseIndex()
-	isCompute := ix.GPUComputeBound()
-	for i, u := range ix.GPUTasks() {
-		o.SetDuration(u, upgradeDuration(o.Duration(u),
-			u.Kind == trace.KindMemcpy, isCompute[i],
-			compute, mem, pcie, to))
-	}
-	return nil
+	return core.PatchOpt(name, core.TimingOnly, func(p *core.Patch) error {
+		compute, mem, pcie, err := upgradeRatios(from, to)
+		if err != nil {
+			return err
+		}
+		o := p.Timing()
+		ix := p.Base().LayerPhaseIndex()
+		isCompute := ix.GPUComputeBound()
+		for i, u := range ix.GPUTasks() {
+			ratio := mem
+			switch {
+			case u.Kind == trace.KindMemcpy:
+				ratio = pcie
+			case isCompute[i]:
+				ratio = compute
+			}
+			d := scaleDuration(o.Duration(u), ratio)
+			if d < to.KernelFloor {
+				d = to.KernelFloor
+			}
+			o.SetDuration(u, d)
+		}
+		return nil
+	}, nil)
 }

@@ -24,10 +24,7 @@ func TestDeviceUpgradePredictsMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := whatif.DeviceUpgrade(g, xpu.RTX2080Ti(), xpu.V100()); err != nil {
-		t.Fatal(err)
-	}
-	predicted, err := g.PredictIteration()
+	predicted, err := applied(t, g, whatif.OptDeviceUpgrade(xpu.RTX2080Ti(), xpu.V100())).PredictIteration()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,21 +41,17 @@ func TestDeviceUpgradePredictsMeasured(t *testing.T) {
 func TestDeviceUpgradeDowngradeSlows(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
 	base := predict(t, g.Clone())
-	c := g.Clone()
-	if err := whatif.DeviceUpgrade(c, xpu.RTX2080Ti(), xpu.P4000()); err != nil {
-		t.Fatal(err)
-	}
-	if down := predict(t, c); down <= base {
+	if down := predict(t, applied(t, g, whatif.OptDeviceUpgrade(xpu.RTX2080Ti(), xpu.P4000()))); down <= base {
 		t.Fatalf("downgrading to P4000 predicted faster (%v vs %v)", down, base)
 	}
 }
 
 func TestDeviceUpgradeErrors(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
-	if err := whatif.DeviceUpgrade(g, nil, xpu.V100()); err == nil {
+	if err := whatif.OptDeviceUpgrade(nil, xpu.V100()).Apply(core.NewPatch(g)); err == nil {
 		t.Error("nil source device accepted")
 	}
-	if err := whatif.DeviceUpgrade(g, &xpu.Device{}, xpu.V100()); err == nil {
+	if err := whatif.OptDeviceUpgrade(&xpu.Device{}, xpu.V100()).Apply(core.NewPatch(g)); err == nil {
 		t.Error("incomplete source device accepted")
 	}
 }
@@ -66,11 +59,12 @@ func TestDeviceUpgradeErrors(t *testing.T) {
 func TestApplyKernelProfile(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
 	fixed := 123 * time.Microsecond
-	n := whatif.ApplyKernelProfile(g, whatif.KernelProfile{"scudnn_winograd": fixed})
-	if n == 0 {
+	c := applied(t, g, whatif.OptKernelProfile(whatif.KernelProfile{"scudnn_winograd": fixed}))
+	matched := c.Select(core.NameContains("scudnn_winograd"))
+	if len(matched) == 0 {
 		t.Fatal("no kernels matched")
 	}
-	for _, u := range g.Select(core.NameContains("scudnn_winograd")) {
+	for _, u := range matched {
 		if u.Duration != fixed {
 			t.Fatalf("kernel %v not updated", u)
 		}
@@ -81,10 +75,10 @@ func TestApplyKernelProfileSpecificity(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
 	short := 10 * time.Microsecond
 	long := 99 * time.Microsecond
-	whatif.ApplyKernelProfile(g, whatif.KernelProfile{
+	g = applied(t, g, whatif.OptKernelProfile(whatif.KernelProfile{
 		"scudnn":          short,
 		"scudnn_winograd": long, // more specific: must win for winograd kernels
-	})
+	}))
 	for _, u := range g.Select(core.NameContains("scudnn_winograd")) {
 		if u.Duration != long {
 			t.Fatal("longer (more specific) key did not win")
@@ -99,19 +93,21 @@ func TestApplyKernelProfileSpecificity(t *testing.T) {
 
 func TestApplyKernelProfileEmpty(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
-	if whatif.ApplyKernelProfile(g, nil) != 0 {
-		t.Fatal("empty profile updated tasks")
+	c := applied(t, g, whatif.OptKernelProfile(nil))
+	for _, u := range c.Tasks() {
+		if b := g.Task(u.ID); u.Duration != b.Duration {
+			t.Fatalf("empty profile updated %v", u)
+		}
 	}
 }
 
 func TestScaleByName(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
 	base := predict(t, g.Clone())
-	c := g.Clone()
-	if n := whatif.ScaleByName(c, "sgemm", 0.5); n == 0 {
-		t.Fatal("no GEMMs scaled")
+	if len(g.LayerPhaseIndex().GPUTasksMatching("sgemm")) == 0 {
+		t.Fatal("no GEMMs to scale")
 	}
-	if sped := predict(t, c); sped >= base {
+	if sped := predict(t, applied(t, g, whatif.OptScale("sgemm", 0.5))); sped >= base {
 		t.Fatal("halving GEMMs predicted no gain")
 	}
 }

@@ -43,42 +43,33 @@ func (o *VDNNOptions) defaults() {
 // and prefetches ride (vDNN uses a separate memory stream).
 const vdnnCopyChannel = "pcie.copy"
 
-// VDNN models virtualized DNN (Rhu et al.) per the paper's §5.2 and
-// Algorithm 10: for every offloaded layer, a device-to-host copy of its
-// output feature map is inserted after its forward pass (on a dedicated
-// copy stream, as vDNN uses a separate memory stream), and a host-to-device
-// prefetch is inserted before its backward pass. Prefetches are gated on
-// backward progress PrefetchDistance layers ahead, modeling the delayed
-// prefetching policy the appendix implements with a Schedule override.
-// Simulating the transformed graph exposes vDNN's performance overhead:
-// PCIe traffic and late prefetches stall the backward pass.
+// VDNNPatch models virtualized DNN (Rhu et al.) per the paper's §5.2
+// and Algorithm 10: for every offloaded layer, a device-to-host copy of
+// its output feature map is inserted after its forward pass (on a
+// dedicated copy stream, as vDNN uses a separate memory stream), and a
+// host-to-device prefetch is inserted before its backward pass.
+// Prefetches are gated on backward progress PrefetchDistance layers
+// ahead, modeling the delayed prefetching policy the appendix
+// implements with a Schedule override. Simulating the patch exposes
+// vDNN's performance overhead: PCIe traffic and late prefetches stall
+// the backward pass.
 //
-// VDNN mutates g in place; VDNNPatch is the clone-free form that
-// records the same insertions as structural deltas over a shared
-// baseline, and OptVDNN is the first-class value carrying the
-// copy-stream scheduling policy alongside the surgery.
-func VDNN(g *core.Graph, opts VDNNOptions) error {
-	return vdnnInto(g, g, g, opts)
-}
-
-// VDNNPatch is Algorithm 10 as a copy-on-write structural patch: the
-// offload/prefetch tasks and their gating edges are recorded as deltas
-// over the patch's shared baseline instead of being inserted into a
-// clone. The anchor scan reads the patch's *effective* view, not the
-// raw baseline, so stacking vDNN after another structural optimization
-// (e.g. removal-form batchnorm restructuring) gates on tasks that are
-// still live — the same tasks sequential clone application would find.
-// Simulating the patch — under any Scheduler — is bit-identical to
-// cloning the baseline and applying VDNN to the clone.
+// The offload/prefetch tasks and their gating edges are recorded as
+// copy-on-write deltas over the patch's shared baseline. The anchor
+// scan reads the patch's *effective* view, not the raw baseline, so
+// stacking vDNN after another structural optimization (e.g.
+// removal-form batchnorm restructuring) gates on tasks that are still
+// live. OptVDNN is the first-class value carrying the copy-stream
+// scheduling policy alongside the surgery.
 func VDNNPatch(p *core.Patch, opts VDNNOptions) error {
-	return vdnnInto(p.Base(), p, p, opts)
+	return vdnnInto(p, p, opts)
 }
 
-// vdnnInto reads workload metadata from the baseline g, scans the
-// effective task view once for anchor tasks, and emits Algorithm 10's
-// insertions through ed (the graph itself, or a patch over it). For the
-// in-place form g, view and ed are all the graph.
-func vdnnInto(g *core.Graph, view core.TaskView, ed graphEditor, opts VDNNOptions) error {
+// vdnnInto reads workload metadata from the patch's baseline, scans
+// view — the patch's effective task view — once for anchor tasks, and
+// records Algorithm 10's insertions on the patch.
+func vdnnInto(p *core.Patch, view core.TaskView, opts VDNNOptions) error {
+	g := p.Base()
 	if err := requireLayers(g, "VDNN"); err != nil {
 		return err
 	}
@@ -104,27 +95,27 @@ func vdnnInto(g *core.Graph, view core.TaskView, ed graphEditor, opts VDNNOption
 		// Copies are not threaded into a fixed channel sequence: the
 		// copy engine serves them in simulation order (offloads
 		// arrive during forward, prefetches during backward).
-		offload := ed.NewTask(fmt.Sprintf("vdnn_offload %s", gr.Layer), trace.KindComm, copyStream, copyDur)
+		offload := p.NewTask(fmt.Sprintf("vdnn_offload %s", gr.Layer), trace.KindComm, copyStream, copyDur)
 		offload.Bytes = gr.ActBytes
-		if err := ed.AddDependency(fwdLast, offload, core.DepCustom); err != nil {
+		if err := p.AddDependency(fwdLast, offload, core.DepCustom); err != nil {
 			return err
 		}
 
-		prefetch := ed.NewTask(fmt.Sprintf("vdnn_prefetch %s", gr.Layer), trace.KindComm, copyStream, copyDur)
+		prefetch := p.NewTask(fmt.Sprintf("vdnn_prefetch %s", gr.Layer), trace.KindComm, copyStream, copyDur)
 		prefetch.Bytes = gr.ActBytes
 		// The prefetch may not begin before the offload completed …
-		if err := ed.AddDependency(offload, prefetch, core.DepCustom); err != nil {
+		if err := p.AddDependency(offload, prefetch, core.DepCustom); err != nil {
 			return err
 		}
 		// … nor before backward has progressed close enough (delayed
 		// prefetching policy) …
 		if trigger := anchors.firstBwd(gateIndex(li, opts.PrefetchDistance, maxIdx)); trigger != nil && trigger != bwdFirst {
-			if err := ed.AddDependency(trigger, prefetch, core.DepCustom); err != nil {
+			if err := p.AddDependency(trigger, prefetch, core.DepCustom); err != nil {
 				return err
 			}
 		}
 		// … and the layer's backward pass needs the prefetched data.
-		if err := ed.AddDependency(prefetch, bwdFirst, core.DepCustom); err != nil {
+		if err := p.AddDependency(prefetch, bwdFirst, core.DepCustom); err != nil {
 			return err
 		}
 		inserted++

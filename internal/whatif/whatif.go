@@ -1,7 +1,11 @@
 // Package whatif implements the paper's optimization models (§5 and the
-// appendix): each function transforms a baseline kernel-level dependency
+// appendix): each model transforms a baseline kernel-level dependency
 // graph using only the core package's primitives — Select, Scale, Insert,
 // Remove and Schedule overrides — exactly as Algorithms 3–12 describe.
+// Every built-in what-if is an Opt* core.Optimization value that
+// records its edits on a copy-on-write core.Patch; only P3's Repeat
+// form and the paper's graph-rewriting models (Gist, DGC, BlueConnect,
+// MetaFlow) also take a *core.Graph.
 // Nothing in this package consults the ground-truth engine; prediction
 // errors measured by internal/exp are therefore genuine.
 package whatif
@@ -14,6 +18,17 @@ import (
 	"daydream/internal/core"
 	"daydream/internal/trace"
 )
+
+// graphEditor is the write surface shared by *core.Graph and
+// *core.Patch: the models that keep a graph-rewriting form (P3's
+// Repeat, Gist) read the baseline and emit their surgery through this
+// interface, so the rewrite form and the clone-free patch form are the
+// same code — and therefore bit-equivalent by construction.
+type graphEditor interface {
+	NewTask(name string, kind trace.Kind, thread core.ThreadID, dur time.Duration) *core.Task
+	AppendTask(t *core.Task)
+	AddDependency(from, to *core.Task, kind core.DepKind) error
+}
 
 // Per-layer/per-phase queries (last backward GPU task of a layer,
 // first forward task of a round, the earliest weight-update node) ride

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"daydream"
+	"daydream/internal/whatif"
 )
 
 // profileGraph is the shared fixture: one profiled model graph.
@@ -22,65 +23,63 @@ func profileGraph(tb testing.TB, model string) *daydream.Graph {
 	return g
 }
 
+// ampEdit is Algorithm 3 written by hand against the timing tier.
+func ampEdit(o *daydream.Overlay) error {
+	ix := o.Base().LayerPhaseIndex()
+	compute := ix.GPUComputeBound()
+	for i, u := range ix.GPUTasks() {
+		if compute[i] {
+			o.SetDuration(u, o.Duration(u)/3)
+		} else {
+			o.SetDuration(u, o.Duration(u)/2)
+		}
+	}
+	return nil
+}
+
 // TestCompareAcceptsEveryWhatIfForm pins the unified Compare: the
-// Optimization value, the legacy structural func, and the overlay func
-// all predict bit-identically for the same optimization.
+// built-in value and the same what-if built with each custom
+// constructor — timing, patch and in-place structural — all predict
+// bit-identically.
 func TestCompareAcceptsEveryWhatIfForm(t *testing.T) {
 	g := profileGraph(t, "resnet50")
-	base1, fromOpt, err := daydream.Compare(g, daydream.OptAMP())
+	forms := []daydream.Optimization{
+		daydream.OptAMP(),
+		daydream.TimingOptimization("amp-timing", ampEdit),
+		daydream.PatchOptimization("amp-patch", daydream.TimingOnly, func(p *daydream.Patch) error {
+			return ampEdit(p.Timing())
+		}),
+		daydream.StructuralOptimization("amp-in-place", func(c *daydream.Graph) error {
+			ix := c.LayerPhaseIndex()
+			compute := ix.GPUComputeBound()
+			for i, u := range ix.GPUTasks() {
+				if compute[i] {
+					u.Duration /= 3
+				} else {
+					u.Duration /= 2
+				}
+			}
+			return nil
+		}),
+	}
+	base, want, err := daydream.Compare(g, forms[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	base2, fromFunc, err := daydream.Compare(g, func(c *daydream.Graph) error {
-		daydream.AMP(c)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if want >= base {
+		t.Fatalf("AMP predicted no gain: %v vs %v", want, base)
 	}
-	base3, fromOverlay, err := daydream.Compare(g, func(o *daydream.Overlay) error {
-		daydream.AMPOverlay(o)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base1 != base2 || base2 != base3 {
-		t.Fatalf("baselines disagree: %v, %v, %v", base1, base2, base3)
-	}
-	if fromOpt != fromFunc || fromOpt != fromOverlay {
-		t.Fatalf("predictions disagree: opt %v, func %v, overlay %v", fromOpt, fromFunc, fromOverlay)
-	}
-	if fromOpt >= base1 {
-		t.Fatalf("AMP predicted no gain: %v vs %v", fromOpt, base1)
-	}
-	if _, _, err := daydream.Compare(g, 42); err == nil {
-		t.Fatal("Compare accepted a non-what-if value")
+	for _, opt := range forms[1:] {
+		b, got, err := daydream.Compare(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != base || got != want {
+			t.Fatalf("%s: (%v, %v), built-in (%v, %v)", opt.Name(), b, got, base, want)
+		}
 	}
 	if _, _, err := daydream.Compare(g, nil); err == nil {
 		t.Fatal("Compare accepted a nil what-if")
-	}
-	var nilGraphFn func(*daydream.Graph) error
-	if _, _, err := daydream.Compare(g, nilGraphFn); err == nil {
-		t.Fatal("Compare accepted a typed-nil graph func")
-	}
-	var nilOverlayFn func(*daydream.Overlay) error
-	if _, _, err := daydream.Compare(g, nilOverlayFn); err == nil {
-		t.Fatal("Compare accepted a typed-nil overlay func")
-	}
-
-	// Defined function types keep working, as they did when Compare's
-	// parameter was the function type itself.
-	type myWhatIf func(*daydream.Graph) error
-	_, fromDefined, err := daydream.Compare(g, myWhatIf(func(c *daydream.Graph) error {
-		daydream.AMP(c)
-		return nil
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromDefined != fromOpt {
-		t.Fatalf("defined func type predicts %v, want %v", fromDefined, fromOpt)
 	}
 }
 
@@ -98,22 +97,27 @@ func TestCompareNoopStack(t *testing.T) {
 }
 
 // TestStackMatchesSequentialCompare checks the composed what-if against
-// manually chaining the free functions on a clone.
+// applying its parts in turn: AMP materialized, then FusedAdam over it.
 func TestStackMatchesSequentialCompare(t *testing.T) {
 	g := profileGraph(t, "bert-base")
 	base, stacked, err := daydream.Compare(g, daydream.Stack(daydream.OptAMP(), daydream.OptFusedAdam()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sequential, err := daydream.Compare(g, func(c *daydream.Graph) error {
-		daydream.AMP(c)
-		return daydream.FusedAdam(c)
-	})
+	p := daydream.NewPatch(g)
+	if err := daydream.OptAMP().Apply(p); err != nil {
+		t.Fatal(err)
+	}
+	amp, err := p.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sequential, err := daydream.Compare(amp, daydream.OptFusedAdam())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stacked != sequential {
-		t.Fatalf("stack predicts %v, sequential clone %v", stacked, sequential)
+		t.Fatalf("stack predicts %v, sequential %v", stacked, sequential)
 	}
 	if stacked >= base {
 		t.Fatal("AMP+FusedAdam predicted no gain on BERT")
@@ -121,7 +125,8 @@ func TestStackMatchesSequentialCompare(t *testing.T) {
 }
 
 // TestOptP3MatchesP3Prediction pins the P3 Optimization value (its own
-// rewrite + measure) to the long-standing P3Prediction API.
+// rewrite + measure) evaluated through Compare to Algorithm 7's own
+// prediction: the rewritten graph's steady-state iteration time.
 func TestOptP3MatchesP3Prediction(t *testing.T) {
 	tr, err := daydream.Collect(daydream.CollectConfig{
 		Model: "vgg19", Device: "p4000", Framework: "mxnet",
@@ -134,16 +139,21 @@ func TestOptP3MatchesP3Prediction(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := daydream.NewTopology(4, 1, 5)
-	want, err := daydream.P3Prediction(g, topo, 0)
+	p3, err := whatif.P3(g, whatif.P3Options{Topology: topo, SliceBytes: whatif.P3SliceBytes(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sim, err := p3.Graph.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p3.IterationTime(sim)
 	_, got, err := daydream.Compare(g, daydream.OptP3(topo, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("OptP3 predicts %v, P3Prediction %v", got, want)
+		t.Fatalf("OptP3 predicts %v, P3 prediction %v", got, want)
 	}
 }
 

@@ -39,11 +39,8 @@ func runSequential(tb testing.TB, scenarios []daydream.Scenario) []daydream.Swee
 	for i, sc := range scenarios {
 		g := sc.Base.Clone()
 		var err error
-		switch {
-		case sc.Opt != nil:
+		if sc.Opt != nil {
 			g, err = core.ApplyOptimization(g, sc.Opt)
-		case sc.Transform != nil:
-			g, err = sc.Transform(g)
 		}
 		if err != nil {
 			tb.Fatal(err)
