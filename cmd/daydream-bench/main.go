@@ -191,6 +191,14 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 		}
 	}
 	layerScenarios := exp.AMPLayerScenarios(g)
+	dtr, err := daydream.Collect(daydream.CollectConfig{Model: "densenet121"})
+	if err != nil {
+		return err
+	}
+	densenet, err := daydream.BuildGraph(dtr)
+	if err != nil {
+		return err
+	}
 	var pipelineScenarios []sweep.Scenario
 	for _, stages := range []int{2, 4} {
 		for _, mb := range []int{2, 4, 8} {
@@ -357,6 +365,27 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 					b.Fatal(err)
 				}
 				if _, err := p.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf), core.WithScheduler(benchSched{})); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		// vDNN (Algorithm 10) on densenet121 under its carried
+		// copy-stream policy, which runs through Pick on the scheduled
+		// loop: keyed on the heap loop it was 1.3-1.5x slower on this graph,
+		// where stale heap entries are re-pushed more often than there
+		// are tasks. The row gates that choice.
+		{"VDNNScheduledScenario", 0, func(b *testing.B) {
+			opt := whatif.OptVDNN(whatif.VDNNOptions{})
+			sched := core.OptScheduler(opt)
+			scratch := core.NewSimScratch()
+			p := daydream.NewPatch(densenet)
+			buf := &daydream.SimResult{}
+			for i := 0; i < b.N; i++ {
+				p.Reset(densenet)
+				if err := opt.Apply(p); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := p.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf), core.WithScheduler(sched)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -77,7 +77,13 @@
 // bit-identical to scheduling the materialized graph. Supply one with
 // WithScheduler (directly or in a Scenario's SimOptions), or let the
 // optimization carry its own (OptVDNN pairs vDNN's offload/prefetch
-// surgery with its copy-stream policy via core.SchedulerCarrier).
+// surgery with its copy-stream policy via core.SchedulerCarrier). A
+// policy that refines the default order by a static per-task class also
+// implements Class(*Task) int (core.KeyedScheduler) and runs on the heap
+// loop at the default policy's cost; the pipeline what-if's 1F1B and
+// GPipe policies do. Pick is for opaque custom policies. A pipeline
+// patch supersedes the baseline (Patch.SupersedeBaseline), and a
+// default or keyed simulation of it runs only the stage skeleton.
 // KeepSims consumers diagnose any scenario without materializing:
 // CriticalPath and DiagnoseSim walk the effective adjacency of the
 // TaskView the simulation ran over.

@@ -28,13 +28,16 @@
 // durations, gaps and priorities, thread ordinals, and child lists that
 // default to the baseline's own adjacency and are overridden only for
 // the tasks whose out-edges a patch changed. One lazy-key heap loop runs
-// over that form under the default policy, and one scheduled loop under
-// a custom Scheduler. A *Graph is the form with no deltas, an Overlay
-// adds timing deltas, and a structural Patch adds its appendix,
-// removals and edge edits. Every tier is bit-identical to cloning the
-// baseline, mutating the clone and cold-simulating it; they differ only
-// in how much work a what-if costs. Numbers are BENCH.json's bert-large
-// workload (~12.7K tasks); the sweep dispatches between them
+// over that form under the default policy or a KeyedScheduler (its class
+// packed into the priority slot), and one scheduled loop under an opaque
+// custom Scheduler. A Patch whose baseline is superseded
+// (SupersedeBaseline) and joined to its appendix by no edge or thread
+// runs the heap loop over the appendix alone. A *Graph is the form with
+// no deltas, an Overlay adds timing deltas, and a structural Patch adds
+// its appendix, removals and edge edits. Every tier is bit-identical to
+// cloning the baseline, mutating the clone and cold-simulating it; they
+// differ only in how much work a what-if costs. Numbers are BENCH.json's
+// bert-large workload (~12.7K tasks); the sweep dispatches between them
 // automatically and reports its choice per scenario in Result.Tier
 // (daydream sweep -explain).
 //

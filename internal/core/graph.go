@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"daydream/internal/trace"
@@ -44,6 +45,10 @@ type Graph struct {
 	// Clone leaves the copy's memo empty; structural mutations and
 	// MapLayers invalidate it alongside the layer/phase index.
 	memAnnot memAnnotMemo
+
+	// acyclic memoizes whether the edge set orders every task (see
+	// isAcyclic): 0 unknown, 1 acyclic, 2 cyclic. Edge edits reset it.
+	acyclic atomic.Int32
 }
 
 // Metadata is the non-timeline information a what-if analysis needs.
@@ -270,6 +275,7 @@ func (g *Graph) addEdge(from, to *Task, kind DepKind) {
 	from.childKinds = append(from.childKinds, kind)
 	to.parents = append(to.parents, from)
 	g.edges++
+	g.acyclic.Store(0)
 }
 
 func (g *Graph) removeEdge(from, to *Task) {
@@ -279,6 +285,7 @@ func (g *Graph) removeEdge(from, to *Task) {
 			from.childKinds = append(from.childKinds[:i], from.childKinds[i+1:]...)
 			to.parents = removeTask(to.parents, from)
 			g.edges--
+			g.acyclic.Store(0)
 			return
 		}
 	}
@@ -448,8 +455,24 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("core: thread %v tail mismatch", tid)
 		}
 	}
-	// Kahn's algorithm for cycle detection.
-	ref := make([]int, len(g.tasks))
+	ref, seen := g.kahn()
+	if seen != g.live {
+		var members []*Task
+		for _, t := range g.tasks {
+			if t != nil && ref[t.ID] > 0 {
+				members = append(members, t)
+			}
+		}
+		return newCycleError(members)
+	}
+	return nil
+}
+
+// kahn runs Kahn's algorithm over the edge set. It returns the reference
+// counts left over, which are positive exactly on the tasks a cycle
+// blocks, and how many tasks it ordered.
+func (g *Graph) kahn() (ref []int, seen int) {
+	ref = make([]int, len(g.tasks))
 	var frontier []*Task
 	for _, t := range g.tasks {
 		if t == nil {
@@ -460,7 +483,6 @@ func (g *Graph) Validate() error {
 			frontier = append(frontier, t)
 		}
 	}
-	seen := 0
 	for len(frontier) > 0 {
 		t := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
@@ -472,16 +494,23 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	if seen != g.live {
-		var members []*Task
-		for _, t := range g.tasks {
-			if t != nil && ref[t.ID] > 0 {
-				members = append(members, t)
-			}
-		}
-		return newCycleError(members)
+	memo := int32(2)
+	if seen == g.live {
+		memo = 1
 	}
-	return nil
+	g.acyclic.Store(memo)
+	return ref, seen
+}
+
+// isAcyclic reports whether the edge set orders every task. The answer
+// is memoized until the next edge edit, and any number of goroutines
+// sharing an unmutated graph may ask concurrently.
+func (g *Graph) isAcyclic() bool {
+	if v := g.acyclic.Load(); v != 0 {
+		return v == 1
+	}
+	_, seen := g.kahn()
+	return seen == g.live
 }
 
 // Clone returns a deep copy of the graph; transformations on the copy do

@@ -436,7 +436,7 @@ func (s *IncrementalSim) fillResult(buf *SimResult, o *Overlay, touched []int32)
 	if res == nil {
 		res = &SimResult{}
 	}
-	res.Start = growDurations(res.Start, s.n)
+	res.Start = resize(res.Start, s.n)
 	copy(res.Start, s.warmStart)
 	for _, id := range touched {
 		res.Start[id] = s.newStart[id]
@@ -446,7 +446,7 @@ func (s *IncrementalSim) fillResult(buf *SimResult, o *Overlay, touched []int32)
 	// task's end (ends are monotone along each thread given
 	// non-negative effective timings, which the seed scan enforced), so
 	// only cone tasks that are their thread's warm tail can move it.
-	s.thrEndCur = growDurations(s.thrEndCur, len(s.thrIDs))
+	s.thrEndCur = resize(s.thrEndCur, len(s.thrIDs))
 	copy(s.thrEndCur, s.warmThreadEnd)
 	for _, id := range touched {
 		if s.thrSucc[id] < 0 {
@@ -477,8 +477,8 @@ func (s *IncrementalSim) fillResult(buf *SimResult, o *Overlay, touched []int32)
 		res.gap = res.gap[:0]
 		return res
 	}
-	res.dur = growDurations(res.dur, s.n)
-	res.gap = growDurations(res.gap, s.n)
+	res.dur = resize(res.dur, s.n)
+	res.gap = resize(res.gap, s.n)
 	if o.dense {
 		copy(res.dur, o.dur)
 		copy(res.gap, o.gap)

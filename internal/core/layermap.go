@@ -56,8 +56,8 @@ func MapLayers(g *Graph, spans []trace.LayerSpan) int {
 // mapping — a quick health metric for instrumentation coverage.
 func MappedFraction(g *Graph) float64 {
 	total, mapped := 0, 0
-	for _, t := range g.Tasks() {
-		if !t.OnGPU() {
+	for _, t := range g.tasks {
+		if t == nil || !t.OnGPU() {
 			continue
 		}
 		total++

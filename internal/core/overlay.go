@@ -43,6 +43,10 @@ type Overlay struct {
 	// prioEdited records whether any priority was overlaid; when false
 	// the simulation reads Task.Priority directly.
 	prioEdited bool
+	// zeroed records that every baseline task's effective duration and
+	// gap is zero: set by zeroBaseline, cleared by any non-zero timing
+	// edit and by Reset.
+	zeroed bool
 
 	// scratch is the simulation working set of runs given no
 	// WithScratch, kept so a reused overlay (or a patch over it) does not
@@ -106,6 +110,7 @@ func (o *Overlay) Reset(g *Graph) {
 	}
 	o.base = g
 	o.prioEdited = false
+	o.zeroed = false
 	o.gen++
 	for id := range o.sparse {
 		delete(o.sparse, id)
@@ -124,9 +129,9 @@ func (o *Overlay) snapshot() {
 	}
 	g := o.base
 	n := len(g.tasks)
-	o.baseDur = growDurations(o.baseDur, n)
-	o.baseGap = growDurations(o.baseGap, n)
-	o.basePrio = growInts(o.basePrio, n)
+	o.baseDur = resize(o.baseDur, n)
+	o.baseGap = resize(o.baseGap, n)
+	o.basePrio = resize(o.basePrio, n)
 	for id, t := range g.tasks {
 		if t != nil {
 			o.baseDur[id], o.baseGap[id], o.basePrio[id] = t.Duration, t.Gap, t.Priority
@@ -190,9 +195,9 @@ func (o *Overlay) EstimateConeSize() (cone, total int) {
 func (o *Overlay) densify() {
 	o.snapshot()
 	n := len(o.base.tasks)
-	o.dur = growDurations(o.dur, n)
-	o.gap = growDurations(o.gap, n)
-	o.prio = growInts(o.prio, n)
+	o.dur = resize(o.dur, n)
+	o.gap = resize(o.gap, n)
+	o.prio = resize(o.prio, n)
 	copy(o.dur, o.baseDur)
 	copy(o.gap, o.baseGap)
 	copy(o.prio, o.basePrio)
@@ -248,6 +253,7 @@ func (o *Overlay) Priority(t *Task) int {
 // baseline.
 func (o *Overlay) SetDuration(t *Task, d time.Duration) {
 	o.gen++
+	o.zeroed = o.zeroed && d == 0
 	if o.dense {
 		o.dur[t.ID] = d
 		return
@@ -266,6 +272,7 @@ func (o *Overlay) SetDuration(t *Task, d time.Duration) {
 // SetGap overrides the task's gap without touching the baseline.
 func (o *Overlay) SetGap(t *Task, d time.Duration) {
 	o.gen++
+	o.zeroed = o.zeroed && d == 0
 	if o.dense {
 		o.gap[t.ID] = d
 		return
@@ -301,6 +308,18 @@ func (o *Overlay) SetPriority(t *Task, p int) {
 	if len(o.sparse) > o.crossover() {
 		o.densify()
 	}
+}
+
+// zeroBaseline sets every baseline task's effective duration and gap to
+// zero in one dense write; priorities are kept.
+func (o *Overlay) zeroBaseline() {
+	if !o.dense {
+		o.densify()
+	}
+	clear(o.dur)
+	clear(o.gap)
+	o.zeroed = true
+	o.gen++
 }
 
 // ScaleDuration multiplies the task's effective duration by factor,
@@ -344,18 +363,18 @@ func (o *Overlay) fillPriority(prio []int) {
 	}
 }
 
-// growDurations resizes s to length n, reusing capacity.
-func growDurations(s []time.Duration, n int) []time.Duration {
-	if cap(s) < n {
-		return make([]time.Duration, n)
-	}
-	return s[:n]
-}
-
-// growInts resizes s to length n, reusing capacity.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+// resize returns s at length n, reusing its capacity. Growing an
+// allocation leaves a quarter of headroom, so a grid whose ID span grows
+// from row to row (a longer pipeline appendix each time) reallocates
+// once, not on every row. A first allocation is exact: storage that is
+// never regrown, such as a one-shot simulation's, pays nothing for it.
+// Reused elements keep their old values.
+func resize[T any](s []T, n int) []T {
+	switch {
+	case cap(s) == 0:
+		return make([]T, n)
+	case cap(s) < n:
+		return make([]T, n, n+n/4)
 	}
 	return s[:n]
 }
@@ -390,7 +409,7 @@ func (o *Overlay) compile(so *simOptions, n int) *simForm {
 	f := &s.form
 	*f = simForm{view: o, tasks: o.base.tasks, live: o.base.live, dur: dur, gap: gap, threadOf: o.threadOf, threadIDs: o.threadIDs}
 	if o.prioEdited {
-		s.prio = growInts(s.prio, n)
+		s.prio = resize(s.prio, n)
 		o.fillPriority(s.prio)
 		f.prio = s.prio
 	}

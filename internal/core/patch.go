@@ -310,6 +310,51 @@ func (p *Patch) SetPriority(t *Task, prio int) {
 	p.timing.SetPriority(t, prio)
 }
 
+// SupersedeBaseline sets every baseline task's effective duration and
+// gap to zero in one step: the baseline's execution contributes nothing
+// to the makespan while its dependency structure stays valid (removal
+// without Remove's reconnection cascade). Appendix tasks keep their
+// timings. When nothing else in the patch reaches the baseline — no
+// structural edit touches a baseline task or edge, and no appendix task
+// runs on a baseline thread — an unwindowed Simulate under the default
+// policy or a KeyedScheduler skips the baseline's tasks altogether: they
+// start at 0 whatever the order.
+func (p *Patch) SupersedeBaseline() { p.timing.zeroBaseline() }
+
+// supersedes reports whether the baseline's tasks may be skipped by a
+// static-order simulation of the compiled form: every baseline task has
+// zero effective duration and gap, no structural delta touches a
+// baseline task or edge, the baseline is acyclic (so every one of its
+// tasks starts at 0 and nothing is blocked), and no appendix task runs
+// on one of the first baseThreads thread ordinals (the baseline's).
+func (p *Patch) supersedes(threadOf []int32, baseThreads int) bool {
+	if !p.timing.zeroed || len(p.removedEdges) > 0 {
+		return false
+	}
+	span := p.baseSpan()
+	for id := range p.removed {
+		if id < span {
+			return false
+		}
+	}
+	for id, edges := range p.addedOut {
+		if id < span {
+			return false
+		}
+		for _, e := range edges {
+			if e.to.ID < span {
+				return false
+			}
+		}
+	}
+	for _, t := range p.added {
+		if int(threadOf[t.ID]) < baseThreads {
+			return false
+		}
+	}
+	return p.base.isAcyclic()
+}
+
 // ScaleDuration multiplies the task's effective duration by factor,
 // with the same arithmetic as the Scale primitive.
 func (p *Patch) ScaleDuration(t *Task, factor float64) {
@@ -770,10 +815,15 @@ func (p *Patch) compile(so *simOptions) *simForm {
 			f.prio[span+i] = t.Priority
 		}
 	}
+	baseThreads := len(f.threadIDs)
 	s.threadOf, s.threadIDs = layoutThreads(append(s.threadOf[:0], f.threadOf...), append(s.threadIDs[:0], f.threadIDs...), p.added)
 	f.threadOf, f.threadIDs = s.threadOf, s.threadIDs
+	if p.supersedes(f.threadOf, baseThreads) {
+		f.skip = skipSpan{ids: span, live: p.base.live, threads: baseThreads}
+	}
 
-	s.kids = growKids(s.kids, n)
+	s.kids = resize(s.kids, n)
+	clear(s.kids)
 	s.changed = s.changed[:0]
 	if s.kidBuf == nil {
 		s.kidBuf = make([]*Task, 0, 64) // non-nil, so empty overrides stay non-nil
@@ -807,16 +857,6 @@ func (p *Patch) compile(so *simOptions) *simForm {
 	}
 	f.kids, f.changed = s.kids, s.changed
 	return f
-}
-
-// growKids resizes s to length n, reusing capacity, and clears it.
-func growKids(s [][]*Task, n int) [][]*Task {
-	if cap(s) < n {
-		return make([][]*Task, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // PredictIteration simulates the patched baseline and returns the
@@ -992,7 +1032,7 @@ func (p *Patch) materializeInto(target *Graph) error {
 			nt.Gap = op.t.Gap
 			nt.TracedStart = op.t.TracedStart
 			nt.TracedDuration = op.t.TracedDuration
-			nt.Layer, nt.LayerIndex, nt.Phase, nt.HasLayer = op.t.Layer, op.t.LayerIndex, op.t.Phase, op.t.HasLayer
+			nt.Layer, nt.LayerIndex, nt.Phase, nt.HasLayer, nt.Tag = op.t.Layer, op.t.LayerIndex, op.t.Phase, op.t.HasLayer, op.t.Tag
 			nt.Correlation = op.t.Correlation
 			nt.Bytes = op.t.Bytes
 			nt.Dir = op.t.Dir

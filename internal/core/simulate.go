@@ -25,6 +25,25 @@ type Scheduler interface {
 	Pick(frontier []*Task, ctx *SchedContext) int
 }
 
+// KeyedScheduler is a Scheduler whose order is the default
+// earliest-start order extended by a static per-task class: among the
+// frontier tasks that can start earliest, the lowest Class wins, then
+// the higher effective priority, then the lower task ID. The pipeline
+// what-if's policies are keyed. The simulator evaluates Class once per
+// task, packs it with the priority into the heap loop's key, and never
+// calls Pick. Pick must implement the same order, because a run whose
+// classes or priorities do not fit the packed key (a Class outside
+// [0, MaxClass], a priority outside the int32 range) falls back to the
+// scheduled loop. Class must depend only on the task, never on the
+// run's progress.
+type KeyedScheduler interface {
+	Scheduler
+	Class(t *Task) int
+}
+
+// MaxClass is the largest class a KeyedScheduler's packed key holds.
+const MaxClass = math.MaxInt32
+
 // SchedContext is the read surface a Scheduler picks through: the
 // effective per-task attributes of the simulation's task view plus the
 // evolving schedule state (earliest starts, per-thread progress). It is
@@ -254,14 +273,8 @@ func newResult(buf *SimResult, n, threads int) *SimResult {
 		}
 	}
 	buf.Makespan = 0
-	if cap(buf.Start) < n {
-		buf.Start = make([]time.Duration, n)
-	} else {
-		buf.Start = buf.Start[:n]
-		for i := range buf.Start {
-			buf.Start[i] = 0
-		}
-	}
+	buf.Start = resize(buf.Start, n)
+	clear(buf.Start)
 	if buf.ThreadEnd == nil {
 		buf.ThreadEnd = make(map[ThreadID]time.Duration, threads)
 	} else {
@@ -301,6 +314,8 @@ type SimScratch struct {
 
 	tasks []*Task
 	prio  []int
+	// keys holds a KeyedScheduler's classes packed with the priorities.
+	keys []int
 	// effDur and effGap hold the effective timings of a *windowed* run:
 	// transient loop state, so the retained result stays O(window) while
 	// timing reads stay O(1).
@@ -345,7 +360,10 @@ func layoutThreads(of []int32, ids []ThreadID, tasks []*Task) ([]int32, []Thread
 // the true minimum under the (start, -priority, ID) order — exactly the
 // task EarliestStart's linear scan would have picked. The entry carries
 // the effective priority so overlay simulations can tie-break on
-// overlaid priorities without touching the shared baseline tasks.
+// overlaid priorities without touching the shared baseline tasks. Under
+// a KeyedScheduler the priority slot holds priority − class·2³², which
+// orders by (class, -priority) in the same comparison; the argument is
+// unchanged because everything but the start is static.
 type heapEntry struct {
 	key  time.Duration
 	prio int
@@ -450,14 +468,14 @@ func newSimOptions(opts []SimOption, own **SimScratch) (simOptions, error) {
 func (o *simOptions) timings(n int) (dur, gap []time.Duration) {
 	if o.window > 0 {
 		s := o.scratch
-		s.effDur, s.effGap = growDurations(s.effDur, n), growDurations(s.effGap, n)
+		s.effDur, s.effGap = resize(s.effDur, n), resize(s.effGap, n)
 		return s.effDur, s.effGap
 	}
 	if o.result == nil {
 		o.result = &SimResult{}
 	}
 	r := o.result
-	r.dur, r.gap = growDurations(r.dur, n), growDurations(r.gap, n)
+	r.dur, r.gap = resize(r.dur, n), resize(r.gap, n)
 	return r.dur, r.gap
 }
 
@@ -555,9 +573,10 @@ func SchedulerOf(opts ...SimOption) Scheduler {
 // complete, advancing per-thread progress by duration plus gap, and
 // propagating earliest-start times along dependency edges.
 //
-// Under the default earliest-start policy the frontier is a binary heap
-// with lazily updated keys; a custom Scheduler sees the frontier as a
-// plain slice, preserving the overridable schedule() contract.
+// Under the default earliest-start policy or a KeyedScheduler the
+// frontier is a binary heap with lazily updated keys; any other custom
+// Scheduler sees the frontier as a plain slice, preserving the
+// overridable schedule() contract.
 func (g *Graph) Simulate(opts ...SimOption) (*SimResult, error) {
 	o, err := newSimOptions(opts, nil)
 	if err != nil {
@@ -600,6 +619,23 @@ type simForm struct {
 	// non-nil entry; changed lists those tasks, removed ones included.
 	kids    [][]*Task
 	changed []*Task
+	// skip describes a superseded baseline the run skips (see
+	// Patch.SupersedeBaseline): compile sets it, and simulate clears it
+	// for a run whose order is not static. Zero when there is none.
+	skip skipSpan
+}
+
+// skipSpan is a baseline a static-order run may skip: the IDs below ids
+// hold live tasks with zero effective duration and gap, on thread
+// ordinals below threads, joined by no edge to any later task, with an
+// acyclic edge set among themselves. Each of them starts at 0 in every
+// static-order run, and the appendix's dispatch order does not depend on
+// them, so the loop leaves their starts at 0, ends their threads at 0,
+// counts them executed and runs only the tasks from ids on. An opaque
+// Pick may still order the appendix by what the baseline's dispatches
+// left on the frontier, so it always runs the full loop.
+type skipSpan struct {
+	ids, live, threads int
 }
 
 // threadUntouched marks a thread that has not run a task yet.
@@ -629,7 +665,8 @@ func (f *simForm) children(t *Task) []*Task {
 }
 
 // simulate readies the result and the loop state, then runs the heap
-// loop or, for a custom policy, the scheduled loop.
+// loop or, for a custom policy without a fitting key, the scheduled
+// loop.
 func (f *simForm) simulate(o *simOptions) (*SimResult, error) {
 	n := len(f.tasks)
 	resN := n
@@ -648,13 +685,25 @@ func (f *simForm) simulate(o *simOptions) (*SimResult, error) {
 	}
 	s := o.scratch
 	s.ensure(n)
+	// From here on f.skip is the run's own: a windowed or recorded run,
+	// and any policy left on Pick, runs every task.
+	if o.window > 0 || o.execOrder != nil {
+		f.skip = skipSpan{}
+	}
+	sched := customScheduler(o.scheduler)
+	if keyed, ok := sched.(KeyedScheduler); ok && f.packClasses(keyed, s, f.skip.ids) {
+		sched = nil
+	}
+	if sched != nil {
+		f.skip = skipSpan{}
+	}
 	// Reference counts over the effective edge set: each task's baseline
 	// indegree, corrected by the out-edges of the changed tasks.
 	ref := s.ref
-	for id, t := range f.tasks {
+	for id := f.skip.ids; id < n; id++ {
 		s.earliest[id] = 0
 		ref[id] = 0
-		if t != nil {
+		if t := f.tasks[id]; t != nil {
 			ref[id] = len(t.parents)
 		}
 	}
@@ -668,41 +717,66 @@ func (f *simForm) simulate(o *simOptions) (*SimResult, error) {
 			}
 		}
 	}
-	s.threadEnds = growDurations(s.threadEnds, len(f.threadIDs))
+	s.threadEnds = resize(s.threadEnds, len(f.threadIDs))
 	for i := range s.threadEnds {
 		s.threadEnds[i] = threadUntouched
 	}
-	if sched := customScheduler(o.scheduler); sched != nil {
+	clear(s.threadEnds[:f.skip.threads])
+	if sched != nil {
 		return f.runScheduled(sched, s, res, o.ctx)
 	}
 	return f.runHeap(s, res, o)
 }
 
+// packClasses packs the policy's class of every live task from ID from
+// on with its effective priority into the scratch's key array, and
+// makes that array the form's priorities. It reports false, leaving the
+// form untouched, when a class or a priority does not fit the packing.
+func (f *simForm) packClasses(k KeyedScheduler, s *SimScratch, from int) bool {
+	if math.MaxInt == math.MaxInt32 {
+		return false // no room for a 32-bit class above the priority
+	}
+	keys := resize(s.keys, len(f.tasks))
+	s.keys = keys
+	for id := from; id < len(f.tasks); id++ {
+		t := f.tasks[id]
+		if t == nil {
+			continue
+		}
+		c, p := k.Class(t), f.priority(t)
+		if c < 0 || c > MaxClass || p < math.MinInt32 || p > math.MaxInt32 {
+			return false
+		}
+		keys[id] = p - c<<32
+	}
+	f.prio = keys
+	return true
+}
+
 // ensure sizes the per-ID loop arrays for an ID span of n.
 func (s *SimScratch) ensure(n int) {
-	if cap(s.ref) < n {
-		s.ref = make([]int, n)
-		s.earliest = make([]time.Duration, n)
-	}
-	s.ref = s.ref[:n]
-	s.earliest = s.earliest[:n]
+	s.ref = resize(s.ref, n)
+	s.earliest = resize(s.earliest, n)
 	s.heap = s.heap[:0]
 	s.frontier = s.frontier[:0]
 }
 
-// runHeap is Algorithm 1 under the default earliest-start policy, with
-// the frontier kept as a lazy-key binary heap (see heapEntry).
+// runHeap is Algorithm 1 under a static order — the default
+// earliest-start policy, or a KeyedScheduler's classes packed into the
+// priorities — with the frontier kept as a lazy-key binary heap (see
+// heapEntry). It starts past the skipped baseline (f.skip), counting
+// those tasks executed.
 func (f *simForm) runHeap(s *SimScratch, res *SimResult, o *simOptions) (*SimResult, error) {
 	ref, earliest, threadEnds, threadOf := s.ref, s.earliest, s.threadEnds, f.threadOf
 	dur, gap := f.dur, f.gap
 	ctx, execOrder := o.ctx, o.execOrder
 	h := s.heap
-	for _, t := range f.tasks {
+	for _, t := range f.tasks[f.skip.ids:] {
 		if t != nil && ref[t.ID] == 0 {
 			h = heapPush(h, heapEntry{0, f.priority(t), t})
 		}
 	}
-	executed := 0
+	executed := f.skip.live
 	for len(h) > 0 {
 		var e heapEntry
 		e, h = heapPop(h)
@@ -747,7 +821,7 @@ func (f *simForm) runHeap(s *SimScratch, res *SimResult, o *simOptions) (*SimRes
 	return f.finish(s, res, executed)
 }
 
-// runScheduled is Algorithm 1 under a custom policy: the scheduler sees
+// runScheduled is Algorithm 1 under an opaque policy: the scheduler sees
 // the frontier as a slice, in the order tasks became ready, and reads
 // effective attributes through the SchedContext, so one policy runs
 // clone-free over every view with results bit-identical to
@@ -808,8 +882,8 @@ func (f *simForm) runScheduled(sched Scheduler, s *SimScratch, res *SimResult, c
 
 // finish records the touched threads' ends and reports a stall — a
 // frontier that emptied with live tasks left: the effective graph cannot
-// be fully ordered, and the unexecuted tasks are exactly those whose
-// reference count never reached zero.
+// be fully ordered, and the unexecuted tasks are exactly those past the
+// skipped baseline whose reference count never reached zero.
 func (f *simForm) finish(s *SimScratch, res *SimResult, executed int) (*SimResult, error) {
 	for i, end := range s.threadEnds {
 		if end != threadUntouched {
@@ -820,7 +894,7 @@ func (f *simForm) finish(s *SimScratch, res *SimResult, executed int) (*SimResul
 		return res, nil
 	}
 	var blocked []*Task
-	for _, t := range f.tasks {
+	for _, t := range f.tasks[f.skip.ids:] {
 		if t != nil && s.ref[t.ID] > 0 {
 			blocked = append(blocked, t)
 		}

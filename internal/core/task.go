@@ -127,6 +127,10 @@ type Task struct {
 	LayerIndex int
 	Phase      trace.Phase
 	HasLayer   bool
+	// Tag is a label a what-if may set on the tasks it creates, so that
+	// its scheduling policy can classify them without parsing names.
+	// Traced tasks carry 0, and the simulator never reads it.
+	Tag uint8
 	// Correlation is the CUPTI correlation ID (zero if none).
 	Correlation uint64
 	// Bytes is the payload for copies and communication.

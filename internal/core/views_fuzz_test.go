@@ -22,11 +22,16 @@ import (
 //   - materializing the view and simulating the private graph cold,
 //   - referenceSimulate over the materialized graph,
 //
-// and a LIFO policy over the view must agree with the same policy over
-// the materialized graph.
+// a LIFO policy over the view must agree with the same policy over the
+// materialized graph, and a KeyedScheduler on the heap loop must agree
+// with the same policy through Pick over the materialized graph.
 //
 // On repeated graphs every view is also simulated with WithRoundWindow
 // and checked against the unwindowed run over the retained window.
+//
+// Each input also builds a superseded-baseline patch (see
+// checkSupersededAgrees), the one shape on which the heap loop skips
+// the baseline's tasks.
 func FuzzSimulateViewsAgree(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
 		f.Add(seed, uint8(seed*11), uint8(seed*5))
@@ -76,7 +81,88 @@ func FuzzSimulateViewsAgree(f *testing.F) {
 				checkWindowAgrees(t, v, 1+rng.Intn(rounds-1))
 			}
 		}
+
+		checkSupersededAgrees(t, rng, g, supersededVariant(rng.Intn(5)), scratch, buf)
 	})
+}
+
+// supersededVariant selects how checkSupersededAgrees breaks (or keeps)
+// the conditions under which a static-order run skips the baseline.
+type supersededVariant int
+
+const (
+	supersededPure         supersededVariant = iota // every condition holds
+	supersededBaselineEdge                          // one edge joins the appendix to the baseline
+	supersededSharedThread                          // one appendix task runs on a baseline thread
+	supersededTimedTask                             // one baseline task keeps a non-zero duration
+	supersededCyclicBase                            // the baseline itself holds a cycle
+)
+
+// checkSupersededAgrees zeroes the whole baseline with SupersedeBaseline
+// and appends a random DAG on fresh threads, broken according to the
+// variant, then holds every path to the materialized graph. Only the
+// pure variant may skip the baseline, and it must.
+func checkSupersededAgrees(t *testing.T, rng *rand.Rand, g *Graph, variant supersededVariant, scratch *SimScratch, buf *SimResult) {
+	t.Helper()
+	base := g.Tasks()
+	if variant == supersededCyclicBase {
+		g = g.Clone()
+		base = g.Tasks()
+		i := rng.Intn(len(base) - 1)
+		a, b := base[i], base[i+1+rng.Intn(len(base)-1-i)]
+		_ = g.AddDependency(b, a, DepCustom)
+		_ = g.AddDependency(a, b, DepCustom)
+	}
+	p := NewPatch(g)
+	p.SupersedeBaseline()
+	fresh := []ThreadID{Stream(100), Stream(101), Channel("fresh"), CPU(100)}
+	var added []*Task
+	for i, n := 0, 1+rng.Intn(12); i < n; i++ {
+		tid := fresh[rng.Intn(len(fresh))]
+		nt := p.NewTask("new", kindFor(tid), tid, randomDuration(rng))
+		nt.Round = base[len(base)-1].Round
+		nt.Priority = rng.Intn(10) - 5
+		if rng.Intn(3) != 0 {
+			p.AppendTask(nt)
+		}
+		if rng.Intn(3) == 0 {
+			p.SetGap(nt, randomDuration(rng)/4)
+		}
+		if len(added) > 0 && rng.Intn(2) == 0 {
+			_ = p.AddDependency(added[rng.Intn(len(added))], nt, DepCustom)
+		}
+		added = append(added, nt)
+	}
+	switch variant {
+	case supersededBaselineEdge:
+		a, b := base[rng.Intn(len(base))], added[rng.Intn(len(added))]
+		if rng.Intn(2) == 0 {
+			a, b = b, a
+		}
+		_ = p.AddDependency(a, b, DepCustom)
+	case supersededSharedThread:
+		nt := p.NewTask("shared", kindFor(base[0].Thread), base[0].Thread, randomDuration(rng))
+		nt.Round = added[0].Round
+		if rng.Intn(2) == 0 {
+			p.AppendTask(nt)
+		}
+	case supersededTimedTask:
+		p.SetDuration(base[rng.Intn(len(base))], 1+randomDuration(rng))
+	}
+	if got, want := skipsBaseline(p), variant == supersededPure; got != want {
+		t.Fatalf("superseded variant %d: baseline skip %v, want %v", variant, got, want)
+	}
+	checkViewsAgree(t, fmt.Sprintf("superseded variant %d", variant), p, scratch, buf)
+}
+
+// skipsBaseline reports whether a default-policy simulation of p would
+// skip its baseline.
+func skipsBaseline(p *Patch) bool {
+	so, err := newSimOptions(nil, nil)
+	if err != nil {
+		panic(err)
+	}
+	return p.compile(&so).skip.ids == len(p.base.tasks)
 }
 
 // randomDuration draws a non-negative task duration.
@@ -151,14 +237,20 @@ func checkViewsAgree(t *testing.T, stage string, v TaskView, scratch *SimScratch
 	}
 	cold, coldErr := m.Simulate()
 	ref, refErr := referenceSimulate(m)
+	// A class outside [0, MaxClass] sends the whole run to Pick.
+	keyed, misfit := classByID{}, classByID{misfit: 7}
 	paths := []struct {
-		name string
-		opts []SimOption
+		name  string
+		opts  []SimOption
+		keyed Scheduler // when set, the run is compared with this policy through Pick
 	}{
-		{"heap", nil},
-		{"scheduled", []SimOption{WithScheduler(wrappedEarliest{})}},
-		{"reused", []SimOption{WithScratch(scratch), WithResultBuffer(buf)}},
-		{"reused scheduled", []SimOption{WithScheduler(wrappedEarliest{}), WithScratch(scratch), WithResultBuffer(buf)}},
+		{"heap", nil, nil},
+		{"scheduled", []SimOption{WithScheduler(wrappedEarliest{})}, nil},
+		{"reused", []SimOption{WithScratch(scratch), WithResultBuffer(buf)}, nil},
+		{"reused scheduled", []SimOption{WithScheduler(wrappedEarliest{}), WithScratch(scratch), WithResultBuffer(buf)}, nil},
+		{"keyed", []SimOption{WithScheduler(keyed)}, keyed},
+		{"reused keyed", []SimOption{WithScheduler(keyed), WithScratch(scratch), WithResultBuffer(buf)}, keyed},
+		{"keyed misfit", []SimOption{WithScheduler(misfit)}, misfit},
 	}
 	if coldErr != nil {
 		var want *StallError
@@ -194,7 +286,13 @@ func checkViewsAgree(t *testing.T, stage string, v TaskView, scratch *SimScratch
 		if len(res.Start) != v.IDSpan() {
 			t.Fatalf("%s/%s: %d starts for ID span %d", stage, path.name, len(res.Start), v.IDSpan())
 		}
-		if err := sameViewResult(v, m, res, cold); err != nil {
+		want := cold
+		if path.keyed != nil {
+			if want, err = m.Simulate(WithScheduler(pickOnly{path.keyed})); err != nil {
+				t.Fatalf("%s/%s through Pick: %v", stage, path.name, err)
+			}
+		}
+		if err := sameViewResult(v, m, res, want); err != nil {
 			t.Fatalf("%s/%s: %v", stage, path.name, err)
 		}
 	}
@@ -218,6 +316,38 @@ func checkViewsAgree(t *testing.T, stage string, v TaskView, scratch *SimScratch
 		t.Fatalf("%s/lifo: picked %v, materialized %v", stage, picks, coldPicks)
 	}
 }
+
+// classByID is a keyed policy whose class is the task ID modulo 3, so it
+// reorders ties the default policy breaks by priority. With misfit set,
+// every misfit-th ID gets class -1, which does not fit the packed key.
+type classByID struct{ misfit int }
+
+func (c classByID) Class(t *Task) int {
+	if c.misfit > 0 && t.ID%c.misfit == 0 {
+		return -1
+	}
+	return t.ID % 3
+}
+
+func (c classByID) Pick(frontier []*Task, ctx *SchedContext) int {
+	best := -1
+	var bestT time.Duration
+	var bestClass, bestPrio int
+	for i, t := range frontier {
+		et, class, prio := ctx.EffStart(t), c.Class(t), ctx.Priority(t)
+		if best < 0 || et < bestT || et == bestT && (class < bestClass ||
+			class == bestClass && (prio > bestPrio || prio == bestPrio && t.ID < frontier[best].ID)) {
+			best, bestT, bestClass, bestPrio = i, et, class, prio
+		}
+	}
+	return best
+}
+
+// pickOnly hides a policy's Class, so the simulator must run it through
+// Pick.
+type pickOnly struct{ s Scheduler }
+
+func (p pickOnly) Pick(frontier []*Task, ctx *SchedContext) int { return p.s.Pick(frontier, ctx) }
 
 // lifoRecorder always picks the newest frontier task and records the
 // IDs it picks.

@@ -59,14 +59,22 @@ const (
 	ScheduleGPipe = "gpipe"
 )
 
-// Pipeline task-name prefixes; the scheduling policies and sweep
-// reporting classify the skeleton's tasks by them.
+// Pipeline task-name prefixes, for reports and traces.
 const (
 	pipeFwdPrefix  = "pipe_fwd"
 	pipeBwdPrefix  = "pipe_bwd"
 	pipeActPrefix  = "pipe_xfer_act"
 	pipeGradPrefix = "pipe_xfer_grad"
 	pipeWUPrefix   = "pipe_update"
+)
+
+// Pipeline task tags (core.Task.Tag), which PipelineScheduler classifies
+// the skeleton by: forward compute with the activation transfers that
+// feed it, and backward compute with the gradient transfers. Weight
+// updates stay untagged.
+const (
+	pipeTagFwd uint8 = 1 + iota
+	pipeTagBwd
 )
 
 // pipeStageStream0 numbers the per-stage GPU streams, far from any
@@ -84,15 +92,15 @@ const pipeStageStream0 = 900
 // layout and a pipeline sweep can run under WithRoundWindow in
 // O(window) memory. Simulating the patch is bit-identical to
 // materializing it and simulating the clone, under either schedule.
+//
+// The profiled workload is read through the patch's effective timings,
+// so stacking after a timing what-if partitions the scaled model. The
+// skeleton shares no thread and no edge with the baseline, so unless an
+// earlier part of a stack edited the baseline's structure, a simulation
+// under the carried scheduler runs only the skeleton (see
+// core.Patch.SupersedeBaseline).
 func PipelinePatch(p *core.Patch, opts PipelineOptions) error {
-	return pipelineInto(p.Base(), p, p, opts)
-}
-
-// pipelineInto reads the profiled workload through view (effective
-// timings, so stacking after a timing what-if partitions the scaled
-// model), zeroes the baseline execution through the patch's timing
-// tier, and appends the stage skeleton through ed.
-func pipelineInto(g *core.Graph, view *core.Patch, ed graphEditor, opts PipelineOptions) error {
+	g := p.Base()
 	opts.defaults()
 	if err := requireLayers(g, "Pipeline"); err != nil {
 		return err
@@ -116,36 +124,34 @@ func pipelineInto(g *core.Graph, view *core.Patch, ed graphEditor, opts Pipeline
 	}
 
 	// Per-layer forward/backward GPU compute and the total weight-update
-	// time, read through the view's effective durations (pre-zeroing).
-	fwd := make(map[int]time.Duration, len(layers))
-	bwd := make(map[int]time.Duration, len(layers))
+	// time, read through the patch's effective durations (pre-zeroing).
+	// Both sums are indexed by layer index minus lo, the lowest one.
+	lo := layers[0]
+	span := layerSpan(layers) - lo
+	fwd := make([]time.Duration, span)
+	bwd := make([]time.Duration, span)
 	var wuTotal time.Duration
-	for _, t := range view.Tasks() {
-		if !t.OnGPU() {
+	for _, t := range p.Tasks() {
+		if !t.OnGPU() || !t.HasLayer {
 			continue
 		}
-		if !t.HasLayer {
-			continue
+		i := t.LayerIndex - lo
+		if t.Phase != trace.WeightUpdate && (i < 0 || i >= span) {
+			continue // no gradient metadata: no stage holds the layer
 		}
 		switch t.Phase {
 		case trace.Forward:
-			fwd[t.LayerIndex] += view.Duration(t)
+			fwd[i] += p.Duration(t)
 		case trace.Backward:
-			bwd[t.LayerIndex] += view.Duration(t)
+			bwd[i] += p.Duration(t)
 		case trace.WeightUpdate:
-			wuTotal += view.Duration(t)
+			wuTotal += p.Duration(t)
 		}
 	}
 
-	parts := partitionLayers(layers, fwd, bwd, opts.Stages)
+	parts := partitionLayers(layers, lo, fwd, bwd, opts.Stages)
 
-	// Supersede the baseline: zero every task's effective timing so the
-	// profiled single-GPU execution contributes nothing to the makespan
-	// while its dependency structure stays valid.
-	for _, t := range g.Tasks() {
-		view.SetDuration(t, 0)
-		view.SetGap(t, 0)
-	}
+	p.SupersedeBaseline()
 
 	// Per-stage durations and boundary transfer times.
 	S, M := opts.Stages, opts.Microbatches
@@ -158,8 +164,8 @@ func pipelineInto(g *core.Graph, view *core.Patch, ed graphEditor, opts Pipeline
 	stageParam := make([]int64, S)
 	for s, part := range parts {
 		for _, li := range part {
-			stageFwd[s] += fwd[li]
-			stageBwd[s] += bwd[li]
+			stageFwd[s] += fwd[li-lo]
+			stageBwd[s] += bwd[li-lo]
 			stageParam[s] += grads[li].Bytes
 			totalParam += grads[li].Bytes
 		}
@@ -191,8 +197,8 @@ func pipelineInto(g *core.Graph, view *core.Patch, ed graphEditor, opts Pipeline
 	linkThread := func(s int) core.ThreadID { return core.Channel(fmt.Sprintf("pipe.link%d", s)) }
 	for m := 0; m < M; m++ {
 		for s := 0; s < S; s++ {
-			f := ed.NewTask(fmt.Sprintf("%s s%d m%d", pipeFwdPrefix, s, m), trace.KindKernel, stageThread(s), stageFwd[s]/time.Duration(M))
-			f.Round = m
+			f := p.NewTask(fmt.Sprintf("%s s%d m%d", pipeFwdPrefix, s, m), trace.KindKernel, stageThread(s), stageFwd[s]/time.Duration(M))
+			f.Round, f.Tag = m, pipeTagFwd
 			fwdTasks[s][m] = f
 			// 1F1B admission control: stage s stashes at most S−s
 			// microbatches of activations, so its m-th forward waits for
@@ -201,34 +207,34 @@ func pipelineInto(g *core.Graph, view *core.Patch, ed graphEditor, opts Pipeline
 			// retained span) at the pipeline depth. GPipe has no cap:
 			// it fills with every forward, then drains.
 			if inflight := S - s; opts.Schedule != ScheduleGPipe && m >= inflight {
-				if err := ed.AddDependency(bwdTasks[s][m-inflight], f, core.DepCustom); err != nil {
+				if err := p.AddDependency(bwdTasks[s][m-inflight], f, core.DepCustom); err != nil {
 					return err
 				}
 			}
 			if s > 0 {
 				// Activation transfer s-1 → s released the forward.
-				a := ed.NewTask(fmt.Sprintf("%s s%d m%d", pipeActPrefix, s-1, m), trace.KindComm, linkThread(s-1), xfer[s-1])
-				a.Round = m
-				if err := addDeps(ed, fwdTasks[s-1][m], a, f); err != nil {
+				a := p.NewTask(fmt.Sprintf("%s s%d m%d", pipeActPrefix, s-1, m), trace.KindComm, linkThread(s-1), xfer[s-1])
+				a.Round, a.Tag = m, pipeTagFwd
+				if err := addDeps(p, fwdTasks[s-1][m], a, f); err != nil {
 					return err
 				}
 			}
 		}
 		for s := S - 1; s >= 0; s-- {
-			b := ed.NewTask(fmt.Sprintf("%s s%d m%d", pipeBwdPrefix, s, m), trace.KindKernel, stageThread(s), stageBwd[s]/time.Duration(M))
-			b.Round = m
+			b := p.NewTask(fmt.Sprintf("%s s%d m%d", pipeBwdPrefix, s, m), trace.KindKernel, stageThread(s), stageBwd[s]/time.Duration(M))
+			b.Round, b.Tag = m, pipeTagBwd
 			bwdTasks[s][m] = b
 			// The stage's own forward stashed this microbatch's
 			// activations …
-			if err := ed.AddDependency(fwdTasks[s][m], b, core.DepCustom); err != nil {
+			if err := p.AddDependency(fwdTasks[s][m], b, core.DepCustom); err != nil {
 				return err
 			}
 			// … and (below the last stage) the next stage's backward
 			// sends the output gradient across the link.
 			if s < S-1 {
-				gt := ed.NewTask(fmt.Sprintf("%s s%d m%d", pipeGradPrefix, s, m), trace.KindComm, linkThread(s), xfer[s])
-				gt.Round = m
-				if err := addDeps(ed, bwdTasks[s+1][m], gt, b); err != nil {
+				gt := p.NewTask(fmt.Sprintf("%s s%d m%d", pipeGradPrefix, s, m), trace.KindComm, linkThread(s), xfer[s])
+				gt.Round, gt.Tag = m, pipeTagBwd
+				if err := addDeps(p, bwdTasks[s+1][m], gt, b); err != nil {
 					return err
 				}
 			}
@@ -236,10 +242,10 @@ func pipelineInto(g *core.Graph, view *core.Patch, ed graphEditor, opts Pipeline
 	}
 	lastRound := M - 1
 	for s := 0; s < S; s++ {
-		u := ed.NewTask(fmt.Sprintf("%s s%d", pipeWUPrefix, s), trace.KindKernel, stageThread(s), stageWU[s])
+		u := p.NewTask(fmt.Sprintf("%s s%d", pipeWUPrefix, s), trace.KindKernel, stageThread(s), stageWU[s])
 		u.Round = lastRound
 		for m := 0; m < M; m++ {
-			if err := ed.AddDependency(bwdTasks[s][m], u, core.DepCustom); err != nil {
+			if err := p.AddDependency(bwdTasks[s][m], u, core.DepCustom); err != nil {
 				return err
 			}
 		}
@@ -260,8 +266,8 @@ func addDeps(ed graphEditor, from, mid, to *core.Task) error {
 // deterministic greedy fill: each stage takes layers until it reaches
 // the average of the remaining weight, always leaving one layer per
 // remaining stage.
-func partitionLayers(layers []int, fwd, bwd map[int]time.Duration, stages int) [][]int {
-	weight := func(li int) time.Duration { return fwd[li] + bwd[li] }
+func partitionLayers(layers []int, lo int, fwd, bwd []time.Duration, stages int) [][]int {
+	weight := func(li int) time.Duration { return fwd[li-lo] + bwd[li-lo] }
 	var total time.Duration
 	for _, li := range layers {
 		total += weight(li)
@@ -294,9 +300,10 @@ func partitionLayers(layers []int, fwd, bwd map[int]time.Duration, stages int) [
 // PipelineScheduler is the carried microbatch-ordering policy: among the
 // frontier tasks ready earliest, pipeline tasks of the preferred phase
 // win (backward for 1F1B, forward for GPipe), then lower microbatch
-// (Round), then higher effective priority, then lower task ID. It reads
-// everything through the SchedContext, so it is deterministic and
-// clone-free over a structural Patch exactly as over a materialized
+// (Round), then higher effective priority, then lower task ID. It is a
+// core.KeyedScheduler: the phase rank and the microbatch form a static
+// class read from the task's Tag and Round, so the simulator runs it on
+// the heap loop, over a structural Patch exactly as over a materialized
 // graph. Transfers rank with the compute phase they serve, so a link
 // never starves the preferred direction.
 type PipelineScheduler struct {
@@ -305,14 +312,10 @@ type PipelineScheduler struct {
 	PreferBackward bool
 }
 
-// pipeRank classifies a task for the policy: 0 = preferred pipeline
-// phase, 1 = other pipeline phase, 2 = everything else.
+// pipeRank classifies a task for the policy by its tag: 0 = preferred
+// pipeline phase, 1 = other pipeline phase, 2 = everything else.
 func (s PipelineScheduler) pipeRank(t *core.Task) int {
-	var fwdish, bwdish bool
-	if strings.HasPrefix(t.Name, "pipe_") {
-		fwdish = strings.HasPrefix(t.Name, pipeFwdPrefix) || strings.HasPrefix(t.Name, pipeActPrefix)
-		bwdish = strings.HasPrefix(t.Name, pipeBwdPrefix) || strings.HasPrefix(t.Name, pipeGradPrefix)
-	}
+	fwdish, bwdish := t.Tag == pipeTagFwd, t.Tag == pipeTagBwd
 	switch {
 	case s.PreferBackward && bwdish, !s.PreferBackward && fwdish:
 		return 0
@@ -322,7 +325,20 @@ func (s PipelineScheduler) pipeRank(t *core.Task) int {
 	return 2
 }
 
-// Pick implements core.Scheduler.
+// pipeRoundBits is how many low class bits hold the microbatch.
+const pipeRoundBits = 29
+
+// Class implements core.KeyedScheduler: the rank above the microbatch.
+// A Round the packing cannot hold returns -1, which sends the run to
+// Pick.
+func (s PipelineScheduler) Class(t *core.Task) int {
+	if t.Round < 0 || t.Round >= 1<<pipeRoundBits {
+		return -1
+	}
+	return s.pipeRank(t)<<pipeRoundBits | t.Round
+}
+
+// Pick implements core.Scheduler with the order Class keys.
 func (s PipelineScheduler) Pick(frontier []*core.Task, ctx *core.SchedContext) int {
 	best := -1
 	var bestT time.Duration

@@ -69,12 +69,15 @@ func layerSpan(sorted []int) int {
 }
 
 // requireLayers verifies the graph carries a layer mapping, which most
-// transformations need.
+// transformations need: some GPU task is mapped to a layer. It reads the
+// graph's memoized layer index and stops at the first mapped task.
 func requireLayers(g *core.Graph, who string) error {
-	if core.MappedFraction(g) == 0 {
-		return fmt.Errorf("whatif: %s requires a task-to-layer mapping (call core.MapLayers first)", who)
+	for _, t := range g.LayerPhaseIndex().GPUTasks() {
+		if t.HasLayer {
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("whatif: %s requires a task-to-layer mapping (call core.MapLayers first)", who)
 }
 
 // scaleDuration multiplies a duration by a factor.
