@@ -93,8 +93,8 @@ type (
 	// OptFootprint classifies how much of the graph an Optimization
 	// touches — a fast-path hint and display label: TimingOnly values
 	// write only the Patch's Overlay timing tier, Structural ones
-	// record structural deltas too. Neither clones; only
-	// graph-replacing rewrites (OptP3, StructuralOptimization) do.
+	// record structural deltas too. Neither clones; only a
+	// graph-replacing rewrite (OptP3) does.
 	OptFootprint = core.OptFootprint
 	// OptimizationSpec describes one entry of the optimization
 	// registry (see Optimizations).
@@ -560,15 +560,6 @@ func PatchOptimization(name string, fp OptFootprint, apply func(*Patch) error) O
 	return core.PatchOpt(name, fp, apply, nil)
 }
 
-// StructuralOptimization builds a custom structural Optimization from an
-// in-place graph transformation. The arbitrary mutation cannot be
-// expressed as patch deltas, so evaluation hands the value a private
-// clone; prefer PatchOptimization for structural what-ifs that should
-// ride the clone-free patch path.
-func StructuralOptimization(name string, apply func(*Graph) error) Optimization {
-	return core.StructuralOpt(name, apply)
-}
-
 // Optimizations returns the registry of every built-in optimization
 // model — name, summary, footprint, and a constructor taking
 // OptimizationParams. The CLIs generate their -opt help and accepted
@@ -747,8 +738,7 @@ func ByLayer(t *Task) string { return core.ByLayer(t) }
 // applies through one copy-on-write Patch over the baseline:
 // timing-only and patch-form structural values (and Stacks of them)
 // evaluate clone-free, a value that demands a materialized graph (a
-// GraphRewriter like OptP3, or a StructuralOptimization) gets a private
-// clone, and a no-op (an empty Stack) replays the baseline. An
+// GraphRewriter like OptP3) gets a private clone, and a no-op (an empty Stack) replays the baseline. An
 // optimization carrying its own metric (OptP3) reports it instead of
 // the makespan, and one carrying a scheduling policy (OptVDNN)
 // simulates under it.

@@ -46,9 +46,8 @@
 // mutating — so no optimization ever needs a clone. The registry
 // (Optimizations, OptimizationByName, ParseOptimization) resolves names
 // and "amp+fusedadam"-style stack expressions (duplicate names are
-// rejected), and TimingOptimization / PatchOptimization /
-// StructuralOptimization build custom values that compose with the
-// built-ins.
+// rejected), and TimingOptimization / PatchOptimization build custom
+// values that compose with the built-ins.
 //
 // Because a single profile answers arbitrarily many what-if questions,
 // the package is built to make each additional question cheap. The
@@ -58,9 +57,8 @@
 // arrays; a Patch simulates timing-only edits on the pure-overlay fast
 // path and structural edits through masked/appendix arrays. Sweep fans
 // a whole scenario grid out over a worker pool sharing one baseline,
-// with every Opt on the clone-free patch path — only graph-replacing
-// rewriters (OptP3's Repeat form, StructuralOptimization) get a private
-// clone:
+// with every Opt on the clone-free patch path — only a graph-replacing
+// rewriter (OptP3's Repeat form) gets a private clone:
 //
 //	results, _ := daydream.Sweep(g, []daydream.Scenario{
 //	    {Opt: daydream.OptAMP()},                                  // timing tier
@@ -90,7 +88,7 @@
 //
 // Every what-if has one form. The built-ins are Opt* values (OptAMP,
 // OptFusedAdam, OptDistributed, …); custom what-ifs are built with
-// PatchOptimization, TimingOptimization or StructuralOptimization; and
+// PatchOptimization or TimingOptimization; and
 // Compare and Scenario take only an Optimization. Measurer and
 // Scenario.Measure read a read-only TaskView (a *Graph or *Patch).
 //

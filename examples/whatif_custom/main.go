@@ -86,8 +86,8 @@ func main() {
 	// 3. What if every element-wise kernel were fused into its producer?
 	// Structural — but still clone-free: the kernels and the launches
 	// that trigger them are removed as copy-on-write patch deltas over
-	// the shared baseline. (StructuralOptimization takes an in-place
-	// transform instead, at the cost of a private clone.)
+	// the shared baseline; every built-in structural what-if is written
+	// the same way.
 	fused := daydream.PatchOptimization("fuse-pointwise", daydream.Structural,
 		func(p *daydream.Patch) error {
 			for _, t := range p.Base().Select(func(t *daydream.Task) bool {

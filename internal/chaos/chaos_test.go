@@ -88,7 +88,9 @@ func TestAdversarialPatchesAcrossTiers(t *testing.T) {
 		{Name: "timing-3", Opt: shrink(0.7)},
 		{Name: "structural", Opt: structural},
 		{Name: "clone", Opt: core.RewriteOpt("clone", func(c *core.Graph) (*core.Graph, error) {
-			core.Scale(c.Select(core.OnGPUPred), 0.5)
+			for _, u := range c.Select(core.OnGPUPred) {
+				u.Duration /= 2
+			}
 			return c, nil
 		}, nil)},
 		// Faults.

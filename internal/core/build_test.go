@@ -50,7 +50,7 @@ func TestBuildFiveDependencyTypes(t *testing.T) {
 
 func TestBuildCorrelationPeers(t *testing.T) {
 	g := modelGraph(t, "resnet50")
-	launches := g.Select(KindIs(trace.KindLaunch))
+	launches := g.Select(func(t *Task) bool { return t.Kind == trace.KindLaunch })
 	if len(launches) == 0 {
 		t.Fatal("no launches")
 	}
@@ -81,7 +81,7 @@ func TestBuildSyncResidual(t *testing.T) {
 	// Sync tasks must not retain their full traced (waiting-inclusive)
 	// duration, or what-ifs could never shrink the iteration.
 	g := modelGraph(t, "resnet50")
-	syncs := g.Select(KindIs(trace.KindSync))
+	syncs := g.Select(func(t *Task) bool { return t.Kind == trace.KindSync })
 	if len(syncs) == 0 {
 		t.Fatal("no syncs")
 	}

@@ -6,7 +6,9 @@
 //     dependency types (§4.2.2),
 //   - the synchronization-free task-to-layer mapping (§4.3, Figure 3),
 //   - the graph-transformation primitives Select / Scale / Insert /
-//     Remove and overridable task scheduling (§4.4), and
+//     Remove and overridable task scheduling (§4.4): every what-if
+//     records them on a copy-on-write Patch (ScaleDuration, NewTask and
+//     the Insert forms, RemoveTask) over an immutable baseline, and
 //   - the frontier-based runtime simulator of Algorithm 1.
 //
 // # Graph layout
@@ -60,7 +62,7 @@
 //     replay tier for no-op scenarios in a sweep.
 //   - clone — materialize a private mutated copy, ~6.0ms per scenario;
 //     only for rewriters that must replace the graph (OptP3's Repeat
-//     form, manual Transforms).
+//     form, built by RewriteOpt).
 //
 // # Round windows
 //

@@ -429,14 +429,6 @@ func (g *Graph) Select(pred func(*Task) bool) []*Task {
 	return out
 }
 
-// Scale multiplies the durations of the given tasks by factor (the
-// shrink/scale primitive).
-func Scale(tasks []*Task, factor float64) {
-	for _, t := range tasks {
-		t.Duration = time.Duration(float64(t.Duration) * factor)
-	}
-}
-
 // Validate checks structural invariants: sequence-chain consistency and
 // acyclicity. It returns the first violation.
 func (g *Graph) Validate() error {

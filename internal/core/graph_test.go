@@ -289,9 +289,13 @@ func TestSelectOrder(t *testing.T) {
 
 func TestScale(t *testing.T) {
 	g, tasks := chain(2, 10*time.Microsecond)
-	Scale(g.Tasks(), 0.5)
-	if tasks[0].Duration != 5*time.Microsecond {
-		t.Fatalf("scaled duration = %v", tasks[0].Duration)
+	p := NewPatch(g)
+	p.ScaleDuration(tasks[0], 0.5)
+	if d := p.Duration(tasks[0]); d != 5*time.Microsecond {
+		t.Fatalf("scaled duration = %v", d)
+	}
+	if tasks[0].Duration != 10*time.Microsecond {
+		t.Fatalf("baseline duration written: %v", tasks[0].Duration)
 	}
 }
 

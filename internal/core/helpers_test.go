@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"daydream/internal/dnn"
 	"daydream/internal/framework"
@@ -34,4 +35,12 @@ func modelGraph(t *testing.T, name string) *Graph {
 	}
 	MapLayers(g, tr.LayerSpans)
 	return g
+}
+
+// scaleTasks multiplies the tasks' durations in place by factor: test
+// graphs built by hand are private, so they may be written directly.
+func scaleTasks(tasks []*Task, factor float64) {
+	for _, t := range tasks {
+		t.Duration = time.Duration(float64(t.Duration) * factor)
+	}
 }

@@ -62,8 +62,7 @@ type Optimization interface {
 
 // GraphRewriter is the optional interface of optimizations that must
 // replace the graph instead of patching over it (P3 repeats the
-// iteration graph before annotating it, and in-place transforms built
-// by StructuralOpt mutate arbitrary task state a patch cannot express).
+// iteration graph before annotating it).
 // ApplyOptimization prefers it over the patch path; the sweep gives
 // such optimizations a private clone.
 type GraphRewriter interface {
@@ -197,21 +196,6 @@ func (f *funcOpt) MeasureFunc() func(TaskView, *SimResult) (time.Duration, error
 // metric (nil keeps the default, the simulated makespan).
 func PatchOpt(name string, fp OptFootprint, apply func(*Patch) error, measure func(TaskView, *SimResult) (time.Duration, error)) Optimization {
 	return &funcOpt{name: name, fp: fp, apply: apply, measure: measure}
-}
-
-// StructuralOpt builds a Structural Optimization from an in-place graph
-// transformation. The arbitrary mutation cannot be expressed as patch
-// deltas, so the value is a GraphRewriter that demands a materialized
-// private graph (OptNeedsGraph reports true and evaluation clones);
-// prefer PatchOpt for structural what-ifs that should ride the
-// clone-free patch path.
-func StructuralOpt(name string, graph func(*Graph) error) Optimization {
-	return RewriteOpt(name, func(g *Graph) (*Graph, error) {
-		if err := graph(g); err != nil {
-			return nil, err
-		}
-		return g, nil
-	}, nil)
 }
 
 // rewriteOpt is a structural optimization that replaces the graph.

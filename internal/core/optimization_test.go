@@ -145,8 +145,14 @@ func TestPatchOptAppliesStructurally(t *testing.T) {
 	}
 }
 
+// inPlace is a structural value that edits a private graph in place: a
+// GraphRewriter returning the graph it was given.
+func inPlace(name string) Optimization {
+	return RewriteOpt(name, func(g *Graph) (*Graph, error) { return g, nil }, nil)
+}
+
 func TestStructuralOptNeedsGraph(t *testing.T) {
-	opt := StructuralOpt("drop-all", func(g *Graph) error { return nil })
+	opt := inPlace("drop-all")
 	if opt.Footprint() != Structural {
 		t.Fatalf("footprint = %v", opt.Footprint())
 	}
@@ -165,7 +171,7 @@ func TestStructuralOptNeedsGraph(t *testing.T) {
 
 func TestStackFootprintAndName(t *testing.T) {
 	timing := halveGPU()
-	structural := StructuralOpt("surgery", func(g *Graph) error { return nil })
+	structural := inPlace("surgery")
 
 	if fp := Stack(timing, timing).Footprint(); fp != TimingOnly {
 		t.Fatalf("timing-only stack footprint = %v", fp)
@@ -322,7 +328,7 @@ func TestRewriteOptAndStackRewrite(t *testing.T) {
 }
 
 func TestStackPatchRejectsGraphPart(t *testing.T) {
-	s := Stack(halveGPU(), StructuralOpt("surgery", func(g *Graph) error { return nil }))
+	s := Stack(halveGPU(), inPlace("surgery"))
 	if err := s.Apply(NewPatch(optTestGraph(t, 1))); err == nil {
 		t.Fatal("stack with an in-place part applied through a patch")
 	}

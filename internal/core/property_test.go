@@ -126,13 +126,13 @@ func TestRandomScalingMonotonic(t *testing.T) {
 			return false
 		}
 		shrunk := g.Clone()
-		Scale(shrunk.Tasks(), 0.5)
+		scaleTasks(shrunk.Tasks(), 0.5)
 		s, err := shrunk.PredictIteration()
 		if err != nil {
 			return false
 		}
 		grown := g.Clone()
-		Scale(grown.Tasks(), 2.0)
+		scaleTasks(grown.Tasks(), 2.0)
 		l, err := grown.PredictIteration()
 		if err != nil {
 			return false

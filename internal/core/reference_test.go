@@ -150,7 +150,7 @@ func TestDenseEngineMatchesReferenceAfterTransforms(t *testing.T) {
 	g := modelGraph(t, "resnet50")
 
 	c := g.Clone()
-	Scale(c.Select(OnGPUPred), 0.5)
+	scaleTasks(c.Select(OnGPUPred), 0.5)
 	for _, u := range c.Select(func(t *Task) bool { return t.Kind.String() == "sync" }) {
 		c.Remove(u)
 	}

@@ -34,16 +34,6 @@ func InPhase(p trace.Phase) func(*Task) bool {
 	return func(t *Task) bool { return t.HasLayer && t.Phase == p }
 }
 
-// InLayer matches tasks mapped to the named layer.
-func InLayer(name string) func(*Task) bool {
-	return func(t *Task) bool { return t.HasLayer && t.Layer == name }
-}
-
-// KindIs matches tasks of the given activity kind.
-func KindIs(k trace.Kind) func(*Task) bool {
-	return func(t *Task) bool { return t.Kind == k }
-}
-
 // And composes predicates conjunctively.
 func And(ps ...func(*Task) bool) func(*Task) bool {
 	return func(t *Task) bool {
@@ -56,87 +46,9 @@ func And(ps ...func(*Task) bool) func(*Task) bool {
 	}
 }
 
-// KernelInsertion describes a GPU kernel to insert together with its CPU
-// launch call, the common pattern of the Insert primitive (Figure 4b):
-// "When inserting a GPU task, we need to insert the corresponding CPU
-// tasks that launch it."
-type KernelInsertion struct {
-	// Name is the new kernel's name.
-	Name string
-	// Duration is the new kernel's estimated duration.
-	Duration time.Duration
-	// LaunchAfter is the CPU task after which the launch call is
-	// inserted.
-	LaunchAfter *Task
-	// KernelAfter is the GPU task after which the kernel is enqueued;
-	// if nil, the kernel is placed right after LaunchAfter's peer, or
-	// appended to the stream.
-	KernelAfter *Task
-	// Stream is the target stream when KernelAfter is nil and no peer
-	// exists.
-	Stream ThreadID
-	// LaunchDuration is the CPU launch call's duration; a typical
-	// cudaLaunchKernel cost is used when zero.
-	LaunchDuration time.Duration
-	// Layer optionally tags both tasks with a layer mapping.
-	Layer      string
-	LayerIndex int
-	Phase      trace.Phase
-}
-
-// defaultLaunchCost approximates a cudaLaunchKernel call when the caller
-// does not supply one (it can also be inferred from existing launches).
-const defaultLaunchCost = 6500 * time.Nanosecond
-
-// InsertKernel inserts a GPU kernel and its launching CPU call, returning
-// (launch, kernel).
-func (g *Graph) InsertKernel(ins KernelInsertion) (*Task, *Task, error) {
-	if ins.LaunchAfter == nil {
-		return nil, nil, fmt.Errorf("core: InsertKernel: LaunchAfter is required")
-	}
-	launchDur := ins.LaunchDuration
-	if launchDur == 0 {
-		launchDur = defaultLaunchCost
-	}
-	launch := g.NewTask("cudaLaunchKernel", trace.KindLaunch, ins.LaunchAfter.Thread, launchDur)
-	if err := g.InsertAfter(ins.LaunchAfter, launch); err != nil {
-		return nil, nil, err
-	}
-	anchor := ins.KernelAfter
-	if anchor == nil && ins.LaunchAfter.peer != nil && ins.LaunchAfter.peer.OnGPU() {
-		anchor = ins.LaunchAfter.peer
-	}
-	var stream ThreadID
-	switch {
-	case anchor != nil:
-		stream = anchor.Thread
-	case ins.Stream.Kind == GPUStream:
-		stream = ins.Stream
-	default:
-		return nil, nil, fmt.Errorf("core: InsertKernel: no stream anchor for %q", ins.Name)
-	}
-	kernel := g.NewTask(ins.Name, trace.KindKernel, stream, ins.Duration)
-	if anchor != nil {
-		if err := g.InsertAfter(anchor, kernel); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		g.AppendTask(kernel)
-	}
-	if err := g.Correlate(launch, kernel); err != nil {
-		return nil, nil, err
-	}
-	if ins.Layer != "" {
-		for _, t := range []*Task{launch, kernel} {
-			t.Layer, t.LayerIndex, t.Phase, t.HasLayer = ins.Layer, ins.LayerIndex, ins.Phase, true
-		}
-	}
-	return launch, kernel, nil
-}
-
 // MeanDuration returns the mean duration of the given tasks (zero for an
 // empty selection) — handy for estimating inserted kernels "based on
-// existing element-wise kernels" as the paper does for Gist and DGC.
+// existing element-wise kernels" as the paper does for Gist.
 func MeanDuration(tasks []*Task) time.Duration {
 	if len(tasks) == 0 {
 		return 0

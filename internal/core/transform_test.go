@@ -19,12 +19,6 @@ func TestPredicates(t *testing.T) {
 	if !InPhase(trace.Backward)(task) || InPhase(trace.Forward)(task) {
 		t.Error("InPhase failed")
 	}
-	if !InLayer("fc")(task) || InLayer("conv")(task) {
-		t.Error("InLayer failed")
-	}
-	if !KindIs(trace.KindKernel)(task) {
-		t.Error("KindIs failed")
-	}
 	if !And(OnGPUPred, NameContains("sgemm"))(task) {
 		t.Error("And failed")
 	}
@@ -59,73 +53,6 @@ func TestMeanDuration(t *testing.T) {
 	tasks := []*Task{{Duration: 10}, {Duration: 20}, {Duration: 30}}
 	if MeanDuration(tasks) != 20 {
 		t.Error("mean wrong")
-	}
-}
-
-func TestInsertKernel(t *testing.T) {
-	g := NewGraph()
-	us := time.Microsecond
-	launch := g.NewTask("cudaLaunchKernel", trace.KindLaunch, CPU(1), 6*us)
-	g.AppendTask(launch)
-	kern := g.NewTask("k", trace.KindKernel, Stream(7), 50*us)
-	g.AppendTask(kern)
-	if err := g.Correlate(launch, kern); err != nil {
-		t.Fatal(err)
-	}
-
-	nl, nk, err := g.InsertKernel(KernelInsertion{
-		Name:        "gist_encode",
-		Duration:    10 * us,
-		LaunchAfter: launch,
-		Layer:       "relu1",
-		LayerIndex:  3,
-		Phase:       trace.Forward,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nl.Thread != CPU(1) || nk.Thread != Stream(7) {
-		t.Fatal("inserted tasks on wrong threads")
-	}
-	if nk.Peer() != nl || nl.Peer() != nk {
-		t.Fatal("inserted pair not correlated")
-	}
-	if !nk.HasLayer || nk.Layer != "relu1" || nk.Phase != trace.Forward {
-		t.Fatal("layer tagging lost")
-	}
-	// Stream order: original kernel, then the inserted one.
-	order := g.ThreadTasks(Stream(7))
-	if len(order) != 2 || order[1] != nk {
-		t.Fatalf("stream order wrong: %v", order)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulation respects the insertion.
-	res, err := g.Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Start[nk.ID] < res.Start[kern.ID]+kern.Duration {
-		t.Fatal("inserted kernel overlaps its anchor")
-	}
-}
-
-func TestInsertKernelErrors(t *testing.T) {
-	g := NewGraph()
-	if _, _, err := g.InsertKernel(KernelInsertion{Name: "x"}); err == nil {
-		t.Fatal("missing anchor accepted")
-	}
-	cpu := g.NewTask("op", trace.KindCPUOp, CPU(1), time.Microsecond)
-	g.AppendTask(cpu)
-	if _, _, err := g.InsertKernel(KernelInsertion{Name: "x", LaunchAfter: cpu}); err == nil {
-		t.Fatal("no stream anchor accepted")
-	}
-	// With an explicit stream it works even without a peer anchor.
-	if _, _, err := g.InsertKernel(KernelInsertion{
-		Name: "x", LaunchAfter: cpu, Stream: Stream(7),
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -206,13 +133,15 @@ func TestScaleByOneIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := g.Clone()
-	Scale(c.Select(OnGPUPred), 1.0)
-	after, err := c.PredictIteration()
+	p := NewPatch(g)
+	for _, u := range g.Select(OnGPUPred) {
+		p.ScaleDuration(u, 1.0)
+	}
+	after, err := p.PredictIteration()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if before != after {
-		t.Fatalf("Scale(1.0) changed the prediction: %v vs %v", before, after)
+		t.Fatalf("ScaleDuration(1.0) changed the prediction: %v vs %v", before, after)
 	}
 }

@@ -26,11 +26,11 @@ type AblationRow struct {
 
 // ablationVariants knock out one design ingredient the paper argues
 // for. Each ablation is a custom core.Optimization value — built with
-// the same PatchOpt/StructuralOpt constructors user code extends the
-// system with — so the sweep dispatches it like any registry
-// optimization: duration-only ablations ride the clone-free overlay
-// path, only the structural one (dropping CPU tasks) pays for a clone,
-// and the full model (a nil Opt) replays the shared baseline directly.
+// the same PatchOpt constructor user code extends the system with — so
+// the sweep dispatches it like any registry optimization: duration-only
+// ablations ride the clone-free overlay path, the structural one
+// (dropping CPU tasks) the clone-free patch path, and the full model (a
+// nil Opt) replays the shared baseline directly.
 var ablationVariants = []struct {
 	name string
 	note string
@@ -76,14 +76,14 @@ var ablationVariants = []struct {
 		// is what you get without the kernel-level CPU abstraction.
 		name: "GPU-only model",
 		note: "drop all CPU tasks (what layer-level profilers see)",
-		opt: core.StructuralOpt("gpu-only", func(g *core.Graph) error {
-			for _, t := range g.Tasks() {
+		opt: core.PatchOpt("gpu-only", core.Structural, func(p *core.Patch) error {
+			for _, t := range p.Base().Tasks() {
 				if t.OnCPU() {
-					g.Remove(t)
+					p.RemoveTask(t)
 				}
 			}
 			return nil
-		}),
+		}, nil),
 	},
 }
 

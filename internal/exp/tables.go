@@ -7,6 +7,7 @@ import (
 	"daydream/internal/comm"
 	"daydream/internal/core"
 	"daydream/internal/framework"
+	"daydream/internal/sweep"
 	"daydream/internal/whatif"
 )
 
@@ -100,15 +101,7 @@ func RunTable1Coverage() ([]CoverageRow, error) {
 		}
 		return p.PredictIteration()
 	}
-	// distributed materializes Algorithm 6's graph for the models that
-	// rewrite its all-reduces (BlueConnect, DGC).
-	distributed := func() (*core.Graph, error) {
-		p := core.NewPatch(rg)
-		if err := whatif.DistributedPatch(p, whatif.DistributedOptions{Topology: topo}); err != nil {
-			return nil, err
-		}
-		return p.Materialize()
-	}
+	distributed := whatif.OptDistributed(whatif.DistributedOptions{Topology: topo})
 
 	if err := add("AMP (Alg 3)", resnet.Name, rBase, func() (time.Duration, error) {
 		return predictPatch(rg, whatif.OptAMP())
@@ -126,7 +119,7 @@ func RunTable1Coverage() ([]CoverageRow, error) {
 		return nil, err
 	}
 	if err := add("Distributed (Alg 6)", resnet.Name, rBase, func() (time.Duration, error) {
-		return predictPatch(rg, whatif.OptDistributed(whatif.DistributedOptions{Topology: topo}))
+		return predictPatch(rg, distributed)
 	}); err != nil {
 		return nil, err
 	}
@@ -139,15 +132,11 @@ func RunTable1Coverage() ([]CoverageRow, error) {
 		}
 		psTopo := fig8Topology(4, 1, 2)
 		predictPS := func(slice int64) (time.Duration, error) {
-			res, err := whatif.P3(mg.Clone(), whatif.P3Options{Topology: psTopo, SliceBytes: slice})
+			res, err := sweep.Run(mg, []sweep.Scenario{{Opt: whatif.OptP3(whatif.P3Options{Topology: psTopo, SliceBytes: slice})}})
 			if err != nil {
 				return 0, err
 			}
-			sim, err := res.Graph.Simulate()
-			if err != nil {
-				return 0, err
-			}
-			return res.IterationTime(sim), nil
+			return res[0].Value, res[0].Err
 		}
 		fifo, err := predictPS(0)
 		if err != nil {
@@ -160,31 +149,19 @@ func RunTable1Coverage() ([]CoverageRow, error) {
 		return nil, err
 	}
 	if err := add("BlueConnect (Alg 8)", resnet.Name, rBase, func() (time.Duration, error) {
-		c, err := distributed()
-		if err != nil {
-			return 0, err
-		}
-		if err := whatif.BlueConnect(c, whatif.BlueConnectOptions{
+		return predictPatch(rg, core.Stack(distributed, whatif.OptBlueConnect(whatif.BlueConnectOptions{
 			Factors:     []int{2, 2},
 			Bandwidths:  []float64{comm.Gbps(10), 11e9},
 			StepLatency: 15 * time.Microsecond,
-		}); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
+		})))
 	}); err != nil {
 		return nil, err
 	}
 	if err := add("MetaFlow (Alg 9)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		subs := []whatif.Substitution{{
+		return predictPatch(rg, whatif.OptMetaFlow([]whatif.Substitution{{
 			Remove: []string{"layer1.0.relu1", "layer1.0.relu2"},
 			Scale:  map[string]float64{"layer1.0.conv2": 1.15},
-		}}
-		if err := whatif.MetaFlow(c, subs); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
+		}}))
 	}); err != nil {
 		return nil, err
 	}
@@ -194,23 +171,12 @@ func RunTable1Coverage() ([]CoverageRow, error) {
 		return nil, err
 	}
 	if err := add("Gist (Alg 11)", resnet.Name, rBase, func() (time.Duration, error) {
-		c := rg.Clone()
-		if err := whatif.Gist(c, whatif.GistOptions{}); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
+		return predictPatch(rg, whatif.OptGist(whatif.GistOptions{}))
 	}); err != nil {
 		return nil, err
 	}
 	if err := add("DGC (Alg 12)", resnet.Name, rBase, func() (time.Duration, error) {
-		c, err := distributed()
-		if err != nil {
-			return 0, err
-		}
-		if err := whatif.DGC(c, whatif.DGCOptions{}); err != nil {
-			return 0, err
-		}
-		return c.PredictIteration()
+		return predictPatch(rg, core.Stack(distributed, whatif.OptDGC(whatif.DGCOptions{})))
 	}); err != nil {
 		return nil, err
 	}

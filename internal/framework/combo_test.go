@@ -62,7 +62,7 @@ func TestSparseEmbeddingUpdate(t *testing.T) {
 	// than a full-table (131 MB ≈ 230 µs) rewrite would be.
 	emb := g.Select(core.And(core.OnGPUPred,
 		core.InPhase(trace.WeightUpdate),
-		core.InLayer("encoder.embedding")))
+		func(t *core.Task) bool { return t.Layer == "encoder.embedding" }))
 	if len(emb) == 0 {
 		t.Fatal("no embedding weight-update kernels")
 	}

@@ -22,8 +22,8 @@
 //     view-generically over the same patch, so scheduled structural
 //     scenarios are clone-free too.
 //   - Rewrite scenarios (an Opt that demands a materialized graph: a
-//     core.GraphRewriter such as P3's Repeat, core.RewriteOpt or
-//     core.StructuralOpt) mutate a private Graph.Clone.
+//     core.GraphRewriter such as P3's Repeat, built by core.RewriteOpt)
+//     mutate a private Graph.Clone.
 //   - Replay scenarios (no what-if at all, or a no-op Opt such as an
 //     empty core.Stack) simulate the shared baseline directly, which
 //     never mutates it.

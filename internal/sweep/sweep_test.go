@@ -43,7 +43,9 @@ func scaleScenario(name string, factor float64) Scenario {
 	return Scenario{
 		Name: name,
 		Opt: rewriteOpt(func(g *core.Graph) (*core.Graph, error) {
-			core.Scale(g.Select(core.OnGPUPred), factor)
+			for _, u := range g.Select(core.OnGPUPred) {
+				u.Duration = time.Duration(float64(u.Duration) * factor)
+			}
 			return g, nil
 		}),
 	}
@@ -444,11 +446,11 @@ func gpuScaleOpt(factor float64) core.Optimization {
 // value all predict bit-identically to the equivalent manual paths.
 func TestSweepOptDispatch(t *testing.T) {
 	g := testGraph(40)
-	structural := core.StructuralOpt("drop-first-kernel", func(c *core.Graph) error {
-		kernels := c.Select(core.OnGPUPred)
-		c.Remove(kernels[0])
+	structural := core.PatchOpt("drop-first-kernel", core.Structural, func(p *core.Patch) error {
+		kernels := p.Base().Select(core.OnGPUPred)
+		p.RemoveTask(kernels[0])
 		return nil
-	})
+	}, nil)
 	opts := []Scenario{
 		{Opt: gpuScaleOpt(0.5)},
 		{Opt: core.Stack(gpuScaleOpt(0.5), gpuScaleOpt(0.5))},

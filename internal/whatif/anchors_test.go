@@ -192,7 +192,7 @@ func TestAnchorScanOncePerApply(t *testing.T) {
 			apply func(v core.TaskView, p *core.Patch) error
 		}{
 			{"vdnn", func(v core.TaskView, p *core.Patch) error { return vdnnInto(p, v, VDNNOptions{}) }},
-			{"gist", func(v core.TaskView, p *core.Patch) error { return gistInto(g, v, p, GistOptions{Lossy: true}) }},
+			{"gist", func(v core.TaskView, p *core.Patch) error { return gistInto(p, v, GistOptions{Lossy: true}) }},
 		}
 		for _, tc := range cases {
 			p := core.NewPatch(g)

@@ -1,7 +1,6 @@
 package whatif
 
 import (
-	"fmt"
 	"time"
 
 	"daydream/internal/comm"
@@ -21,49 +20,48 @@ type BlueConnectOptions struct {
 	StepLatency time.Duration
 }
 
-// BlueConnect models the all-reduce decomposition of Cho et al. per the
-// paper's Algorithm 8: every ncclAllReduce task in an (already
-// distributed) graph is replaced by a chain of reduce-scatter stages over
-// p1…pk followed by all-gather stages over pk…p1, each stage assigned to
-// its dimension's own channel so that stages of *different* buckets
-// pipeline in parallel across channels. Stage durations come from the
-// formulas the paper cites [56].
-func BlueConnect(g *core.Graph, opts BlueConnectOptions) error {
-	reduces := g.Select(core.And(core.KindIs(trace.KindComm), core.NameContains("AllReduce")))
-	if len(reduces) == 0 {
-		return fmt.Errorf("whatif: BlueConnect: no allReduce tasks in graph (apply DistributedPatch and materialize first)")
-	}
-	for _, u := range reduces {
-		stages, err := comm.Decompose(u.Bytes, opts.Factors, opts.Bandwidths, opts.StepLatency)
+// OptBlueConnect returns the all-reduce decomposition of Cho et al. per
+// the paper's Algorithm 8 as a patch-form Optimization value: every
+// all-reduce in the view is removed and replaced by a chain of
+// reduce-scatter stages over p1…pk followed by all-gather stages over
+// pk…p1, each stage assigned to its dimension's own channel so that
+// stages of *different* buckets pipeline in parallel across channels.
+// Stage durations come from the formulas the paper cites [56].
+func OptBlueConnect(opts BlueConnectOptions) core.Optimization {
+	return core.PatchOpt("blueconnect", core.Structural, func(p *core.Patch) error {
+		reduces, err := allReduces(p, "BlueConnect")
 		if err != nil {
 			return err
 		}
-		parents := append([]*core.Task(nil), u.Parents()...)
-		children := append([]*core.Task(nil), u.Children()...)
-		g.Remove(u)
-		var prev *core.Task
-		for _, st := range stages {
-			task := g.NewTask(st.Op, trace.KindComm, core.Channel(st.Channel), st.Duration)
-			task.Bytes = st.Bytes
-			g.AppendTask(task)
-			if prev == nil {
-				for _, p := range parents {
-					if err := g.AddDependency(p, task, core.DepComm); err != nil {
+		for _, u := range reduces {
+			stages, err := comm.Decompose(u.Bytes, opts.Factors, opts.Bandwidths, opts.StepLatency)
+			if err != nil {
+				return err
+			}
+			parents, children := p.Parents(u), p.Children(u)
+			p.RemoveTask(u)
+			var prev *core.Task
+			for _, st := range stages {
+				task := p.NewTask(st.Op, trace.KindComm, core.Channel(st.Channel), st.Duration)
+				task.Bytes = st.Bytes
+				p.AppendTask(task)
+				from := []*core.Task{prev}
+				if prev == nil {
+					from = parents
+				}
+				for _, q := range from {
+					if err := p.AddDependency(q, task, core.DepComm); err != nil {
 						return err
 					}
 				}
-			} else {
-				if err := g.AddDependency(prev, task, core.DepComm); err != nil {
+				prev = task
+			}
+			for _, c := range children {
+				if err := p.AddDependency(prev, c, core.DepComm); err != nil {
 					return err
 				}
 			}
-			prev = task
 		}
-		for _, c := range children {
-			if err := g.AddDependency(prev, c, core.DepComm); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+		return nil
+	}, nil)
 }

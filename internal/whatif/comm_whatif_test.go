@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"daydream/internal/comm"
+	"daydream/internal/core"
 	"daydream/internal/framework"
 	"daydream/internal/whatif"
 )
@@ -21,19 +22,16 @@ func TestBlueConnectHelpsOnHierarchicalTopology(t *testing.T) {
 		IntraBandwidth: 11e9,
 		StepLatency:    15 * time.Microsecond,
 	}
-	flatTime := predict(t, applied(t, g, whatif.OptDistributed(whatif.DistributedOptions{Topology: topo})))
+	dist := whatif.OptDistributed(whatif.DistributedOptions{Topology: topo})
+	flatTime := predict(t, applied(t, g, dist))
 
-	blue := applied(t, g, whatif.OptDistributed(whatif.DistributedOptions{Topology: topo}))
 	// Dimension 0: across the 2 machines over the NIC; dimension 1:
 	// the 4 GPUs within a machine over PCIe.
-	if err := whatif.BlueConnect(blue, whatif.BlueConnectOptions{
+	blueTime := predict(t, applied(t, g, core.Stack(dist, whatif.OptBlueConnect(whatif.BlueConnectOptions{
 		Factors:     []int{2, 4},
 		Bandwidths:  []float64{comm.Gbps(10), 11e9},
 		StepLatency: 15 * time.Microsecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	blueTime := predict(t, blue)
+	}))))
 	if blueTime >= flatTime {
 		t.Fatalf("BlueConnect (%v) should beat the flat ring (%v) on a hierarchical cluster",
 			blueTime, flatTime)
@@ -43,14 +41,10 @@ func TestBlueConnectHelpsOnHierarchicalTopology(t *testing.T) {
 // TestDGCCompressionRatioMatters checks that heavier compression predicts
 // faster iterations in a comm-bound setting.
 func TestDGCCompressionRatioMatters(t *testing.T) {
-	g := applied(t, profile(t, "vgg19", framework.PyTorch),
-		whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(2)}))
+	g := profile(t, "vgg19", framework.PyTorch)
+	dist := whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(2)})
 	run := func(ratio float64) time.Duration {
-		c := g.Clone()
-		if err := whatif.DGC(c, whatif.DGCOptions{CompressionRatio: ratio}); err != nil {
-			t.Fatal(err)
-		}
-		return predict(t, c)
+		return predict(t, applied(t, g, core.Stack(dist, whatif.OptDGC(whatif.DGCOptions{CompressionRatio: ratio}))))
 	}
 	heavy := run(0.003)
 	light := run(0.3)
@@ -88,15 +82,7 @@ func TestDistributedBucketSizeTradeoff(t *testing.T) {
 func TestP3SliceSizeTradeoff(t *testing.T) {
 	g := profile(t, "vgg19", framework.MXNet)
 	run := func(slice int64) time.Duration {
-		res, err := whatif.P3(g.Clone(), whatif.P3Options{Topology: topo4x1(5), SliceBytes: slice})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim, err := res.Graph.Simulate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.IterationTime(sim)
+		return p3Iteration(t, g, whatif.P3Options{Topology: topo4x1(5), SliceBytes: slice})
 	}
 	fine := run(800 << 10)
 	coarse := run(512 << 20) // slices larger than any tensor ≈ FIFO

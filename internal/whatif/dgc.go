@@ -2,6 +2,8 @@ package whatif
 
 import (
 	"fmt"
+	"strings"
+	"time"
 
 	"daydream/internal/core"
 	"daydream/internal/trace"
@@ -28,62 +30,85 @@ func (o *DGCOptions) defaults() {
 	}
 }
 
-// DGC models deep gradient compression (Lin et al.) per the paper's §5.2
-// and Algorithm 12, applied to a graph that already carries communication
-// tasks (a materialized DistributedPatch): (i) every all-reduce's
-// duration is scaled by the compression ratio, and (ii) compression
-// kernels are inserted before, and decompression kernels after, each
-// communication primitive, with durations estimated from existing
-// element-wise kernels.
-func DGC(g *core.Graph, opts DGCOptions) error {
-	opts.defaults()
-	reduces := g.Select(core.And(core.KindIs(trace.KindComm), core.NameContains("AllReduce")))
-	if len(reduces) == 0 {
-		return fmt.Errorf("whatif: DGC: no allReduce tasks in graph (apply DistributedPatch and materialize first)")
+// allReduces returns the all-reduce tasks live in the patch's effective
+// view (a fresh slice): the appendix tasks of a distributed part applied
+// earlier in the same Stack, or the baseline tasks of a traced
+// multi-GPU run.
+func allReduces(p *core.Patch, who string) ([]*core.Task, error) {
+	var out []*core.Task
+	for _, t := range p.Tasks() {
+		if t.Kind == trace.KindComm && strings.Contains(t.Name, "AllReduce") {
+			out = append(out, t)
+		}
 	}
-	ew := g.Select(core.And(core.OnGPUPred, core.NameContains("elementwise")))
-	est := core.MeanDuration(ew)
-	if est == 0 {
-		return fmt.Errorf("whatif: DGC: no element-wise kernels to estimate from")
+	if len(out) == 0 {
+		return nil, fmt.Errorf("whatif: %s: no allReduce tasks in view (stack it after OptDistributed, or profile a multi-GPU run)", who)
 	}
-	kcost := scaleDuration(est, opts.KernelCostFactor)
-	for _, r := range reduces {
-		r.Duration = scaleDuration(r.Duration, opts.CompressionRatio)
-		r.Bytes = int64(float64(r.Bytes) * opts.CompressionRatio)
+	return out, nil
+}
 
-		// Compression runs on the GPU after the gradients (the
-		// all-reduce's compute parents) are ready and gates the
-		// transfer.
-		// The inserted kernels are not threaded into the stream's
-		// fixed sequence: their position is decided at simulation
-		// time by thread progress, like any dynamically scheduled
-		// kernel (appending them after the weight-update kernels
-		// would manufacture a cycle through the all-reduce).
-		parents := append([]*core.Task(nil), r.Parents()...)
-		children := append([]*core.Task(nil), r.Children()...)
-		compress := g.NewTask("dgc_compress_topk", trace.KindKernel, gpuAnchor(parents, children), kcost)
-		for _, p := range parents {
-			if p.OnGPU() {
-				if err := g.AddDependency(p, compress, core.DepCustom); err != nil {
+// OptDGC returns deep gradient compression (Lin et al.) per the paper's
+// §5.2 and Algorithm 12 as a patch-form Optimization value. For every
+// all-reduce in the view: (i) its duration is scaled by the compression
+// ratio, and (ii) a compression kernel is inserted before, and a
+// decompression kernel after, the communication primitive, with
+// durations estimated from the view's element-wise kernels. An
+// all-reduce the patch created also has its Bytes scaled; a baseline
+// task's fields are never written.
+func OptDGC(opts DGCOptions) core.Optimization {
+	opts.defaults()
+	return core.PatchOpt("dgc", core.Structural, func(p *core.Patch) error {
+		reduces, err := allReduces(p, "DGC")
+		if err != nil {
+			return err
+		}
+		var sum, n time.Duration
+		for _, t := range p.Tasks() {
+			if t.OnGPU() && strings.Contains(t.Name, "elementwise") {
+				sum += p.Duration(t)
+				n++
+			}
+		}
+		if n == 0 || sum/n == 0 {
+			return fmt.Errorf("whatif: DGC: no element-wise kernels to estimate from")
+		}
+		kcost := scaleDuration(sum/n, opts.KernelCostFactor)
+		for _, r := range reduces {
+			p.ScaleDuration(r, opts.CompressionRatio)
+			if p.Base().Task(r.ID) != r {
+				r.Bytes = int64(float64(r.Bytes) * opts.CompressionRatio)
+			}
+			// Compression runs on the GPU after the gradients (the
+			// all-reduce's compute parents) are ready and gates the
+			// transfer. The inserted kernels are not threaded into the
+			// stream's fixed sequence: their position is decided at
+			// simulation time by thread progress, like any dynamically
+			// scheduled kernel (appending them after the weight-update
+			// kernels would manufacture a cycle through the all-reduce).
+			parents, children := p.Parents(r), p.Children(r)
+			compress := p.NewTask("dgc_compress_topk", trace.KindKernel, gpuAnchor(parents, children), kcost)
+			for _, q := range parents {
+				if q.OnGPU() {
+					if err := p.AddDependency(q, compress, core.DepCustom); err != nil {
+						return err
+					}
+				}
+			}
+			if err := p.AddDependency(compress, r, core.DepCustom); err != nil {
+				return err
+			}
+			decompress := p.NewTask("dgc_decompress", trace.KindKernel, compress.Thread, kcost)
+			if err := p.AddDependency(r, decompress, core.DepCustom); err != nil {
+				return err
+			}
+			for _, c := range children {
+				if err := p.AddDependency(decompress, c, core.DepCustom); err != nil {
 					return err
 				}
 			}
 		}
-		if err := g.AddDependency(compress, r, core.DepCustom); err != nil {
-			return err
-		}
-
-		decompress := g.NewTask("dgc_decompress", trace.KindKernel, compress.Thread, kcost)
-		if err := g.AddDependency(r, decompress, core.DepCustom); err != nil {
-			return err
-		}
-		for _, c := range children {
-			if err := g.AddDependency(decompress, c, core.DepCustom); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+		return nil
+	}, nil)
 }
 
 // gpuAnchor picks a GPU stream for inserted kernels: the stream of any

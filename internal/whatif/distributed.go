@@ -26,9 +26,8 @@ type DistributedOptions struct {
 // paper's predictor knows the gradient sizes, primitive type and
 // network bandwidth, nothing more. The all-reduce tasks and their
 // dependency edges are recorded as copy-on-write deltas over the
-// patch's shared baseline; Patch.Materialize yields the distributed
-// graph itself for the models that rewrite it further (BlueConnect,
-// DGC).
+// patch's shared baseline; OptBlueConnect and OptDGC, stacked after
+// it, rewrite those all-reduces in the same patch.
 func DistributedPatch(p *core.Patch, opts DistributedOptions) error {
 	g := p.Base()
 	n := opts.Topology.TotalGPUs()

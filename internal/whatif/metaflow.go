@@ -6,63 +6,62 @@ import (
 	"daydream/internal/core"
 )
 
-// RemoveLayer models a MetaFlow/TASO-style graph substitution that
-// eliminates a layer (paper Algorithm 9, Remove_layer): every GPU task
-// mapped to the layer is removed from the dependency graph.
-func RemoveLayer(g *core.Graph, layer string) error {
-	if err := requireLayers(g, "RemoveLayer"); err != nil {
-		return err
-	}
-	victims := g.Select(core.And(core.OnGPUPred, core.InLayer(layer)))
-	if len(victims) == 0 {
-		return fmt.Errorf("whatif: RemoveLayer: no GPU tasks mapped to layer %q", layer)
-	}
-	for _, u := range victims {
-		g.Remove(u)
-	}
-	return nil
-}
-
-// ScaleLayer models a substitution that reshapes a layer (paper
-// Algorithm 9, Scale_layer): the layer's GPU task durations are multiplied
-// by s, e.g. an enlarged convolution kernel inferred from profiling the
-// substituted dimensions.
-func ScaleLayer(g *core.Graph, layer string, s float64) error {
-	if err := requireLayers(g, "ScaleLayer"); err != nil {
-		return err
-	}
-	tasks := g.Select(core.And(core.OnGPUPred, core.InLayer(layer)))
-	if len(tasks) == 0 {
-		return fmt.Errorf("whatif: ScaleLayer: no GPU tasks mapped to layer %q", layer)
-	}
-	core.Scale(tasks, s)
-	return nil
-}
-
 // Substitution is one MetaFlow rewrite step: layers to remove and layers
 // to rescale.
 type Substitution struct {
-	// Remove lists layers eliminated by the substitution.
+	// Remove lists layers eliminated by the substitution (paper
+	// Algorithm 9, Remove_layer): every GPU task mapped to the layer is
+	// removed from the dependency graph.
 	Remove []string
-	// Scale maps surviving layers to duration factors.
+	// Scale maps surviving layers to duration factors (Algorithm 9,
+	// Scale_layer), e.g. an enlarged convolution kernel inferred from
+	// profiling the substituted dimensions.
 	Scale map[string]float64
 }
 
-// MetaFlow applies a sequence of substitutions, turning Daydream into the
-// "more precise cost model" for MetaFlow's backtracking search that the
-// appendix describes.
-func MetaFlow(g *core.Graph, subs []Substitution) error {
-	for _, s := range subs {
-		for _, l := range s.Remove {
-			if err := RemoveLayer(g, l); err != nil {
-				return err
+// OptMetaFlow returns a sequence of MetaFlow/TASO-style graph
+// substitutions as a patch-form Optimization value, turning Daydream
+// into the "more precise cost model" for MetaFlow's backtracking search
+// that the appendix describes. Each substitution removes its layers'
+// GPU tasks, then rescales the named layers' GPU task durations; a
+// layer with no GPU task in the view is an error.
+func OptMetaFlow(subs []Substitution) core.Optimization {
+	return core.PatchOpt("metaflow", core.Structural, func(p *core.Patch) error {
+		if err := requireLayers(p.Base(), "MetaFlow"); err != nil {
+			return err
+		}
+		layerTasks := func(layer string) ([]*core.Task, error) {
+			var out []*core.Task
+			for _, t := range p.Tasks() {
+				if t.OnGPU() && t.HasLayer && t.Layer == layer {
+					out = append(out, t)
+				}
+			}
+			if len(out) == 0 {
+				return nil, fmt.Errorf("whatif: MetaFlow: no GPU tasks mapped to layer %q", layer)
+			}
+			return out, nil
+		}
+		for _, s := range subs {
+			for _, l := range s.Remove {
+				victims, err := layerTasks(l)
+				if err != nil {
+					return err
+				}
+				for _, t := range victims {
+					p.RemoveTask(t)
+				}
+			}
+			for l, f := range s.Scale {
+				tasks, err := layerTasks(l)
+				if err != nil {
+					return err
+				}
+				for _, t := range tasks {
+					p.ScaleDuration(t, f)
+				}
 			}
 		}
-		for l, f := range s.Scale {
-			if err := ScaleLayer(g, l, f); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+		return nil
+	}, nil)
 }

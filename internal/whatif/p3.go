@@ -22,24 +22,6 @@ type P3Options struct {
 	Rounds int
 }
 
-// P3Result carries the transformed multi-iteration graph and how to read
-// an iteration time out of it.
-type P3Result struct {
-	// Graph is the repeated, transformed graph to simulate.
-	Graph *core.Graph
-	// Rounds is the number of chained iterations.
-	Rounds int
-}
-
-// IterationTime extracts the steady-state iteration time from a
-// simulation of the transformed graph: the distance between the last two
-// rounds' completion frontiers.
-func (r *P3Result) IterationTime(res *core.SimResult) time.Duration {
-	last := core.RoundSpan(r.Graph, res, r.Rounds-1)
-	prev := core.RoundSpan(r.Graph, res, r.Rounds-2)
-	return last - prev
-}
-
 // P3 models MXNet parameter-server training — optionally with
 // priority-based parameter propagation (Jayarajan et al.) — from a
 // single-worker profile, per the paper's §5.1 and Algorithm 7. The
@@ -55,9 +37,10 @@ func (r *P3Result) IterationTime(res *core.SimResult) time.Duration {
 // preemptive transfers. Push tasks ride the "ps.send" channel and pull
 // tasks "ps.recv" (Algorithm 7's comm.send / comm.receive).
 //
-// P3 repeats the graph itself (a rewrite); P3Annotate is the clone-free
-// form for grids that share one pre-repeated baseline across scenarios.
-func P3(g *core.Graph, opts P3Options) (*P3Result, error) {
+// P3 returns the repeated, annotated graph (a rewrite); OptP3 reads its
+// steady-state iteration time. P3Annotate is the clone-free form for
+// grids that share one pre-repeated baseline across scenarios.
+func P3(g *core.Graph, opts P3Options) (*core.Graph, error) {
 	if opts.Topology.TotalGPUs() <= 1 {
 		return nil, fmt.Errorf("whatif: P3 requires a multi-worker topology")
 	}
@@ -75,7 +58,7 @@ func P3(g *core.Graph, opts P3Options) (*P3Result, error) {
 	if err := p3AnnotateInto(rep, rep, opts, rounds); err != nil {
 		return nil, err
 	}
-	return &P3Result{Graph: rep, Rounds: rounds}, nil
+	return rep, nil
 }
 
 // P3Annotate is Algorithm 7's annotation phase as a copy-on-write
@@ -214,13 +197,7 @@ func OptP3(opts P3Options) core.Optimization {
 	}
 	opts.Rounds = rounds
 	return core.RewriteOpt(p3Name(opts),
-		func(g *core.Graph) (*core.Graph, error) {
-			r, err := P3(g, opts)
-			if err != nil {
-				return nil, err
-			}
-			return r.Graph, nil
-		},
+		func(g *core.Graph) (*core.Graph, error) { return P3(g, opts) },
 		p3SteadyState)
 }
 

@@ -3,10 +3,12 @@ package whatif_test
 // Structural patch equivalence suite: for every zoo model and every
 // structural what-if with a patch form — Distributed (Algorithm 6),
 // P3's annotation over a pre-repeated baseline (Algorithm 7, non-rewrite
-// form), and removal-form batchnorm restructuring (Algorithm 5) — the
-// clone-free patch simulation must reproduce the reference, the patch
-// materialized into a private graph (its structural journal replayed
-// through the real Graph primitives) and cold-simulated, bit for bit:
+// form), removal-form batchnorm restructuring (Algorithm 5), BlueConnect
+// and DGC stacked on Distributed (Algorithms 8 and 12), and MetaFlow
+// substitutions (Algorithm 9) — the clone-free patch simulation must
+// reproduce the reference, the patch materialized into a private graph
+// (its structural journal replayed through the real Graph primitives)
+// and cold-simulated, bit for bit:
 // same makespan, same start time and duration for every task (baseline
 // and appendix IDs alike; Patch.NewTask allocates exactly the IDs a
 // clone would have), same per-thread end times and the same critical
@@ -17,7 +19,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"daydream/internal/chaos"
+	"daydream/internal/comm"
 	"daydream/internal/core"
 	"daydream/internal/dnn"
 	"daydream/internal/framework"
@@ -27,14 +32,22 @@ import (
 
 // patchEquivCase names one structural what-if of the suite. base lets
 // a case substitute a derived baseline (P3's annotation runs over the
-// Repeat-expanded graph).
+// Repeat-expanded graph). The cases for g's model come from
+// patchEquivCases(g): MetaFlow names layers of the model.
 type patchEquivCase struct {
 	name string
 	base func(t *testing.T, g *core.Graph) *core.Graph
 	opt  core.Optimization
 }
 
-func patchEquivCases() []patchEquivCase {
+func patchEquivCases(g *core.Graph) []patchEquivCase {
+	dist := whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(10)})
+	var layers []string
+	for _, u := range g.Tasks() {
+		if u.OnGPU() && u.HasLayer && (len(layers) == 0 || layers[len(layers)-1] != u.Layer) {
+			layers = append(layers, u.Layer)
+		}
+	}
 	p3 := whatif.P3Options{Topology: topo4x1(5), SliceBytes: 800 << 10, Rounds: 2}
 	fifo := whatif.P3Options{Topology: topo4x1(5), Rounds: 2}
 	repeated := func(t *testing.T, g *core.Graph) *core.Graph {
@@ -50,6 +63,66 @@ func patchEquivCases() []patchEquivCase {
 		{name: "p3-annotate", base: repeated, opt: whatif.OptP3Annotate(p3)},
 		{name: "ps-fifo-annotate", base: repeated, opt: whatif.OptP3Annotate(fifo)},
 		{name: "reconbn-removal", opt: whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{})},
+		{name: "blueconnect", opt: core.Stack(dist, whatif.OptBlueConnect(blueConnect2x2))},
+		{name: "dgc", opt: core.Stack(dist, whatif.OptDGC(whatif.DGCOptions{}))},
+		{name: "dgc-light", opt: core.Stack(dist, whatif.OptDGC(whatif.DGCOptions{CompressionRatio: 0.3}))},
+		{name: "metaflow", opt: whatif.OptMetaFlow([]whatif.Substitution{{
+			Remove: layers[1:2],
+			Scale:  map[string]float64{layers[2]: 1.15},
+		}})},
+	}
+}
+
+// blueConnect2x2 splits four workers into two dimensions of two.
+var blueConnect2x2 = whatif.BlueConnectOptions{
+	Factors:     []int{2, 2},
+	Bandwidths:  []float64{comm.Gbps(10), 11e9},
+	StepLatency: 15 * time.Microsecond,
+}
+
+// TestCommPatchesLeaveTracedBaseline applies DGC and BlueConnect to a
+// traced multi-GPU run, whose ncclAllReduce tasks are baseline tasks:
+// the patch must simulate like its materialized graph simulated cold,
+// and leave every baseline task — structure, timings and Bytes — as it
+// was.
+func TestCommPatchesLeaveTracedBaseline(t *testing.T) {
+	m, err := dnn.ByName("resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := framework.Run(framework.Config{
+		Model:        m,
+		Cluster:      &framework.Cluster{Topology: topo4x1(10), Backend: framework.BackendNCCL},
+		CollectTrace: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := core.Build(res.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.MapLayers(g, res.Trace.LayerSpans)
+	fingerprint := chaos.Fingerprint(g)
+	bytes := make([]int64, g.IDSpan())
+	for _, u := range g.Tasks() {
+		bytes[u.ID] = u.Bytes
+	}
+	for _, tc := range []patchEquivCase{
+		{name: "dgc", opt: whatif.OptDGC(whatif.DGCOptions{})},
+		{name: "blueconnect", opt: whatif.OptBlueConnect(blueConnect2x2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			assertPatchEquivalence(t, g, tc)
+			if chaos.Fingerprint(g) != fingerprint {
+				t.Fatal("baseline graph changed")
+			}
+			for _, u := range g.Tasks() {
+				if u.Bytes != bytes[u.ID] {
+					t.Fatalf("baseline task %v: Bytes %d, was %d", u, u.Bytes, bytes[u.ID])
+				}
+			}
+		})
 	}
 }
 
@@ -58,7 +131,7 @@ func TestStructuralPatchEquivalenceAcrossZoo(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			g := profile(t, name, framework.PyTorch)
-			for _, tc := range patchEquivCases() {
+			for _, tc := range patchEquivCases(g) {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
 					base := g

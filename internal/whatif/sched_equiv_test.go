@@ -48,7 +48,7 @@ func TestScheduledPatchEquivalenceAcrossZoo(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			g := profile(t, name, framework.PyTorch)
-			for _, tc := range patchEquivCases() {
+			for _, tc := range patchEquivCases(g) {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
 					base := g

@@ -2,10 +2,9 @@
 // appendix): each model transforms a baseline kernel-level dependency
 // graph using only the core package's primitives — Select, Scale, Insert,
 // Remove and Schedule overrides — exactly as Algorithms 3–12 describe.
-// Every built-in what-if is an Opt* core.Optimization value that
-// records its edits on a copy-on-write core.Patch; only P3's Repeat
-// form and the paper's graph-rewriting models (Gist, DGC, BlueConnect,
-// MetaFlow) also take a *core.Graph.
+// Every what-if is an Opt* core.Optimization value that records its
+// edits on a copy-on-write core.Patch; only P3, which repeats the
+// iteration graph before annotating it, also takes a *core.Graph.
 // Nothing in this package consults the ground-truth engine; prediction
 // errors measured by internal/exp are therefore genuine.
 package whatif
@@ -20,10 +19,10 @@ import (
 )
 
 // graphEditor is the write surface shared by *core.Graph and
-// *core.Patch: the models that keep a graph-rewriting form (P3's
-// Repeat, Gist) read the baseline and emit their surgery through this
-// interface, so the rewrite form and the clone-free patch form are the
-// same code — and therefore bit-equivalent by construction.
+// *core.Patch. P3, the one model with a graph-rewriting form, emits its
+// annotation through it, so the rewrite form and the clone-free patch
+// form are the same code — and therefore bit-equivalent by
+// construction.
 type graphEditor interface {
 	NewTask(name string, kind trace.Kind, thread core.ThreadID, dur time.Duration) *core.Task
 	AppendTask(t *core.Task)

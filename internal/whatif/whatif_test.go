@@ -8,6 +8,7 @@ import (
 	"daydream/internal/core"
 	"daydream/internal/dnn"
 	"daydream/internal/framework"
+	"daydream/internal/sweep"
 	"daydream/internal/trace"
 	"daydream/internal/whatif"
 )
@@ -190,7 +191,7 @@ func containsStr(s, sub string) bool {
 func TestDistributedInsertsBuckets(t *testing.T) {
 	g := applied(t, profile(t, "resnet50", framework.PyTorch),
 		whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(10)}))
-	reduces := g.Select(core.KindIs(trace.KindComm))
+	reduces := g.Select(func(t *core.Task) bool { return t.Kind == trace.KindComm })
 	grads := append([]trace.GradientInfo(nil), g.Meta.Gradients...)
 	buckets := comm.AssignBuckets(grads, comm.DefaultBucketBytes)
 	if len(reduces) != len(buckets) {
@@ -236,40 +237,41 @@ func TestDistributedSlowsWithLowerBandwidth(t *testing.T) {
 
 func TestP3PredictionStructure(t *testing.T) {
 	g := profile(t, "vgg19", framework.MXNet)
-	res, err := whatif.P3(g, whatif.P3Options{Topology: topo4x1(5), SliceBytes: 800 << 10})
+	opts := whatif.P3Options{Topology: topo4x1(5), SliceBytes: 800 << 10}
+	rep, err := whatif.P3(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 2 {
-		t.Fatalf("rounds = %d, want 2", res.Rounds)
+	if r := rep.LayerPhaseIndex().Rounds(); r != 2 {
+		t.Fatalf("rounds = %d, want 2", r)
 	}
-	pushes := res.Graph.Select(core.NameContains("push "))
-	pulls := res.Graph.Select(core.NameContains("pull "))
+	pushes := rep.Select(core.NameContains("push "))
+	pulls := rep.Select(core.NameContains("pull "))
 	if len(pushes) == 0 || len(pushes) != len(pulls) {
 		t.Fatalf("pushes %d, pulls %d", len(pushes), len(pulls))
 	}
-	sim, err := res.Graph.Simulate()
+	if iter := p3Iteration(t, g, opts); iter <= 0 {
+		t.Fatal("non-positive P3 iteration")
+	}
+}
+
+// p3Iteration predicts OptP3's steady-state iteration time over g.
+func p3Iteration(t *testing.T, g *core.Graph, opts whatif.P3Options) time.Duration {
+	t.Helper()
+	res, err := sweep.Run(g, []sweep.Scenario{{Opt: whatif.OptP3(opts)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	iter := res.IterationTime(sim)
-	if iter <= 0 {
-		t.Fatal("non-positive P3 iteration")
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
 	}
+	return res[0].Value
 }
 
 func TestP3BeatsFIFOPrediction(t *testing.T) {
 	g := profile(t, "vgg19", framework.MXNet)
 	run := func(slice int64) time.Duration {
-		res, err := whatif.P3(g.Clone(), whatif.P3Options{Topology: topo4x1(5), SliceBytes: slice})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim, err := res.Graph.Simulate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.IterationTime(sim)
+		return p3Iteration(t, g, whatif.P3Options{Topology: topo4x1(5), SliceBytes: slice})
 	}
 	fifo := run(0)       // whole tensors, no priorities
 	p3 := run(800 << 10) // sliced + prioritized
@@ -288,36 +290,34 @@ func TestP3RequiresCluster(t *testing.T) {
 }
 
 func TestBlueConnectReplacesAllReduce(t *testing.T) {
-	g := applied(t, profile(t, "resnet50", framework.PyTorch),
-		whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(10)}))
-	nReduce := len(g.Select(core.And(core.KindIs(trace.KindComm), core.NameContains("AllReduce"))))
-	if err := whatif.BlueConnect(g, whatif.BlueConnectOptions{
+	g := profile(t, "resnet50", framework.PyTorch)
+	dist := whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(10)})
+	nReduce := len(applied(t, g, dist).Select(core.NameContains("AllReduce")))
+	c := applied(t, g, core.Stack(dist, whatif.OptBlueConnect(whatif.BlueConnectOptions{
 		Factors:     []int{2, 2},
 		Bandwidths:  []float64{comm.Gbps(10), 11e9},
 		StepLatency: 15 * time.Microsecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if left := len(g.Select(core.NameContains("AllReduce"))); left != 0 {
+	})))
+	if left := len(c.Select(core.NameContains("AllReduce"))); left != 0 {
 		t.Fatalf("%d allReduce tasks survived", left)
 	}
-	stages := g.Select(core.KindIs(trace.KindComm))
-	if len(stages) != 4*nReduce { // 2 reduce-scatter + 2 all-gather each
+	stages := c.Select(func(t *core.Task) bool { return t.Kind == trace.KindComm })
+	if nReduce == 0 || len(stages) != 4*nReduce { // 2 reduce-scatter + 2 all-gather each
 		t.Fatalf("stage count = %d, want %d", len(stages), 4*nReduce)
 	}
-	if err := g.Validate(); err != nil {
+	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.PredictIteration(); err != nil {
+	if _, err := c.PredictIteration(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestBlueConnectNeedsDistributedGraph(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
-	err := whatif.BlueConnect(g, whatif.BlueConnectOptions{
+	_, err := materialized(g, whatif.OptBlueConnect(whatif.BlueConnectOptions{
 		Factors: []int{2}, Bandwidths: []float64{1e9},
-	})
+	}))
 	if err == nil {
 		t.Fatal("BlueConnect on a single-GPU graph accepted")
 	}
@@ -326,21 +326,17 @@ func TestBlueConnectNeedsDistributedGraph(t *testing.T) {
 func TestMetaFlowRemoveAndScale(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
 	base := predict(t, g.Clone())
-	c := g.Clone()
-	err := whatif.MetaFlow(c, []whatif.Substitution{{
+	c := applied(t, g, whatif.OptMetaFlow([]whatif.Substitution{{
 		Remove: []string{"layer1.0.relu1"},
 		Scale:  map[string]float64{"layer1.0.conv2": 0.5},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}))
 	if pred := predict(t, c); pred >= base {
 		t.Fatalf("substitution predicted no gain (%v vs %v)", pred, base)
 	}
-	if err := whatif.RemoveLayer(g.Clone(), "no_such_layer"); err == nil {
+	if _, err := materialized(g, whatif.OptMetaFlow([]whatif.Substitution{{Remove: []string{"no_such_layer"}}})); err == nil {
 		t.Fatal("unknown layer accepted")
 	}
-	if err := whatif.ScaleLayer(g.Clone(), "no_such_layer", 2); err == nil {
+	if _, err := materialized(g, whatif.OptMetaFlow([]whatif.Substitution{{Scale: map[string]float64{"no_such_layer": 2}}})); err == nil {
 		t.Fatal("unknown layer accepted")
 	}
 }
@@ -378,10 +374,7 @@ func TestVDNNPrefetchDistanceMatters(t *testing.T) {
 func TestGistAddsOverhead(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
 	base := predict(t, g.Clone())
-	c := g.Clone()
-	if err := whatif.Gist(c, whatif.GistOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	c := applied(t, g, whatif.OptGist(whatif.GistOptions{}))
 	pred := predict(t, c)
 	if pred <= base {
 		t.Fatalf("Gist predicted a speedup (%v vs %v); encode/decode must cost time", pred, base)
@@ -397,27 +390,18 @@ func TestGistAddsOverhead(t *testing.T) {
 
 func TestGistLossyAddsMore(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
-	lossless := g.Clone()
-	if err := whatif.Gist(lossless, whatif.GistOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	lossy := g.Clone()
-	if err := whatif.Gist(lossy, whatif.GistOptions{Lossy: true}); err != nil {
-		t.Fatal(err)
-	}
+	lossless := applied(t, g, whatif.OptGist(whatif.GistOptions{}))
+	lossy := applied(t, g, whatif.OptGist(whatif.GistOptions{Lossy: true}))
 	if lossy.NumTasks() <= lossless.NumTasks() {
 		t.Fatal("lossy Gist should insert extra DPR kernels")
 	}
 }
 
 func TestDGCShrinksCommunication(t *testing.T) {
-	g := applied(t, profile(t, "vgg19", framework.PyTorch),
-		whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(2)}))
-	base := predict(t, g.Clone())
-	c := g.Clone()
-	if err := whatif.DGC(c, whatif.DGCOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	g := profile(t, "vgg19", framework.PyTorch)
+	dist := whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(2)})
+	base := predict(t, applied(t, g, dist))
+	c := applied(t, g, core.Stack(dist, whatif.OptDGC(whatif.DGCOptions{})))
 	pred := predict(t, c)
 	if float64(pred) > 0.8*float64(base) {
 		t.Fatalf("DGC on a comm-bound model predicted only %v vs %v", pred, base)
@@ -433,7 +417,7 @@ func TestDGCShrinksCommunication(t *testing.T) {
 
 func TestDGCNeedsDistributedGraph(t *testing.T) {
 	g := profile(t, "vgg19", framework.PyTorch)
-	if err := whatif.DGC(g, whatif.DGCOptions{}); err == nil {
+	if _, err := materialized(g, whatif.OptDGC(whatif.DGCOptions{})); err == nil {
 		t.Fatal("DGC on a single-GPU graph accepted")
 	}
 }

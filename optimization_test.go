@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"daydream"
+	"daydream/internal/core"
 	"daydream/internal/whatif"
 )
 
@@ -39,8 +40,7 @@ func ampEdit(o *daydream.Overlay) error {
 
 // TestCompareAcceptsEveryWhatIfForm pins the unified Compare: the
 // built-in value and the same what-if built with each custom
-// constructor — timing, patch and in-place structural — all predict
-// bit-identically.
+// constructor — timing and patch — all predict bit-identically.
 func TestCompareAcceptsEveryWhatIfForm(t *testing.T) {
 	g := profileGraph(t, "resnet50")
 	forms := []daydream.Optimization{
@@ -48,18 +48,6 @@ func TestCompareAcceptsEveryWhatIfForm(t *testing.T) {
 		daydream.TimingOptimization("amp-timing", ampEdit),
 		daydream.PatchOptimization("amp-patch", daydream.TimingOnly, func(p *daydream.Patch) error {
 			return ampEdit(p.Timing())
-		}),
-		daydream.StructuralOptimization("amp-in-place", func(c *daydream.Graph) error {
-			ix := c.LayerPhaseIndex()
-			compute := ix.GPUComputeBound()
-			for i, u := range ix.GPUTasks() {
-				if compute[i] {
-					u.Duration /= 3
-				} else {
-					u.Duration /= 2
-				}
-			}
-			return nil
 		}),
 	}
 	base, want, err := daydream.Compare(g, forms[0])
@@ -139,15 +127,17 @@ func TestOptP3MatchesP3Prediction(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := daydream.NewTopology(4, 1, 5)
-	p3, err := whatif.P3(g, whatif.P3Options{Topology: topo, SliceBytes: whatif.P3SliceBytes(0)})
+	rep, err := whatif.P3(g, whatif.P3Options{Topology: topo, SliceBytes: whatif.P3SliceBytes(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := p3.Graph.Simulate()
+	sim, err := rep.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := p3.IterationTime(sim)
+	// The steady-state iteration: the distance between the two rounds'
+	// completion frontiers.
+	want := core.RoundSpan(rep, sim, 1) - core.RoundSpan(rep, sim, 0)
 	_, got, err := daydream.Compare(g, daydream.OptP3(topo, 0))
 	if err != nil {
 		t.Fatal(err)
