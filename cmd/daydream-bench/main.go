@@ -9,6 +9,7 @@
 //	daydream-bench -run fig8               # run experiments whose ID contains "fig8"
 //	daydream-bench -micro                  # pipeline micro-benchmarks → BENCH.json
 //	daydream-bench -micro -against BENCH.json  # …and fail on >25% regression
+//	daydream-bench -micro -cpuprofile cpu.prof -memprofile mem.prof  # …profiled
 //
 // With -micro, the pipeline stages (trace collection, trace decoding,
 // graph construction, simulation, clone, overlay-path and
@@ -43,6 +44,7 @@ import (
 	"daydream"
 	"daydream/internal/core"
 	"daydream/internal/exp"
+	"daydream/internal/prof"
 	"daydream/internal/sweep"
 	"daydream/internal/trace"
 	"daydream/internal/whatif"
@@ -56,6 +58,7 @@ func main() {
 	against := flag.String("against", "", "baseline BENCH.json to compare -micro results to (fails on regression)")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional regression vs -against before failing")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); expiry surfaces as a typed cancellation error")
+	profile := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -64,43 +67,53 @@ func main() {
 		}
 		return
 	}
-	if *micro {
-		if err := runMicro(*benchJSON, *against, *tolerance, *timeout); err != nil {
-			fmt.Fprintln(os.Stderr, "daydream-bench:", err)
-			os.Exit(1)
+	stop, err := profile.Start()
+	if err == nil {
+		if *micro {
+			err = runMicro(*benchJSON, *against, *tolerance, *timeout)
+		} else {
+			err = runExperiments(*run, *timeout)
 		}
-		return
+		if perr := stop(); perr != nil && err == nil {
+			err = perr
+		}
 	}
-	ctx, cancel := timeoutContext(*timeout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "daydream-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// runExperiments runs, in paper order, every experiment whose ID
+// contains run, printing its tables.
+func runExperiments(run string, timeout time.Duration) error {
+	ctx, cancel := timeoutContext(timeout)
 	defer cancel()
 	ran := 0
 	for _, e := range exp.All() {
-		if *run != "" && !strings.Contains(e.ID, *run) {
+		if run != "" && !strings.Contains(e.ID, run) {
 			continue
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "daydream-bench:", core.ContextError(cerr))
-			os.Exit(1)
+			return core.ContextError(cerr)
 		}
 		start := time.Now()
 		tables, err := e.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "daydream-bench: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		for _, t := range tables {
 			if err := t.Format(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "daydream-bench:", err)
-				os.Exit(1)
+				return err
 			}
 		}
 		fmt.Printf("[%s completed in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "daydream-bench: no experiment matches -run %q (try -list)\n", *run)
-		os.Exit(1)
+		return fmt.Errorf("no experiment matches -run %q (try -list)", run)
 	}
+	return nil
 }
 
 // timeoutContext builds a context for the -timeout flag: Background

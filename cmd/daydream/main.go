@@ -13,6 +13,9 @@
 //	                   [-kprofile sgemm=1.5ms] [-scale-name conv -scale-factor 0.5]
 //	daydream sweep     -trace trace.json [-workers 8] [-gbps 10,20,40] [-opt amp,amp+fusedadam]
 //
+// Flags before the command apply to any command: -cpuprofile FILE and
+// -memprofile FILE write runtime/pprof CPU and heap profiles of its run.
+//
 // The -opt argument is a stack expression over the optimization
 // registry (daydream.Optimizations): names joined with '+' compose via
 // daydream.Stack (each name may appear once); run `daydream predict -h`
@@ -27,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,40 +40,31 @@ import (
 
 	"daydream"
 	"daydream/internal/core"
+	"daydream/internal/prof"
 	"daydream/internal/trace"
 )
 
 func main() {
-	if len(os.Args) < 2 {
+	top := flag.NewFlagSet("daydream", flag.ExitOnError)
+	top.Usage = usage
+	profile := prof.Register(top)
+	top.Parse(os.Args[1:])
+	args := top.Args()
+	if len(args) < 1 {
 		usage()
 		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "trace":
-		err = cmdTrace(os.Args[2:])
-	case "graph":
-		err = cmdGraph(os.Args[2:])
-	case "simulate":
-		err = cmdSimulate(os.Args[2:])
-	case "breakdown":
-		err = cmdBreakdown(os.Args[2:])
-	case "predict":
-		err = cmdPredict(os.Args[2:])
-	case "sweep":
-		err = cmdSweep(os.Args[2:])
-	case "export":
-		err = cmdExport(os.Args[2:])
-	case "diagnose":
-		err = cmdDiagnose(os.Args[2:])
-	case "memory":
-		err = cmdMemory(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "-h", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "daydream: unknown command %q\n", os.Args[1])
+	stop, err := profile.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "daydream:", err)
+		os.Exit(1)
+	}
+	err = run(args[0], args[1:])
+	if perr := stop(); perr != nil && err == nil {
+		err = perr
+	}
+	if errors.Is(err, errUnknownCommand) {
+		fmt.Fprintln(os.Stderr, "daydream:", err)
 		usage()
 		os.Exit(2)
 	}
@@ -79,8 +74,40 @@ func main() {
 	}
 }
 
+var errUnknownCommand = errors.New("unknown command")
+
+// run runs one command with its arguments.
+func run(cmd string, args []string) error {
+	switch cmd {
+	case "trace":
+		return cmdTrace(args)
+	case "graph":
+		return cmdGraph(args)
+	case "simulate":
+		return cmdSimulate(args)
+	case "breakdown":
+		return cmdBreakdown(args)
+	case "predict":
+		return cmdPredict(args)
+	case "sweep":
+		return cmdSweep(args)
+	case "export":
+		return cmdExport(args)
+	case "diagnose":
+		return cmdDiagnose(args)
+	case "memory":
+		return cmdMemory(args)
+	case "serve":
+		return cmdServe(args)
+	case "help":
+		usage()
+		return nil
+	}
+	return fmt.Errorf("%w %q", errUnknownCommand, cmd)
+}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: daydream <command> [flags]
+	fmt.Fprintln(os.Stderr, `usage: daydream [-cpuprofile file] [-memprofile file] <command> [flags]
 
 commands:
   trace      profile one training iteration and write the trace as JSON
@@ -92,7 +119,10 @@ commands:
   export     convert a trace to Chrome Trace Event JSON (chrome://tracing)
   diagnose   attribute the critical path by resource and training phase
   memory     simulate the memory timeline: peak, attribution, max batch fit
-  serve      run the long-lived HTTP prediction service`)
+  serve      run the long-lived HTTP prediction service
+
+-cpuprofile and -memprofile write runtime/pprof CPU and heap profiles of
+the command's run (read them with go tool pprof).`)
 }
 
 func cmdTrace(args []string) error {

@@ -41,10 +41,12 @@ func Build(tr *trace.Trace) (*Graph, error) {
 	n := len(acts)
 	order := make([]int32, n)
 	correlated := 0
+	var maxCorr uint64
 	for i := range order {
 		order[i] = int32(i)
-		if acts[i].Correlation != 0 {
+		if c := acts[i].Correlation; c != 0 {
 			correlated++
+			maxCorr = max(maxCorr, c)
 		}
 	}
 	byTime := func(i, j int32) int {
@@ -75,12 +77,13 @@ func Build(tr *trace.Trace) (*Graph, error) {
 	// trace order). Each activity's thread resolves to a dense ordinal
 	// once, usually from the last thread of its kind; CPU gaps are
 	// computed against the next CPU task on the same thread. Correlated
-	// records pair up through one map: Validate guarantees exactly one
-	// API and one GPU record per correlation.
+	// records pair up through a partnerBook: Validate guarantees exactly
+	// one API and one GPU record per correlation.
 	ords := make(map[ThreadID]int32)
 	var threads []buildThread
 	threadOrd := make([]int32, n)
-	partner := make(map[uint64]int32, correlated/2)
+	partner := newPartnerBook(maxCorr, n, correlated)
+	pairs := 0
 	var recent [3]struct { // the last thread resolved, per ThreadKind
 		tid ThreadID
 		ord int32
@@ -131,17 +134,13 @@ func Build(tr *trace.Trace) (*Graph, error) {
 		}
 		th.tail = int32(i)
 		if a.Correlation != 0 {
-			if j, ok := partner[a.Correlation]; ok {
+			if j, ok := partner.match(a.Correlation, int32(i)); ok {
 				t.peer = &arena[j]
 				arena[j].peer = t
-			} else {
-				partner[a.Correlation] = int32(i)
+				pairs++
 			}
 		}
 	}
-	// partner keeps one entry per correlation, so each record beyond
-	// those completed a pair.
-	pairs := correlated - len(partner)
 	if 2*pairs != correlated {
 		for i := range arena {
 			if t := &arena[i]; t.Correlation != 0 && t.peer == nil && t.OnCPU() {
@@ -184,6 +183,39 @@ func Build(tr *trace.Trace) (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// partnerBook pairs correlated records for Build: the first record of a
+// correlation waits in the book for the second. Correlations within
+// trace's dense span of the record count (every traced run numbers them
+// sequentially) wait in a flat array, others in a map.
+type partnerBook struct {
+	dense  []int32 // correlation -> waiting record + 1, or 0
+	sparse map[uint64]int32
+}
+
+func newPartnerBook(maxCorr uint64, records, correlated int) partnerBook {
+	if maxCorr < 8*uint64(records)+64 {
+		return partnerBook{dense: make([]int32, maxCorr+1)}
+	}
+	return partnerBook{sparse: make(map[uint64]int32, correlated/2)}
+}
+
+// match returns the record waiting on correlation c, or, if none waits,
+// leaves record i waiting and reports false.
+func (b *partnerBook) match(c uint64, i int32) (int32, bool) {
+	if b.dense == nil {
+		j, ok := b.sparse[c]
+		if !ok {
+			b.sparse[c] = i
+		}
+		return j, ok
+	}
+	if j := b.dense[c]; j != 0 {
+		return j - 1, true
+	}
+	b.dense[c] = i + 1
+	return 0, false
 }
 
 // buildThread is Build's per-thread state, indexed by thread ordinal:

@@ -47,7 +47,8 @@ type Graph struct {
 	memAnnot memAnnotMemo
 
 	// acyclic memoizes whether the edge set orders every task (see
-	// isAcyclic): 0 unknown, 1 acyclic, 2 cyclic. Edge edits reset it.
+	// isAcyclic): 0 unknown, 1 acyclic, 2 cyclic. Edge edits reset it,
+	// and Validate skips Kahn's pass while it reads 1.
 	acyclic atomic.Int32
 }
 
@@ -431,6 +432,12 @@ func (g *Graph) Select(pred func(*Task) bool) []*Task {
 
 // Validate checks structural invariants: sequence-chain consistency and
 // acyclicity. It returns the first violation.
+//
+// Acyclicity is memoized: once Kahn's pass has proven the edge set
+// acyclic, Validate walks only the sequence chains until the next edge
+// edit. That holds because every adjacency write goes through addEdge
+// or removeEdge, which reset the memo, or lays out a new graph (Build,
+// Repeat, Clone), whose memo starts unknown.
 func (g *Graph) Validate() error {
 	for tid, l := range g.threads {
 		var prev *Task
@@ -446,6 +453,9 @@ func (g *Graph) Validate() error {
 		if l.tail != prev {
 			return fmt.Errorf("core: thread %v tail mismatch", tid)
 		}
+	}
+	if g.acyclic.Load() == 1 {
+		return nil
 	}
 	ref, seen := g.kahn()
 	if seen != g.live {

@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -49,6 +52,18 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 //   - invalid UTF-8 and unpaired surrogate escapes in strings become
 //     U+FFFD; raw control characters are rejected.
 //
+// Keys are matched on a fast path first. WriteJSON writes a record's keys
+// in field order, so the parser compares the bytes at the cursor with the
+// quoted name of the field expected next, then with the other fields'
+// quoted names. A match includes both quotes, so it is exactly the key
+// the stdlib would unquote and match by tag name ("idx" never matches
+// "id"); any other key (escaped, case-folded, unknown) takes the general
+// path of unescaping and folding, which decides as encoding/json does.
+// A long array is sized once from the bytes its first elements took, at
+// no more than one element per 64 unread input bytes, so a small input
+// cannot ask for a large slice. A *bytes.Reader or *bytes.Buffer is
+// decoded in place; other readers are read into one buffer first.
+//
 // Bytes that do not decode into the schema — invalid JSON, or values
 // like NaN/Inf/fractional timestamps that cannot land in the integer
 // time fields — and a failing reader fail with ErrMalformed, whose
@@ -59,12 +74,8 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 // never a panic or a half-validated trace. The returned trace holds
 // copies of its strings, not references into the input.
 func ReadJSON(r io.Reader) (*Trace, error) {
-	buf, err := readAll(r)
+	t, err := ReadJSONUnvalidated(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: read: %w", ErrMalformed, err)
-	}
-	t := new(Trace)
-	if err := decodeTrace(buf, t); err != nil {
 		return nil, err
 	}
 	if err := t.Validate(); err != nil {
@@ -73,9 +84,59 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
+// ReadJSONUnvalidated is ReadJSON without the final Validate: it fails
+// only with ErrMalformed, and the trace it returns may break the
+// structural invariants. It is for callers that validate the trace
+// themselves before using it, as core.Build does, so that an upload is
+// validated once.
+func ReadJSONUnvalidated(r io.Reader) (*Trace, error) {
+	t := new(Trace)
+	switch r.(type) {
+	case *bytes.Reader, *bytes.Buffer:
+		// Both hand their unread bytes to one Write call, which
+		// decodes them in place instead of copying them out first.
+		w := decodeWriter{t: t}
+		r.(io.WriterTo).WriteTo(&w) // fails only if Write does, and it does not
+		if !w.wrote {
+			w.err = decodeTrace(nil, t)
+		}
+		if w.err != nil {
+			return nil, w.err
+		}
+		return t, nil
+	}
+	buf, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: read: %w", ErrMalformed, err)
+	}
+	if err := decodeTrace(buf, t); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// decodeWriter decodes the bytes of its first Write into t. It keeps no
+// reference to them once Write returns: the decoded trace's strings are
+// copies.
+type decodeWriter struct {
+	t     *Trace
+	wrote bool
+	err   error
+}
+
+func (w *decodeWriter) Write(p []byte) (int, error) {
+	if w.wrote {
+		// bytes.Reader and bytes.Buffer write once; any later bytes
+		// would follow the first JSON value, which is all that counts.
+		return len(p), nil
+	}
+	w.wrote = true
+	w.err = decodeTrace(p, w.t)
+	return len(p), nil
+}
+
 // readAll reads r to the end into one buffer, sized up front when r
-// reports how many bytes it holds (bytes.Reader, bytes.Buffer,
-// strings.Reader).
+// reports how many bytes it holds (strings.Reader, for one).
 func readAll(r io.Reader) ([]byte, error) {
 	size := 512
 	if l, ok := r.(interface{ Len() int }); ok {
@@ -111,9 +172,14 @@ type decoder struct {
 	// fold holds a case-folded key. Both are reused across calls.
 	str, fold []byte
 	// names interns field strings, so a name repeated across records
-	// is allocated once per trace.
-	names map[string]string
+	// is allocated once per trace; recent caches the last name interned
+	// in each slot, so most repeats skip the map.
+	names  map[string]string
+	recent [internSlots]string
 }
+
+// internSlots is the number of slots in the decoder's intern cache.
+const internSlots = 64
 
 // decodeTrace decodes the first JSON value in buf into t.
 func decodeTrace(buf []byte, t *Trace) error {
@@ -135,10 +201,13 @@ func (d *decoder) unexpected(context string) error {
 	return d.errorf("invalid character %q %s", d.buf[d.pos], context)
 }
 
+// wsBits has bit c set for each JSON whitespace byte c.
+const wsBits = 1<<' ' | 1<<'\n' | 1<<'\t' | 1<<'\r'
+
 // ws skips JSON whitespace.
 func (d *decoder) ws() {
 	buf, i := d.buf, d.pos
-	for i < len(buf) && (buf[i] == ' ' || buf[i] == '\n' || buf[i] == '\t' || buf[i] == '\r') {
+	for i < len(buf) && buf[i] <= ' ' && wsBits&(uint64(1)<<buf[i]) != 0 {
 		i++
 	}
 	d.pos = i
@@ -172,60 +241,55 @@ func (d *decoder) mismatch(want string) error {
 	return d.errorf("cannot decode %q into %s", d.buf[d.pos], want)
 }
 
-// member advances to the next member of an open object and returns its
-// unescaped key, valid until the next string is read, with the ':' and
-// following whitespace consumed. It reports false after the closing '}'.
-// first marks the call right after the '{'.
-func (d *decoder) member(first bool) ([]byte, bool, error) {
-	d.ws()
-	c := d.peek()
-	if c == '}' {
-		d.pos++
-		return nil, false, nil
-	}
-	if !first {
-		if c != ',' {
-			return nil, false, d.unexpected("after object key:value pair")
-		}
-		d.pos++
-		d.ws()
-		c = d.peek()
-	}
-	if c != '"' {
-		return nil, false, d.unexpected("looking for beginning of object key string")
-	}
-	key, err := d.string()
-	if err != nil {
-		return nil, false, err
-	}
-	d.ws()
-	if d.peek() != ':' {
-		return nil, false, d.unexpected("after object key")
-	}
-	d.pos++
-	d.ws()
-	return key, true, nil
-}
-
 // string reads the string whose opening quote is at the current position
 // and returns its unescaped bytes, which alias d.buf or d.str and are
 // valid until the next string is read.
 func (d *decoder) string() ([]byte, error) {
 	buf := d.buf
 	start := d.pos + 1
-	for i := start; i < len(buf); i++ {
-		c := buf[i]
-		if c == '"' {
-			d.pos = i + 1
-			return buf[start:i], nil
-		}
-		if c == '\\' || c < ' ' || c >= utf8.RuneSelf {
-			d.pos = i
-			return d.unescape(start)
+	i := plainEnd(buf, start)
+	if i == len(buf) {
+		d.pos = i
+		return nil, d.unexpected("in string literal")
+	}
+	if buf[i] == '"' {
+		d.pos = i + 1
+		return buf[start:i], nil
+	}
+	d.pos = i
+	return d.unescape(start)
+}
+
+// Byte-lane masks for scanning eight bytes at a time.
+const (
+	lanes    = 0x0101010101010101
+	laneHigh = 0x8080808080808080
+)
+
+// plainEnd returns the index of the first byte at or after i that ends a
+// run of plain string bytes — a quote, a backslash, a control character
+// or a non-ASCII byte — or len(buf) if there is none.
+func plainEnd(buf []byte, i int) int {
+	for ; i+8 <= len(buf); i += 8 {
+		if m := stopBytes(binary.LittleEndian.Uint64(buf[i:])); m != 0 {
+			return i + bits.TrailingZeros64(m)/8
 		}
 	}
-	d.pos = len(buf)
-	return nil, d.unexpected("in string literal")
+	for ; i < len(buf); i++ {
+		if c := buf[i]; c == '"' || c == '\\' || c < ' ' || c >= utf8.RuneSelf {
+			return i
+		}
+	}
+	return i
+}
+
+// stopBytes flags, in the high bit of its byte lane, each byte of the
+// little-endian word w that plainEnd stops at. A subtraction's borrow can
+// flag a lane above a flagged one too, so only the lowest flag is exact.
+func stopBytes(w uint64) uint64 {
+	quote := w ^ (lanes * '"')
+	slash := w ^ (lanes * '\\')
+	return ((quote-lanes)&^quote | (slash-lanes)&^slash | (w-lanes*' ')&^w | w) & laneHigh
 }
 
 // unescape finishes a string from the current position, with the bytes
@@ -324,17 +388,38 @@ func (d *decoder) text(p *string) error {
 		if err != nil {
 			return err
 		}
-		s, ok := d.names[string(b)]
-		if !ok {
-			s = string(b)
-			d.names[s] = s
-		}
-		*p = s
+		*p = d.intern(b)
 		return nil
 	case 'n':
 		return d.literal("null")
 	}
 	return d.mismatch("a string")
+}
+
+// intern returns b as a string shared by every equal name in the trace.
+func (d *decoder) intern(b []byte) string {
+	slot := &d.recent[internSlot(b)]
+	if *slot == string(b) {
+		return *slot
+	}
+	s, ok := d.names[string(b)]
+	if !ok {
+		s = string(b)
+		d.names[s] = s
+	}
+	*slot = s
+	return s
+}
+
+// internSlot picks b's slot in the intern cache from its length and
+// three of its bytes.
+func internSlot(b []byte) int {
+	n := len(b)
+	if n == 0 {
+		return 0
+	}
+	h := uint(n)*0x9e37 ^ uint(b[0])*31 ^ uint(b[n/2])*7 ^ uint(b[n-1])
+	return int(h % internSlots)
 }
 
 // digits reads the integer part of a number literal at the current
@@ -354,17 +439,25 @@ func (d *decoder) digits() (neg bool, u uint64, ok bool, err error) {
 	default:
 		return neg, 0, false, d.unexpected("in numeric literal")
 	}
-	ok = true
-	buf, i := d.buf, d.pos
+	buf, start := d.buf, d.pos
+	i := start
 	for ; i < len(buf) && '0' <= buf[i] && buf[i] <= '9'; i++ {
-		dig := uint64(buf[i] - '0')
+		u = u*10 + uint64(buf[i]-'0')
+	}
+	d.pos = i
+	if i-start < 20 {
+		// Nineteen digits never overflow.
+		return neg, u, true, nil
+	}
+	u = 0
+	for _, c := range buf[start:i] {
+		dig := uint64(c - '0')
 		if u > (math.MaxUint64-dig)/10 {
-			ok = false
+			return neg, u, false, nil
 		}
 		u = u*10 + dig
 	}
-	d.pos = i
-	return neg, u, ok, nil
+	return neg, u, true, nil
 }
 
 // integer reads a number literal into an integer field: a sign, digits,
@@ -464,6 +557,14 @@ func (d *decoder) element(first bool) (bool, error) {
 // each element decodes into the slice's existing element at its index,
 // the slice growing one element at a time within its capacity, then
 // truncated to the array's length.
+//
+// The first time an array of sizeAfter or more elements outgrows its
+// slice, the slice is reallocated with room for the rest of the input at
+// the bytes per element the array has taken so far, but never at fewer
+// than minElementBytes, so that a few tiny elements before a long value
+// cannot ask for a slice much larger than the input. Only capacity
+// differs from encoding/json's growth, and capacity past the longest
+// array decoded stays zero in both.
 func array[T any](d *decoder, s *[]T, elem func(*decoder, *T) error) error {
 	switch d.peek() {
 	case '[':
@@ -475,6 +576,8 @@ func array[T any](d *decoder, s *[]T, elem func(*decoder, *T) error) error {
 		return d.mismatch("an array")
 	}
 	v := *s
+	start := d.pos
+	sized := false
 	i := 0
 	for ; ; i++ {
 		more, err := d.element(i == 0)
@@ -489,6 +592,13 @@ func array[T any](d *decoder, s *[]T, elem func(*decoder, *T) error) error {
 		case i < cap(v):
 			v = v[:i+1]
 		default:
+			if !sized && i >= sizeAfter {
+				sized = true
+				per := max((d.pos-start)/i, minElementBytes)
+				if n := i + 1 + (len(d.buf)-d.pos)/per; n > cap(v) {
+					v = append(make([]T, 0, n), v...)
+				}
+			}
 			var zero T
 			v = append(v, zero)
 		}
@@ -503,6 +613,18 @@ func array[T any](d *decoder, s *[]T, elem func(*decoder, *T) error) error {
 	return nil
 }
 
+const (
+	// sizeAfter is how many elements array decodes before it may size
+	// a growing slice from the input.
+	sizeAfter = 16
+	// minElementBytes is the fewest input bytes array assumes each
+	// remaining element takes when it sizes a slice. WriteJSON's
+	// records take at least 70 (compact) and about 200 (indented), and
+	// no record type is larger than 2*minElementBytes in memory, so the
+	// room array adds is at most twice the unread input.
+	minElementBytes = 64
+)
+
 // skip consumes one JSON value of any shape, checking its syntax. depth
 // is the number of arrays and objects the value sits in.
 func (d *decoder) skip(depth int) error {
@@ -514,7 +636,7 @@ func (d *decoder) skip(depth int) error {
 			var more bool
 			var err error
 			if open[len(open)-1] == '{' {
-				_, more, err = d.member(first)
+				_, more, err = d.key(noFields, unknownField, first)
 			} else {
 				more, err = d.element(first)
 			}
@@ -594,14 +716,16 @@ func (d *decoder) digitRun(context string) error {
 	return nil
 }
 
-// fields lists a struct's JSON names and their case-folded forms.
+// fields lists a struct's JSON names in field order, with their quoted
+// and case-folded forms.
 type fields struct {
-	names, folded []string
+	names, quoted, folded []string
 }
 
 func newFields(names ...string) *fields {
 	f := &fields{names: names}
 	for _, n := range names {
+		f.quoted = append(f.quoted, `"`+n+`"`)
 		f.folded = append(f.folded, string(appendFold(nil, []byte(n))))
 	}
 	return f
@@ -614,24 +738,29 @@ var (
 		"stream", "channel", "correlation", "bytes", "dir")
 	spanFields     = newFields("layer", "index", "phase", "thread", "start", "end")
 	gradientFields = newFields("layer", "index", "bytes", "bucket", "act_bytes", "op_kind")
+	// noFields is the struct of a skipped object: every key is unknown.
+	noFields = newFields()
 )
 
-// field returns the JSON name key selects in f — an exact match first,
-// then a case-folded one, as encoding/json resolves keys — or "" for an
-// unknown key.
-func (d *decoder) field(key []byte, f *fields) string {
-	for _, n := range f.names {
+// unknownField is the field index of a key that selects no field.
+const unknownField = -1
+
+// field returns the index of the field key selects in f — an exact
+// match first, then a case-folded one, as encoding/json resolves keys —
+// or unknownField.
+func (d *decoder) field(key []byte, f *fields) int {
+	for i, n := range f.names {
 		if string(key) == n {
-			return n
+			return i
 		}
 	}
 	d.fold = appendFold(d.fold[:0], key)
 	for i, n := range f.folded {
 		if string(d.fold) == n {
-			return f.names[i]
+			return i
 		}
 	}
-	return ""
+	return unknownField
 }
 
 // appendFold appends the case-folded form of name to dst, the way
@@ -662,124 +791,231 @@ func appendFold(dst, name []byte) []byte {
 	return dst
 }
 
-// members decodes an object into a struct. For each member it calls set,
-// positioned at the value, with the field name the key selects in f, or
-// "" for an unknown key. A null leaves the struct as it is.
-func (d *decoder) members(want string, f *fields, set func(name string) error) error {
+// object enters an object that decodes into a struct: it reports true
+// with the '{' consumed, and false after a null, which leaves the struct
+// as it is.
+func (d *decoder) object(want string) (bool, error) {
 	switch d.peek() {
 	case '{':
 		d.pos++
+		return true, nil
 	case 'n':
-		return d.literal("null")
-	default:
-		return d.mismatch(want)
+		return false, d.literal("null")
 	}
-	for first := true; ; first = false {
-		key, more, err := d.member(first)
-		if err != nil || !more {
-			return err
+	return false, d.mismatch(want)
+}
+
+// key advances to the next member of an open object and returns the
+// index in f of the field its key selects, or unknownField, with the ':'
+// and following whitespace consumed. It reports false after the closing
+// '}'. first marks the call right after the '{'; prev is the previous
+// member's field index.
+func (d *decoder) key(f *fields, prev int, first bool) (int, bool, error) {
+	d.ws()
+	c := d.peek()
+	if c == '}' {
+		d.pos++
+		return 0, false, nil
+	}
+	if !first {
+		if c != ',' {
+			return 0, false, d.unexpected("after object key:value pair")
 		}
-		if err := set(d.field(key, f)); err != nil {
-			return err
+		d.pos++
+		d.ws()
+		c = d.peek()
+	}
+	if c != '"' {
+		return 0, false, d.unexpected("looking for beginning of object key string")
+	}
+	k := d.quotedName(f, prev)
+	if k == unknownField {
+		key, err := d.string()
+		if err != nil {
+			return 0, false, err
+		}
+		k = d.field(key, f)
+	}
+	d.ws()
+	if d.peek() != ':' {
+		return 0, false, d.unexpected("after object key")
+	}
+	d.pos++
+	d.ws()
+	return k, true, nil
+}
+
+// quotedName consumes the key at the cursor if its bytes, quotes
+// included, are one of f's quoted names, trying the field after prev
+// first and the rest in order after it, and returns that field's index.
+// It returns unknownField, consuming nothing, for any other key.
+func (d *decoder) quotedName(f *fields, prev int) int {
+	rest := d.buf[d.pos:]
+	n := len(f.quoted)
+	k := prev
+	for range n {
+		if k++; k == n {
+			k = 0
+		}
+		if q := f.quoted[k]; len(rest) >= len(q) && string(rest[:len(q)]) == q {
+			d.pos += len(q)
+			return k
 		}
 	}
+	return unknownField
 }
 
 func (d *decoder) traceObject(t *Trace) error {
-	return d.members("a trace", traceFields, func(name string) error {
-		switch name {
-		case "model":
-			return d.text(&t.Model)
-		case "framework":
-			return d.text(&t.Framework)
-		case "device":
-			return d.text(&t.Device)
-		case "batch_size":
-			return signed(d, &t.BatchSize)
-		case "precision":
-			return d.text(&t.Precision)
-		case "iteration_time":
-			return signed(d, &t.IterationTime)
-		case "activities":
-			return array(d, &t.Activities, (*decoder).activity)
-		case "layer_spans":
-			return array(d, &t.LayerSpans, (*decoder).span)
-		case "gradients":
-			return array(d, &t.Gradients, (*decoder).gradient)
+	if ok, err := d.object("a trace"); !ok {
+		return err
+	}
+	k := unknownField
+	for first := true; ; first = false {
+		var more bool
+		var err error
+		if k, more, err = d.key(traceFields, k, first); err != nil || !more {
+			return err
 		}
-		return d.skip(1)
-	})
+		// Cases follow traceFields.
+		switch k {
+		case 0:
+			err = d.text(&t.Model)
+		case 1:
+			err = d.text(&t.Framework)
+		case 2:
+			err = d.text(&t.Device)
+		case 3:
+			err = signed(d, &t.BatchSize)
+		case 4:
+			err = d.text(&t.Precision)
+		case 5:
+			err = signed(d, &t.IterationTime)
+		case 6:
+			err = array(d, &t.Activities, (*decoder).activity)
+		case 7:
+			err = array(d, &t.LayerSpans, (*decoder).span)
+		case 8:
+			err = array(d, &t.Gradients, (*decoder).gradient)
+		default:
+			err = d.skip(1)
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // Records sit at depth 3: in an object, in an array, in the trace.
 const recordDepth = 3
 
 func (d *decoder) activity(a *Activity) error {
-	return d.members("an activity", activityFields, func(name string) error {
-		switch name {
-		case "id":
-			return signed(d, &a.ID)
-		case "name":
-			return d.text(&a.Name)
-		case "kind":
-			return signed(d, &a.Kind)
-		case "start":
-			return signed(d, &a.Start)
-		case "duration":
-			return signed(d, &a.Duration)
-		case "thread":
-			return signed(d, &a.Thread)
-		case "stream":
-			return signed(d, &a.Stream)
-		case "channel":
-			return d.text(&a.Channel)
-		case "correlation":
-			return d.unsigned(&a.Correlation)
-		case "bytes":
-			return signed(d, &a.Bytes)
-		case "dir":
-			return signed(d, &a.Dir)
+	if ok, err := d.object("an activity"); !ok {
+		return err
+	}
+	k := unknownField
+	for first := true; ; first = false {
+		var more bool
+		var err error
+		if k, more, err = d.key(activityFields, k, first); err != nil || !more {
+			return err
 		}
-		return d.skip(recordDepth)
-	})
+		// Cases follow activityFields.
+		switch k {
+		case 0:
+			err = signed(d, &a.ID)
+		case 1:
+			err = d.text(&a.Name)
+		case 2:
+			err = signed(d, &a.Kind)
+		case 3:
+			err = signed(d, &a.Start)
+		case 4:
+			err = signed(d, &a.Duration)
+		case 5:
+			err = signed(d, &a.Thread)
+		case 6:
+			err = signed(d, &a.Stream)
+		case 7:
+			err = d.text(&a.Channel)
+		case 8:
+			err = d.unsigned(&a.Correlation)
+		case 9:
+			err = signed(d, &a.Bytes)
+		case 10:
+			err = signed(d, &a.Dir)
+		default:
+			err = d.skip(recordDepth)
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 func (d *decoder) span(s *LayerSpan) error {
-	return d.members("a layer span", spanFields, func(name string) error {
-		switch name {
-		case "layer":
-			return d.text(&s.Layer)
-		case "index":
-			return signed(d, &s.Index)
-		case "phase":
-			return signed(d, &s.Phase)
-		case "thread":
-			return signed(d, &s.Thread)
-		case "start":
-			return signed(d, &s.Start)
-		case "end":
-			return signed(d, &s.End)
+	if ok, err := d.object("a layer span"); !ok {
+		return err
+	}
+	k := unknownField
+	for first := true; ; first = false {
+		var more bool
+		var err error
+		if k, more, err = d.key(spanFields, k, first); err != nil || !more {
+			return err
 		}
-		return d.skip(recordDepth)
-	})
+		// Cases follow spanFields.
+		switch k {
+		case 0:
+			err = d.text(&s.Layer)
+		case 1:
+			err = signed(d, &s.Index)
+		case 2:
+			err = signed(d, &s.Phase)
+		case 3:
+			err = signed(d, &s.Thread)
+		case 4:
+			err = signed(d, &s.Start)
+		case 5:
+			err = signed(d, &s.End)
+		default:
+			err = d.skip(recordDepth)
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 func (d *decoder) gradient(g *GradientInfo) error {
-	return d.members("a gradient record", gradientFields, func(name string) error {
-		switch name {
-		case "layer":
-			return d.text(&g.Layer)
-		case "index":
-			return signed(d, &g.Index)
-		case "bytes":
-			return signed(d, &g.Bytes)
-		case "bucket":
-			return signed(d, &g.Bucket)
-		case "act_bytes":
-			return signed(d, &g.ActBytes)
-		case "op_kind":
-			return d.text(&g.Kind)
+	if ok, err := d.object("a gradient record"); !ok {
+		return err
+	}
+	k := unknownField
+	for first := true; ; first = false {
+		var more bool
+		var err error
+		if k, more, err = d.key(gradientFields, k, first); err != nil || !more {
+			return err
 		}
-		return d.skip(recordDepth)
-	})
+		// Cases follow gradientFields.
+		switch k {
+		case 0:
+			err = d.text(&g.Layer)
+		case 1:
+			err = signed(d, &g.Index)
+		case 2:
+			err = signed(d, &g.Bytes)
+		case 3:
+			err = signed(d, &g.Bucket)
+		case 4:
+			err = signed(d, &g.ActBytes)
+		case 5:
+			err = d.text(&g.Kind)
+		default:
+			err = d.skip(recordDepth)
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
