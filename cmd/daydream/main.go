@@ -22,8 +22,8 @@
 // for the generated list. Every optimization applies through the
 // unified copy-on-write Patch surface, so predict and sweep evaluate
 // timing-only and structural what-ifs alike without cloning the
-// profiled graph — only graph-replacing rewrites (p3) clone. That
-// includes what-ifs that carry a scheduling policy (vdnn's copy-stream
+// profiled graph; p3, which models two iterations, patches a Repeat of
+// it. That includes what-ifs that carry a scheduling policy (vdnn's copy-stream
 // ordering): schedulers are view-generic, so scheduled scenarios stay
 // clone-free too.
 package main
@@ -397,7 +397,7 @@ func cmdSweep(args []string) error {
 	opt := fs.String("opt", "", "comma-separated stack expressions replacing the default battery (e.g. amp,amp+fusedadam)")
 	machines := fs.Int("machines", 4, "machines for explicit -opt distributed/p3 expressions")
 	gpus := fs.Int("gpus", 1, "GPUs per machine for explicit -opt distributed/p3 expressions")
-	explain := fs.Bool("explain", false, "print the simulation tier each scenario dispatched to (replay/incremental/overlay/patch/clone)")
+	explain := fs.Bool("explain", false, "print the simulation tier each scenario dispatched to (replay/incremental/overlay/patch)")
 	window := fs.Int("window", 0, "simulate with a round window: retire rounds older than the last N into per-round summaries instead of keeping every per-task start (0 = full materialization)")
 	timeout := fs.Duration("timeout", 0, "abort the sweep after this duration (0 = no limit); timed-out scenarios become typed error rows")
 	params := optParamFlags(fs)

@@ -93,8 +93,7 @@ type (
 	// OptFootprint classifies how much of the graph an Optimization
 	// touches — a fast-path hint and display label: TimingOnly values
 	// write only the Patch's Overlay timing tier, Structural ones
-	// record structural deltas too. Neither clones; only a
-	// graph-replacing rewrite (OptP3) does.
+	// record structural deltas too. Neither clones.
 	OptFootprint = core.OptFootprint
 	// OptimizationSpec describes one entry of the optimization
 	// registry (see Optimizations).
@@ -119,9 +118,10 @@ const (
 // worker-owned copy-on-write Patch over the shared baseline, so
 // timing-only AND structural optimizations (and Stacks of them)
 // evaluate clone-free — including under a custom Scheduler, supplied in
-// SimOptions or carried by the value itself (OptVDNN) — and only
-// graph-replacing rewriters (OptP3) get a private clone. Scenarios may
-// carry their own Base graph for model × config grids.
+// SimOptions or carried by the value itself (OptVDNN). A value that
+// models several iterations (OptP3) patches a per-scenario Repeat of
+// the baseline. Scenarios may carry their own Base graph for model ×
+// config grids.
 //
 //	results, err := daydream.Sweep(g, []daydream.Scenario{
 //	    {Opt: daydream.OptAMP()},
@@ -418,9 +418,9 @@ func ComputeBreakdown(t *Trace) Breakdown { return trace.ComputeBreakdown(t) }
 // knows its name, whether it only rewrites timings (TimingOnly) or
 // changes graph structure (Structural), and applies itself through the
 // one clone-free Patch surface — timing edits in the copy-on-write
-// timing tier, structural edits as task/edge deltas; only values that
-// must replace the graph (OptP3's Repeat form) evaluate on a private
-// clone. One value drives every consumer:
+// timing tier, structural edits as task/edge deltas; a value that
+// models several iterations (OptP3) patches a Repeat of the baseline.
+// One value drives every consumer:
 //
 //	opt := daydream.Stack(daydream.OptAMP(), daydream.OptFusedAdam())
 //	base, pred, _ := daydream.Compare(g, opt)            // one question
@@ -458,9 +458,10 @@ func OptDistributed(topo Topology) Optimization {
 
 // OptP3 returns the parameter-server prediction (Algorithm 7) as an
 // Optimization value carrying its own metric (the steady-state
-// iteration time). sliceBytes == 0 selects P3's default slice size;
-// sliceBytes < 0 disables slicing and priorities, modeling the plain
-// FIFO parameter server.
+// iteration time). Evaluators patch it over a two-iteration Repeat of
+// the single-worker profile they are given. sliceBytes == 0 selects
+// P3's default slice size; sliceBytes < 0 disables slicing and
+// priorities, modeling the plain FIFO parameter server.
 func OptP3(topo Topology, sliceBytes int64) Optimization {
 	return whatif.OptP3(whatif.P3Options{
 		Topology:   topo,
@@ -735,10 +736,9 @@ func ByLayer(t *Task) string { return core.ByLayer(t) }
 
 // Compare answers one what-if question against the baseline graph and
 // reports (baseline, predicted) iteration times. Every Optimization
-// applies through one copy-on-write Patch over the baseline:
-// timing-only and patch-form structural values (and Stacks of them)
-// evaluate clone-free, a value that demands a materialized graph (a
-// GraphRewriter like OptP3) gets a private clone, and a no-op (an empty Stack) replays the baseline. An
+// applies through one copy-on-write Patch over the baseline (or over
+// its Repeat, for a value that models several iterations such as
+// OptP3), and a no-op (an empty Stack) replays the baseline. An
 // optimization carrying its own metric (OptP3) reports it instead of
 // the makespan, and one carrying a scheduling policy (OptVDNN)
 // simulates under it.
@@ -765,10 +765,9 @@ func Compare(g *Graph, opt Optimization, opts ...SimOption) (baseline, predicted
 	return baseline, predicted, err
 }
 
-// predictOptimization evaluates a non-noop Optimization on its cheapest
-// valid path — the clone-free patch unless the value demands a
-// materialized graph — under any scheduling policy the value carries,
-// and extracts its metric.
+// predictOptimization evaluates a non-noop Optimization through a patch
+// over core.OptBaseline's graph, under any scheduling policy the value
+// carries, and extracts its metric.
 func predictOptimization(g *Graph, opt Optimization, opts ...SimOption) (time.Duration, error) {
 	measure := core.OptMeasure(opt)
 	var simOpts []core.SimOption
@@ -776,19 +775,9 @@ func predictOptimization(g *Graph, opt Optimization, opts ...SimOption) (time.Du
 		simOpts = append(simOpts, core.WithScheduler(s))
 	}
 	simOpts = append(simOpts, opts...)
-	if core.OptNeedsGraph(opt) {
-		c, err := core.ApplyOptimization(g.Clone(), opt)
-		if err != nil {
-			return 0, err
-		}
-		res, err := c.Simulate(simOpts...)
-		if err != nil {
-			return 0, err
-		}
-		if measure != nil {
-			return measure(c, res)
-		}
-		return res.Makespan, nil
+	g, err := core.OptBaseline(g, opt)
+	if err != nil {
+		return 0, err
 	}
 	p := core.NewPatch(g)
 	if err := opt.Apply(p); err != nil {

@@ -57,8 +57,8 @@
 // arrays; a Patch simulates timing-only edits on the pure-overlay fast
 // path and structural edits through masked/appendix arrays. Sweep fans
 // a whole scenario grid out over a worker pool sharing one baseline,
-// with every Opt on the clone-free patch path — only a graph-replacing
-// rewriter (OptP3's Repeat form) gets a private clone:
+// with every Opt on the clone-free patch path — a value that models
+// several iterations (OptP3) patches a per-scenario Repeat of it:
 //
 //	results, _ := daydream.Sweep(g, []daydream.Scenario{
 //	    {Opt: daydream.OptAMP()},                                  // timing tier

@@ -5,7 +5,8 @@
 // checker, and a baseline fingerprint.
 //
 // The package provides the faults; the chaos test suite feeds them
-// through every dispatch tier (incremental/overlay/patch/cold/clone)
+// through every dispatch tier (incremental/overlay/patch/cold, and a
+// patch over a repeated baseline)
 // and asserts the fault-tolerance contract the serve subsystem will
 // depend on: hostile input produces typed error rows, never a crash, a
 // leaked goroutine, or a corrupted shared baseline.

@@ -8,15 +8,18 @@ import (
 	"testing"
 	"time"
 
+	"daydream/internal/comm"
 	"daydream/internal/core"
 	"daydream/internal/dnn"
 	"daydream/internal/framework"
 	"daydream/internal/sweep"
 	"daydream/internal/trace"
+	"daydream/internal/whatif"
 )
 
 // baselineGraph profiles a real zoo model so the chaos suite runs over
-// the same graphs production sweeps see.
+// the same graphs production sweeps see, layer-mapped so that layer
+// what-ifs (P3) apply.
 func baselineGraph(t *testing.T) *core.Graph {
 	t.Helper()
 	m, err := dnn.ByName("resnet50")
@@ -31,6 +34,7 @@ func baselineGraph(t *testing.T) *core.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
+	core.MapLayers(g, res.Trace.LayerSpans)
 	return g
 }
 
@@ -67,33 +71,34 @@ func TestAdversarialPatchesAcrossTiers(t *testing.T) {
 	shrink := func(factor float64) core.Optimization {
 		return core.PatchOpt("shrink", core.TimingOnly, func(p *core.Patch) error {
 			o := p.Timing()
-			for _, task := range o.Base().Select(core.OnGPUPred) {
+			for _, task := range o.Base().Select((*core.Task).OnGPU) {
 				o.ScaleDuration(task, factor)
 			}
 			return nil
 		}, nil)
 	}
 	structural := core.PatchOpt("drop-a-kernel", core.Structural, func(p *core.Patch) error {
-		kerns := p.Base().Select(core.OnGPUPred)
+		kerns := p.Base().Select((*core.Task).OnGPU)
 		p.RemoveTask(kerns[len(kerns)/2])
 		return nil
 	}, nil)
 
+	p3 := whatif.OptP3(whatif.P3Options{Topology: comm.Topology{
+		Machines: 4, GPUsPerMachine: 1, NICBandwidth: comm.Gbps(5), IntraBandwidth: 11e9,
+	}, SliceBytes: 800 << 10})
+
 	scenarios := []sweep.Scenario{
 		// Healthy rows on each tier, bracketing the faults: replay,
-		// timing-only (overlay/incremental), structural patch, clone.
+		// timing-only (overlay/incremental), structural patch, and a
+		// patch over a per-scenario repeated baseline (p3).
 		{Name: "replay"},
 		{Name: "timing-1", Opt: shrink(0.9)},
 		{Name: "timing-2", Opt: shrink(0.8)},
 		{Name: "timing-3", Opt: shrink(0.7)},
 		{Name: "structural", Opt: structural},
-		{Name: "clone", Opt: core.RewriteOpt("clone", func(c *core.Graph) (*core.Graph, error) {
-			for _, u := range c.Select(core.OnGPUPred) {
-				u.Duration /= 2
-			}
-			return c, nil
-		}, nil)},
+		{Name: "p3", Opt: p3},
 		// Faults.
+		{Name: "p3-panic", Opt: core.Stack(p3, HalfEditPanicOpt())},
 		{Name: "cycle", Opt: core.PatchOpt("cycle", core.Structural, CyclicPatch, nil)},
 		{Name: "neg-timing", Opt: core.PatchOpt("neg", core.TimingOnly, NegativeTimingPatch, nil)},
 		{Name: "panic-opt", Opt: PanicOpt()},
@@ -119,10 +124,13 @@ func TestAdversarialPatchesAcrossTiers(t *testing.T) {
 	if r := byName["cycle"]; !errors.Is(r.Err, core.ErrStalled) {
 		t.Fatalf("cycle row: Err = %v, want ErrStalled", r.Err)
 	}
-	for _, name := range []string{"panic-opt", "half-edit-panic", "panic-sched", "panic-measure"} {
+	for _, name := range []string{"panic-opt", "half-edit-panic", "p3-panic", "panic-sched", "panic-measure"} {
 		if r := byName[name]; !errors.Is(r.Err, sweep.ErrPanic) {
 			t.Fatalf("%s row: Err = %v, want ErrPanic", name, r.Err)
 		}
+	}
+	if r := byName["p3"]; r.Tier != sweep.TierPatch {
+		t.Fatalf("p3 row ran on tier %q, want %q", r.Tier, sweep.TierPatch)
 	}
 	if r := byName["rogue-sched"]; r.Err == nil {
 		t.Fatal("rogue-sched row: out-of-range pick produced no error")
@@ -140,7 +148,7 @@ func TestAdversarialPatchesAcrossTiers(t *testing.T) {
 
 	// Healthy rows — including those after faults on the same workers —
 	// match a fault-free run exactly.
-	healthy := []string{"replay", "timing-1", "timing-2", "timing-3", "structural", "clone", "timing-tail", "structural-tail", "replay-tail"}
+	healthy := []string{"replay", "timing-1", "timing-2", "timing-3", "structural", "p3", "timing-tail", "structural-tail", "replay-tail"}
 	cleanScens := make([]sweep.Scenario, 0, len(healthy))
 	for _, name := range healthy {
 		for _, sc := range scenarios {
@@ -186,7 +194,7 @@ func TestChaosCancellationUnderLoad(t *testing.T) {
 		scenarios[i] = sweep.Scenario{
 			Name: fmt.Sprintf("s%d", i),
 			Opt: timingOpt(func(o *core.Overlay) error {
-				for _, task := range o.Base().Select(core.OnGPUPred) {
+				for _, task := range o.Base().Select((*core.Task).OnGPU) {
 					o.ScaleDuration(task, factor)
 				}
 				return nil
@@ -235,7 +243,7 @@ func TestChaosIncrementalTierFaults(t *testing.T) {
 		return sweep.Scenario{
 			Name: fmt.Sprintf("shrink-%v", factor),
 			Opt: timingOpt(func(o *core.Overlay) error {
-				for _, task := range o.Base().Select(core.OnGPUPred) {
+				for _, task := range o.Base().Select((*core.Task).OnGPU) {
 					o.ScaleDuration(task, factor)
 				}
 				return nil
@@ -264,7 +272,7 @@ func TestChaosIncrementalTierFaults(t *testing.T) {
 		// Cold reference for the same delta.
 		factor := []float64{0.9, 0.8, 0.7, 0.6, 0, 0.5, 0.4}[i]
 		o := core.NewOverlay(g)
-		for _, task := range g.Select(core.OnGPUPred) {
+		for _, task := range g.Select((*core.Task).OnGPU) {
 			o.ScaleDuration(task, factor)
 		}
 		ref, err := o.Simulate()

@@ -24,7 +24,7 @@
 //
 // # Simulation tiers
 //
-// One Algorithm-1 loop, five evaluation tiers, cheapest first.
+// One Algorithm-1 loop, four evaluation tiers, cheapest first.
 // Graph.Simulate, Overlay.Simulate and Patch.Simulate each compile their
 // view into one flat per-ID form: the live-task table, effective
 // durations, gaps and priorities, thread ordinals, and child lists that
@@ -60,9 +60,10 @@
 //     timing tier, ~1.3ms for the Distributed insertion scenario.
 //   - cold — Graph.Simulate of the baseline itself, ~1.3ms; also the
 //     replay tier for no-op scenarios in a sweep.
-//   - clone — materialize a private mutated copy, ~6.0ms per scenario;
-//     only for rewriters that must replace the graph (OptP3's Repeat
-//     form, built by RewriteOpt).
+//
+// No tier clones: a what-if that models several iterations (P3, via
+// RoundsCarrier) patches a Repeat-expanded baseline that OptBaseline
+// builds once per evaluation.
 //
 // # Round windows
 //

@@ -73,7 +73,7 @@ func TestLayerPhaseIndexMatchesNaiveScans(t *testing.T) {
 	// Select and the predicate, element by element: the timing-only
 	// what-ifs (AMP, device upgrades, kernel profiles, batchnorm
 	// restructuring) classify through them.
-	gpu := g.Select(OnGPUPred)
+	gpu := g.Select((*Task).OnGPU)
 	got, compute := ix.GPUTasks(), ix.GPUComputeBound()
 	if len(got) != len(gpu) || len(compute) != len(gpu) {
 		t.Fatalf("GPUTasks: %d entries, GPUComputeBound: %d, Select: %d", len(got), len(compute), len(gpu))
@@ -86,7 +86,7 @@ func TestLayerPhaseIndexMatchesNaiveScans(t *testing.T) {
 			t.Fatalf("GPUComputeBound[%d] = %v, ComputeIntensivePred(%v) = %v", i, compute[i], u, !compute[i])
 		}
 	}
-	wu := g.Select(And(OnGPUPred, InPhase(trace.WeightUpdate)))
+	wu := g.Select(func(t *Task) bool { return t.OnGPU() && t.HasLayer && t.Phase == trace.WeightUpdate })
 	if got := ix.WeightUpdateGPUTasks(); len(got) != len(wu) {
 		t.Fatalf("WeightUpdateGPUTasks: %d entries, Select: %d", len(got), len(wu))
 	} else {

@@ -86,7 +86,7 @@ func TestMappedFractionEmpty(t *testing.T) {
 
 func TestWeightUpdatePhaseMapped(t *testing.T) {
 	g := modelGraph(t, "bert-base")
-	wu := g.Select(And(OnGPUPred, InPhase(trace.WeightUpdate)))
+	wu := g.Select(func(t *Task) bool { return t.OnGPU() && t.HasLayer && t.Phase == trace.WeightUpdate })
 	// BERT-Base: ~199 tensors × 13 Adam kernels ≈ 2.6K (§6.3's count).
 	if len(wu) < 2400 || len(wu) > 2900 {
 		t.Fatalf("weight-update GPU kernels = %d, want ≈2600 (paper: 2633)", len(wu))

@@ -44,9 +44,10 @@ func (f OptFootprint) String() string {
 // — no optimization ever needs to clone. Patch.Materialize turns the
 // result into a private graph when a caller needs one.
 //
-// Two optional interfaces extend the contract: GraphRewriter for
-// transformations that must replace the graph (P3's Repeat), and
-// Measurer for optimizations that define their own result metric.
+// Optional interfaces extend the contract: Measurer for optimizations
+// that define their own result metric, SchedulerCarrier for those that
+// bring a scheduling policy, and RoundsCarrier for those that model
+// several consecutive iterations (P3's steady state).
 type Optimization interface {
 	// Name labels the optimization in results and CLI output.
 	Name() string
@@ -60,40 +61,12 @@ type Optimization interface {
 	Apply(*Patch) error
 }
 
-// GraphRewriter is the optional interface of optimizations that must
-// replace the graph instead of patching over it (P3 repeats the
-// iteration graph before annotating it).
-// ApplyOptimization prefers it over the patch path; the sweep gives
-// such optimizations a private clone.
-type GraphRewriter interface {
-	RewriteGraph(*Graph) (*Graph, error)
-}
-
-// graphDemander lets composite optimizations (Stack) report precisely
-// whether any part demands a materialized graph; a bare GraphRewriter
-// implementation otherwise implies it.
-type graphDemander interface {
-	needsGraph() bool
-}
-
-// OptNeedsGraph reports whether opt demands a materialized private
-// graph (a GraphRewriter, or a Stack containing one) instead of the
-// clone-free patch path.
-func OptNeedsGraph(opt Optimization) bool {
-	if d, ok := opt.(graphDemander); ok {
-		return d.needsGraph()
-	}
-	_, ok := opt.(GraphRewriter)
-	return ok
-}
-
 // Measurer is the optional interface of optimizations that define their
 // own result metric. MeasureFunc returns the extractor to run on the
 // optimization's simulation, or nil for the default (the simulated
 // makespan). P3 uses it to report the steady-state round distance
 // instead of the multi-round makespan. The extractor receives the task
-// view the simulation ran over — the transformed private graph on the
-// rewrite path, the shared Patch on the patch path — and must treat it
+// view the simulation ran over — the shared Patch — and must treat it
 // as read-only, reading effective timings through the SimResult
 // (Finish, TaskDuration) rather than Task fields: the same contract as
 // sweep.Scenario.Measure.
@@ -132,6 +105,46 @@ func OptScheduler(opt Optimization) Scheduler {
 	return nil
 }
 
+// RoundsCarrier is the optional interface of optimizations that model
+// several consecutive training iterations rather than one: Rounds
+// reports how many the baseline must chain (P3 gates each round's
+// forward pass on the previous round's gradient pulls). Evaluation runs
+// such a value over OptBaseline's Repeat-expanded graph; the
+// optimization still applies through one Patch over it.
+type RoundsCarrier interface {
+	Rounds() int
+}
+
+// OptRounds returns how many iterations opt's baseline must chain: the
+// value's declared Rounds, or 1 when it declares none.
+func OptRounds(opt Optimization) int {
+	if c, ok := opt.(RoundsCarrier); ok && c.Rounds() > 1 {
+		return c.Rounds()
+	}
+	return 1
+}
+
+// OptBaseline returns the graph opt is evaluated on: g itself, or
+// g.Repeat(n) when opt declares n > 1 rounds (OptRounds). The repeated
+// graph is fresh and private to the caller; g is never mutated. Every
+// evaluator (Compare, sweep scenarios, memory profiles) patches and
+// simulates over this graph, so a multi-round what-if takes the same
+// path as every other. Declared rounds chain a single-iteration
+// profile: a g that already spans several rounds is an error, since
+// the rounds would multiply.
+func OptBaseline(g *Graph, opt Optimization) (*Graph, error) {
+	n := OptRounds(opt)
+	if n == 1 {
+		return g, nil
+	}
+	for _, t := range g.tasks {
+		if t != nil && t.Round > 0 {
+			return nil, fmt.Errorf("core: %s chains %d iterations of a single-iteration baseline, but the baseline already spans several rounds", opt.Name(), n)
+		}
+	}
+	return g.Repeat(n)
+}
+
 // noopMarker is the internal interface of optimizations that are known
 // to change nothing (an empty Stack). Consumers use OptIsNoop to take
 // the replay fast path: simulate the shared baseline directly, no clone
@@ -151,25 +164,6 @@ func OptIsNoop(opt Optimization) bool {
 		return m.noopOpt()
 	}
 	return false
-}
-
-// ApplyOptimization applies opt to g — through GraphRewriter when it
-// replaces the graph, otherwise by recording opt on a Patch over g and
-// materializing the patch back into g — and returns the graph to
-// simulate. g must be private to the caller (a clone when the baseline
-// is shared); rewriters may consume it.
-func ApplyOptimization(g *Graph, opt Optimization) (*Graph, error) {
-	if rw, ok := opt.(GraphRewriter); ok {
-		return rw.RewriteGraph(g)
-	}
-	p := NewPatch(g)
-	if err := opt.Apply(p); err != nil {
-		return nil, err
-	}
-	if err := p.materializeInto(g); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // funcOpt is the ready-made Optimization implementation behind PatchOpt.
@@ -198,29 +192,6 @@ func PatchOpt(name string, fp OptFootprint, apply func(*Patch) error, measure fu
 	return &funcOpt{name: name, fp: fp, apply: apply, measure: measure}
 }
 
-// rewriteOpt is a structural optimization that replaces the graph.
-type rewriteOpt struct {
-	funcOpt
-	rewrite func(*Graph) (*Graph, error)
-}
-
-func (r *rewriteOpt) Apply(*Patch) error {
-	return fmt.Errorf("core: optimization %q needs a materialized graph; apply it through ApplyOptimization", r.name)
-}
-
-func (r *rewriteOpt) RewriteGraph(g *Graph) (*Graph, error) { return r.rewrite(g) }
-
-// RewriteOpt builds a Structural Optimization that replaces the graph
-// (e.g. repeating the iteration before annotating it) and optionally
-// defines its own result metric; a nil measure keeps the default (the
-// simulated makespan).
-func RewriteOpt(name string, rewrite func(*Graph) (*Graph, error), measure func(TaskView, *SimResult) (time.Duration, error)) Optimization {
-	return &rewriteOpt{
-		funcOpt: funcOpt{name: name, fp: Structural, measure: measure},
-		rewrite: rewrite,
-	}
-}
-
 // stack composes optimizations in application order.
 type stack struct {
 	parts []Optimization
@@ -229,13 +200,11 @@ type stack struct {
 // Stack composes several optimizations into one Optimization value,
 // applied in argument order — the paper's composed what-ifs (AMP +
 // FusedAdam as a single question). Nil parts are dropped and nested
-// stacks are flattened. The stack's footprint is the maximum of its
-// parts', and a stack applies through one shared Patch, so any mix of
-// timing-only and patch-form structural optimizations still evaluates
-// clone-free; only a part that demands a materialized graph (a
-// GraphRewriter) moves the whole stack to the clone path. An empty
-// Stack is a named no-op: evaluation replays the baseline without
-// cloning.
+// stacks are flattened. The stack's footprint and rounds are the
+// maximum of its parts', and every part applies to one shared Patch
+// over that baseline, so any mix of timing-only and structural
+// optimizations evaluates clone-free. An empty Stack is a named no-op:
+// evaluation replays the baseline without cloning.
 func Stack(parts ...Optimization) Optimization {
 	ps := make([]Optimization, 0, len(parts))
 	for _, p := range parts {
@@ -274,38 +243,23 @@ func (s *stack) Footprint() OptFootprint {
 
 func (s *stack) noopOpt() bool { return len(s.parts) == 0 }
 
-func (s *stack) needsGraph() bool {
+// Rounds returns the largest round count any part declares, so one
+// repeated baseline serves every part.
+func (s *stack) Rounds() int {
+	n := 1
 	for _, p := range s.parts {
-		if OptNeedsGraph(p) {
-			return true
-		}
+		n = max(n, OptRounds(p))
 	}
-	return false
+	return n
 }
 
 func (s *stack) Apply(p *Patch) error {
 	for _, part := range s.parts {
-		if OptNeedsGraph(part) {
-			return fmt.Errorf("core: stack part %q needs a materialized graph; apply the stack through ApplyOptimization", part.Name())
-		}
 		if err := part.Apply(p); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// RewriteGraph applies every part in order, threading the graph through
-// rewriting parts, so a stack may mix patch-form and graph-replacing
-// optimizations.
-func (s *stack) RewriteGraph(g *Graph) (*Graph, error) {
-	for _, p := range s.parts {
-		var err error
-		if g, err = ApplyOptimization(g, p); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
 }
 
 // MeasureFunc returns the last part's custom metric, matching the

@@ -63,8 +63,8 @@ func TestTimingOnlyOptAppliesThroughPatch(t *testing.T) {
 	if opt.Footprint() != TimingOnly {
 		t.Fatalf("footprint = %v", opt.Footprint())
 	}
-	if OptNeedsGraph(opt) {
-		t.Fatal("timing-only optimization demands a materialized graph")
+	if OptRounds(opt) != 1 {
+		t.Fatal("timing-only optimization declares several rounds")
 	}
 
 	p := NewPatch(g)
@@ -79,9 +79,8 @@ func TestTimingOnlyOptAppliesThroughPatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// ApplyOptimization materializes the same timing edits into a
-	// private graph.
-	c, err := ApplyOptimization(g.Clone(), opt)
+	// Materialize writes the same timing edits into a private graph.
+	c, err := p.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestTimingOnlyOptAppliesThroughPatch(t *testing.T) {
 	}
 	for _, u := range c.Tasks() {
 		if u.OnGPU() && u.Duration != 5*time.Microsecond {
-			t.Fatalf("ApplyOptimization did not write back: %v", u)
+			t.Fatalf("Materialize did not write back: %v", u)
 		}
 	}
 	// The baseline is untouched by every path.
@@ -111,8 +110,8 @@ func TestPatchOptAppliesStructurally(t *testing.T) {
 	if opt.Footprint() != Structural {
 		t.Fatalf("footprint = %v", opt.Footprint())
 	}
-	if OptNeedsGraph(opt) {
-		t.Fatal("patch-form structural optimization demands a materialized graph")
+	if base, err := OptBaseline(g, opt); err != nil || base != g {
+		t.Fatalf("OptBaseline = %p, %v; want the graph itself", base, err)
 	}
 
 	// Patch path.
@@ -128,8 +127,8 @@ func TestPatchOptAppliesStructurally(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// ApplyOptimization materializes the same deltas in place.
-	c, err := ApplyOptimization(g.Clone(), opt)
+	// Materialize replays the same deltas onto a private graph.
+	c, err := p.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,33 +144,28 @@ func TestPatchOptAppliesStructurally(t *testing.T) {
 	}
 }
 
-// inPlace is a structural value that edits a private graph in place: a
-// GraphRewriter returning the graph it was given.
-func inPlace(name string) Optimization {
-	return RewriteOpt(name, func(g *Graph) (*Graph, error) { return g, nil }, nil)
+// repeated declares n rounds on top of opt, the way P3 declares the
+// iterations it chains.
+type repeated struct {
+	Optimization
+	n int
 }
 
-func TestStructuralOptNeedsGraph(t *testing.T) {
-	opt := inPlace("drop-all")
-	if opt.Footprint() != Structural {
-		t.Fatalf("footprint = %v", opt.Footprint())
-	}
-	if !OptNeedsGraph(opt) {
-		t.Fatal("in-place transform does not demand a materialized graph")
-	}
-	if err := opt.Apply(NewPatch(optTestGraph(t, 1))); err == nil {
-		t.Fatal("in-place transform applied through a patch")
-	}
-	// ApplyOptimization runs the func in place on the private graph.
-	g := optTestGraph(t, 1)
-	if got, err := ApplyOptimization(g, opt); err != nil || got != g {
-		t.Fatalf("ApplyOptimization = %p, %v; want the graph itself", got, err)
-	}
+func (r repeated) Rounds() int { return r.n }
+
+func (r repeated) MeasureFunc() func(TaskView, *SimResult) (time.Duration, error) {
+	return OptMeasure(r.Optimization)
+}
+
+// roundDistance measures the last round's span increment, like P3's
+// steady-state metric.
+func roundDistance(v TaskView, res *SimResult) (time.Duration, error) {
+	return RoundSpan(v, res, 1) - RoundSpan(v, res, 0), nil
 }
 
 func TestStackFootprintAndName(t *testing.T) {
 	timing := halveGPU()
-	structural := inPlace("surgery")
+	structural := PatchOpt("surgery", Structural, func(*Patch) error { return nil }, nil)
 
 	if fp := Stack(timing, timing).Footprint(); fp != TimingOnly {
 		t.Fatalf("timing-only stack footprint = %v", fp)
@@ -187,13 +181,12 @@ func TestStackFootprintAndName(t *testing.T) {
 	if name := nested.Name(); name != "halve-gpu+surgery" {
 		t.Fatalf("flattened stack name = %q", name)
 	}
-	// A stack of patch-capable parts does not demand a graph; one
-	// in-place part moves the whole stack to the clone path.
-	if OptNeedsGraph(Stack(timing, dropFirstKernel())) {
-		t.Fatal("patch-capable stack demands a materialized graph")
+	// A stack declares the most rounds any part declares.
+	if n := OptRounds(Stack(timing, structural)); n != 1 {
+		t.Fatalf("single-round stack rounds = %d", n)
 	}
-	if !OptNeedsGraph(Stack(timing, structural)) {
-		t.Fatal("stack with an in-place part does not demand a materialized graph")
+	if n := OptRounds(Stack(repeated{timing, 3}, structural, repeated{structural, 2})); n != 3 {
+		t.Fatalf("stack rounds = %d, want its largest part's 3", n)
 	}
 }
 
@@ -221,12 +214,8 @@ func TestEmptyStackIsNoop(t *testing.T) {
 	if got, _ := p.PredictIteration(); got != want {
 		t.Fatalf("no-op patch changed prediction: %v vs %v", got, want)
 	}
-	c, err := ApplyOptimization(g.Clone(), empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := c.PredictIteration(); got != want {
-		t.Fatalf("no-op ApplyOptimization changed prediction: %v vs %v", got, want)
+	if base, err := OptBaseline(g, empty); err != nil || base != g {
+		t.Fatalf("no-op OptBaseline = %p, %v; want the graph itself", base, err)
 	}
 }
 
@@ -247,15 +236,28 @@ func TestStackAppliesInOrder(t *testing.T) {
 	}
 }
 
+// materializedWith applies opt on a fresh patch over g and returns the
+// materialized private graph.
+func materializedWith(t *testing.T, g *Graph, opt Optimization) *Graph {
+	t.Helper()
+	p := NewPatch(g)
+	if err := opt.Apply(p); err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestStackMixesTimingAndPatchParts checks a stack of a timing-only and
 // a patch-form structural part applies through ONE patch, and predicts
-// identically to the sequential clone application.
+// identically to applying each part to the previous part's
+// materialized graph.
 func TestStackMixesTimingAndPatchParts(t *testing.T) {
 	g := optTestGraph(t, 6)
 	s := Stack(halveGPU(), dropFirstKernel())
-	if OptNeedsGraph(s) {
-		t.Fatal("mixed patch-capable stack demands a materialized graph")
-	}
 	p := NewPatch(g)
 	if err := s.Apply(p); err != nil {
 		t.Fatal(err)
@@ -264,76 +266,75 @@ func TestStackMixesTimingAndPatchParts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ApplyOptimization(g.Clone(), halveGPU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, err = ApplyOptimization(c, dropFirstKernel()); err != nil {
-		t.Fatal(err)
-	}
+	c := materializedWith(t, materializedWith(t, g, halveGPU()), dropFirstKernel())
 	want, err := c.PredictIteration()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("mixed stack via one patch %v, sequential clone %v", got, want)
+		t.Fatalf("mixed stack via one patch %v, sequential materialization %v", got, want)
 	}
 }
 
-func TestRewriteOptAndStackRewrite(t *testing.T) {
+// TestRoundsOptAndStackRounds checks a value that declares rounds: it
+// is evaluated over OptBaseline's fresh Repeat of a single-iteration
+// graph, a stack carrying it patches every part over that one repeated
+// graph and keeps its measure, and a baseline that is already repeated
+// is refused.
+func TestRoundsOptAndStackRounds(t *testing.T) {
 	g := optTestGraph(t, 4)
-	repeat := RewriteOpt("repeat2",
-		func(c *Graph) (*Graph, error) { return c.Repeat(2) },
-		func(v TaskView, res *SimResult) (time.Duration, error) {
-			return RoundSpan(v, res, 1) - RoundSpan(v, res, 0), nil
-		})
-	if repeat.Footprint() != Structural {
-		t.Fatalf("rewriter footprint = %v", repeat.Footprint())
+	rounds := repeated{PatchOpt("repeat2", Structural, func(*Patch) error { return nil }, roundDistance), 2}
+	if OptRounds(rounds) != 2 || OptMeasure(rounds) == nil {
+		t.Fatalf("rounds = %d, measure set = %v", OptRounds(rounds), OptMeasure(rounds) != nil)
 	}
-	if !OptNeedsGraph(repeat) {
-		t.Fatal("rewriter does not demand a materialized graph")
-	}
-	if err := repeat.Apply(NewPatch(g)); err == nil {
-		t.Fatal("rewriter applied through a patch")
-	}
-	if OptMeasure(repeat) == nil {
-		t.Fatal("rewriter lost its measure")
-	}
-
-	// ApplyOptimization routes through RewriteGraph.
-	rg, err := ApplyOptimization(g.Clone(), repeat)
+	rep, err := OptBaseline(g, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rg.NumTasks() != 2*g.NumTasks() {
-		t.Fatalf("rewritten graph has %d tasks, want %d", rg.NumTasks(), 2*g.NumTasks())
+	if rep == g || rep.NumTasks() != 2*g.NumTasks() {
+		t.Fatalf("OptBaseline returned %d tasks (baseline %d, same graph %v)", rep.NumTasks(), g.NumTasks(), rep == g)
+	}
+	if g.LayerPhaseIndex().Rounds() != 1 {
+		t.Fatal("OptBaseline repeated the baseline in place")
 	}
 
-	// A stack mixing patch-form and rewriting parts threads the graph
-	// through, keeps the rewriter's measure, and refuses the patch path.
-	mixed := Stack(halveGPU(), repeat)
-	if err := mixed.Apply(NewPatch(g)); err == nil {
-		t.Fatal("stack with a rewriter applied through a patch")
+	// Every part of a stack applies to one patch over the repeated
+	// graph, and the stack keeps the round-declaring part's measure.
+	mixed := Stack(halveGPU(), rounds)
+	if OptRounds(mixed) != 2 || OptMeasure(mixed) == nil {
+		t.Fatal("stack lost the part's rounds or measure")
 	}
-	if OptMeasure(mixed) == nil {
-		t.Fatal("stack lost the rewriter's measure")
-	}
-	mg, err := ApplyOptimization(g.Clone(), mixed)
+	base, err := OptBaseline(g, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mg.NumTasks() != 2*g.NumTasks() {
-		t.Fatalf("mixed-stack graph has %d tasks, want %d", mg.NumTasks(), 2*g.NumTasks())
-	}
-}
-
-func TestStackPatchRejectsGraphPart(t *testing.T) {
-	s := Stack(halveGPU(), inPlace("surgery"))
-	if err := s.Apply(NewPatch(optTestGraph(t, 1))); err == nil {
-		t.Fatal("stack with an in-place part applied through a patch")
-	}
-	// ApplyOptimization threads a private graph through both parts.
-	if _, err := ApplyOptimization(optTestGraph(t, 1), s); err != nil {
+	p := NewPatch(base)
+	if err := mixed.Apply(p); err != nil {
 		t.Fatal(err)
+	}
+	res, err := p.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := OptMeasure(mixed)(p, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reference halves the single iteration's GPU tasks, then
+	// repeats the materialized result.
+	half, err := materializedWith(t, g, halveGPU()).Repeat(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hres, err := half.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := roundDistance(half, hres); got != want || got <= 0 {
+		t.Fatalf("stack over the repeated baseline measures %v, reference %v", got, want)
+	}
+
+	if _, err := OptBaseline(rep, rounds); err == nil {
+		t.Fatal("OptBaseline repeated an already repeated baseline")
 	}
 }

@@ -40,8 +40,8 @@ import (
 // zoo.
 //
 // A Patch additionally journals its structural operations, so
-// Materialize (and ApplyOptimization) can replay them onto a private
-// graph for callers that need a real *Graph.
+// Materialize can replay them onto a private graph for callers that
+// need a real *Graph.
 //
 // A Patch is not safe for concurrent use; the sharing model is one
 // patch per goroutine over one shared baseline (the sweep worker pool
@@ -996,11 +996,10 @@ func (p *Patch) Validate() error {
 	return nil
 }
 
-// materializeInto applies the patch to target, which must be either the
-// baseline itself (private to the caller) or a clone of it: effective
-// timings are written into the live tasks, then the structural journal
-// is replayed through the Graph primitives, so the result is exactly
-// what the clone path would have built.
+// materializeInto applies the patch to target, a clone of the
+// baseline: effective timings are written into the live tasks, then the
+// structural journal is replayed through the Graph primitives, so the
+// result is exactly what editing the clone directly would have built.
 func (p *Patch) materializeInto(target *Graph) error {
 	baseSpan := p.baseSpan()
 	for id, bt := range p.base.tasks {

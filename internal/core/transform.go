@@ -4,15 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"daydream/internal/trace"
 )
 
 // Predicate helpers for Select (§4.4: select by layer, by name keyword, by
 // location).
-
-// OnGPUPred matches GPU tasks (kernels and device-side copies).
-func OnGPUPred(t *Task) bool { return t.OnGPU() }
 
 // NameContains matches tasks whose name contains the substring — the
 // paper's select-by-keyword (e.g. "sgemm", "elementwise").
@@ -27,23 +22,6 @@ func NameContains(sub string) func(*Task) bool {
 // the substring scans entirely.
 func ComputeIntensivePred(t *Task) bool {
 	return strings.Contains(t.Name, "sgemm") || strings.Contains(t.Name, "scudnn")
-}
-
-// InPhase matches tasks mapped to the given training phase.
-func InPhase(p trace.Phase) func(*Task) bool {
-	return func(t *Task) bool { return t.HasLayer && t.Phase == p }
-}
-
-// And composes predicates conjunctively.
-func And(ps ...func(*Task) bool) func(*Task) bool {
-	return func(t *Task) bool {
-		for _, p := range ps {
-			if !p(t) {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 // MeanDuration returns the mean duration of the given tasks (zero for an

@@ -10,24 +10,14 @@ import (
 func TestPredicates(t *testing.T) {
 	task := &Task{Name: "volta_sgemm_128x64", Kind: trace.KindKernel, Thread: Stream(7)}
 	task.HasLayer, task.Layer, task.Phase = true, "fc", trace.Backward
-	if !OnGPUPred(task) {
-		t.Error("OnGPUPred failed")
-	}
 	if !NameContains("sgemm")(task) || NameContains("scudnn")(task) {
 		t.Error("NameContains failed")
 	}
-	if !InPhase(trace.Backward)(task) || InPhase(trace.Forward)(task) {
-		t.Error("InPhase failed")
+	if !ComputeIntensivePred(task) {
+		t.Error("ComputeIntensivePred missed an sgemm kernel")
 	}
-	if !And(OnGPUPred, NameContains("sgemm"))(task) {
-		t.Error("And failed")
-	}
-	if And(OnGPUPred, NameContains("nope"))(task) {
-		t.Error("And should short-circuit to false")
-	}
-	unmapped := &Task{Kind: trace.KindKernel, Thread: Stream(7)}
-	if InPhase(trace.Backward)(unmapped) {
-		t.Error("unmapped task matched a phase")
+	if ComputeIntensivePred(&Task{Name: "elementwise_add", Kind: trace.KindKernel, Thread: Stream(7)}) {
+		t.Error("ComputeIntensivePred matched an element-wise kernel")
 	}
 }
 
@@ -134,7 +124,7 @@ func TestScaleByOneIsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPatch(g)
-	for _, u := range g.Select(OnGPUPred) {
+	for _, u := range g.Select((*Task).OnGPU) {
 		p.ScaleDuration(u, 1.0)
 	}
 	after, err := p.PredictIteration()

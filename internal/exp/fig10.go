@@ -58,19 +58,11 @@ func RunFig10Model(label string, m *dnn.Model, bandwidths []float64) ([]P3Row, e
 	if err != nil {
 		return nil, err
 	}
-	// One Repeat of the single-worker profile is shared immutably by
-	// every bandwidth point: each scenario records Algorithm 7's
-	// push/pull annotation as copy-on-write patch deltas over it, so
-	// the grid runs without a single per-scenario clone.
-	rep, err := g.Repeat(p3Rounds)
-	if err != nil {
-		return nil, err
-	}
 	scenarios := make([]sweep.Scenario, len(bandwidths))
 	for i, bw := range bandwidths {
-		scenarios[i] = P3Scenario(rep, fig10Topology(bw))
+		scenarios[i] = P3Scenario(g, fig10Topology(bw))
 	}
-	preds, err := sweep.Run(rep, scenarios)
+	preds, err := sweep.Run(g, scenarios)
 	if err != nil {
 		return nil, err
 	}
@@ -110,27 +102,20 @@ func RunFig10Model(label string, m *dnn.Model, bandwidths []float64) ([]P3Row, e
 	return rows, nil
 }
 
-// p3Rounds is the iteration count P3Scenario chains (whatif.P3's
-// default and minimum): enough for one steady-state round distance.
-const p3Rounds = 2
-
-// P3Scenario wraps Algorithm 7 as a sweep scenario over a shared
-// Repeat-expanded baseline (base must carry p3Rounds rounds): the
-// scenario carries the patch-form P3 annotation value, which records
-// the push/pull tasks, priorities and cross-round edges as
-// copy-on-write deltas — no per-scenario clone — and supplies its own
-// measure, the steady-state iteration time (the distance between the
-// last two rounds' completion frontiers). The returned Scenario holds
-// no shared mutable state, so it is reusable and safe across concurrent
-// sweeps like any other.
+// P3Scenario wraps Algorithm 7 as a sweep scenario over the
+// single-worker profile base: the scenario carries the P3 value, which
+// the sweep evaluates as copy-on-write push/pull deltas over a
+// two-round Repeat of base and measures by its steady-state iteration
+// time (the distance between the last two rounds' completion
+// frontiers). The returned Scenario holds no shared mutable state, so
+// it is reusable and safe across concurrent sweeps like any other.
 func P3Scenario(base *core.Graph, topo comm.Topology) sweep.Scenario {
 	return sweep.Scenario{
 		Name: fmt.Sprintf("p3 %s @%.0fGbps", topo.String(), topo.NICBandwidth/comm.Gbps(1)),
 		Base: base,
-		Opt: whatif.OptP3Annotate(whatif.P3Options{
+		Opt: whatif.OptP3(whatif.P3Options{
 			Topology:   topo,
 			SliceBytes: 800 << 10,
-			Rounds:     p3Rounds,
 		}),
 	}
 }

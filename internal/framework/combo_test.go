@@ -60,9 +60,9 @@ func TestSparseEmbeddingUpdate(t *testing.T) {
 	core.MapLayers(g, res.Trace.LayerSpans)
 	// The embedding layers' weight-update kernels must be far smaller
 	// than a full-table (131 MB ≈ 230 µs) rewrite would be.
-	emb := g.Select(core.And(core.OnGPUPred,
-		core.InPhase(trace.WeightUpdate),
-		func(t *core.Task) bool { return t.Layer == "encoder.embedding" }))
+	emb := g.Select(func(t *core.Task) bool {
+		return t.OnGPU() && t.HasLayer && t.Phase == trace.WeightUpdate && t.Layer == "encoder.embedding"
+	})
 	if len(emb) == 0 {
 		t.Fatal("no embedding weight-update kernels")
 	}

@@ -235,11 +235,11 @@ func ComputeProfile(view core.TaskView, res *core.SimResult, ann *Annotation, me
 }
 
 // ProfileOpt runs the full memory-aware prediction pipeline for one
-// optimization: apply opt over the baseline (clone-free through a Patch
-// when possible), simulate under the opt's carried scheduler, then
-// profile with the opt's MemMeasurer rewrites — predicted makespan and
-// predicted memory, from one simulation. A nil or no-op opt profiles
-// the baseline itself.
+// optimization: apply opt through a Patch over the baseline (repeated
+// first when opt declares several rounds, see core.OptBaseline),
+// simulate under the opt's carried scheduler, then profile with the
+// opt's MemMeasurer rewrites — predicted makespan and predicted memory,
+// from one simulation. A nil or no-op opt profiles the baseline itself.
 func ProfileOpt(g *core.Graph, opt core.Optimization, simOpts ...core.SimOption) (time.Duration, *Profile, error) {
 	if sched := core.OptScheduler(opt); sched != nil {
 		simOpts = append(simOpts, core.WithScheduler(sched))
@@ -259,24 +259,9 @@ func ProfileOpt(g *core.Graph, opt core.Optimization, simOpts ...core.SimOption)
 		}
 		return res.Makespan, prof, nil
 	}
-	if core.OptNeedsGraph(opt) {
-		tg, err := core.ApplyOptimization(g.Clone(), opt)
-		if err != nil {
-			return 0, nil, err
-		}
-		ann, err := AnnotationOf(tg)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, err := tg.Simulate(simOpts...)
-		if err != nil {
-			return 0, nil, err
-		}
-		prof, err := ComputeProfile(tg, res, ann, MeasurersOf(opt)...)
-		if err != nil {
-			return 0, nil, err
-		}
-		return res.Makespan, prof, nil
+	g, err := core.OptBaseline(g, opt)
+	if err != nil {
+		return 0, nil, err
 	}
 	ann, err := AnnotationOf(g)
 	if err != nil {

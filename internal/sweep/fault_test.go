@@ -38,7 +38,7 @@ func shrinkScenario(name string, factor float64) Scenario {
 	return Scenario{
 		Name: name,
 		Opt: timingOpt(func(o *core.Overlay) error {
-			for _, task := range o.Base().Select(core.OnGPUPred) {
+			for _, task := range o.Base().Select((*core.Task).OnGPU) {
 				o.ScaleDuration(task, factor)
 			}
 			return nil
@@ -247,18 +247,18 @@ func TestSweepPanicIsolation(t *testing.T) {
 
 func TestSweepPanicIsolationAcrossTiers(t *testing.T) {
 	g := testGraph(40)
-	// A structural patch scenario (patch tier) and a clone scenario
-	// bracketing a panic, verifying quarantine on the structural paths
-	// too.
+	// A structural patch scenario and one over a repeated baseline
+	// (both on the patch tier) bracketing a panic, verifying quarantine
+	// on the structural paths too.
 	structural := Scenario{
 		Name: "structural",
 		Opt: core.PatchOpt("drop-first-kernel", core.Structural, func(p *core.Patch) error {
-			kerns := p.Base().Select(core.OnGPUPred)
+			kerns := p.Base().Select((*core.Task).OnGPU)
 			p.RemoveTask(kerns[0])
 			return nil
 		}, nil),
 	}
-	cloneSc := scaleScenario("clone", 0.5)
+	cloneSc := Scenario{Name: "rounds", Opt: roundsOpt{insertCommOpt(time.Millisecond), 2}}
 	panicSc := Scenario{Name: "kaboom", Opt: timingOpt(func(o *core.Overlay) error { panic("x") })}
 
 	want, err := Run(g, []Scenario{structural, cloneSc}, Workers(1))
@@ -273,7 +273,7 @@ func TestSweepPanicIsolationAcrossTiers(t *testing.T) {
 		t.Fatalf("structural row = (%v, %v), want (%v, nil)", got[0].Value, got[0].Err, want[0].Value)
 	}
 	if got[2].Err != nil || got[2].Value != want[1].Value {
-		t.Fatalf("post-panic clone row = (%v, %v), want (%v, nil)", got[2].Value, got[2].Err, want[1].Value)
+		t.Fatalf("post-panic rounds row = (%v, %v), want (%v, nil)", got[2].Value, got[2].Err, want[1].Value)
 	}
 	if got[3].Err != nil || got[3].Value != want[0].Value {
 		t.Fatalf("post-panic structural row = (%v, %v), want (%v, nil)", got[3].Value, got[3].Err, want[0].Value)

@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"daydream/internal/core"
-	"daydream/internal/trace"
 )
 
 // TestSweepWorkerMixedScenarioReuse drives one worker through an
-// interleaving of structural-patch, timing-patch, rewrite and replay
-// scenarios, checking buffer/patch reuse never leaks state between
+// interleaving of structural-patch, timing-patch, repeated-baseline and
+// replay scenarios, checking buffer/patch reuse never leaks state between
 // paths.
 func TestSweepWorkerMixedScenarioReuse(t *testing.T) {
 	g := testGraph(30)
@@ -21,11 +18,7 @@ func TestSweepWorkerMixedScenarioReuse(t *testing.T) {
 			Scenario{Name: fmt.Sprintf("struct%d", i), Opt: insertCommOpt(time.Duration(i+1) * time.Millisecond)},
 			Scenario{Name: fmt.Sprintf("timing%d", i), Opt: gpuScaleOpt(0.5 + 0.05*float64(i))},
 			Scenario{Name: fmt.Sprintf("replay%d", i)},
-			Scenario{Name: fmt.Sprintf("rewrite%d", i), Opt: rewriteOpt(func(c *core.Graph) (*core.Graph, error) {
-				k := c.NewTask("x", trace.KindComm, core.Channel("z"), time.Millisecond)
-				c.AppendTask(k)
-				return c, c.AddDependency(c.Task(1), k, core.DepComm)
-			})},
+			Scenario{Name: fmt.Sprintf("rounds%d", i), Opt: roundsOpt{insertCommOpt(time.Duration(i+1) * time.Millisecond), 2}},
 		)
 	}
 	want, err := Run(g, scenarios, Workers(1))

@@ -7,9 +7,9 @@
 //
 // Run fans a scenario list out over a worker pool. The baseline graph
 // is shared immutably. A scenario declares its what-if as one
-// core.Optimization value in Opt, and takes one of three paths:
+// core.Optimization value in Opt, and takes one of two paths:
 //
-//   - Patch scenarios (every Opt that applies through Apply) record
+//   - Patch scenarios (every Opt that changes anything) record
 //     copy-on-write deltas in a worker-owned core.Patch and simulate
 //     through it — zero clone for timing edits AND structural edits
 //     (task/edge additions and removals). Timing-only patches keep the
@@ -20,26 +20,24 @@
 //     scenario-supplied or carried by the optimization itself
 //     (core.SchedulerCarrier, e.g. vDNN's copy-stream policy) — run
 //     view-generically over the same patch, so scheduled structural
-//     scenarios are clone-free too.
-//   - Rewrite scenarios (an Opt that demands a materialized graph: a
-//     core.GraphRewriter such as P3's Repeat, built by core.RewriteOpt)
-//     mutate a private Graph.Clone.
+//     scenarios are clone-free too. A value that models several
+//     iterations (core.RoundsCarrier, P3) patches the worker's own
+//     core.OptBaseline copy of the baseline, Repeat-expanded once per
+//     scenario.
 //   - Replay scenarios (no what-if at all, or a no-op Opt such as an
 //     empty core.Stack) simulate the shared baseline directly, which
 //     never mutates it.
 //
-// A core.Stack mixing timing-only and patch-form structural
-// optimizations still runs clone-free; the sweep materializes a private
-// graph only when a rewrite demands one. One-off custom edits are
-// values too: core.PatchOpt for timing or structural deltas,
-// core.RewriteOpt for a graph replacement.
+// A core.Stack of any parts runs on one patch. One-off custom edits
+// are values too: core.PatchOpt for timing or structural deltas.
 //
 // Each worker owns one reusable core.SimScratch, one patch and one
 // result buffer, so steady-state scenario evaluation allocates almost
 // nothing. Results come back in scenario order regardless of worker
 // count, and every scenario is deterministic, so a sweep is
 // bit-identical to the equivalent sequential loop — and the patch path
-// is bit-identical to the clone path for the same edits.
+// is bit-identical to materializing the same edits and simulating the
+// result.
 package sweep
 
 import (
@@ -90,13 +88,12 @@ type Scenario struct {
 	Base *core.Graph
 	// Opt is the scenario's what-if: a self-describing
 	// core.Optimization value. Every value applies through a
-	// worker-owned core.Patch over the shared baseline — timing-only and
-	// patch-form structural optimizations alike run clone-free; only
-	// values that demand a materialized graph (a core.GraphRewriter
-	// such as P3's Repeat form) get a private clone, and a nil Opt or a
-	// known no-op (an empty core.Stack) replays the baseline without
-	// cloning. An optimization carrying its own metric (P3) supplies the
-	// Measure unless the scenario sets one.
+	// worker-owned core.Patch over the shared baseline (or, for a value
+	// that declares several rounds, over core.OptBaseline's repeated
+	// copy of it), and a nil Opt or a known no-op (an empty
+	// core.Stack) replays the baseline. An optimization carrying its
+	// own metric (P3) supplies the Measure unless the scenario sets
+	// one.
 	Opt core.Optimization
 	// SimOptions are extra simulation options (e.g. a custom scheduler,
 	// which runs view-generically over the worker's patch — clone-free —
@@ -105,9 +102,8 @@ type Scenario struct {
 	// Measure extracts the scenario's value from the simulation; nil
 	// means the makespan (the predicted iteration time). The TaskView
 	// is whatever the simulation ran over — the shared baseline for
-	// replay scenarios, the worker's Patch for patch scenarios, the
-	// transformed private graph for rewrite scenarios — and MUST be
-	// treated as read-only; read effective timings through the
+	// replay scenarios, the worker's Patch for patch scenarios — and
+	// MUST be treated as read-only; read effective timings through the
 	// SimResult (Finish, TaskDuration), never from Task fields. Unless
 	// KeepSims is set, the SimResult's storage is reused for the
 	// worker's next scenario, so Measure must not retain it (nor a
@@ -131,8 +127,8 @@ const (
 	// TierPatch: structural copy-on-write deltas simulated through the
 	// composite patch view.
 	TierPatch = "patch"
-	// TierClone: a graph-replacing rewrite evaluated on a private
-	// clone — the only tier that pays for a full copy.
+	// TierClone is reported by no scenario: every what-if is a patch.
+	// The name stays declared for callers that still tally it.
 	TierClone = "clone"
 )
 
@@ -365,7 +361,7 @@ func nearTotalCone(o *core.Overlay) bool {
 // per-scenario errors are also in the results.
 //
 // The baseline (and any scenario Base) must not be mutated while the
-// sweep runs; the sweep itself clones it only for graph rewrites.
+// sweep runs; the sweep itself never writes it.
 //
 // Fault-tolerance contract: a scenario whose callback panics yields
 // exactly one *PanicError row and quarantines that worker's reusable
@@ -471,10 +467,10 @@ func nameOf(sc *Scenario) string {
 }
 
 // runOneSafe runs one scenario with panic isolation: a panic in any
-// user callback — Optimization.Apply or RewriteGraph, a custom
-// Scheduler picking inside Simulate, Measure — is recovered
-// into a *PanicError result row, and the worker's reusable state is
-// quarantined before the next scenario.
+// user callback — Optimization.Apply, a custom Scheduler picking
+// inside Simulate, Measure — is recovered into a *PanicError result
+// row, and the worker's reusable state is quarantined before the next
+// scenario.
 func runOneSafe(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) (r Result) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -501,17 +497,14 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 		r.Err = fmt.Errorf("no baseline graph (neither sweep-wide nor scenario Base)")
 		return r
 	}
-	// Resolve the scenario's what-if onto the unified evaluation paths:
-	// the patch path for every Opt that applies through Apply, the
-	// rewrite path only when the value demands a materialized graph,
-	// and the replay fast path for no-ops.
+	// Resolve the scenario's what-if onto the two evaluation paths: the
+	// replay fast path for no-ops, the patch path for everything else.
 	opt := sc.Opt
 	measure := sc.Measure
 	if measure == nil {
 		measure = core.OptMeasure(opt)
 	}
 	replay := core.OptIsNoop(opt)
-	rewrite := !replay && core.OptNeedsGraph(opt)
 
 	simOpts := make([]core.SimOption, 0, len(sc.SimOptions)+4)
 	// The sweep's context rides into every simulation tier, so an
@@ -541,8 +534,7 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 		res  *core.SimResult
 		err  error
 	)
-	switch {
-	case replay:
+	if replay {
 		// Replay path: Simulate never mutates, so the baseline is
 		// simulated in place and handed to Measure read-only. Cloning
 		// still happens under KeepGraphs, where the caller receives a
@@ -550,23 +542,14 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 		view = base
 		r.Tier = TierReplay
 		res, err = base.Simulate(simOpts...)
-	case rewrite:
-		// Rewrite path: a private clone to mutate or replace.
-		var g *core.Graph
-		if g, err = core.ApplyOptimization(base.Clone(), opt); err != nil {
+	} else {
+		// Patch path: timing and structural deltas through the
+		// worker-owned patch, over the shared baseline or its repeated
+		// copy.
+		if base, err = core.OptBaseline(base, opt); err != nil {
 			r.Err = err
 			return r
 		}
-		if g == nil {
-			r.Err = fmt.Errorf("rewrite returned a nil graph")
-			return r
-		}
-		view = g
-		r.Tier = TierClone
-		res, err = g.Simulate(simOpts...)
-	default:
-		// Clone-free path: timing and structural deltas over the
-		// shared baseline through the worker-owned patch.
 		if w.patch == nil {
 			w.patch = core.NewPatch(base)
 		} else {
@@ -597,20 +580,13 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 	} else {
 		r.Value = res.Makespan
 	}
+	// KeepGraphs hands back a private graph, never the shared baseline:
+	// a clone of it, or one carrying the patch's deltas.
 	if cfg.keepGraphs {
-		switch {
-		case replay:
+		if replay {
 			r.Graph = base.Clone()
-		case rewrite:
-			r.Graph = view.(*core.Graph)
-		default:
-			// Honor the private-graph contract: hand back a clone
-			// carrying the patch's timing and structural deltas, never
-			// the shared baseline.
-			r.Graph, r.Err = w.patch.Materialize()
-			if r.Err != nil {
-				return r
-			}
+		} else if r.Graph, r.Err = w.patch.Materialize(); r.Err != nil {
+			return r
 		}
 	}
 	if cfg.keepSims {

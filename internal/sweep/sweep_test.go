@@ -26,45 +26,48 @@ func testGraph(n int) *core.Graph {
 	return g
 }
 
-// rewriteOpt wraps a graph transform as a value evaluated on a private
-// clone (the clone tier).
-func rewriteOpt(rewrite func(*core.Graph) (*core.Graph, error)) core.Optimization {
-	return core.RewriteOpt("", rewrite, nil)
-}
-
 // timingOpt wraps an edit of the patch's timing tier as a timing-only
 // value (the overlay and incremental tiers).
 func timingOpt(edit func(*core.Overlay) error) core.Optimization {
 	return core.PatchOpt("", core.TimingOnly, func(p *core.Patch) error { return edit(p.Timing()) }, nil)
 }
 
-// scaleScenario shrinks every GPU kernel by the given factor.
-func scaleScenario(name string, factor float64) Scenario {
-	return Scenario{
-		Name: name,
-		Opt: rewriteOpt(func(g *core.Graph) (*core.Graph, error) {
-			for _, u := range g.Select(core.OnGPUPred) {
-				u.Duration = time.Duration(float64(u.Duration) * factor)
-			}
-			return g, nil
-		}),
-	}
+// roundsOpt declares n rounds on top of opt, the way P3 declares the
+// iterations it chains: the sweep evaluates it over a Repeat of the
+// baseline.
+type roundsOpt struct {
+	core.Optimization
+	n int
 }
 
-// sequential runs the same scenarios one by one without the pool.
+func (r roundsOpt) Rounds() int { return r.n }
+
+func (r roundsOpt) MeasureFunc() func(core.TaskView, *core.SimResult) (time.Duration, error) {
+	return core.OptMeasure(r.Optimization)
+}
+
+// sequential runs the same scenarios one by one without the pool or
+// its worker state: each what-if is recorded on a fresh patch over the
+// scenario's baseline (repeated when the value declares rounds),
+// materialized into a private graph, and that graph cold-simulated.
 func sequential(t *testing.T, baseline *core.Graph, scenarios []Scenario) []time.Duration {
 	t.Helper()
 	out := make([]time.Duration, len(scenarios))
 	for i, sc := range scenarios {
-		base := sc.Base
-		if base == nil {
-			base = baseline
+		g := sc.Base
+		if g == nil {
+			g = baseline
 		}
-		g := base.Clone()
-		var err error
-		if sc.Opt != nil {
-			g, err = core.ApplyOptimization(g, sc.Opt)
-			if err != nil {
+		if !core.OptIsNoop(sc.Opt) {
+			var err error
+			if g, err = core.OptBaseline(g, sc.Opt); err != nil {
+				t.Fatal(err)
+			}
+			p := core.NewPatch(g)
+			if err := sc.Opt.Apply(p); err != nil {
+				t.Fatal(err)
+			}
+			if g, err = p.Materialize(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -139,7 +142,7 @@ func TestSweepScenarioError(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	results, err := Run(g, []Scenario{
 		scaleScenario("ok", 0.5),
-		{Name: "bad", Opt: rewriteOpt(func(*core.Graph) (*core.Graph, error) { return nil, boom })},
+		{Name: "bad", Opt: core.PatchOpt("", core.Structural, func(*core.Patch) error { return boom }, nil)},
 		scaleScenario("also ok", 0.25),
 	})
 	if err == nil {
@@ -157,9 +160,7 @@ func TestSweepMeasureAndKeep(t *testing.T) {
 	g := testGraph(8)
 	results, err := Run(g, []Scenario{{
 		Name: "repeat",
-		Opt: rewriteOpt(func(c *core.Graph) (*core.Graph, error) {
-			return c.Repeat(3)
-		}),
+		Opt:  roundsOpt{insertCommOpt(time.Microsecond), 3},
 		Measure: func(rg core.TaskView, res *core.SimResult) (time.Duration, error) {
 			return core.RoundSpan(rg, res, 2) - core.RoundSpan(rg, res, 1), nil
 		},
@@ -171,8 +172,8 @@ func TestSweepMeasureAndKeep(t *testing.T) {
 	if r.Graph == nil || r.Sim == nil {
 		t.Fatal("KeepGraphs/KeepSims did not retain")
 	}
-	if r.Graph.NumTasks() != 3*g.NumTasks() {
-		t.Fatalf("transformed graph has %d tasks, want %d", r.Graph.NumTasks(), 3*g.NumTasks())
+	if r.Graph.NumTasks() != 3*g.NumTasks()+1 {
+		t.Fatalf("transformed graph has %d tasks, want %d", r.Graph.NumTasks(), 3*g.NumTasks()+1)
 	}
 	if r.Value <= 0 {
 		t.Fatalf("steady-state round time = %v", r.Value)
@@ -208,8 +209,9 @@ func TestSweepEmpty(t *testing.T) {
 	}
 }
 
-// overlayScaleScenario is scaleScenario's clone-free form.
-func overlayScaleScenario(name string, factor float64) Scenario {
+// scaleScenario shrinks every GPU kernel by the given factor, as a
+// timing-only value.
+func scaleScenario(name string, factor float64) Scenario {
 	return Scenario{
 		Name: name,
 		Opt: timingOpt(func(o *core.Overlay) error {
@@ -223,26 +225,21 @@ func overlayScaleScenario(name string, factor float64) Scenario {
 
 // TestSweepOverlayMatchesClonePath checks the clone-free dispatch: a
 // duration-only scenario evaluated through a timing-only value is
-// bit-identical to the same edit through the structural clone path.
+// bit-identical to the same edit materialized into a private clone.
 func TestSweepOverlayMatchesClonePath(t *testing.T) {
 	g := testGraph(60)
-	var clonePath, overlayPath []Scenario
+	var overlayPath []Scenario
 	for i := 0; i < 12; i++ {
-		f := 0.5 + 0.04*float64(i)
-		clonePath = append(clonePath, scaleScenario(fmt.Sprintf("s%d", i), f))
-		overlayPath = append(overlayPath, overlayScaleScenario(fmt.Sprintf("s%d", i), f))
+		overlayPath = append(overlayPath, scaleScenario(fmt.Sprintf("s%d", i), 0.5+0.04*float64(i)))
 	}
-	want, err := Run(g, clonePath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := sequential(t, g, overlayPath)
 	got, err := Run(g, overlayPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if got[i].Value != want[i].Value {
-			t.Fatalf("scenario %d: overlay %v, clone %v", i, got[i].Value, want[i].Value)
+		if got[i].Value != want[i] {
+			t.Fatalf("scenario %d: overlay %v, clone %v", i, got[i].Value, want[i])
 		}
 	}
 	// The baseline must be untouched by the overlay path.
@@ -283,7 +280,7 @@ func TestSweepReplayPathSkipsClone(t *testing.T) {
 // the effective timings through the SimResult.
 func TestSweepOverlayMeasureSeesEffectiveTimings(t *testing.T) {
 	g := testGraph(5)
-	kernels := g.Select(core.OnGPUPred)
+	kernels := g.Select((*core.Task).OnGPU)
 	last := kernels[len(kernels)-1]
 	sc := Scenario{
 		Name: "measure",
@@ -322,7 +319,7 @@ func TestSweepConcurrentOverlayRace(t *testing.T) {
 	// Prime nothing: let the racing sweeps build the index concurrently.
 	var scenarios []Scenario
 	for i := 0; i < 16; i++ {
-		scenarios = append(scenarios, overlayScaleScenario(fmt.Sprintf("s%d", i), 0.9))
+		scenarios = append(scenarios, scaleScenario(fmt.Sprintf("s%d", i), 0.9))
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -342,7 +339,7 @@ func TestSweepConcurrentOverlayRace(t *testing.T) {
 // is a private clone carrying the overlay's effective timings.
 func TestSweepOverlayKeepGraphsIsPrivate(t *testing.T) {
 	g := testGraph(6)
-	res, err := Run(g, []Scenario{overlayScaleScenario("amp", 0.5)}, KeepGraphs())
+	res, err := Run(g, []Scenario{scaleScenario("amp", 0.5)}, KeepGraphs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +444,7 @@ func gpuScaleOpt(factor float64) core.Optimization {
 func TestSweepOptDispatch(t *testing.T) {
 	g := testGraph(40)
 	structural := core.PatchOpt("drop-first-kernel", core.Structural, func(p *core.Patch) error {
-		kernels := p.Base().Select(core.OnGPUPred)
+		kernels := p.Base().Select((*core.Task).OnGPU)
 		p.RemoveTask(kernels[0])
 		return nil
 	}, nil)
@@ -456,24 +453,18 @@ func TestSweepOptDispatch(t *testing.T) {
 		{Opt: core.Stack(gpuScaleOpt(0.5), gpuScaleOpt(0.5))},
 		{Opt: structural},
 	}
-	manual := []Scenario{
-		overlayScaleScenario("a", 0.5),
-		overlayScaleScenario("b", 0.25),
-		{Name: "c", Opt: rewriteOpt(func(c *core.Graph) (*core.Graph, error) {
-			return core.ApplyOptimization(c, structural)
-		})},
-	}
+	want := sequential(t, g, []Scenario{
+		scaleScenario("a", 0.5),
+		scaleScenario("b", 0.25),
+		{Name: "c", Opt: structural},
+	})
 	got, err := Run(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(g, manual)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := range want {
-		if got[i].Value != want[i].Value {
-			t.Fatalf("scenario %d: Opt dispatch %v, manual path %v", i, got[i].Value, want[i].Value)
+		if got[i].Value != want[i] {
+			t.Fatalf("scenario %d: Opt dispatch %v, manual path %v", i, got[i].Value, want[i])
 		}
 	}
 	// Default names come from the optimization values.
@@ -492,11 +483,10 @@ func TestSweepOptDispatch(t *testing.T) {
 // used when the scenario sets none, and that an explicit Measure wins.
 func TestSweepOptCarriesMeasure(t *testing.T) {
 	g := testGraph(8)
-	repeat := core.RewriteOpt("repeat3",
-		func(c *core.Graph) (*core.Graph, error) { return c.Repeat(3) },
+	repeat := roundsOpt{core.PatchOpt("repeat3", core.Structural, func(*core.Patch) error { return nil },
 		func(rg core.TaskView, res *core.SimResult) (time.Duration, error) {
 			return core.RoundSpan(rg, res, 2) - core.RoundSpan(rg, res, 1), nil
-		})
+		}), 3}
 	res, err := Run(g, []Scenario{{Opt: repeat}})
 	if err != nil {
 		t.Fatal(err)
@@ -567,7 +557,7 @@ func TestSweepNoopStackReplaysWithoutClone(t *testing.T) {
 // appended to a fresh channel, gated by the last GPU kernel.
 func insertCommOpt(d time.Duration) core.Optimization {
 	return core.PatchOpt(fmt.Sprintf("comm-%v", d), core.Structural, func(p *core.Patch) error {
-		kernels := p.Base().Select(core.OnGPUPred)
+		kernels := p.Base().Select((*core.Task).OnGPU)
 		if len(kernels) == 0 {
 			return fmt.Errorf("no kernels")
 		}
@@ -589,14 +579,9 @@ func TestSweepStructuralPatchMatchesClonePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(g, []Scenario{{Name: "clone", Opt: rewriteOpt(func(c *core.Graph) (*core.Graph, error) {
-		return core.ApplyOptimization(c, opt)
-	})}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Value != want[0].Value {
-		t.Fatalf("patch dispatch %v, clone path %v", got[0].Value, want[0].Value)
+	want := sequential(t, g, []Scenario{{Opt: opt}})
+	if got[0].Value != want[0] {
+		t.Fatalf("patch dispatch %v, clone path %v", got[0].Value, want[0])
 	}
 	// KeepGraphs: a private materialized graph with the comm task.
 	kept := got[0].Graph
@@ -640,18 +625,9 @@ func TestSweepStructuralOptWithCustomScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(g, []Scenario{{
-		Name: "clone",
-		Opt: rewriteOpt(func(c *core.Graph) (*core.Graph, error) {
-			return core.ApplyOptimization(c, opt)
-		}),
-		SimOptions: simOpts,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Value != want[0].Value {
-		t.Fatalf("custom-scheduler patch fallback %v, clone path %v", got[0].Value, want[0].Value)
+	want := sequential(t, g, []Scenario{{Opt: opt, SimOptions: simOpts}})
+	if got[0].Value != want[0] {
+		t.Fatalf("custom-scheduler patch fallback %v, clone path %v", got[0].Value, want[0])
 	}
 }
 
@@ -714,7 +690,7 @@ func TestSweepNearTotalConeTakesOverlay(t *testing.T) {
 	g := testGraph(40)
 	edit := func(name string, pick func(ks []*core.Task) *core.Task, d time.Duration) Scenario {
 		return Scenario{Name: name, Opt: timingOpt(func(o *core.Overlay) error {
-			o.SetDuration(pick(o.Base().Select(core.OnGPUPred)), d)
+			o.SetDuration(pick(o.Base().Select((*core.Task).OnGPU)), d)
 			return nil
 		})}
 	}
@@ -759,16 +735,9 @@ func TestSweepTierDispatch(t *testing.T) {
 	// legitimately report the overlay tier instead.
 	sparseOverlay := func(name string, d time.Duration) Scenario {
 		return Scenario{Name: name, Opt: timingOpt(func(o *core.Overlay) error {
-			ks := o.Base().Select(core.OnGPUPred)
+			ks := o.Base().Select((*core.Task).OnGPU)
 			o.SetDuration(ks[len(ks)-1], d)
 			return nil
-		})}
-	}
-	sparseClone := func(name string, d time.Duration) Scenario {
-		return Scenario{Name: name, Opt: rewriteOpt(func(c *core.Graph) (*core.Graph, error) {
-			ks := c.Select(core.OnGPUPred)
-			ks[len(ks)-1].Duration = d
-			return c, nil
 		})}
 	}
 	scenarios := []Scenario{
@@ -776,31 +745,24 @@ func TestSweepTierDispatch(t *testing.T) {
 		sparseOverlay("warmup", 40*time.Microsecond),
 		sparseOverlay("incr-a", 80*time.Microsecond),
 		sparseOverlay("incr-b", 120*time.Microsecond),
-		scaleScenario("clone", 0.6),
+		{Name: "rounds", Opt: roundsOpt{structural, 2}},
 		{Name: "structural", Opt: structural},
 		func() Scenario {
-			sc := overlayScaleScenario("sched", 0.5)
+			sc := scaleScenario("sched", 0.5)
 			sc.SimOptions = []core.SimOption{core.WithScheduler(wrappedEarliest{})}
 			return sc
 		}(),
 	}
-	// sequential() evaluates every scenario on a private clone; the
-	// expected values come from the clone-path equivalents of the
-	// first five.
-	want := sequential(t, g, []Scenario{
-		{Name: "replay"},
-		sparseClone("warmup", 40*time.Microsecond),
-		sparseClone("incr-a", 80*time.Microsecond),
-		sparseClone("incr-b", 120*time.Microsecond),
-		scaleScenario("clone", 0.6),
-	})
+	// sequential() evaluates every scenario on a materialized private
+	// clone, with no warm state.
+	want := sequential(t, g, scenarios)
 	results, err := Run(g, scenarios, Workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantTiers := []string{
 		TierReplay, TierOverlay, TierIncremental, TierIncremental,
-		TierClone, TierPatch, TierOverlay,
+		TierPatch, TierPatch, TierOverlay,
 	}
 	for i, r := range results {
 		if r.Tier != wantTiers[i] {

@@ -7,7 +7,8 @@ import (
 )
 
 // applied returns a private graph carrying opt: opt recorded on a patch
-// over g, then materialized.
+// over the graph it is evaluated on (g, or g's Repeat for a value that
+// declares rounds), then materialized.
 func applied(t *testing.T, g *core.Graph, opt core.Optimization) *core.Graph {
 	t.Helper()
 	m, err := materialized(g, opt)
@@ -17,8 +18,13 @@ func applied(t *testing.T, g *core.Graph, opt core.Optimization) *core.Graph {
 	return m
 }
 
-// materialized records opt on a patch over g and materializes it.
+// materialized records opt on a patch over core.OptBaseline(g, opt) and
+// materializes it.
 func materialized(g *core.Graph, opt core.Optimization) (*core.Graph, error) {
+	g, err := core.OptBaseline(g, opt)
+	if err != nil {
+		return nil, err
+	}
 	p := core.NewPatch(g)
 	if err := opt.Apply(p); err != nil {
 		return nil, err

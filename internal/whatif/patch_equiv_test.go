@@ -2,8 +2,7 @@ package whatif_test
 
 // Structural patch equivalence suite: for every zoo model and every
 // structural what-if with a patch form — Distributed (Algorithm 6),
-// P3's annotation over a pre-repeated baseline (Algorithm 7, non-rewrite
-// form), removal-form batchnorm restructuring (Algorithm 5), BlueConnect
+// P3's annotation over its repeated baseline (Algorithm 7), removal-form batchnorm restructuring (Algorithm 5), BlueConnect
 // and DGC stacked on Distributed (Algorithms 8 and 12), and MetaFlow
 // substitutions (Algorithm 9) — the clone-free patch simulation must
 // reproduce the reference, the patch materialized into a private graph
@@ -30,13 +29,12 @@ import (
 	"daydream/internal/whatif"
 )
 
-// patchEquivCase names one structural what-if of the suite. base lets
-// a case substitute a derived baseline (P3's annotation runs over the
-// Repeat-expanded graph). The cases for g's model come from
+// patchEquivCase names one structural what-if of the suite. Each case
+// runs over core.OptBaseline's graph (P3's annotation over the
+// Repeat-expanded profile). The cases for g's model come from
 // patchEquivCases(g): MetaFlow names layers of the model.
 type patchEquivCase struct {
 	name string
-	base func(t *testing.T, g *core.Graph) *core.Graph
 	opt  core.Optimization
 }
 
@@ -50,18 +48,10 @@ func patchEquivCases(g *core.Graph) []patchEquivCase {
 	}
 	p3 := whatif.P3Options{Topology: topo4x1(5), SliceBytes: 800 << 10, Rounds: 2}
 	fifo := whatif.P3Options{Topology: topo4x1(5), Rounds: 2}
-	repeated := func(t *testing.T, g *core.Graph) *core.Graph {
-		t.Helper()
-		rep, err := g.Repeat(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
 	return []patchEquivCase{
 		{name: "distributed", opt: whatif.OptDistributed(whatif.DistributedOptions{Topology: topo4x1(10)})},
-		{name: "p3-annotate", base: repeated, opt: whatif.OptP3Annotate(p3)},
-		{name: "ps-fifo-annotate", base: repeated, opt: whatif.OptP3Annotate(fifo)},
+		{name: "p3-annotate", opt: whatif.OptP3(p3)},
+		{name: "ps-fifo-annotate", opt: whatif.OptP3(fifo)},
 		{name: "reconbn-removal", opt: whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{})},
 		{name: "blueconnect", opt: core.Stack(dist, whatif.OptBlueConnect(blueConnect2x2))},
 		{name: "dgc", opt: core.Stack(dist, whatif.OptDGC(whatif.DGCOptions{}))},
@@ -134,9 +124,9 @@ func TestStructuralPatchEquivalenceAcrossZoo(t *testing.T) {
 			for _, tc := range patchEquivCases(g) {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					base := g
-					if tc.base != nil {
-						base = tc.base(t, g)
+					base, err := core.OptBaseline(g, tc.opt)
+					if err != nil {
+						t.Fatal(err)
 					}
 					assertPatchEquivalence(t, base, tc)
 				})
@@ -199,11 +189,13 @@ func assertSameStructure(t *testing.T, p *core.Patch, got *core.SimResult, m *co
 	}
 }
 
-// TestOptP3AnnotateMatchesOptP3 pins the two P3 forms against each
-// other end to end: the rewrite form (repeat inside the scenario) and
-// the annotate form (patch over a shared pre-repeated baseline) must
-// report the same steady-state iteration time through the sweep.
-func TestOptP3AnnotateMatchesOptP3(t *testing.T) {
+// TestOptP3MatchesAnnotatedRepeat pins OptP3 through the sweep to its
+// definition: Algorithm 7's annotation recorded on a patch over a
+// two-round Repeat of the profile, materialized and cold-simulated,
+// measured as the distance between the two rounds' completion
+// frontiers. The annotation refuses a baseline that was never
+// repeated.
+func TestOptP3MatchesAnnotatedRepeat(t *testing.T) {
 	g := profile(t, "resnet50", framework.MXNet)
 	rep, err := g.Repeat(2)
 	if err != nil {
@@ -211,19 +203,27 @@ func TestOptP3AnnotateMatchesOptP3(t *testing.T) {
 	}
 	for _, slice := range []int64{800 << 10, 0} {
 		opts := whatif.P3Options{Topology: topo4x1(5), SliceBytes: slice, Rounds: 2}
-		rewrite, err := sweep.Run(g, []sweep.Scenario{{Opt: whatif.OptP3(opts)}})
+		swept, err := sweep.Run(g, []sweep.Scenario{{Opt: whatif.OptP3(opts)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		patched, err := sweep.Run(rep, []sweep.Scenario{{Opt: whatif.OptP3Annotate(opts)}})
+		p := core.NewPatch(rep)
+		if err := whatif.P3Annotate(p, opts); err != nil {
+			t.Fatal(err)
+		}
+		m, err := p.Materialize()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rewrite[0].Value != patched[0].Value {
-			t.Fatalf("slice=%d: rewrite form %v, annotate form %v", slice, rewrite[0].Value, patched[0].Value)
+		res, err := m.Simulate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.RoundSpan(m, res, 1) - core.RoundSpan(m, res, 0)
+		if swept[0].Value != want || swept[0].Tier != sweep.TierPatch {
+			t.Fatalf("slice=%d: sweep %v on tier %s, annotated repeat %v", slice, swept[0].Value, swept[0].Tier, want)
 		}
 	}
-	// The annotate form refuses a baseline that was never repeated.
 	p := core.NewPatch(g)
 	if err := whatif.P3Annotate(p, whatif.P3Options{Topology: topo4x1(5), Rounds: 2}); err == nil {
 		t.Fatal("P3Annotate accepted a single-round baseline")

@@ -254,11 +254,11 @@ func PipelinePatch(p *core.Patch, opts PipelineOptions) error {
 }
 
 // addDeps wires from → mid → to.
-func addDeps(ed graphEditor, from, mid, to *core.Task) error {
-	if err := ed.AddDependency(from, mid, core.DepComm); err != nil {
+func addDeps(p *core.Patch, from, mid, to *core.Task) error {
+	if err := p.AddDependency(from, mid, core.DepComm); err != nil {
 		return err
 	}
-	return ed.AddDependency(mid, to, core.DepComm)
+	return p.AddDependency(mid, to, core.DepComm)
 }
 
 // partitionLayers splits the ascending layer list into stages contiguous

@@ -63,7 +63,7 @@ type OptSpec struct {
 	// incremental fast path: timing-only edits (durations and gaps, no
 	// priorities) with no carried scheduling policy. Sweeps over these
 	// specs re-simulate only the affected cone of a warm baseline
-	// schedule; the rest take the overlay, patch or clone tier.
+	// schedule; the rest take the overlay or patch tier.
 	ConeFriendly bool
 	// Build constructs the optimization from the parameters, validating
 	// the fields it needs.

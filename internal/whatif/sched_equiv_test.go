@@ -51,9 +51,9 @@ func TestScheduledPatchEquivalenceAcrossZoo(t *testing.T) {
 			for _, tc := range patchEquivCases(g) {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					base := g
-					if tc.base != nil {
-						base = tc.base(t, g)
+					base, err := core.OptBaseline(g, tc.opt)
+					if err != nil {
+						t.Fatal(err)
 					}
 					for schedName, sched := range schedEquivSchedulers() {
 						t.Run(schedName, func(t *testing.T) {

@@ -3,8 +3,8 @@
 // graph using only the core package's primitives — Select, Scale, Insert,
 // Remove and Schedule overrides — exactly as Algorithms 3–12 describe.
 // Every what-if is an Opt* core.Optimization value that records its
-// edits on a copy-on-write core.Patch; only P3, which repeats the
-// iteration graph before annotating it, also takes a *core.Graph.
+// edits on a copy-on-write core.Patch; P3, which models several
+// iterations, patches the profile Repeat-expanded by core.OptBaseline.
 // Nothing in this package consults the ground-truth engine; prediction
 // errors measured by internal/exp are therefore genuine.
 package whatif
@@ -17,17 +17,6 @@ import (
 	"daydream/internal/core"
 	"daydream/internal/trace"
 )
-
-// graphEditor is the write surface shared by *core.Graph and
-// *core.Patch. P3, the one model with a graph-rewriting form, emits its
-// annotation through it, so the rewrite form and the clone-free patch
-// form are the same code — and therefore bit-equivalent by
-// construction.
-type graphEditor interface {
-	NewTask(name string, kind trace.Kind, thread core.ThreadID, dur time.Duration) *core.Task
-	AppendTask(t *core.Task)
-	AddDependency(from, to *core.Task, kind core.DepKind) error
-}
 
 // Per-layer/per-phase queries (last backward GPU task of a layer,
 // first forward task of a round, the earliest weight-update node) ride

@@ -52,7 +52,7 @@ func topo4x1(gbps float64) comm.Topology {
 func TestAMPScalesByNameRule(t *testing.T) {
 	g := profile(t, "resnet50", framework.PyTorch)
 	var gemmBefore, ewBefore time.Duration
-	for _, u := range g.Select(core.OnGPUPred) {
+	for _, u := range g.Select((*core.Task).OnGPU) {
 		if core.NameContains("scudnn")(u) || core.NameContains("sgemm")(u) {
 			gemmBefore += u.Duration
 		} else if core.NameContains("elementwise")(u) {
@@ -61,7 +61,7 @@ func TestAMPScalesByNameRule(t *testing.T) {
 	}
 	g = applied(t, g, whatif.OptAMP())
 	var gemmAfter, ewAfter time.Duration
-	for _, u := range g.Select(core.OnGPUPred) {
+	for _, u := range g.Select((*core.Task).OnGPU) {
 		if core.NameContains("scudnn")(u) || core.NameContains("sgemm")(u) {
 			gemmAfter += u.Duration
 		} else if core.NameContains("elementwise")(u) {
@@ -96,9 +96,14 @@ func TestAMPLeavesCPUUntouched(t *testing.T) {
 	}
 }
 
+// gpuWeightUpdate matches GPU tasks mapped to the weight-update phase.
+func gpuWeightUpdate(u *core.Task) bool {
+	return u.OnGPU() && u.HasLayer && u.Phase == trace.WeightUpdate
+}
+
 func TestFusedAdamConservesGPUSum(t *testing.T) {
 	g := profile(t, "bert-base", framework.PyTorch)
-	wu := g.Select(core.And(core.OnGPUPred, core.InPhase(trace.WeightUpdate)))
+	wu := g.Select(gpuWeightUpdate)
 	var sum time.Duration
 	for _, u := range wu {
 		sum += u.Duration
@@ -106,8 +111,7 @@ func TestFusedAdamConservesGPUSum(t *testing.T) {
 	c := applied(t, g, whatif.OptFusedAdam())
 	// One fused kernel carries the Algorithm-4 sum; the superseded
 	// kernels and their launches take no time.
-	after := c.Select(core.And(core.OnGPUPred, core.InPhase(trace.WeightUpdate),
-		func(u *core.Task) bool { return u.Duration != 0 }))
+	after := c.Select(func(u *core.Task) bool { return gpuWeightUpdate(u) && u.Duration != 0 })
 	if len(after) != 1 {
 		t.Fatalf("fused weight update has %d timed GPU tasks, want 1", len(after))
 	}
@@ -154,14 +158,14 @@ func TestFusedAdamNeedsMapping(t *testing.T) {
 
 func TestReconBatchnorm(t *testing.T) {
 	g := profile(t, "densenet121", framework.Caffe)
-	reluBefore := len(g.Select(core.And(core.OnGPUPred, func(u *core.Task) bool {
-		return u.HasLayer && u.Phase == trace.Forward && core.NameContains("relu")(u) == false && u.Layer != "" && containsStr(u.Layer, "relu")
-	})))
+	reluBefore := len(g.Select(func(u *core.Task) bool {
+		return u.OnGPU() && u.HasLayer && u.Phase == trace.Forward && core.NameContains("relu")(u) == false && u.Layer != "" && containsStr(u.Layer, "relu")
+	}))
 	_ = reluBefore
 	base := predict(t, g.Clone())
 	c := applied(t, g, whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{}))
 	// No GPU task mapped to a ReLU layer survives.
-	for _, u := range c.Select(core.OnGPUPred) {
+	for _, u := range c.Select((*core.Task).OnGPU) {
 		if u.HasLayer && containsStr(u.Layer, "relu") {
 			t.Fatalf("ReLU kernel survived: %v", u)
 		}
@@ -238,10 +242,7 @@ func TestDistributedSlowsWithLowerBandwidth(t *testing.T) {
 func TestP3PredictionStructure(t *testing.T) {
 	g := profile(t, "vgg19", framework.MXNet)
 	opts := whatif.P3Options{Topology: topo4x1(5), SliceBytes: 800 << 10}
-	rep, err := whatif.P3(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := applied(t, g, whatif.OptP3(opts))
 	if r := rep.LayerPhaseIndex().Rounds(); r != 2 {
 		t.Fatalf("rounds = %d, want 2", r)
 	}
@@ -282,9 +283,9 @@ func TestP3BeatsFIFOPrediction(t *testing.T) {
 
 func TestP3RequiresCluster(t *testing.T) {
 	g := profile(t, "vgg19", framework.MXNet)
-	if _, err := whatif.P3(g, whatif.P3Options{
+	if _, err := materialized(g, whatif.OptP3(whatif.P3Options{
 		Topology: comm.Topology{Machines: 1, GPUsPerMachine: 1},
-	}); err == nil {
+	})); err == nil {
 		t.Fatal("single-worker P3 accepted")
 	}
 }

@@ -112,9 +112,10 @@ func TestStackMatchesSequentialCompare(t *testing.T) {
 	}
 }
 
-// TestOptP3MatchesP3Prediction pins the P3 Optimization value (its own
-// rewrite + measure) evaluated through Compare to Algorithm 7's own
-// prediction: the rewritten graph's steady-state iteration time.
+// TestOptP3MatchesP3Prediction pins the P3 Optimization value (its
+// repeated baseline, patch and measure) evaluated through Compare to
+// Algorithm 7's own prediction: the steady-state iteration time of the
+// annotated two-round graph, materialized and cold-simulated.
 func TestOptP3MatchesP3Prediction(t *testing.T) {
 	tr, err := daydream.Collect(daydream.CollectConfig{
 		Model: "vgg19", Device: "p4000", Framework: "mxnet",
@@ -127,8 +128,15 @@ func TestOptP3MatchesP3Prediction(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := daydream.NewTopology(4, 1, 5)
-	rep, err := whatif.P3(g, whatif.P3Options{Topology: topo, SliceBytes: whatif.P3SliceBytes(0)})
+	rep, err := g.Repeat(2)
 	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.NewPatch(rep)
+	if err := whatif.P3Annotate(p, whatif.P3Options{Topology: topo, SliceBytes: whatif.P3SliceBytes(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = p.Materialize(); err != nil {
 		t.Fatal(err)
 	}
 	sim, err := rep.Simulate()

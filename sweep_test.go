@@ -28,22 +28,25 @@ func fig8Predictions(tb testing.TB, zoo string) (*daydream.Graph, []daydream.Sce
 	return g, scenarios
 }
 
-// runSequential evaluates the scenarios one by one the way the seed
-// harness did: fresh clone, apply the what-if, simulate, no scratch
-// reuse. Optimization values apply through the clone path regardless of
-// footprint, so the sweep's overlay dispatch is checked against
-// clone-and-mutate.
+// runSequential evaluates the scenarios one by one, without the sweep's
+// worker state: record the what-if on a fresh patch, materialize it
+// into a private graph and cold-simulate that, no scratch reuse. The
+// sweep's patch and overlay dispatch is thereby checked against a
+// mutated copy.
 func runSequential(tb testing.TB, scenarios []daydream.Scenario) []daydream.SweepResult {
 	tb.Helper()
 	out := make([]daydream.SweepResult, len(scenarios))
 	for i, sc := range scenarios {
-		g := sc.Base.Clone()
-		var err error
+		g := sc.Base
 		if sc.Opt != nil {
-			g, err = core.ApplyOptimization(g, sc.Opt)
-		}
-		if err != nil {
-			tb.Fatal(err)
+			p := core.NewPatch(g)
+			if err := sc.Opt.Apply(p); err != nil {
+				tb.Fatal(err)
+			}
+			var err error
+			if g, err = p.Materialize(); err != nil {
+				tb.Fatal(err)
+			}
 		}
 		v, err := g.PredictIteration()
 		if err != nil {
