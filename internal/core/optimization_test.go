@@ -144,6 +144,38 @@ func TestPatchOptAppliesStructurally(t *testing.T) {
 	}
 }
 
+// TestStructuralOptNeedsGraph checks that a structural value needs no
+// graph of its own: its baseline is the profiled graph itself, and its
+// patch leaves that graph untouched.
+func TestStructuralOptNeedsGraph(t *testing.T) {
+	g := optTestGraph(t, 3)
+	want, err := g.PredictIteration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := dropFirstKernel()
+	if opt.Footprint() != Structural || OptRounds(opt) != 1 {
+		t.Fatalf("footprint = %v, rounds = %d", opt.Footprint(), OptRounds(opt))
+	}
+	base, err := OptBaseline(g, opt)
+	if err != nil || base != g {
+		t.Fatalf("OptBaseline = %p, %v; want the graph itself", base, err)
+	}
+	p := NewPatch(base)
+	if err := opt.Apply(p); err != nil {
+		t.Fatal(err)
+	}
+	if p.NumTasks() != g.NumTasks()-1 {
+		t.Fatalf("patch view has %d tasks, want %d", p.NumTasks(), g.NumTasks()-1)
+	}
+	if g.NumTasks() != 6 {
+		t.Fatalf("baseline mutated: %d tasks", g.NumTasks())
+	}
+	if got, err := g.PredictIteration(); err != nil || got != want {
+		t.Fatalf("baseline prediction %v, %v after the patch; want %v", got, err, want)
+	}
+}
+
 // repeated declares n rounds on top of opt, the way P3 declares the
 // iterations it chains.
 type repeated struct {
@@ -276,12 +308,12 @@ func TestStackMixesTimingAndPatchParts(t *testing.T) {
 	}
 }
 
-// TestRoundsOptAndStackRounds checks a value that declares rounds: it
-// is evaluated over OptBaseline's fresh Repeat of a single-iteration
+// TestRewriteOptAndStackRewrite checks a value that declares rounds
+// (the repeat-then-measure what-if P3 is): it is evaluated over OptBaseline's fresh Repeat of a single-iteration
 // graph, a stack carrying it patches every part over that one repeated
 // graph and keeps its measure, and a baseline that is already repeated
 // is refused.
-func TestRoundsOptAndStackRounds(t *testing.T) {
+func TestRewriteOptAndStackRewrite(t *testing.T) {
 	g := optTestGraph(t, 4)
 	rounds := repeated{PatchOpt("repeat2", Structural, func(*Patch) error { return nil }, roundDistance), 2}
 	if OptRounds(rounds) != 2 || OptMeasure(rounds) == nil {
@@ -336,5 +368,35 @@ func TestRoundsOptAndStackRounds(t *testing.T) {
 
 	if _, err := OptBaseline(rep, rounds); err == nil {
 		t.Fatal("OptBaseline repeated an already repeated baseline")
+	}
+}
+
+// TestStackPatchRejectsGraphPart checks what a stack refuses: a part
+// that cannot apply to the patch fails the whole stack before any later
+// part runs, and a stack carrying a round-declaring part refuses a
+// baseline that already spans several rounds.
+func TestStackPatchRejectsGraphPart(t *testing.T) {
+	ran := false
+	later := PatchOpt("later", TimingOnly, func(*Patch) error { ran = true; return nil }, nil)
+	noGPU := NewGraph()
+	noGPU.AppendTask(noGPU.NewTask("cpu", trace.KindLaunch, CPU(1), time.Microsecond))
+	s := Stack(halveGPU(), dropFirstKernel(), later)
+	if err := s.Apply(NewPatch(noGPU)); err == nil {
+		t.Fatal("stack applied a part that found no GPU task")
+	}
+	if ran {
+		t.Fatal("stack ran a part after a failing one")
+	}
+	if err := s.Apply(NewPatch(optTestGraph(t, 1))); err != nil || !ran {
+		t.Fatalf("stack over a graph its parts accept: %v, later part ran %v", err, ran)
+	}
+
+	rounds := Stack(halveGPU(), repeated{dropFirstKernel(), 2})
+	rep, err := optTestGraph(t, 2).Repeat(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OptBaseline(rep, rounds); err == nil {
+		t.Fatal("stack with a round-declaring part accepted a repeated baseline")
 	}
 }
