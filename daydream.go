@@ -775,12 +775,12 @@ func predictOptimization(g *Graph, opt Optimization, opts ...SimOption) (time.Du
 		simOpts = append(simOpts, core.WithScheduler(s))
 	}
 	simOpts = append(simOpts, opts...)
-	g, err := core.OptBaseline(g, opt)
+	g, apply, err := core.OptBaseline(g, opt)
 	if err != nil {
 		return 0, err
 	}
 	p := core.NewPatch(g)
-	if err := opt.Apply(p); err != nil {
+	if err := apply.Apply(p); err != nil {
 		return 0, err
 	}
 	res, err := p.Simulate(simOpts...)

@@ -63,7 +63,9 @@
 //
 // No tier clones: a what-if that models several iterations (P3, via
 // RoundsCarrier) patches a Repeat-expanded baseline that OptBaseline
-// builds once per evaluation.
+// builds once per evaluation. A Stack carrying one is applied in order
+// by OptBaseline, every part but the last materialized, so the parts
+// before the rounds edit every round.
 //
 // # Round windows
 //

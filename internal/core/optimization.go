@@ -124,25 +124,68 @@ func OptRounds(opt Optimization) int {
 	return 1
 }
 
-// OptBaseline returns the graph opt is evaluated on: g itself, or
-// g.Repeat(n) when opt declares n > 1 rounds (OptRounds). The repeated
-// graph is fresh and private to the caller; g is never mutated. Every
-// evaluator (Compare, sweep scenarios, memory profiles) patches and
-// simulates over this graph, so a multi-round what-if takes the same
-// path as every other. Declared rounds chain a single-iteration
-// profile: a g that already spans several rounds is an error, since
-// the rounds would multiply.
-func OptBaseline(g *Graph, opt Optimization) (*Graph, error) {
+// OptBaseline returns the graph opt is evaluated on and the
+// optimization to apply over it through one Patch: g and opt
+// themselves, or, when opt declares n > 1 rounds (OptRounds), a fresh
+// g.Repeat(n) that the caller owns; g is never mutated. Every evaluator
+// (Compare, sweep scenarios, memory profiles) patches and simulates
+// over this graph, so a multi-round what-if takes the same path as
+// every other. A Stack with a round-declaring part applies its parts
+// in order over graphs that grow rounds where that part sits: every
+// part but the last is recorded on a patch over the previous result
+// (the round-declaring one over its Repeat) and materialized, so each
+// part reads the earlier edits from its baseline and a part before
+// the rounds edits every round; the last part is returned to apply.
+// Callers still take the metric, scheduler and per-part interfaces
+// from opt itself. Declared rounds chain a single-iteration profile: a
+// g that already spans several rounds is an error, since the rounds
+// would multiply, and so is a stack with more than one round-declaring
+// part.
+func OptBaseline(g *Graph, opt Optimization) (*Graph, Optimization, error) {
 	n := OptRounds(opt)
 	if n == 1 {
-		return g, nil
+		return g, opt, nil
 	}
 	for _, t := range g.tasks {
 		if t != nil && t.Round > 0 {
-			return nil, fmt.Errorf("core: %s chains %d iterations of a single-iteration baseline, but the baseline already spans several rounds", opt.Name(), n)
+			return nil, nil, fmt.Errorf("core: %s chains %d iterations of a single-iteration baseline, but the baseline already spans several rounds", opt.Name(), n)
 		}
 	}
-	return g.Repeat(n)
+	if s, ok := opt.(*stack); ok {
+		var chained Optimization
+		for _, part := range s.parts {
+			if OptRounds(part) > 1 {
+				if chained != nil {
+					return nil, nil, fmt.Errorf("core: %s stacks %s on %s; each chains its own iterations", opt.Name(), part.Name(), chained.Name())
+				}
+				chained = part
+			}
+		}
+		last := len(s.parts) - 1
+		for _, part := range s.parts[:last] {
+			var err error
+			if part == chained {
+				if g, err = g.Repeat(n); err != nil {
+					return nil, nil, err
+				}
+			}
+			p := NewPatch(g)
+			if err := part.Apply(p); err != nil {
+				return nil, nil, err
+			}
+			if g, err = p.Materialize(); err != nil {
+				return nil, nil, err
+			}
+		}
+		if opt = s.parts[last]; opt != chained {
+			return g, opt, nil
+		}
+	}
+	rep, err := g.Repeat(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep, opt, nil
 }
 
 // noopMarker is the internal interface of optimizations that are known
@@ -201,10 +244,12 @@ type stack struct {
 // applied in argument order — the paper's composed what-ifs (AMP +
 // FusedAdam as a single question). Nil parts are dropped and nested
 // stacks are flattened. The stack's footprint and rounds are the
-// maximum of its parts', and every part applies to one shared Patch
-// over that baseline, so any mix of timing-only and structural
-// optimizations evaluates clone-free. An empty Stack is a named no-op:
-// evaluation replays the baseline without cloning.
+// maximum of its parts', and every part applies to one shared Patch,
+// so any mix of timing-only and structural optimizations evaluates
+// clone-free — except a stack with a round-declaring part, whose parts
+// but the last OptBaseline applies one after another, materialized. An
+// empty Stack is a named no-op: evaluation replays the baseline
+// without cloning.
 func Stack(parts ...Optimization) Optimization {
 	ps := make([]Optimization, 0, len(parts))
 	for _, p := range parts {
@@ -243,8 +288,8 @@ func (s *stack) Footprint() OptFootprint {
 
 func (s *stack) noopOpt() bool { return len(s.parts) == 0 }
 
-// Rounds returns the largest round count any part declares, so one
-// repeated baseline serves every part.
+// Rounds returns the largest round count any part declares (OptBaseline
+// accepts at most one such part).
 func (s *stack) Rounds() int {
 	n := 1
 	for _, p := range s.parts {

@@ -110,8 +110,8 @@ func TestPatchOptAppliesStructurally(t *testing.T) {
 	if opt.Footprint() != Structural {
 		t.Fatalf("footprint = %v", opt.Footprint())
 	}
-	if base, err := OptBaseline(g, opt); err != nil || base != g {
-		t.Fatalf("OptBaseline = %p, %v; want the graph itself", base, err)
+	if base, apply, err := OptBaseline(g, opt); err != nil || base != g || apply != opt {
+		t.Fatalf("OptBaseline = %p, %v; want the graph and value themselves", base, err)
 	}
 
 	// Patch path.
@@ -157,9 +157,9 @@ func TestStructuralOptNeedsGraph(t *testing.T) {
 	if opt.Footprint() != Structural || OptRounds(opt) != 1 {
 		t.Fatalf("footprint = %v, rounds = %d", opt.Footprint(), OptRounds(opt))
 	}
-	base, err := OptBaseline(g, opt)
-	if err != nil || base != g {
-		t.Fatalf("OptBaseline = %p, %v; want the graph itself", base, err)
+	base, apply, err := OptBaseline(g, opt)
+	if err != nil || base != g || apply != opt {
+		t.Fatalf("OptBaseline = %p, %v; want the graph and value themselves", base, err)
 	}
 	p := NewPatch(base)
 	if err := opt.Apply(p); err != nil {
@@ -246,7 +246,7 @@ func TestEmptyStackIsNoop(t *testing.T) {
 	if got, _ := p.PredictIteration(); got != want {
 		t.Fatalf("no-op patch changed prediction: %v vs %v", got, want)
 	}
-	if base, err := OptBaseline(g, empty); err != nil || base != g {
+	if base, _, err := OptBaseline(g, empty); err != nil || base != g {
 		t.Fatalf("no-op OptBaseline = %p, %v; want the graph itself", base, err)
 	}
 }
@@ -309,19 +309,21 @@ func TestStackMixesTimingAndPatchParts(t *testing.T) {
 }
 
 // TestRewriteOptAndStackRewrite checks a value that declares rounds
-// (the repeat-then-measure what-if P3 is): it is evaluated over OptBaseline's fresh Repeat of a single-iteration
-// graph, a stack carrying it patches every part over that one repeated
-// graph and keeps its measure, and a baseline that is already repeated
-// is refused.
+// (the repeat-then-measure what-if P3 is): it is evaluated over
+// OptBaseline's fresh Repeat of a single-iteration graph; in a stack,
+// the parts before it edit the repeated iteration and the parts after
+// it patch the repeated graph, and the stack keeps its measure; a
+// second round-declaring part and a baseline that is already repeated
+// are refused.
 func TestRewriteOptAndStackRewrite(t *testing.T) {
 	g := optTestGraph(t, 4)
 	rounds := repeated{PatchOpt("repeat2", Structural, func(*Patch) error { return nil }, roundDistance), 2}
 	if OptRounds(rounds) != 2 || OptMeasure(rounds) == nil {
 		t.Fatalf("rounds = %d, measure set = %v", OptRounds(rounds), OptMeasure(rounds) != nil)
 	}
-	rep, err := OptBaseline(g, rounds)
-	if err != nil {
-		t.Fatal(err)
+	rep, apply, err := OptBaseline(g, rounds)
+	if err != nil || apply != rounds {
+		t.Fatalf("OptBaseline: %v, applies %v", err, apply)
 	}
 	if rep == g || rep.NumTasks() != 2*g.NumTasks() {
 		t.Fatalf("OptBaseline returned %d tasks (baseline %d, same graph %v)", rep.NumTasks(), g.NumTasks(), rep == g)
@@ -330,18 +332,23 @@ func TestRewriteOptAndStackRewrite(t *testing.T) {
 		t.Fatal("OptBaseline repeated the baseline in place")
 	}
 
-	// Every part of a stack applies to one patch over the repeated
-	// graph, and the stack keeps the round-declaring part's measure.
+	// A part stacked before the round-declaring part edits the single
+	// iteration the rounds repeat: OptBaseline materializes it before
+	// the Repeat and hands back the rest of the stack, which keeps the
+	// round-declaring part's measure.
 	mixed := Stack(halveGPU(), rounds)
 	if OptRounds(mixed) != 2 || OptMeasure(mixed) == nil {
 		t.Fatal("stack lost the part's rounds or measure")
 	}
-	base, err := OptBaseline(g, mixed)
+	base, apply, err := OptBaseline(g, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if apply.Name() != "repeat2" {
+		t.Fatalf("OptBaseline left %q to apply, want the stack from repeat2 on", apply.Name())
+	}
 	p := NewPatch(base)
-	if err := mixed.Apply(p); err != nil {
+	if err := apply.Apply(p); err != nil {
 		t.Fatal(err)
 	}
 	res, err := p.Simulate()
@@ -366,7 +373,39 @@ func TestRewriteOptAndStackRewrite(t *testing.T) {
 		t.Fatalf("stack over the repeated baseline measures %v, reference %v", got, want)
 	}
 
-	if _, err := OptBaseline(rep, rounds); err == nil {
+	// A structural edit before the round-declaring part lands in every
+	// round; after it, the edit applies once over the repeated graph
+	// the round-declaring part's edits were materialized into.
+	n := g.NumTasks()
+	before, apply, err := OptBaseline(g, Stack(dropFirstKernel(), rounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.NumTasks() != 2*(n-1) {
+		t.Fatalf("drop before the rounds: baseline has %d tasks, want %d", before.NumTasks(), 2*(n-1))
+	}
+	if g.NumTasks() != n {
+		t.Fatal("OptBaseline applied the stack's first part to the baseline in place")
+	}
+	p = NewPatch(before)
+	if err := apply.Apply(p); err != nil || p.NumTasks() != 2*(n-1) {
+		t.Fatalf("rest of the stack: %v, view has %d tasks", err, p.NumTasks())
+	}
+	base, apply, err = OptBaseline(g, Stack(rounds, dropFirstKernel()))
+	if err != nil || apply.Name() != "drop-first-kernel" || base.NumTasks() != 2*n {
+		t.Fatalf("drop after the rounds: %v, applies %v, baseline has %d tasks", err, apply, base.NumTasks())
+	}
+	p = NewPatch(base)
+	if err := apply.Apply(p); err != nil || p.NumTasks() != 2*n-1 {
+		t.Fatalf("drop after the rounds: %v, view has %d tasks, want %d", err, p.NumTasks(), 2*n-1)
+	}
+
+	// Two round-declaring parts would chain rounds of rounds.
+	if _, _, err := OptBaseline(g, Stack(rounds, halveGPU(), rounds)); err == nil {
+		t.Fatal("OptBaseline accepted a stack with two round-declaring parts")
+	}
+
+	if _, _, err := OptBaseline(rep, rounds); err == nil {
 		t.Fatal("OptBaseline repeated an already repeated baseline")
 	}
 }
@@ -396,7 +435,7 @@ func TestStackPatchRejectsGraphPart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OptBaseline(rep, rounds); err == nil {
+	if _, _, err := OptBaseline(rep, rounds); err == nil {
 		t.Fatal("stack with a round-declaring part accepted a repeated baseline")
 	}
 }

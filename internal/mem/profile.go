@@ -259,7 +259,7 @@ func ProfileOpt(g *core.Graph, opt core.Optimization, simOpts ...core.SimOption)
 		}
 		return res.Makespan, prof, nil
 	}
-	g, err := core.OptBaseline(g, opt)
+	g, apply, err := core.OptBaseline(g, opt)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -268,7 +268,7 @@ func ProfileOpt(g *core.Graph, opt core.Optimization, simOpts ...core.SimOption)
 		return 0, nil, err
 	}
 	p := core.NewPatch(g)
-	if err := opt.Apply(p); err != nil {
+	if err := apply.Apply(p); err != nil {
 		return 0, nil, err
 	}
 	res, err := p.Simulate(simOpts...)

@@ -144,3 +144,40 @@ func TestPoolQuarantineStaysIsolated(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolDropsRepeatedBaseline checks that an idle pooled worker holds
+// no scenario's private repeated baseline: after a round-declaring row
+// its patch and incremental arm are dropped, while a row over the
+// shared baseline keeps its patch for reuse.
+func TestPoolDropsRepeatedBaseline(t *testing.T) {
+	g := testGraph(30)
+	p := NewPool(1)
+	idle := func() *worker {
+		t.Helper()
+		if len(p.free) != 1 {
+			t.Fatalf("pool holds %d idle workers, want 1", len(p.free))
+		}
+		return p.free[0]
+	}
+	if _, err := p.Run(g, []Scenario{{Opt: insertCommOpt(time.Millisecond)}}, Workers(1)); err != nil {
+		t.Fatal(err)
+	}
+	if w := idle(); w.patch == nil || w.patch.Base() != g {
+		t.Fatal("a row over the shared baseline did not leave its patch for reuse")
+	}
+	halve := timingOpt(func(o *core.Overlay) error {
+		for _, u := range o.Base().Tasks() {
+			o.SetDuration(u, o.Duration(u)/2)
+		}
+		return nil
+	})
+	for _, opt := range []core.Optimization{roundsOpt{insertCommOpt(time.Millisecond), 2}, roundsOpt{halve, 2}} {
+		res, err := p.Run(g, []Scenario{{Opt: opt}}, Workers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := idle(); w.patch != nil || (w.incrBase != nil && w.incrBase != g) {
+			t.Fatalf("%s row (%s tier): idle worker keeps patch %v, incremental arm %p", opt.Name(), res[0].Tier, w.patch != nil, w.incrBase)
+		}
+	}
+}

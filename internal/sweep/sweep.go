@@ -304,6 +304,19 @@ func (w *worker) quarantine() {
 	w.incrBase = nil
 }
 
+// release drops the worker's references to g, a scenario's private
+// repeated baseline, once the scenario is done: the patch (whose
+// appendix and snapshot still point into g after a Reset) and the
+// incremental tier's arm. A long-lived Pool worker then holds no
+// scenario's graph between scenarios; the next one allocates a fresh
+// patch.
+func (w *worker) release(g *core.Graph) {
+	w.patch = nil
+	if w.incrBase == g {
+		w.incrBase = nil
+	}
+}
+
 // simTimingOnly evaluates the worker's (timing-only) patch on the
 // incremental tier when warm state for base exists or is now justified,
 // and on the cold overlay path otherwise. It returns the simulation
@@ -546,16 +559,21 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 		// Patch path: timing and structural deltas through the
 		// worker-owned patch, over the shared baseline or its repeated
 		// copy.
-		if base, err = core.OptBaseline(base, opt); err != nil {
+		shared := base
+		var apply core.Optimization
+		if base, apply, err = core.OptBaseline(base, opt); err != nil {
 			r.Err = err
 			return r
+		}
+		if base != shared {
+			defer w.release(base)
 		}
 		if w.patch == nil {
 			w.patch = core.NewPatch(base)
 		} else {
 			w.patch.Reset(base)
 		}
-		if err = opt.Apply(w.patch); err != nil {
+		if err = apply.Apply(w.patch); err != nil {
 			r.Err = err
 			return r
 		}

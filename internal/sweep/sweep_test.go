@@ -59,12 +59,15 @@ func sequential(t *testing.T, baseline *core.Graph, scenarios []Scenario) []time
 			g = baseline
 		}
 		if !core.OptIsNoop(sc.Opt) {
-			var err error
-			if g, err = core.OptBaseline(g, sc.Opt); err != nil {
+			var (
+				apply core.Optimization
+				err   error
+			)
+			if g, apply, err = core.OptBaseline(g, sc.Opt); err != nil {
 				t.Fatal(err)
 			}
 			p := core.NewPatch(g)
-			if err := sc.Opt.Apply(p); err != nil {
+			if err := apply.Apply(p); err != nil {
 				t.Fatal(err)
 			}
 			if g, err = p.Materialize(); err != nil {

@@ -21,12 +21,12 @@ func applied(t *testing.T, g *core.Graph, opt core.Optimization) *core.Graph {
 // materialized records opt on a patch over core.OptBaseline(g, opt) and
 // materializes it.
 func materialized(g *core.Graph, opt core.Optimization) (*core.Graph, error) {
-	g, err := core.OptBaseline(g, opt)
+	g, apply, err := core.OptBaseline(g, opt)
 	if err != nil {
 		return nil, err
 	}
 	p := core.NewPatch(g)
-	if err := opt.Apply(p); err != nil {
+	if err := apply.Apply(p); err != nil {
 		return nil, err
 	}
 	return p.Materialize()

@@ -124,10 +124,11 @@ func TestStructuralPatchEquivalenceAcrossZoo(t *testing.T) {
 			for _, tc := range patchEquivCases(g) {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					base, err := core.OptBaseline(g, tc.opt)
+					base, apply, err := core.OptBaseline(g, tc.opt)
 					if err != nil {
 						t.Fatal(err)
 					}
+					tc.opt = apply
 					assertPatchEquivalence(t, base, tc)
 				})
 			}

@@ -51,10 +51,11 @@ func TestScheduledPatchEquivalenceAcrossZoo(t *testing.T) {
 			for _, tc := range patchEquivCases(g) {
 				tc := tc
 				t.Run(tc.name, func(t *testing.T) {
-					base, err := core.OptBaseline(g, tc.opt)
+					base, apply, err := core.OptBaseline(g, tc.opt)
 					if err != nil {
 						t.Fatal(err)
 					}
+					tc.opt = apply
 					for schedName, sched := range schedEquivSchedulers() {
 						t.Run(schedName, func(t *testing.T) {
 							assertScheduledEquivalence(t, base, tc, sched)

@@ -99,6 +99,63 @@ func TestP3Pinned(t *testing.T) {
 	}
 }
 
+// TestP3StacksPinned holds stacks that place other what-ifs before and
+// after P3 — as the CLI's -opt expressions do — to the values recorded
+// when a stack applied its parts in order, materializing each, and P3
+// repeated whatever the parts before it had built. A part before P3
+// edits every round (Distributed's all-reduces, Gist's encode/decode
+// kernels); a part after it edits the repeated graph once; a part
+// reads the earlier parts' edits from its baseline (Gist sizes its
+// kernels from AMP-scaled ones).
+func TestP3StacksPinned(t *testing.T) {
+	g := p3PinGraph(t)
+	params := whatif.OptParams{Topology: daydream.NewTopology(4, 1, 2)}
+	for _, c := range []struct {
+		expr     string
+		want     time.Duration // Compare, and the sweep row
+		round0   time.Duration // the sweep row under a round-0 Measure
+		tasks    int           // the retained graph's
+		makespan time.Duration // mem.ProfileOpt, and the retained graph's
+		peak     int64
+	}{
+		{"distributed+p3", 3910061427, 3910061427, 3594, 7820122854, 5150591296},
+		{"p3+distributed", 2750000056, 3910061427, 3587, 6660061483, 5150591296},
+		{"gist+p3", 2313465768, 2763057652, 3652, 5076523420, 5183690048},
+		{"vdnn+p3", 2313465768, 2750000056, 3644, 5063465824, 5150591296},
+		{"amp+gist+p3", 2313063534, 2469894235, 3652, 4782957769, 5183690048},
+		{"p3+amp+gist", 2313063534, 2469894235, 3616, 4782957769, 5183690048},
+	} {
+		opt, err := whatif.ParseStack(c.expr, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, p, err := daydream.Compare(g, opt); err != nil || p != c.want {
+			t.Errorf("%s: Compare = %d, %v; pinned %d", c.expr, p, err, c.want)
+		}
+		makespan, prof, err := mem.ProfileOpt(g, opt)
+		if err != nil || makespan != c.makespan || prof.MaxPeak() != c.peak {
+			t.Errorf("%s: ProfileOpt = %d, %v; pinned %d, peak %d", c.expr, makespan, err, c.makespan, c.peak)
+		}
+		round0 := func(v core.TaskView, res *core.SimResult) (time.Duration, error) {
+			return core.RoundSpan(v, res, 0), nil
+		}
+		rows, err := sweep.Run(g, []sweep.Scenario{{Opt: opt}, {Opt: opt, Measure: round0}}, sweep.KeepGraphs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []time.Duration{c.want, c.round0} {
+			r := rows[i]
+			if r.Value != want || r.Graph == nil || len(r.Graph.Tasks()) != c.tasks {
+				t.Errorf("%s row %d: value %d, want %d; retained graph %p, want %d tasks", c.expr, i, r.Value, want, r.Graph, c.tasks)
+				continue
+			}
+			if res, err := r.Graph.Simulate(); err != nil || res.Makespan != c.makespan {
+				t.Errorf("%s row %d: retained graph simulates to %v, %v; pinned %d", c.expr, i, res.Makespan, err, c.makespan)
+			}
+		}
+	}
+}
+
 // TestP3OverRepeatedBaselineFails checks that OptP3 evaluated over a
 // profile that is already repeated is an error, not an answer over
 // four rounds.

@@ -29,21 +29,27 @@ func fig8Predictions(tb testing.TB, zoo string) (*daydream.Graph, []daydream.Sce
 }
 
 // runSequential evaluates the scenarios one by one, without the sweep's
-// worker state: record the what-if on a fresh patch, materialize it
-// into a private graph and cold-simulate that, no scratch reuse. The
-// sweep's patch and overlay dispatch is thereby checked against a
-// mutated copy.
+// worker state: record the what-if on a fresh patch over
+// core.OptBaseline's graph, materialize it into a private graph and
+// cold-simulate that, no scratch reuse. The sweep's patch and overlay
+// dispatch is thereby checked against a mutated copy.
 func runSequential(tb testing.TB, scenarios []daydream.Scenario) []daydream.SweepResult {
 	tb.Helper()
 	out := make([]daydream.SweepResult, len(scenarios))
 	for i, sc := range scenarios {
 		g := sc.Base
 		if sc.Opt != nil {
-			p := core.NewPatch(g)
-			if err := sc.Opt.Apply(p); err != nil {
+			var (
+				apply core.Optimization
+				err   error
+			)
+			if g, apply, err = core.OptBaseline(g, sc.Opt); err != nil {
 				tb.Fatal(err)
 			}
-			var err error
+			p := core.NewPatch(g)
+			if err := apply.Apply(p); err != nil {
+				tb.Fatal(err)
+			}
 			if g, err = p.Materialize(); err != nil {
 				tb.Fatal(err)
 			}
