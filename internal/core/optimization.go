@@ -152,19 +152,19 @@ func OptBaseline(g *Graph, opt Optimization) (*Graph, Optimization, error) {
 		}
 	}
 	if s, ok := opt.(*stack); ok {
-		var chained Optimization
-		for _, part := range s.parts {
+		chained := -1
+		for i, part := range s.parts {
 			if OptRounds(part) > 1 {
-				if chained != nil {
-					return nil, nil, fmt.Errorf("core: %s stacks %s on %s; each chains its own iterations", opt.Name(), part.Name(), chained.Name())
+				if chained >= 0 {
+					return nil, nil, fmt.Errorf("core: %s stacks %s on %s; each chains its own iterations", opt.Name(), part.Name(), s.parts[chained].Name())
 				}
-				chained = part
+				chained = i
 			}
 		}
 		last := len(s.parts) - 1
-		for _, part := range s.parts[:last] {
+		for i, part := range s.parts[:last] {
 			var err error
-			if part == chained {
+			if i == chained {
 				if g, err = g.Repeat(n); err != nil {
 					return nil, nil, err
 				}
@@ -177,7 +177,7 @@ func OptBaseline(g *Graph, opt Optimization) (*Graph, Optimization, error) {
 				return nil, nil, err
 			}
 		}
-		if opt = s.parts[last]; opt != chained {
+		if opt = s.parts[last]; last != chained {
 			return g, opt, nil
 		}
 	}
