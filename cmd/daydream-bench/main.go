@@ -19,8 +19,8 @@
 // custom Scheduler run view-generically over the patch, the
 // incremental tier (a warm IncrementalSim re-simulating a single-task
 // delta's affected cone, and the per-layer Figure-5 grid swept over
-// one shared baseline), Figure-8-sized concurrent sweeps, and the
-// serving path) are measured with testing.Benchmark and written as
+// one shared baseline), Figure-8-sized concurrent sweeps, a P3
+// bandwidth grid over one shared Repeat, and the serving path) are measured with testing.Benchmark and written as
 // machine-readable JSON (ns/op,
 // bytes/op, allocs/op, and scenarios/sec for the sweep benchmarks), so
 // the performance trajectory is tracked across changes. With -against,
@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -225,6 +226,20 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 		}
 	}
 
+	rtr, err := daydream.Collect(daydream.CollectConfig{Model: "resnet50"})
+	if err != nil {
+		return err
+	}
+	resnet, err := daydream.BuildGraph(rtr)
+	if err != nil {
+		return err
+	}
+	var p3Scenarios []sweep.Scenario
+	for _, gbps := range []float64{2, 4, 6, 8, 10} {
+		p3Scenarios = append(p3Scenarios, sweep.Scenario{Opt: daydream.OptP3(daydream.NewTopology(4, 1, gbps), 0)})
+	}
+	p3Opts := append(slices.Clip(sweepOpts), sweep.Workers(2)) // the later Workers wins
+
 	// The serving benchmarks go through a real localhost listener so
 	// BENCH.json tracks the whole request path, not just the simulator.
 	var trBuf bytes.Buffer
@@ -383,10 +398,9 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 			}
 		}},
 		// vDNN (Algorithm 10) on densenet121 under its carried
-		// copy-stream policy, which runs through Pick on the scheduled
-		// loop: keyed on the heap loop it was 1.3-1.5x slower on this graph,
-		// where stale heap entries are re-pushed more often than there
-		// are tasks. The row gates that choice.
+		// copy-stream policy, a keyed order on the heap loop: its copies
+		// queue behind one another on the copy channel, so most of them
+		// wait parked on that busy thread.
 		{"VDNNScheduledScenario", 0, func(b *testing.B) {
 			opt := whatif.OptVDNN(whatif.VDNNOptions{})
 			sched := core.OptScheduler(opt)
@@ -439,6 +453,17 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 		{"PipelineSweep", len(pipelineScenarios), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := sweep.Run(g, pipelineScenarios, sweepOpts...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		// The p3bw grid's shape: P3 at five NIC rates over one resnet50
+		// profile on two workers. The call builds one Repeat of the
+		// profile that every row patches, and the slices queued on the
+		// parameter-server channels park on their busy threads.
+		{"P3Sweep", len(p3Scenarios), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sweep.Run(resnet, p3Scenarios, p3Opts...); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -422,8 +422,8 @@ func BenchmarkBuildZoo(b *testing.B) {
 	}
 }
 
-// BenchmarkRepeat repeats the resnet50 graph twice, as P3's clone tier
-// does for every sweep row.
+// BenchmarkRepeat repeats the resnet50 graph twice, as core.OptBaseline
+// does for P3 once per evaluation (once per sweep call).
 func BenchmarkRepeat(b *testing.B) {
 	m, err := dnn.ByName("resnet50")
 	if err != nil {

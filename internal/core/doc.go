@@ -31,8 +31,9 @@
 // default to the baseline's own adjacency and are overridden only for
 // the tasks whose out-edges a patch changed. One lazy-key heap loop runs
 // over that form under the default policy or a KeyedScheduler (its class
-// packed into the priority slot), and one scheduled loop under an opaque
-// custom Scheduler. A Patch whose baseline is superseded
+// packed into the priority slot), parking an entry that finds its
+// thread busy on that thread until the thread frees, and one scheduled
+// loop under an opaque custom Scheduler. A Patch whose baseline is superseded
 // (SupersedeBaseline) and joined to its appendix by no edge or thread
 // runs the heap loop over the appendix alone. A *Graph is the form with
 // no deltas, an Overlay adds timing deltas, and a structural Patch adds
@@ -63,7 +64,8 @@
 //
 // No tier clones: a what-if that models several iterations (P3, via
 // RoundsCarrier) patches a Repeat-expanded baseline that OptBaseline
-// builds once per evaluation. A Stack carrying one is applied in order
+// builds once per evaluation, or that OptBaselineWith takes from the
+// caller (a sweep shares one per call). A Stack carrying one is applied in order
 // by OptBaseline, every part but the last materialized, so the parts
 // before the rounds edit every round.
 //

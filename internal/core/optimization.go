@@ -138,18 +138,39 @@ func OptRounds(opt Optimization) int {
 // the rounds edits every round; the last part is returned to apply.
 // Callers still take the metric, scheduler and per-part interfaces
 // from opt itself. Declared rounds chain a single-iteration profile: a
-// g that already spans several rounds is an error, since the rounds
-// would multiply, and so is a stack with more than one round-declaring
-// part.
+// g that already spans several rounds is an error (Repeat refuses it),
+// and so is a stack with more than one round-declaring part.
 func OptBaseline(g *Graph, opt Optimization) (*Graph, Optimization, error) {
+	return OptBaselineWith(g, opt, nil)
+}
+
+// OptBaselineWith is OptBaseline taking g's own Repeat from repeat,
+// when it is non-nil, instead of building a fresh one: a caller that
+// evaluates many round-declaring values over one g (a sweep's grid)
+// can then share one repeated graph among them. repeat is asked only
+// for g itself, never for a graph a stack materialized on the way, and
+// must return g.Repeat(n) or an unmodified graph it built that way.
+// Patches over the result never write it, so it may be shared by
+// concurrent evaluations.
+func OptBaselineWith(g *Graph, opt Optimization, repeat func(g *Graph, n int) (*Graph, error)) (*Graph, Optimization, error) {
 	n := OptRounds(opt)
 	if n == 1 {
 		return g, opt, nil
 	}
-	for _, t := range g.tasks {
-		if t != nil && t.Round > 0 {
-			return nil, nil, fmt.Errorf("core: %s chains %d iterations of a single-iteration baseline, but the baseline already spans several rounds", opt.Name(), n)
+	if repeat == nil {
+		repeat = (*Graph).Repeat
+	}
+	src, whole := g, opt
+	repeated := func(g *Graph) (rep *Graph, err error) {
+		if g == src {
+			rep, err = repeat(g, n)
+		} else {
+			rep, err = g.Repeat(n)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("core: %s chains %d iterations: %w", whole.Name(), n, err)
+		}
+		return rep, nil
 	}
 	if s, ok := opt.(*stack); ok {
 		chained := -1
@@ -165,7 +186,7 @@ func OptBaseline(g *Graph, opt Optimization) (*Graph, Optimization, error) {
 		for i, part := range s.parts[:last] {
 			var err error
 			if i == chained {
-				if g, err = g.Repeat(n); err != nil {
+				if g, err = repeated(g); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -181,7 +202,7 @@ func OptBaseline(g *Graph, opt Optimization) (*Graph, Optimization, error) {
 			return g, opt, nil
 		}
 	}
-	rep, err := g.Repeat(n)
+	rep, err := repeated(g)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -311,6 +311,13 @@ type SimScratch struct {
 	threadEnds []time.Duration // progress by thread ordinal
 	heap       []heapEntry
 	frontier   []*Task
+	// busy, busyAt and parked hold runHeap's parked tasks: parked[th]
+	// is thread ordinal th's heap of parked tasks, ordered by
+	// (-priority, ID); busy holds one entry per thread with parked
+	// tasks, and busyAt[th] is that entry's index in busy, or -1.
+	busy   []heapEntry
+	busyAt []int32
+	parked [][]heapEntry
 
 	tasks []*Task
 	prio  []int
@@ -353,21 +360,22 @@ func layoutThreads(of []int32, ids []ThreadID, tasks []*Task) ([]int32, []Thread
 	return of, ids
 }
 
-// heapEntry is one frontier task with the effective-start key it was
-// inserted (or re-inserted) with. Keys only grow as the simulation
-// progresses, so a popped entry whose key is stale is re-pushed with its
-// current effective start (lazy update); an entry whose key is current is
-// the true minimum under the (start, -priority, ID) order — exactly the
-// task EarliestStart's linear scan would have picked. The entry carries
-// the effective priority so overlay simulations can tie-break on
-// overlaid priorities without touching the shared baseline tasks. Under
-// a KeyedScheduler the priority slot holds priority − class·2³², which
+// heapEntry is one frontier entry: a task ID with the effective-start
+// key it was pushed with and its effective priority. Entries hold no
+// pointers, so the heap's swaps cost the garbage collector nothing. Every
+// key bounds its task's true start from below (keys only grow as the
+// simulation progresses), so an entry whose key is current is the true
+// minimum under the (start, -priority, ID) order — exactly the task
+// EarliestStart's linear scan would have picked. The entry carries the
+// effective priority so overlay simulations can tie-break on overlaid
+// priorities without touching the shared baseline tasks. Under a
+// KeyedScheduler the priority slot holds priority − class·2³², which
 // orders by (class, -priority) in the same comparison; the argument is
 // unchanged because everything but the start is static.
 type heapEntry struct {
 	key  time.Duration
 	prio int
-	t    *Task
+	id   int32
 }
 
 func heapLess(a, b heapEntry) bool {
@@ -377,7 +385,7 @@ func heapLess(a, b heapEntry) bool {
 	if a.prio != b.prio {
 		return a.prio > b.prio
 	}
-	return a.t.ID < b.t.ID
+	return a.id < b.id
 }
 
 func heapPush(h []heapEntry, e heapEntry) []heapEntry {
@@ -416,6 +424,40 @@ func heapPop(h []heapEntry) (heapEntry, []heapEntry) {
 		i = least
 	}
 	return top, h
+}
+
+// busyFix restores the busy heap's order around index i, whose entry
+// changed, and keeps at (each thread ordinal's index in the heap)
+// current. An entry's thread is its task's: of maps task IDs to thread
+// ordinals.
+func busyFix(h []heapEntry, at, of []int32, i int) {
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !heapLess(e, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		at[of[h[i].id]] = int32(i)
+		i = parent
+	}
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			break
+		}
+		if r := l + 1; r < len(h) && heapLess(h[r], h[l]) {
+			l = r
+		}
+		if !heapLess(h[l], e) {
+			break
+		}
+		h[i] = h[l]
+		at[of[h[i].id]] = int32(i)
+		i = l
+	}
+	h[i] = e
+	at[of[e.id]] = int32(i)
 }
 
 // simOptions collects Simulate options.
@@ -766,37 +808,61 @@ func (s *SimScratch) ensure(n int) {
 // priorities — with the frontier kept as a lazy-key binary heap (see
 // heapEntry). It starts past the skipped baseline (f.skip), counting
 // those tasks executed.
+//
+// A popped entry whose key is stale has a busy thread: its key already
+// covered its dependencies, so only its thread's end can have moved
+// past it. From then on the task's true start is that thread's end, as
+// it is for every other task parked there, and they dispatch in
+// (-priority, ID) order. So instead of going back on the heap, the task
+// is parked on its thread (s.parked), and each thread with parked tasks
+// keeps one exact entry in a second heap, s.busy: its end, with its
+// best parked task's priority and ID. The entry is updated in place
+// whenever the thread's end or its best parked task changes. Each loop
+// step takes the lesser of the two heaps' tops, so the dispatch order
+// is the same as re-pushing stale entries, but a task goes stale at
+// most once, and a run with no stale pops never touches the busy heap.
 func (f *simForm) runHeap(s *SimScratch, res *SimResult, o *simOptions) (*SimResult, error) {
 	ref, earliest, threadEnds, threadOf := s.ref, s.earliest, s.threadEnds, f.threadOf
 	dur, gap := f.dur, f.gap
 	ctx, execOrder := o.ctx, o.execOrder
 	h := s.heap
+	s.busy, s.busyAt = s.busy[:0], s.busyAt[:0] // readied by the first park
 	for _, t := range f.tasks[f.skip.ids:] {
 		if t != nil && ref[t.ID] == 0 {
-			h = heapPush(h, heapEntry{0, f.priority(t), t})
+			h = heapPush(h, heapEntry{0, f.priority(t), int32(t.ID)})
 		}
 	}
 	executed := f.skip.live
-	for len(h) > 0 {
+	for len(h) > 0 || len(s.busy) > 0 {
 		var e heapEntry
-		e, h = heapPop(h)
-		u := e.t
-		start := max(earliest[u.ID], threadEnds[threadOf[u.ID]])
-		if start > e.key {
-			h = heapPush(h, heapEntry{start, e.prio, u})
-			continue
+		if len(s.busy) > 0 && (len(h) == 0 || heapLess(s.busy[0], h[0])) {
+			e = s.unpark(threadOf)
+		} else {
+			e, h = heapPop(h)
+			if start := max(earliest[e.id], threadEnds[threadOf[e.id]]); start > e.key {
+				s.park(e, start, len(f.threadIDs), threadOf)
+				continue
+			}
 		}
+		// e.key is now the task's start: a current key, or its
+		// thread's end.
+		u := f.tasks[e.id]
 		d, gp := u.Duration, u.Gap
 		if dur != nil {
 			d, gp = dur[u.ID], gap[u.ID]
 		}
+		start := e.key
 		end := start + d + gp
 		if res.win == nil {
 			res.Start[u.ID] = start
 		} else {
 			res.win.record(u, start, d, gp)
 		}
-		threadEnds[threadOf[u.ID]] = end
+		th := threadOf[u.ID]
+		threadEnds[th] = end
+		if len(s.busy) > 0 {
+			s.moved(th, end, threadOf)
+		}
 		res.Makespan = max(res.Makespan, end)
 		executed++
 		if ctx != nil && executed%cancelCheckInterval == 0 {
@@ -813,12 +879,78 @@ func (f *simForm) runHeap(s *SimScratch, res *SimResult, o *simOptions) (*SimRes
 			ref[c.ID]--
 			if ref[c.ID] == 0 {
 				key := max(earliest[c.ID], threadEnds[threadOf[c.ID]])
-				h = heapPush(h, heapEntry{key, f.priority(c), c})
+				h = heapPush(h, heapEntry{key, f.priority(c), int32(c.ID)})
 			}
 		}
 	}
 	s.heap = h[:0]
 	return f.finish(s, res, executed)
+}
+
+// park parks e, whose task's thread is busy until start, on that
+// thread (see runHeap). threads is the run's thread count, which the
+// first park of a run readies the parking storage for.
+func (s *SimScratch) park(e heapEntry, start time.Duration, threads int, threadOf []int32) {
+	if len(s.busyAt) == 0 {
+		s.readyParking(threads)
+	}
+	th := threadOf[e.id]
+	p := s.parked[th]
+	if s.busyAt[th] < 0 {
+		p = p[:0]
+	}
+	e.key = 0
+	p = heapPush(p, e)
+	s.parked[th] = p
+	if i := s.busyAt[th]; i < 0 {
+		s.busy = append(s.busy, heapEntry{start, e.prio, e.id})
+		busyFix(s.busy, s.busyAt, threadOf, len(s.busy)-1)
+	} else if p[0].id == e.id {
+		s.busy[i].prio, s.busy[i].id = e.prio, e.id
+		busyFix(s.busy, s.busyAt, threadOf, int(i))
+	}
+}
+
+// unpark takes the top busy thread's best parked task off its thread
+// and returns its busy entry, keyed by the thread's end. The entry
+// passes to the thread's next parked task (moved rekeys it once the
+// task has run), or leaves the busy heap with the thread's last one.
+func (s *SimScratch) unpark(threadOf []int32) heapEntry {
+	e := s.busy[0]
+	th := threadOf[e.id]
+	_, s.parked[th] = heapPop(s.parked[th])
+	if p := s.parked[th]; len(p) > 0 {
+		s.busy[0].prio, s.busy[0].id = p[0].prio, p[0].id
+		return e
+	}
+	s.busyAt[th] = -1
+	last := len(s.busy) - 1
+	s.busy[0] = s.busy[last]
+	if s.busy = s.busy[:last]; last > 0 {
+		busyFix(s.busy, s.busyAt, threadOf, 0)
+	}
+	return e
+}
+
+// moved keeps thread th's busy entry, if it has one, keyed by its new
+// end.
+func (s *SimScratch) moved(th int32, end time.Duration, threadOf []int32) {
+	if i := s.busyAt[th]; i >= 0 {
+		s.busy[i].key = end
+		busyFix(s.busy, s.busyAt, threadOf, int(i))
+	}
+}
+
+// readyParking readies the parking storage for a run over the given
+// number of thread ordinals, no thread holding parked tasks yet.
+func (s *SimScratch) readyParking(threads int) {
+	s.busyAt = resize(s.busyAt, threads)
+	for i := range s.busyAt {
+		s.busyAt[i] = -1
+	}
+	if n := threads - len(s.parked); n > 0 {
+		s.parked = append(s.parked, make([][]heapEntry, n)...)
+	}
 }
 
 // runScheduled is Algorithm 1 under an opaque policy: the scheduler sees

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -310,5 +311,117 @@ func TestEmptyGraphSimulates(t *testing.T) {
 	}
 	if res.Makespan != 0 {
 		t.Fatal("empty graph has nonzero makespan")
+	}
+}
+
+// parkGraph builds a graph in which each of two channels gets 64
+// unplaced tasks ready at the same instant and 32 more that become ready
+// one by one, as a chain of stream kernels reaches them, while the
+// channel is still busy. Priorities and durations are mixed, and the
+// late tasks can outrank the waiting ones. The two channels' task sets
+// are identical, so their ends advance in step and their best waiting
+// tasks tie on start and priority across threads.
+func parkGraph(t *testing.T) *Graph {
+	t.Helper()
+	g, tasks := chain(1, 10*time.Microsecond)
+	root := tasks[0]
+	p := NewPatch(g)
+	dep := func(from, to *Task) {
+		if err := p.AddDependency(from, to, DepComm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream := make([]*Task, 24)
+	for i := range stream {
+		stream[i] = p.NewTask("k", trace.KindKernel, Stream(2), 2*time.Microsecond)
+		p.AppendTask(stream[i])
+	}
+	dep(root, stream[0])
+	sink := p.NewTask("sink", trace.KindCPUOp, CPU(1), time.Microsecond)
+	p.AppendTask(sink)
+	dep(stream[len(stream)-1], sink)
+	for _, ch := range []string{"c", "d"} {
+		for i := 0; i < 96; i++ {
+			u := p.NewTask(ch, trace.KindComm, Channel(ch), time.Duration(1+i%3)*time.Microsecond)
+			u.Priority = (i*7)%5 - 2
+			from := root
+			if i >= 64 {
+				from, u.Priority = stream[i%len(stream)], u.Priority+3
+			}
+			dep(from, u)
+			dep(u, sink)
+		}
+	}
+	m, err := p.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestHeapParksBusyThread drives the heap loop's parking (see
+// parkGraph): all but the first of the tasks ready at once on a channel
+// go stale behind their busy thread, and later ones join them there. Under the default order and a keyed policy,
+// windowed and not, the heap loop must dispatch exactly as the same
+// policy through Pick on the scheduled loop.
+func TestHeapParksBusyThread(t *testing.T) {
+	one := parkGraph(t)
+	rep, err := one.Repeat(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := []struct {
+		name       string
+		heap, pick Scheduler
+	}{
+		{"default", nil, wrappedEarliest{}},
+		{"keyed", classByID{}, pickOnly{classByID{}}},
+	}
+	for _, g := range []*Graph{one, rep} {
+		windows := []int{0}
+		if g == rep {
+			windows = append(windows, 1)
+		}
+		for _, pol := range policies {
+			for _, window := range windows {
+				name := fmt.Sprintf("%d rounds/%s/window %d", g.LayerPhaseIndex().Rounds(), pol.name, window)
+				scratch := NewSimScratch()
+				opts := func(s Scheduler) []SimOption {
+					o := []SimOption{WithScratch(scratch)}
+					if s != nil {
+						o = append(o, WithScheduler(s))
+					}
+					if window > 0 {
+						o = append(o, WithRoundWindow(window))
+					}
+					return o
+				}
+				got, err := g.Simulate(opts(pol.heap)...)
+				if err != nil {
+					t.Fatalf("%s: heap: %v", name, err)
+				}
+				parked := 0
+				for _, p := range scratch.parked {
+					parked = max(parked, cap(p))
+				}
+				if parked < 64 {
+					t.Fatalf("%s: at most %d tasks parked on one thread, want ≥64", name, parked)
+				}
+				want, err := g.Simulate(opts(pol.pick)...)
+				if err != nil {
+					t.Fatalf("%s: scheduled: %v", name, err)
+				}
+				if got.Makespan != want.Makespan {
+					t.Fatalf("%s: makespan %v, scheduled %v", name, got.Makespan, want.Makespan)
+				}
+				for _, task := range g.Tasks() {
+					gs, gok := got.StartOf(task)
+					ws, wok := want.StartOf(task)
+					if gs != ws || gok != wok {
+						t.Fatalf("%s: task %v starts at %v (retained %v), scheduled %v (retained %v)", name, task, gs, gok, ws, wok)
+					}
+				}
+			}
+		}
 	}
 }

@@ -42,7 +42,10 @@ func MeanDuration(tasks []*Task) time.Duration {
 // thread's sequence is replicated and chained, modeling consecutive
 // training iterations in steady state. Tasks carry their copy index in
 // Round. Cross-iteration what-ifs (P3's pull-before-next-forward, vDNN
-// prefetching) transform the repeated graph.
+// prefetching) transform the repeated graph. The source must be a
+// single round: Repeat refuses a graph whose tasks already carry rounds
+// (a repeat of a repeat, or a materialized pipeline), since it would
+// relabel them.
 //
 // The copy is laid out in bulk, like Build's: round r's tasks take IDs
 // [r·live, (r+1)·live) in g's ID order. Each task's adjacency lists its
@@ -62,6 +65,9 @@ func (g *Graph) Repeat(n int) (*Graph, error) {
 		if t == nil {
 			pos[id] = -1
 			continue
+		}
+		if t.Round > 0 {
+			return nil, fmt.Errorf("core: Repeat: task %v already belongs to round %d; repeat a single-round graph", t, t.Round)
 		}
 		pos[id] = k
 		k++

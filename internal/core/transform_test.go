@@ -98,6 +98,16 @@ func TestRepeatErrors(t *testing.T) {
 	if _, err := g.Repeat(0); err == nil {
 		t.Fatal("Repeat(0) accepted")
 	}
+	// A repeat of a repeat would relabel round 1 as round 0 of its copy.
+	rep, err := g.Repeat(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2} {
+		if _, err := rep.Repeat(n); err == nil {
+			t.Fatalf("Repeat(%d) of a Repeat(2) accepted", n)
+		}
+	}
 }
 
 func TestRepeatIsolatesRounds(t *testing.T) {

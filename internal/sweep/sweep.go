@@ -21,9 +21,10 @@
 //     (core.SchedulerCarrier, e.g. vDNN's copy-stream policy) — run
 //     view-generically over the same patch, so scheduled structural
 //     scenarios are clone-free too. A value that models several
-//     iterations (core.RoundsCarrier, P3) patches the worker's own
-//     core.OptBaseline copy of the baseline, Repeat-expanded once per
-//     scenario.
+//     iterations (core.RoundsCarrier, P3) patches core.OptBaseline's
+//     Repeat-expanded copy of the baseline, built once per Run call
+//     and shared by every worker and every row that declares the same
+//     rounds over the same baseline.
 //   - Replay scenarios (no what-if at all, or a no-op Opt such as an
 //     empty core.Stack) simulate the shared baseline directly, which
 //     never mutates it.
@@ -162,6 +163,10 @@ type config struct {
 	ctx        context.Context
 	failFast   bool
 	pool       *Pool
+	// repeats and repeat share the call's repeated baselines; both are
+	// nil when no scenario declares rounds.
+	repeats *repeats
+	repeat  func(*core.Graph, int) (*core.Graph, error)
 }
 
 // Option configures a sweep.
@@ -304,17 +309,87 @@ func (w *worker) quarantine() {
 	w.incrBase = nil
 }
 
-// release drops the worker's references to g, a scenario's private
-// repeated baseline, once the scenario is done: the patch (whose
-// appendix and snapshot still point into g after a Reset) and the
-// incremental tier's arm. A long-lived Pool worker then holds no
-// scenario's graph between scenarios; the next one allocates a fresh
-// patch.
-func (w *worker) release(g *core.Graph) {
-	w.patch = nil
-	if w.incrBase == g {
+// forget drops the worker's references into the baselines drop
+// reports: the patch (whose appendix and snapshot still point into its
+// baseline after a Reset), the incremental tier's state and arm, and
+// the scratch, whose compiled form still lists the last simulation's
+// tasks. It runs when a worker's last row of a call is done, for the
+// call's repeated baselines, and after a row over a baseline private
+// to that row, so a pooled worker holds neither between calls. A
+// worker that touched no such baseline keeps all of its buffers.
+func (w *worker) forget(drop func(*core.Graph) bool) {
+	touched := false
+	if w.patch != nil && drop(w.patch.Base()) {
+		w.patch, touched = nil, true
+	}
+	if w.incr != nil && drop(w.incr.Baseline()) {
+		w.incr, touched = nil, true
+	}
+	if w.incrBase != nil && drop(w.incrBase) {
 		w.incrBase = nil
 	}
+	if touched {
+		w.scratch = core.NewSimScratch()
+	}
+}
+
+// repeats memoizes core.OptBaseline's Repeat of each (baseline, rounds)
+// pair for one Run call, so a grid of round-declaring rows (P3 at
+// several bandwidths) builds the repeated graph once and every worker
+// patches that one copy. The first row to ask builds it while the
+// others wait for it. Nothing outlives the call: each worker forgets
+// the graphs before Run returns.
+type repeats struct {
+	mu sync.Mutex
+	m  map[repeatKey]*repeated
+}
+
+type repeatKey struct {
+	g *core.Graph
+	n int
+}
+
+type repeated struct {
+	once sync.Once
+	g    *core.Graph
+	err  error
+}
+
+// newRepeats returns an empty memo when some scenario declares rounds,
+// and nil otherwise.
+func newRepeats(scenarios []Scenario) *repeats {
+	for i := range scenarios {
+		if core.OptRounds(scenarios[i].Opt) > 1 {
+			return &repeats{m: make(map[repeatKey]*repeated)}
+		}
+	}
+	return nil
+}
+
+// get returns g.Repeat(n), building it on the call's first request.
+func (c *repeats) get(g *core.Graph, n int) (*core.Graph, error) {
+	k := repeatKey{g, n}
+	c.mu.Lock()
+	r := c.m[k]
+	if r == nil {
+		r = &repeated{}
+		c.m[k] = r
+	}
+	c.mu.Unlock()
+	r.once.Do(func() { r.g, r.err = g.Repeat(n) })
+	return r.g, r.err
+}
+
+// holds reports whether g is one of the memo's repeated graphs.
+func (c *repeats) holds(g *core.Graph) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, r := range c.m {
+		if r.g == g {
+			return true
+		}
+	}
+	return false
 }
 
 // simTimingOnly evaluates the worker's (timing-only) patch on the
@@ -410,6 +485,9 @@ func Run(baseline *core.Graph, scenarios []Scenario, opts ...Option) ([]Result, 
 	}
 	cfg.ctx = ctx
 	defer cancel()
+	if cfg.repeats = newRepeats(scenarios); cfg.repeats != nil {
+		cfg.repeat = cfg.repeats.get
+	}
 
 	// The jobs channel is buffered for the whole scenario list, so the
 	// producer enqueues everything up front and never interleaves with
@@ -442,6 +520,9 @@ func Run(baseline *core.Graph, scenarios []Scenario, opts ...Option) ([]Result, 
 				if cfg.failFast && results[i].Err != nil {
 					cancel()
 				}
+			}
+			if cfg.repeats != nil {
+				w.forget(cfg.repeats.holds)
 			}
 		}()
 	}
@@ -557,16 +638,19 @@ func runOne(baseline *core.Graph, sc *Scenario, w *worker, cfg *config) Result {
 		res, err = base.Simulate(simOpts...)
 	} else {
 		// Patch path: timing and structural deltas through the
-		// worker-owned patch, over the shared baseline or its repeated
-		// copy.
+		// worker-owned patch, over the shared baseline or the call's
+		// repeated copy of it.
 		shared := base
 		var apply core.Optimization
-		if base, apply, err = core.OptBaseline(base, opt); err != nil {
+		if base, apply, err = core.OptBaselineWith(base, opt, cfg.repeat); err != nil {
 			r.Err = err
 			return r
 		}
-		if base != shared {
-			defer w.release(base)
+		// A stack materializes parts before its rounds into a baseline
+		// of this row's own, which no later row can reuse.
+		if base != shared && !cfg.repeats.holds(base) {
+			private := base
+			defer w.forget(func(g *core.Graph) bool { return g == private })
 		}
 		if w.patch == nil {
 			w.patch = core.NewPatch(base)

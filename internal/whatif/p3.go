@@ -63,8 +63,13 @@ func P3Annotate(p *core.Patch, opts P3Options) error {
 	lat := opts.Topology.StepLatency
 	send := core.Channel("ps.send")
 	recv := core.Channel("ps.recv")
+	// Every round's slices of a layer share its push and pull names.
+	pushNames, pullNames := make([]string, len(layers)), make([]string, len(layers))
+	for i, li := range layers {
+		pushNames[i], pullNames[i] = "push "+grads[li].Layer, "pull "+grads[li].Layer
+	}
 	for r := 0; r < rounds; r++ {
-		for _, li := range layers {
+		for i, li := range layers {
 			gr := grads[li]
 			if gr.Bytes == 0 {
 				continue
@@ -86,11 +91,11 @@ func P3Annotate(p *core.Patch, opts P3Options) error {
 				priority = -li
 			}
 			for _, sz := range comm.Slices(gr.Bytes, sliceBytes) {
-				push := p.NewTask(fmt.Sprintf("push %s", gr.Layer), trace.KindComm, send, comm.TransferTime(sz, bw, lat))
+				push := p.NewTask(pushNames[i], trace.KindComm, send, comm.TransferTime(sz, bw, lat))
 				push.Bytes = sz
 				push.Priority = priority
 				push.Round = r
-				pull := p.NewTask(fmt.Sprintf("pull %s", gr.Layer), trace.KindComm, recv, comm.TransferTime(sz, bw, lat))
+				pull := p.NewTask(pullNames[i], trace.KindComm, recv, comm.TransferTime(sz, bw, lat))
 				pull.Bytes = sz
 				pull.Priority = priority
 				pull.Round = r

@@ -132,20 +132,32 @@ func vdnnInto(p *core.Patch, view core.TaskView, opts VDNNOptions) error {
 // stream yields, so offloads and prefetches fill idle bus time instead
 // of delaying kernels dispatched at the same instant. Ties beyond that
 // fall to higher effective priority, then lower task ID, keeping the
-// policy deterministic. It reads everything through the SchedContext,
-// so it runs clone-free over a structural Patch exactly as over a
-// materialized graph.
+// policy deterministic. The order is the default one extended by a
+// class (copy or not), so the simulator runs it as a
+// core.KeyedScheduler on its heap loop; Pick implements the same order
+// for runs whose priorities do not fit the packed key. Both read
+// everything through the view, so the policy runs clone-free over a
+// structural Patch exactly as over a materialized graph.
 type VDNNScheduler struct{}
 
+// Class implements core.KeyedScheduler: 1 for a task on vDNN's copy
+// channel, 0 for everything else.
+func (VDNNScheduler) Class(t *core.Task) int {
+	if t.Thread.Kind == core.CommChannel && t.Thread.Name == vdnnCopyChannel {
+		return 1
+	}
+	return 0
+}
+
 // Pick implements core.Scheduler.
-func (VDNNScheduler) Pick(frontier []*core.Task, ctx *core.SchedContext) int {
+func (s VDNNScheduler) Pick(frontier []*core.Task, ctx *core.SchedContext) int {
 	best := -1
 	var bestT time.Duration
 	var bestCopy bool
 	var bestPrio int
 	for i, t := range frontier {
 		et := ctx.EffStart(t)
-		isCopy := t.Thread.Kind == core.CommChannel && t.Thread.Name == vdnnCopyChannel
+		isCopy := s.Class(t) == 1
 		prio := ctx.Priority(t)
 		better := false
 		switch {
