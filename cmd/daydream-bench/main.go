@@ -234,6 +234,15 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 	if err != nil {
 		return err
 	}
+	gtr, err := daydream.Collect(daydream.CollectConfig{Model: "gnmt"})
+	if err != nil {
+		return err
+	}
+	gnmt, err := daydream.BuildGraph(gtr)
+	if err != nil {
+		return err
+	}
+	rebindBases := []*daydream.Graph{g, resnet, densenet, gnmt}
 	var p3Scenarios []sweep.Scenario
 	for _, gbps := range []float64{2, 4, 6, 8, 10} {
 		p3Scenarios = append(p3Scenarios, sweep.Scenario{Opt: daydream.OptP3(daydream.NewTopology(4, 1, gbps), 0)})
@@ -356,6 +365,24 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 			for i := 0; i < b.N; i++ {
 				p.Reset(g)
 				if err := stacked.Apply(p); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := p.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		// AMP on four baselines in turn through one reused patch: each
+		// op rebinds the patch to the next baseline, which reads that
+		// graph's memoized compiled form instead of rebuilding it.
+		{"PatchRebind", 0, func(b *testing.B) {
+			amp := daydream.OptAMP()
+			scratch := core.NewSimScratch()
+			p := daydream.NewPatch(g)
+			buf := &daydream.SimResult{}
+			for i := 0; i < b.N; i++ {
+				p.Reset(rebindBases[i%len(rebindBases)])
+				if err := amp.Apply(p); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := p.Simulate(core.WithScratch(scratch), core.WithResultBuffer(buf)); err != nil {

@@ -33,9 +33,19 @@
 // over that form under the default policy or a KeyedScheduler (its class
 // packed into the priority slot), parking an entry that finds its
 // thread busy on that thread until the thread frees, and one scheduled
-// loop under an opaque custom Scheduler. A Patch whose baseline is superseded
-// (SupersedeBaseline) and joined to its appendix by no edge or thread
-// runs the heap loop over the appendix alone. A *Graph is the form with
+// loop under an opaque custom Scheduler. The baseline's share of the
+// form — per-ID durations, gaps and priorities and the thread layout,
+// 28 bytes per task ID — is memoized on the Graph the first time a view
+// compiles it, published atomically and shared read-only by every
+// Overlay and Patch over that graph, so rebinding a view between
+// baselines is a pointer load. The structural mutators (NewTask,
+// Remove, InsertAfter, InsertBefore) and MapLayers drop it; Clone and
+// Repeat start without one; task timing fields written in place after a
+// view has read the graph are not seen. Graph.Simulate borrows its
+// thread layout when one exists and otherwise builds none. A Patch
+// whose baseline is superseded (SupersedeBaseline) and joined to its
+// appendix by no edge or thread runs the heap loop over the appendix
+// alone. A *Graph is the form with
 // no deltas, an Overlay adds timing deltas, and a structural Patch adds
 // its appendix, removals and edge edits. Every tier is bit-identical to
 // cloning the baseline, mutating the clone and cold-simulating it; they

@@ -19,6 +19,15 @@ import (
 // and Simulate array-indexed — the properties the concurrent what-if
 // sweep subsystem (internal/sweep) builds on.
 //
+// A graph memoizes what its views derive from it: the layer/phase
+// index, the memory annotation, and the compiled per-ID baseline
+// (timings and thread layout) every Overlay and Patch simulates from.
+// The structural mutators (NewTask, Remove, InsertAfter, InsertBefore)
+// and MapLayers drop those memos, so a view rebound with Reset after
+// such an edit sees the grown graph. Task timing fields (Duration, Gap,
+// Priority) written in place after a view has read the graph are not
+// seen by later views: edit a Clone instead, which starts with no memo.
+//
 // Build, Repeat and Clone lay a graph out as an arena: one []Task
 // backing every task, and three shared buffers holding every task's
 // children, child kinds and parents as capacity-clipped windows. Later
@@ -39,6 +48,13 @@ type Graph struct {
 	// deliberately leaves the copy's memo empty: the index holds task
 	// pointers into the graph it was built from.
 	layerIdx layerIdxMemo
+
+	// form memoizes the compiled per-ID baseline every Overlay and Patch
+	// over the graph simulates from (see baseform.go), and whose thread
+	// layout Graph.Simulate reuses when one exists. Structural mutators
+	// that allocate, remove or move tasks drop it, as does MapLayers;
+	// Clone and Repeat leave the copy's empty.
+	form atomic.Pointer[baseForm]
 
 	// memAnnot memoizes the opaque memory-annotation snapshot
 	// internal/mem attaches through SetMemAnnotation (see memhook.go).
@@ -192,6 +208,7 @@ func (g *Graph) InsertAfter(prev, t *Task) error {
 		return fmt.Errorf("core: InsertAfter: anchor %v not in graph", prev)
 	}
 	t.Thread = prev.Thread
+	g.form.Store(nil)
 	next := prev.seqNext
 	t.seqPrev = prev
 	t.seqNext = next
@@ -217,6 +234,7 @@ func (g *Graph) InsertBefore(next, t *Task) error {
 	}
 	// Insert at head.
 	t.Thread = next.Thread
+	g.form.Store(nil)
 	l := g.seq(t.Thread)
 	t.seqNext = next
 	next.seqPrev = t

@@ -61,9 +61,12 @@ func (g *Graph) LayerPhaseIndex() *LayerPhaseIndex {
 // InvalidateLayerPhaseIndex drops the memoized index, forcing a rebuild
 // on the next LayerPhaseIndex call. Structural mutations and MapLayers
 // call it automatically. The memory-annotation memo is derived from the
-// same task/layer snapshot, so it is dropped with the index.
+// same task/layer snapshot, so it is dropped with the index, and so is
+// the compiled baseline views simulate from, which covers the same task
+// set.
 func (g *Graph) InvalidateLayerPhaseIndex() {
 	g.layerIdx.Store(nil)
+	g.form.Store(nil)
 	g.InvalidateMemAnnotation()
 }
 

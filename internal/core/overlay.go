@@ -17,21 +17,29 @@ import (
 //
 // Edits are stored sparsely (a map keyed by task ID) while few, and
 // densely (flat per-ID slices) past a crossover, so both a two-kernel
-// profile tweak and an all-GPU-task rescale stay cheap. The overlay
-// also snapshots the baseline's timing arrays and thread layout once
-// per binding, so densification and simulation are memcpy-and-index
-// work rather than pointer chasing. An Overlay is not safe for
-// concurrent use itself; the sharing model is one overlay per goroutine
-// over one shared baseline. Reset rebinds an overlay to a (possibly
-// different) baseline while keeping its storage, which is how the sweep
-// worker pool makes scenario evaluation allocation-free.
+// profile tweak and an all-GPU-task rescale stay cheap. Densification
+// and simulation start from the baseline's compiled form — flat timing
+// arrays and the thread layout, memoized on the Graph itself and shared
+// by every view over it — so they are memcpy-and-index work rather than
+// pointer chasing. An Overlay is
+// not safe for concurrent use itself; the sharing model is one overlay
+// per goroutine over one shared baseline. Reset rebinds an overlay to a
+// (possibly different) baseline while keeping its storage, which is how
+// the sweep worker pool makes scenario evaluation allocation-free;
+// rebinding reads the graph's current form, so it costs a pointer load.
+//
+// The form is dropped by the graph's structural mutators (NewTask,
+// Remove, InsertAfter, InsertBefore) and MapLayers, so an overlay Reset
+// onto a graph that grew since sees the grown graph. Task timing fields
+// written in place after a view has read the graph are not seen: Clone
+// the graph and edit the clone instead.
 type Overlay struct {
 	base *Graph
 
 	// Sparse storage below the crossover.
 	sparse map[int]overlayEdit
 	// Dense storage past the crossover: full effective-value arrays,
-	// materialized from the baseline snapshot and overwritten in
+	// materialized from the baseline's form and overwritten in
 	// place. Dense mode is sticky across Reset (re-materializing is a
 	// memcpy), so a worker evaluating bulk-edit scenarios pays the
 	// sparse map only once.
@@ -58,15 +66,9 @@ type Overlay struct {
 	// materialization cache — compare generations to invalidate.
 	gen uint64
 
-	// Immutable per-binding snapshot of the baseline: flat timing
-	// arrays plus the task → thread-ordinal layout, built once when
-	// first needed and reused by every subsequent densify/simulate.
-	snapBase  *Graph
-	baseDur   []time.Duration
-	baseGap   []time.Duration
-	basePrio  []int
-	threadOf  []int32
-	threadIDs []ThreadID
+	// form is the baseline's compiled form, read from the graph's memo
+	// on Reset and, when the graph had none yet, on first use.
+	form *baseForm
 }
 
 // editDur/editGap/editPrio mark which fields of an overlayEdit are set.
@@ -95,20 +97,23 @@ func NewOverlay(g *Graph) *Overlay {
 func (o *Overlay) Base() *Graph { return o.base }
 
 // Reset drops every edit and rebinds the overlay to the given baseline
-// (which may be the current one), retaining the allocated storage and —
-// when the baseline is unchanged — the baseline snapshot.
+// (which may be the current one), retaining the allocated storage and
+// reading the baseline's current compiled form.
 func (o *Overlay) Reset(g *Graph) {
-	if g != o.base || g != o.snapBase {
-		// New (or never snapshotted) baseline: drop everything derived.
-		o.snapBase = nil
+	var f *baseForm
+	if g != nil {
+		f = g.form.Load()
+	}
+	if f == nil || f != o.form {
+		// New baseline, or one whose form was dropped or not built yet.
 		o.dense = false
 	} else if o.dense {
-		// Same baseline: stay dense, re-materialize by memcpy.
-		copy(o.dur, o.baseDur)
-		copy(o.gap, o.baseGap)
-		copy(o.prio, o.basePrio)
+		// Same form: stay dense, re-materialize by memcpy.
+		copy(o.dur, f.dur)
+		copy(o.gap, f.gap)
+		copy(o.prio, f.prio)
 	}
-	o.base = g
+	o.base, o.form = g, f
 	o.prioEdited = false
 	o.zeroed = false
 	o.gen++
@@ -120,25 +125,15 @@ func (o *Overlay) Reset(g *Graph) {
 // generation returns the edit counter (see gen).
 func (o *Overlay) generation() uint64 { return o.gen }
 
-// snapshot builds (once per binding) the flat baseline timing arrays
-// and the thread layout. The baseline must not be mutated while the
-// overlay is bound to it.
-func (o *Overlay) snapshot() {
-	if o.snapBase == o.base {
-		return
+// snapshot returns the baseline's compiled form, building the graph's
+// memo when Reset found none. The form is shared with every other view
+// of the graph and read-only. The baseline must not be mutated while
+// the overlay is bound to it: Reset after a structural edit.
+func (o *Overlay) snapshot() *baseForm {
+	if o.form == nil {
+		o.form = o.base.compiledBase()
 	}
-	g := o.base
-	n := len(g.tasks)
-	o.baseDur = resize(o.baseDur, n)
-	o.baseGap = resize(o.baseGap, n)
-	o.basePrio = resize(o.basePrio, n)
-	for id, t := range g.tasks {
-		if t != nil {
-			o.baseDur[id], o.baseGap[id], o.basePrio[id] = t.Duration, t.Gap, t.Priority
-		}
-	}
-	o.threadOf, o.threadIDs = layoutThreads(o.threadOf[:0], o.threadIDs[:0], g.tasks)
-	o.snapBase = g
+	return o.form
 }
 
 // crossover is the sparse-edit count past which the overlay densifies:
@@ -190,17 +185,17 @@ func (o *Overlay) EstimateConeSize() (cone, total int) {
 	return total - min, total
 }
 
-// densify materializes the dense per-ID arrays from the baseline
-// snapshot plus the sparse edits, then retires the map.
+// densify materializes the dense per-ID arrays from the baseline's
+// form plus the sparse edits, then retires the map.
 func (o *Overlay) densify() {
-	o.snapshot()
+	f := o.snapshot()
 	n := len(o.base.tasks)
 	o.dur = resize(o.dur, n)
 	o.gap = resize(o.gap, n)
 	o.prio = resize(o.prio, n)
-	copy(o.dur, o.baseDur)
-	copy(o.gap, o.baseGap)
-	copy(o.prio, o.basePrio)
+	copy(o.dur, f.dur)
+	copy(o.gap, f.gap)
+	copy(o.prio, f.prio)
 	for id, e := range o.sparse {
 		if e.set&editDur != 0 {
 			o.dur[id] = e.dur
@@ -329,15 +324,15 @@ func (o *Overlay) ScaleDuration(t *Task, factor float64) {
 }
 
 // fillTiming writes the effective per-ID durations and gaps of the
-// baseline's ID span into dur and gap. The caller has run snapshot().
-func (o *Overlay) fillTiming(dur, gap []time.Duration) {
+// baseline's ID span into dur and gap, starting from the form f.
+func (o *Overlay) fillTiming(f *baseForm, dur, gap []time.Duration) {
 	if o.dense {
 		copy(dur, o.dur)
 		copy(gap, o.gap)
 		return
 	}
-	copy(dur, o.baseDur)
-	copy(gap, o.baseGap)
+	copy(dur, f.dur)
+	copy(gap, f.gap)
 	for id, e := range o.sparse {
 		if e.set&editDur != 0 {
 			dur[id] = e.dur
@@ -349,13 +344,13 @@ func (o *Overlay) fillTiming(dur, gap []time.Duration) {
 }
 
 // fillPriority writes the effective per-ID priorities of the baseline's
-// ID span into prio. The caller has run snapshot().
-func (o *Overlay) fillPriority(prio []int) {
+// ID span into prio, starting from the form f.
+func (o *Overlay) fillPriority(f *baseForm, prio []int) {
 	if o.dense {
 		copy(prio, o.prio)
 		return
 	}
-	copy(prio, o.basePrio)
+	copy(prio, f.prio)
 	for id, e := range o.sparse {
 		if e.set&editPrio != 0 {
 			prio[id] = e.prio
@@ -398,19 +393,19 @@ func (o *Overlay) Simulate(opts ...SimOption) (*SimResult, error) {
 }
 
 // compile compiles the overlaid baseline: the baseline's structure and
-// the snapshot's thread layout read in place, with effective timings
-// (and priorities, when overlaid) in per-ID arrays sized for an ID span
-// of n — room past the baseline's span is left for a patch appendix.
+// its form's thread layout read in place, with effective timings (and
+// priorities, when overlaid) in per-ID arrays sized for an ID span of n
+// — room past the baseline's span is left for a patch appendix.
 func (o *Overlay) compile(so *simOptions, n int) *simForm {
-	o.snapshot()
+	base := o.snapshot()
 	dur, gap := so.timings(n)
-	o.fillTiming(dur, gap)
+	o.fillTiming(base, dur, gap)
 	s := so.scratch
 	f := &s.form
-	*f = simForm{view: o, tasks: o.base.tasks, live: o.base.live, dur: dur, gap: gap, threadOf: o.threadOf, threadIDs: o.threadIDs}
+	*f = simForm{view: o, tasks: o.base.tasks, live: o.base.live, dur: dur, gap: gap, threadOf: base.threadOf, threadIDs: base.threadIDs}
 	if o.prioEdited {
 		s.prio = resize(s.prio, n)
-		o.fillPriority(s.prio)
+		o.fillPriority(base, s.prio)
 		f.prio = s.prio
 	}
 	return f

@@ -815,9 +815,13 @@ func (p *Patch) compile(so *simOptions) *simForm {
 			f.prio[span+i] = t.Priority
 		}
 	}
+	// The appendix extends a copy of the baseline's memoized layout; a
+	// patch with no appendix reads the memo in place.
 	baseThreads := len(f.threadIDs)
-	s.threadOf, s.threadIDs = layoutThreads(append(s.threadOf[:0], f.threadOf...), append(s.threadIDs[:0], f.threadIDs...), p.added)
-	f.threadOf, f.threadIDs = s.threadOf, s.threadIDs
+	if len(p.added) > 0 {
+		s.threadOf, s.threadIDs = layoutThreads(append(s.threadOf[:0], f.threadOf...), append(s.threadIDs[:0], f.threadIDs...), p.added)
+		f.threadOf, f.threadIDs = s.threadOf, s.threadIDs
+	}
 	if p.supersedes(f.threadOf, baseThreads) {
 		f.skip = skipSpan{ids: span, live: p.base.live, threads: baseThreads}
 	}

@@ -628,12 +628,21 @@ func (g *Graph) Simulate(opts ...SimOption) (*SimResult, error) {
 }
 
 // compile compiles the graph itself: its Task fields are the effective
-// values, so only the thread layout is derived.
+// values, so only the thread layout is derived. A graph some view has
+// already compiled lends its memoized layout; otherwise the layout goes
+// into scratch, so a one-shot simulation of a fresh graph (an upload's
+// baseline) neither builds nor keeps the per-ID timing arrays only views
+// need.
 func (g *Graph) compile(o *simOptions) *simForm {
 	s := o.scratch
-	s.threadOf, s.threadIDs = layoutThreads(s.threadOf[:0], s.threadIDs[:0], g.tasks)
 	f := &s.form
-	*f = simForm{view: g, tasks: g.tasks, live: g.live, threadOf: s.threadOf, threadIDs: s.threadIDs}
+	*f = simForm{view: g, tasks: g.tasks, live: g.live}
+	if base := g.form.Load(); base != nil {
+		f.threadOf, f.threadIDs = base.threadOf, base.threadIDs
+	} else {
+		s.threadOf, s.threadIDs = layoutThreads(s.threadOf[:0], s.threadIDs[:0], g.tasks)
+		f.threadOf, f.threadIDs = s.threadOf, s.threadIDs
+	}
 	return f
 }
 

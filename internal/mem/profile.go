@@ -1,8 +1,9 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"daydream/internal/core"
@@ -114,6 +115,29 @@ type memEvent struct {
 	idx   int
 }
 
+// compareEvents orders the post-pass's events: by instant, frees before
+// allocs at equal instants (a tensor freed the moment another allocates
+// never overlaps it), then by tensor — fully deterministic, so clone and
+// view profiles match bit for bit. Events it calls equal are identical.
+func compareEvents(a, b memEvent) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
+	}
+	if af, bf := a.delta < 0, b.delta < 0; af != bf {
+		if af {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// peakRef is a tensor live at the peak: its size and its index.
+type peakRef struct {
+	bytes int64
+	idx   int
+}
+
 // ComputeProfile sweeps the annotation's alloc/free events over a
 // finished simulation and returns the per-device profile. It is a pure
 // post-pass: view and res are only read (starts via res.Start,
@@ -173,25 +197,14 @@ func ComputeProfile(view core.TaskView, res *core.SimResult, ann *Annotation, me
 			memEvent{t: free, delta: -tn.Bytes, idx: i},
 		)
 	}
-	// Frees apply before allocs at equal instants (a tensor freed the
-	// moment another allocates never overlaps it), then tensor order —
-	// fully deterministic, so clone and view profiles match bit for bit.
-	sort.Slice(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.t != b.t {
-			return a.t < b.t
-		}
-		if (a.delta < 0) != (b.delta < 0) {
-			return a.delta < 0
-		}
-		return a.idx < b.idx
-	})
+	slices.SortFunc(events, compareEvents)
 
 	d := &DeviceProfile{Device: DeviceGPU, Resident: ann.Resident}
 	cur := ann.Resident
 	d.Peak, d.PeakStart = cur, 0
 	peakIdx := 0
-	d.Timeline = append(d.Timeline, Sample{T: 0, Bytes: cur})
+	d.Timeline = make([]Sample, 1, len(events)+1)
+	d.Timeline[0] = Sample{T: 0, Bytes: cur}
 	for i := 0; i < len(events); {
 		t := events[i].t
 		for i < len(events) && events[i].t == t {
@@ -214,23 +227,35 @@ func ComputeProfile(view core.TaskView, res *core.SimResult, ann *Annotation, me
 	} else {
 		d.PeakEnd = res.Makespan
 	}
-	for i, tn := range tensors {
-		sp := spans[i]
-		if !sp.live || sp.alloc > d.PeakStart || sp.free <= d.PeakStart {
-			continue
+	// The tensors live at the peak, largest first and in tensor order
+	// among equals: sorted as pointer-free (bytes, index) pairs, then
+	// copied out in that order.
+	var live []peakRef
+	for i, sp := range spans {
+		if sp.live && sp.alloc <= d.PeakStart && sp.free > d.PeakStart {
+			live = append(live, peakRef{bytes: tensors[i].Bytes, idx: i})
 		}
-		d.PeakTensors = append(d.PeakTensors, TensorUse{
+	}
+	slices.SortFunc(live, func(a, b peakRef) int {
+		if c := cmp.Compare(b.bytes, a.bytes); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	if len(live) > 0 {
+		d.PeakTensors = make([]TensorUse, len(live))
+	}
+	for j, r := range live {
+		tn, sp := &tensors[r.idx], spans[r.idx]
+		d.PeakTensors[j] = TensorUse{
 			Layer:      tn.Layer,
 			LayerIndex: tn.LayerIndex,
 			Round:      tn.Round,
 			Bytes:      tn.Bytes,
 			Alloc:      sp.alloc,
 			Free:       sp.free,
-		})
+		}
 	}
-	sort.SliceStable(d.PeakTensors, func(i, j int) bool {
-		return d.PeakTensors[i].Bytes > d.PeakTensors[j].Bytes
-	})
 	return &Profile{Devices: map[string]*DeviceProfile{DeviceGPU: d}}, nil
 }
 

@@ -310,13 +310,14 @@ func (w *worker) quarantine() {
 }
 
 // forget drops the worker's references into the baselines drop
-// reports: the patch (whose appendix and snapshot still point into its
-// baseline after a Reset), the incremental tier's state and arm, and
-// the scratch, whose compiled form still lists the last simulation's
-// tasks. It runs when a worker's last row of a call is done, for the
-// call's repeated baselines, and after a row over a baseline private
-// to that row, so a pooled worker holds neither between calls. A
-// worker that touched no such baseline keeps all of its buffers.
+// reports: the patch (whose appendix and compiled baseline form still
+// belong to its baseline after a Reset), the incremental tier's state
+// and arm, and the scratch, whose compiled form still lists the last
+// simulation's tasks. It runs when a worker's last row of a call is
+// done, for the call's repeated baselines, and after a row over a
+// baseline private to that row, so a pooled worker holds neither
+// between calls. A worker that touched no such baseline keeps all of
+// its buffers.
 func (w *worker) forget(drop func(*core.Graph) bool) {
 	touched := false
 	if w.patch != nil && drop(w.patch.Base()) {

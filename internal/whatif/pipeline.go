@@ -2,8 +2,11 @@ package whatif
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
+	"weak"
 
 	"daydream/internal/core"
 	"daydream/internal/trace"
@@ -125,27 +128,39 @@ func PipelinePatch(p *core.Patch, opts PipelineOptions) error {
 
 	// Per-layer forward/backward GPU compute and the total weight-update
 	// time, read through the patch's effective durations (pre-zeroing).
-	// Both sums are indexed by layer index minus lo, the lowest one.
+	// Both sums are indexed by layer index minus lo, the lowest one. A
+	// patch with no edits yet (an empty timing delta, no structure)
+	// reads the baseline's memoized sums; a stack that edited first
+	// (amp+pipeline) scans its effective view.
 	lo := layers[0]
 	span := layerSpan(layers) - lo
 	fwd := make([]time.Duration, span)
 	bwd := make([]time.Duration, span)
 	var wuTotal time.Duration
-	for _, t := range p.Tasks() {
-		if !t.OnGPU() || !t.HasLayer {
-			continue
+	if cone, _ := p.Timing().EstimateConeSize(); cone == 0 && !p.Structural() && lo >= 0 {
+		sums := baselineSums(g.LayerPhaseIndex())
+		if lo < len(sums.fwd) {
+			copy(fwd, sums.fwd[lo:])
+			copy(bwd, sums.bwd[lo:])
 		}
-		i := t.LayerIndex - lo
-		if t.Phase != trace.WeightUpdate && (i < 0 || i >= span) {
-			continue // no gradient metadata: no stage holds the layer
-		}
-		switch t.Phase {
-		case trace.Forward:
-			fwd[i] += p.Duration(t)
-		case trace.Backward:
-			bwd[i] += p.Duration(t)
-		case trace.WeightUpdate:
-			wuTotal += p.Duration(t)
+		wuTotal = sums.wu
+	} else {
+		for _, t := range p.Tasks() {
+			if !t.OnGPU() || !t.HasLayer {
+				continue
+			}
+			i := t.LayerIndex - lo
+			if t.Phase != trace.WeightUpdate && (i < 0 || i >= span) {
+				continue // no gradient metadata: no stage holds the layer
+			}
+			switch t.Phase {
+			case trace.Forward:
+				fwd[i] += p.Duration(t)
+			case trace.Backward:
+				bwd[i] += p.Duration(t)
+			case trace.WeightUpdate:
+				wuTotal += p.Duration(t)
+			}
 		}
 	}
 
@@ -251,6 +266,49 @@ func PipelinePatch(p *core.Patch, opts PipelineOptions) error {
 		}
 	}
 	return nil
+}
+
+// layerSums is a baseline's per-layer GPU compute: forward and backward
+// sums by layer index over [0, Layers()), and the weight-update total.
+type layerSums struct {
+	fwd, bwd []time.Duration
+	wu       time.Duration
+}
+
+// pipeSums memoizes layerSums per baseline, keyed weakly by the graph's
+// layer index: a structural edit or MapLayers rebuilds the index and so
+// misses the memo, and an entry goes when its index is collected. Like
+// every view's compiled baseline, the sums do not see task durations
+// written in place.
+var pipeSums sync.Map // weak.Pointer[core.LayerPhaseIndex] → *layerSums
+
+// baselineSums returns the memoized layerSums of the index's graph,
+// summing its GPU tasks on first use.
+func baselineSums(ix *core.LayerPhaseIndex) *layerSums {
+	key := weak.Make(ix)
+	if v, ok := pipeSums.Load(key); ok {
+		return v.(*layerSums)
+	}
+	s := &layerSums{fwd: make([]time.Duration, ix.Layers()), bwd: make([]time.Duration, ix.Layers())}
+	for _, t := range ix.GPUTasks() {
+		if !t.HasLayer {
+			continue
+		}
+		switch {
+		case t.Phase == trace.WeightUpdate:
+			s.wu += t.Duration
+		case t.LayerIndex < 0:
+		case t.Phase == trace.Forward:
+			s.fwd[t.LayerIndex] += t.Duration
+		case t.Phase == trace.Backward:
+			s.bwd[t.LayerIndex] += t.Duration
+		}
+	}
+	if v, loaded := pipeSums.LoadOrStore(key, s); loaded {
+		return v.(*layerSums)
+	}
+	runtime.AddCleanup(ix, func(k weak.Pointer[core.LayerPhaseIndex]) { pipeSums.Delete(k) }, key)
+	return s
 }
 
 // addDeps wires from → mid → to.

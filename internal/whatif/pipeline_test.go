@@ -244,3 +244,48 @@ func TestPipelineValidation(t *testing.T) {
 	}
 	_ = time.Nanosecond
 }
+
+// TestPipelineSumsMemoMatchesScan pins the two ways PipelinePatch reads
+// per-layer compute: an unedited patch takes the baseline's memoized
+// sums, and one carrying a timing edit — here a no-op rewrite of one
+// task's own duration — scans its effective view. Both must build the
+// same skeleton and simulate bit-identically, on the first use of the
+// memo and on a repeat.
+func TestPipelineSumsMemoMatchesScan(t *testing.T) {
+	for _, model := range []string{"resnet50", "gnmt"} {
+		g := profile(t, model, framework.PyTorch)
+		for _, opts := range []whatif.PipelineOptions{{Stages: 2, Microbatches: 4}, {Stages: 4, Microbatches: 8, Schedule: whatif.ScheduleGPipe}} {
+			opt := whatif.OptPipeline(opts)
+			sched := core.WithScheduler(core.OptScheduler(opt))
+			for round := 0; round < 2; round++ {
+				memo, scan := core.NewPatch(g), core.NewPatch(g)
+				first := g.LayerPhaseIndex().GPUTasks()[0]
+				scan.SetDuration(first, first.Duration)
+				if err := opt.Apply(memo); err != nil {
+					t.Fatal(err)
+				}
+				if err := opt.Apply(scan); err != nil {
+					t.Fatal(err)
+				}
+				mres, err := memo.Simulate(sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sres, err := scan.Simulate(sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mres.Makespan != sres.Makespan {
+					t.Fatalf("%s %s: memo makespan %v != scan %v", model, opt.Name(), mres.Makespan, sres.Makespan)
+				}
+				for id := g.IDSpan(); id < memo.IDSpan(); id++ {
+					mt, st := memo.Task(id), scan.Task(id)
+					if mt.Duration != st.Duration || mres.Start[id] != sres.Start[id] {
+						t.Fatalf("%s %s: task %q: memo (%v, start %v) != scan (%v, start %v)",
+							model, opt.Name(), mt.Name, mt.Duration, mres.Start[id], st.Duration, sres.Start[id])
+					}
+				}
+			}
+		}
+	}
+}
