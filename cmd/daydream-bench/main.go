@@ -340,13 +340,13 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 			if err != nil {
 				b.Fatal(err)
 			}
-			o := daydream.NewOverlay(g)
+			p := daydream.NewPatch(g)
 			buf := &daydream.SimResult{}
 			base := critTask.Duration
 			for i := 0; i < b.N; i++ {
-				o.Reset(g)
-				o.SetDuration(critTask, base+time.Duration(1+i%2)*time.Microsecond)
-				if _, err := sim.ReSimulate(o, core.WithResultBuffer(buf)); err != nil {
+				p.Reset(g)
+				p.SetDuration(critTask, base+time.Duration(1+i%2)*time.Microsecond)
+				if _, err := sim.ReSimulate(p, core.WithResultBuffer(buf)); err != nil {
 					b.Fatal(err)
 				}
 				if sim.LastFellBack() {

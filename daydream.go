@@ -40,7 +40,7 @@ type (
 	// returns the index of the frontier task to dispatch and reads the
 	// effective per-task state (timings, priorities, earliest starts)
 	// through the SchedContext, so one policy runs clone-free over a
-	// Graph, an Overlay or a structural Patch alike.
+	// Graph or a Patch alike.
 	Scheduler = core.Scheduler
 	// SchedContext is the read surface a Scheduler picks through.
 	SchedContext = core.SchedContext
@@ -64,13 +64,9 @@ type (
 	SweepOption = sweep.Option
 	// SimScratch is the reusable per-simulation working set.
 	SimScratch = core.SimScratch
-	// Overlay is a copy-on-write timing view over a shared baseline
-	// graph, the clone-free path for duration-only what-ifs (and the
-	// timing tier of a Patch).
-	Overlay = core.Overlay
 	// Patch is a copy-on-write view of a shared baseline graph that
-	// layers structural deltas (task and edge additions/removals) on
-	// top of an Overlay's timing deltas — the unified application
+	// layers timing deltas (durations, gaps, priorities) and structural
+	// deltas (task and edge additions/removals) — the unified application
 	// surface every Optimization applies through, making structural
 	// what-ifs (Distributed, P3's annotation, removal-form batchnorm
 	// restructuring) clone-free too.
@@ -92,7 +88,7 @@ type (
 	Optimization = core.Optimization
 	// OptFootprint classifies how much of the graph an Optimization
 	// touches — a fast-path hint and display label: TimingOnly values
-	// write only the Patch's Overlay timing tier, Structural ones
+	// write only the Patch's timing deltas, Structural ones
 	// record structural deltas too. Neither clones.
 	OptFootprint = core.OptFootprint
 	// OptimizationSpec describes one entry of the optimization
@@ -132,23 +128,17 @@ func Sweep(baseline *Graph, scenarios []Scenario, opts ...SweepOption) ([]SweepR
 	return sweep.Run(baseline, scenarios, opts...)
 }
 
-// NewOverlay returns an empty copy-on-write timing overlay over the
-// baseline graph — the timing tier a Patch embeds. Duration-only edits
-// (SetDuration/SetGap/SetPriority) apply through it and simulate with
-// Overlay.Simulate — no clone, and any number of overlays may share one
-// baseline concurrently as long as nothing mutates it.
-func NewOverlay(g *Graph) *Overlay { return core.NewOverlay(g) }
-
 // WithScheduler overrides the default earliest-start scheduling policy
 // for one simulation — a Scenario's SimOptions or a direct
-// Graph/Overlay/Patch Simulate call. Custom schedulers are
+// Graph/Patch Simulate call. Custom schedulers are
 // view-generic: the same policy runs clone-free over a structural
 // Patch, bit-identical to scheduling the materialized graph.
 func WithScheduler(s Scheduler) SimOption { return core.WithScheduler(s) }
 
 // NewPatch returns an empty copy-on-write patch over the baseline
-// graph: the unified what-if application surface. Timing edits ride the
-// embedded overlay tier; structural edits (NewTask/AppendTask/
+// graph: the unified what-if application surface. Timing edits
+// (SetDuration/SetGap/SetPriority) are kept sparse or dense per task;
+// structural edits (NewTask/AppendTask/
 // InsertAfter/AddDependency/RemoveDependency/RemoveTask) are recorded
 // as deltas. Patch.Simulate runs Algorithm 1 over the composite view,
 // bit-identical to cloning the baseline and mutating the clone — and
@@ -157,8 +147,8 @@ func WithScheduler(s Scheduler) SimOption { return core.WithScheduler(s) }
 func NewPatch(g *Graph) *Patch { return core.NewPatch(g) }
 
 // NewIncrementalSim cold-simulates the baseline once and caches the
-// warm schedule. Subsequent ReSimulate calls over overlays or
-// timing-only patches of the same baseline recompute only the tasks
+// warm schedule. Subsequent ReSimulate calls over timing-only patches
+// of the same baseline recompute only the tasks
 // whose times can actually change (the delta's affected cone),
 // bit-identical to a cold Simulate; deltas the propagation cannot
 // prove safe (priority edits, structural ops, custom schedulers) fall
@@ -543,14 +533,6 @@ func OptScale(sub string, factor float64) Optimization {
 // the baseline without cloning.
 func Stack(opts ...Optimization) Optimization { return core.Stack(opts...) }
 
-// TimingOptimization builds a custom timing-only Optimization from a
-// single edit of the patch's timing tier. Use it for user-defined
-// duration/gap/priority what-ifs that should compose with the built-ins
-// via Stack.
-func TimingOptimization(name string, apply func(*Overlay) error) Optimization {
-	return core.PatchOpt(name, TimingOnly, func(p *Patch) error { return apply(p.Timing()) }, nil)
-}
-
 // PatchOptimization builds a custom Optimization from its unified patch
 // form — the native constructor of the Apply(*Patch) interface. A
 // structural what-if records its surgery through the patch primitives
@@ -652,7 +634,7 @@ const DeviceGPU = mem.DeviceGPU
 func AnnotateMemory(g *Graph) (*MemoryAnnotation, error) { return mem.AnnotationOf(g) }
 
 // ComputeMemoryProfile sweeps the annotation's alloc/free events over a
-// finished simulation of any view — Graph, Overlay or Patch — and
+// finished simulation of any view — Graph or Patch — and
 // returns the per-device timeline. A pure post-pass: the SimResult is
 // bit-identical before and after, on every simulation tier.
 func ComputeMemoryProfile(v TaskView, res *SimResult, ann *MemoryAnnotation) (*MemoryProfile, error) {
@@ -695,7 +677,7 @@ func Diagnose(g *Graph) (byResource, byPhase []PathAttribution, err error) {
 }
 
 // DiagnoseSim is Diagnose over an existing simulation of any task view
-// — the shared baseline, or the Overlay/Patch of a clone-free scenario.
+// — the shared baseline, or the Patch of a clone-free scenario.
 // KeepSims sweep consumers use it to diagnose patch scenarios straight
 // from the retained SimResult, without materializing a graph: the
 // critical path reads effective adjacency and sequence links through
@@ -709,7 +691,7 @@ func DiagnoseSim(v TaskView, res *SimResult) (byResource, byPhase []PathAttribut
 
 // CriticalPath returns the simulated critical path of any task view —
 // the chain of tasks whose starts coincide with the constraints that
-// determine the makespan. For patch or overlay simulations the walk
+// determine the makespan. For patch simulations the walk
 // reads the view's effective adjacency, so no materialization is
 // needed.
 func CriticalPath(v TaskView, res *SimResult) []*Task {

@@ -41,21 +41,22 @@
 // Apply(*Patch). A Patch is a copy-on-write view of the shared
 // immutable baseline layering structural deltas (task additions in an
 // appendix ID range, task removals, edge additions/removals with
-// kinds) on top of an Overlay's timing deltas, and Patch.Simulate runs
+// kinds) on top of per-task timing deltas, and Patch.Simulate runs
 // Algorithm 1 over the composite view bit-identically to cloning and
 // mutating — so no optimization ever needs a clone. The registry
 // (Optimizations, OptimizationByName, ParseOptimization) resolves names
 // and "amp+fusedadam"-style stack expressions (duplicate names are
-// rejected), and TimingOptimization / PatchOptimization build custom
-// values that compose with the built-ins.
+// rejected), and PatchOptimization builds custom values that compose
+// with the built-ins.
 //
 // Because a single profile answers arbitrarily many what-if questions,
 // the package is built to make each additional question cheap. The
 // dependency graph uses dense slice-indexed storage (task IDs are array
 // indices, adjacency is CSR-style on the tasks), so Clone is a
 // near-memcpy and Simulate runs a binary-heap frontier over flat
-// arrays; a Patch simulates timing-only edits on the pure-overlay fast
-// path and structural edits through masked/appendix arrays. Sweep fans
+// arrays; a Patch simulates timing-only edits on a fast path that
+// compiles no structure and structural edits through masked/appendix
+// arrays. Sweep fans
 // a whole scenario grid out over a worker pool sharing one baseline,
 // with every Opt on the clone-free patch path — a value that models
 // several iterations (OptP3) patches a per-scenario Repeat of it:
@@ -71,7 +72,7 @@
 // the frontier task to dispatch and reads the simulation's effective
 // state — timings, priorities, earliest starts — through the
 // SchedContext, which makes policies view-generic: the same policy runs
-// clone-free over a Graph, an Overlay or a structural Patch,
+// clone-free over a Graph or a Patch,
 // bit-identical to scheduling the materialized graph. Supply one with
 // WithScheduler (directly or in a Scenario's SimOptions), or let the
 // optimization carry its own (OptVDNN pairs vDNN's offload/prefetch
@@ -88,7 +89,7 @@
 //
 // Every what-if has one form. The built-ins are Opt* values (OptAMP,
 // OptFusedAdam, OptDistributed, …); custom what-ifs are built with
-// PatchOptimization or TimingOptimization; and
+// PatchOptimization; and
 // Compare and Scenario take only an Optimization. Measurer and
 // Scenario.Measure read a read-only TaskView (a *Graph or *Patch).
 //

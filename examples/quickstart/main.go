@@ -33,7 +33,7 @@ func main() {
 	// (compute kernels 3× faster, memory-bound kernels 2×). Compare
 	// picks the cheapest valid path from the value's footprint; AMP is
 	// timing-only, so it evaluates clone-free through a copy-on-write
-	// overlay.
+	// patch's timing deltas.
 	baseline, predicted, err := daydream.Compare(g, daydream.OptAMP())
 	if err != nil {
 		log.Fatal(err)

@@ -59,14 +59,14 @@ func main() {
 	}
 
 	// 2. What if the CPU were 2× faster? A custom timing-only
-	// optimization: it edits durations and gaps through the overlay, so
+	// optimization: it edits durations and gaps through the patch, so
 	// Compare evaluates it clone-free — and it composes with the
 	// built-in AMP value like any registry optimization.
-	cpu2x := daydream.TimingOptimization("cpu2x", func(o *daydream.Overlay) error {
-		for _, t := range o.Base().Tasks() {
+	cpu2x := daydream.PatchOptimization("cpu2x", daydream.TimingOnly, func(p *daydream.Patch) error {
+		for _, t := range p.Base().Tasks() {
 			if t.OnCPU() {
-				o.SetDuration(t, o.Duration(t)/2)
-				o.SetGap(t, o.Gap(t)/2)
+				p.SetDuration(t, p.Duration(t)/2)
+				p.SetGap(t, p.Gap(t)/2)
 			}
 		}
 		return nil

@@ -38,10 +38,9 @@ func baselineGraph(t *testing.T) *core.Graph {
 	return g
 }
 
-// timingOpt wraps an edit of the patch's timing tier as a timing-only
-// value.
-func timingOpt(edit func(*core.Overlay) error) core.Optimization {
-	return core.PatchOpt("timing", core.TimingOnly, func(p *core.Patch) error { return edit(p.Timing()) }, nil)
+// timingOpt wraps a timing edit of the patch as a timing-only value.
+func timingOpt(edit func(*core.Patch) error) core.Optimization {
+	return core.PatchOpt("timing", core.TimingOnly, edit, nil)
 }
 
 func TestCorruptTracesRejectedTyped(t *testing.T) {
@@ -70,9 +69,8 @@ func TestAdversarialPatchesAcrossTiers(t *testing.T) {
 
 	shrink := func(factor float64) core.Optimization {
 		return core.PatchOpt("shrink", core.TimingOnly, func(p *core.Patch) error {
-			o := p.Timing()
-			for _, task := range o.Base().Select((*core.Task).OnGPU) {
-				o.ScaleDuration(task, factor)
+			for _, task := range p.Base().Select((*core.Task).OnGPU) {
+				p.ScaleDuration(task, factor)
 			}
 			return nil
 		}, nil)
@@ -193,9 +191,9 @@ func TestChaosCancellationUnderLoad(t *testing.T) {
 		factor := 1.0 - float64(i)/128
 		scenarios[i] = sweep.Scenario{
 			Name: fmt.Sprintf("s%d", i),
-			Opt: timingOpt(func(o *core.Overlay) error {
-				for _, task := range o.Base().Select((*core.Task).OnGPU) {
-					o.ScaleDuration(task, factor)
+			Opt: timingOpt(func(p *core.Patch) error {
+				for _, task := range p.Base().Select((*core.Task).OnGPU) {
+					p.ScaleDuration(task, factor)
 				}
 				return nil
 			}),
@@ -242,9 +240,9 @@ func TestChaosIncrementalTierFaults(t *testing.T) {
 	shrink := func(factor float64) sweep.Scenario {
 		return sweep.Scenario{
 			Name: fmt.Sprintf("shrink-%v", factor),
-			Opt: timingOpt(func(o *core.Overlay) error {
-				for _, task := range o.Base().Select((*core.Task).OnGPU) {
-					o.ScaleDuration(task, factor)
+			Opt: timingOpt(func(p *core.Patch) error {
+				for _, task := range p.Base().Select((*core.Task).OnGPU) {
+					p.ScaleDuration(task, factor)
 				}
 				return nil
 			}),
@@ -255,7 +253,7 @@ func TestChaosIncrementalTierFaults(t *testing.T) {
 	// panic then lands on warm state, which quarantine discards.
 	scenarios := []sweep.Scenario{
 		shrink(0.9), shrink(0.8), shrink(0.7), shrink(0.6),
-		{Name: "kaboom", Opt: timingOpt(func(o *core.Overlay) error { panic("chaos") })},
+		{Name: "kaboom", Opt: timingOpt(func(p *core.Patch) error { panic("chaos") })},
 		shrink(0.5), shrink(0.4),
 	}
 	results, err := sweep.Run(g, scenarios, sweep.Workers(1))
@@ -271,11 +269,11 @@ func TestChaosIncrementalTierFaults(t *testing.T) {
 		}
 		// Cold reference for the same delta.
 		factor := []float64{0.9, 0.8, 0.7, 0.6, 0, 0.5, 0.4}[i]
-		o := core.NewOverlay(g)
+		p := core.NewPatch(g)
 		for _, task := range g.Select((*core.Task).OnGPU) {
-			o.ScaleDuration(task, factor)
+			p.ScaleDuration(task, factor)
 		}
-		ref, err := o.Simulate()
+		ref, err := p.Simulate()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,8 +6,9 @@ import (
 )
 
 // baseForm is a graph's compiled per-ID baseline: the timing arrays
-// every Overlay and Patch over the graph starts its effective values
-// from, and the task → thread-ordinal layout every view simulates with.
+// every Patch over the graph starts its effective values from (and an
+// IncrementalSim reads as its warm timings), and the task →
+// thread-ordinal layout every view simulates with.
 // It costs 28 bytes per task ID. It is built on first use by a view,
 // published atomically on the graph, and read-only from then on, so any
 // number of views share one copy and rebinding a view to another

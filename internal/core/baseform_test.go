@@ -12,7 +12,7 @@ import (
 
 // wideGraph builds three 70-task streams, interleaved in ID order, with
 // a cross-stream edge at every fifth position — enough tasks that an
-// all-task edit densifies an overlay.
+// all-task edit densifies a patch's timing tier.
 func wideGraph(t *testing.T) (*Graph, [][]*Task) {
 	t.Helper()
 	g := NewGraph()
@@ -91,8 +91,8 @@ func TestRebindAfterStructuralEdit(t *testing.T) {
 					for _, k := range g.Tasks() {
 						p.ScaleDuration(k, 1)
 					}
-					if !p.Timing().DenseEdits() {
-						t.Fatal("an all-task edit left the overlay sparse")
+					if !p.dense {
+						t.Fatal("an all-task edit left the patch sparse")
 					}
 				}
 				if _, err := p.Simulate(); err != nil {
@@ -188,11 +188,7 @@ func TestCompiledBaseConcurrentViews(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if i%2 == 0 {
-				got[i], errs[i] = NewPatch(g).Simulate()
-			} else {
-				got[i], errs[i] = NewOverlay(g).Simulate()
-			}
+			got[i], errs[i] = NewPatch(g).Simulate()
 		}()
 	}
 	wg.Wait()

@@ -16,7 +16,7 @@ func CriticalPath(g *Graph, res *SimResult) []*Task {
 }
 
 // CriticalPathView is CriticalPath over any task view — the *Graph the
-// simulation ran on, or the *Overlay/*Patch of a clone-free scenario,
+// simulation ran on, or the *Patch of a clone-free scenario,
 // whose effective adjacency and sequence links the reconstruction reads
 // without materializing anything. KeepSims sweep consumers use it to
 // diagnose patch scenarios directly from the retained SimResult.
@@ -29,10 +29,9 @@ func CriticalPath(g *Graph, res *SimResult) []*Task {
 // truncate the chain); only a task with no binding constraint at all
 // ends it.
 func CriticalPathView(v TaskView, res *SimResult) []*Task {
-	// End times read through the result, so an overlay or patch
-	// simulation's effective timings drive the reconstruction
-	// (TaskDuration/TaskGap fall back to the Task fields for plain
-	// simulations).
+	// End times read through the result, so a patch simulation's
+	// effective timings drive the reconstruction (TaskDuration/TaskGap
+	// fall back to the Task fields for plain simulations).
 	end := func(t *Task) time.Duration {
 		return res.Start[t.ID] + res.TaskDuration(t) + res.TaskGap(t)
 	}
@@ -92,7 +91,7 @@ type PathAttribution struct {
 
 // AttributePath groups a critical path's time by the given labeling
 // function, sorted by descending time. Times come from the raw Task
-// fields; for paths over an overlay or patch simulation use
+// fields; for paths over a patch simulation use
 // AttributePathSim, which reads the effective timings.
 func AttributePath(path []*Task, label func(*Task) string) []PathAttribution {
 	return attributePath(path, label, func(t *Task) time.Duration {
@@ -102,7 +101,7 @@ func AttributePath(path []*Task, label func(*Task) string) []PathAttribution {
 
 // AttributePathSim is AttributePath with the simulation's effective
 // per-task timings: each task contributes res.TaskDuration+res.TaskGap,
-// so paths from clone-free overlay or patch scenarios attribute the
+// so paths from clone-free patch scenarios attribute the
 // scenario's timings rather than the shared baseline's.
 func AttributePathSim(res *SimResult, path []*Task, label func(*Task) string) []PathAttribution {
 	return attributePath(path, label, func(t *Task) time.Duration {

@@ -25,8 +25,8 @@
 // # Simulation tiers
 //
 // One Algorithm-1 loop, four evaluation tiers, cheapest first.
-// Graph.Simulate, Overlay.Simulate and Patch.Simulate each compile their
-// view into one flat per-ID form: the live-task table, effective
+// Graph.Simulate and Patch.Simulate each compile their view into one
+// flat per-ID form: the live-task table, effective
 // durations, gaps and priorities, thread ordinals, and child lists that
 // default to the baseline's own adjacency and are overridden only for
 // the tasks whose out-edges a patch changed. One lazy-key heap loop runs
@@ -37,7 +37,7 @@
 // form — per-ID durations, gaps and priorities and the thread layout,
 // 28 bytes per task ID — is memoized on the Graph the first time a view
 // compiles it, published atomically and shared read-only by every
-// Overlay and Patch over that graph, so rebinding a view between
+// Patch and IncrementalSim over that graph, so rebinding a patch between
 // baselines is a pointer load. The structural mutators (NewTask,
 // Remove, InsertAfter, InsertBefore) and MapLayers drop it; Clone and
 // Repeat start without one; task timing fields written in place after a
@@ -45,11 +45,11 @@
 // thread layout when one exists and otherwise builds none. A Patch
 // whose baseline is superseded (SupersedeBaseline) and joined to its
 // appendix by no edge or thread runs the heap loop over the appendix
-// alone. A *Graph is the form with
-// no deltas, an Overlay adds timing deltas, and a structural Patch adds
-// its appendix, removals and edge edits. Every tier is bit-identical to
-// cloning the baseline, mutating the clone and cold-simulating it; they
-// differ only in how much work a what-if costs. Numbers are BENCH.json's
+// alone. A *Graph is the form with no deltas, a Patch adds timing
+// deltas (sparse while few, dense per-ID arrays past a crossover) and,
+// when structural, its appendix, removals and edge edits. Every tier is
+// bit-identical to cloning the baseline, mutating the clone and
+// cold-simulating it; they differ only in how much work a what-if costs. Numbers are BENCH.json's
 // bert-large workload (~12.7K tasks); the sweep dispatches between them
 // automatically and reports its choice per scenario in Result.Tier
 // (daydream sweep -explain).
@@ -63,12 +63,13 @@
 //     answered cold (the cutoff), and deltas it cannot model — priority
 //     edits, structural ops, custom schedulers, negative timings — take
 //     the documented cold fallback.
-//   - overlay replay — Overlay.Simulate: a full cold replay through
-//     copy-on-write timing deltas, ~0.82ms. The workhorse for dense
+//   - overlay replay — Patch.Simulate of a patch with no structural
+//     delta: a full cold replay through copy-on-write timing deltas,
+//     with no structural compile, ~0.82ms. The workhorse for dense
 //     timing-only what-ifs (AMP rescales half the graph).
-//   - patch — Patch.Simulate: the composite structural view (appendix
-//     IDs, masked removals, overridden child lists) over the overlay's
-//     timing tier, ~1.3ms for the Distributed insertion scenario.
+//   - patch — Patch.Simulate of a structural patch: the composite view
+//     (appendix IDs, masked removals, overridden child lists) over the
+//     same timing deltas, ~1.3ms for the Distributed insertion scenario.
 //   - cold — Graph.Simulate of the baseline itself, ~1.3ms; also the
 //     replay tier for no-op scenarios in a sweep.
 //
@@ -81,7 +82,7 @@
 //
 // # Round windows
 //
-// WithRoundWindow(w) puts any simulation — Graph, Overlay, Patch,
+// WithRoundWindow(w) puts any simulation — Graph or Patch,
 // scheduled or not — into windowed mode: rounds more than w behind the
 // newest finished round are retired into RoundSummary records (round
 // end, span contribution, per-thread ends including gaps) and their
@@ -125,7 +126,7 @@
 //	                     names the first blocked tasks) — the runtime face of a cycle
 //
 // Cancellation contract: WithContext(ctx) threads a context through
-// every tier. Graph.Simulate, Overlay.Simulate, Patch.Simulate and the
+// every tier. Graph.Simulate, Patch.Simulate and the
 // scheduled path check the context on entry and then every 1024
 // executed tasks; IncrementalSim.ReSimulate checks every 1024
 // recomputed cone members. A nil context costs nothing (the checks

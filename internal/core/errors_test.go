@@ -94,10 +94,10 @@ func TestGraphCycleIsTyped(t *testing.T) {
 		t.Fatalf("scheduled Simulate = (%v, %v), want (nil, ErrStalled)", res, err)
 	}
 
-	o := NewOverlay(g)
+	o := NewPatch(g)
 	res, err = o.Simulate()
 	if res != nil || !errors.Is(err, ErrStalled) {
-		t.Fatalf("overlay Simulate = (%v, %v), want (nil, ErrStalled)", res, err)
+		t.Fatalf("timing patch Simulate = (%v, %v), want (nil, ErrStalled)", res, err)
 	}
 }
 
@@ -166,10 +166,10 @@ func TestSimulateCancellation(t *testing.T) {
 	res, err = g.Simulate(WithContext(ctx), WithScheduler(pickFirst{}))
 	check("graph/scheduled", res, err)
 
-	o := NewOverlay(g)
+	o := NewPatch(g)
 	o.SetDuration(ts[2], 300)
 	res, err = o.Simulate(WithContext(ctx))
-	check("overlay", res, err)
+	check("timing patch", res, err)
 
 	p := NewPatch(g)
 	extra := p.NewTask("extra", ts[0].Kind, CPU(0), 10)

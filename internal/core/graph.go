@@ -21,7 +21,7 @@ import (
 //
 // A graph memoizes what its views derive from it: the layer/phase
 // index, the memory annotation, and the compiled per-ID baseline
-// (timings and thread layout) every Overlay and Patch simulates from.
+// (timings and thread layout) every Patch simulates from.
 // The structural mutators (NewTask, Remove, InsertAfter, InsertBefore)
 // and MapLayers drop those memos, so a view rebound with Reset after
 // such an edit sees the grown graph. Task timing fields (Duration, Gap,
@@ -49,9 +49,9 @@ type Graph struct {
 	// pointers into the graph it was built from.
 	layerIdx layerIdxMemo
 
-	// form memoizes the compiled per-ID baseline every Overlay and Patch
-	// over the graph simulates from (see baseform.go), and whose thread
-	// layout Graph.Simulate reuses when one exists. Structural mutators
+	// form memoizes the compiled per-ID baseline every Patch and
+	// IncrementalSim over the graph reads (see baseform.go), and whose
+	// thread layout Graph.Simulate reuses when one exists. Structural mutators
 	// that allocate, remove or move tasks drop it, as does MapLayers;
 	// Clone and Repeat leave the copy's empty.
 	form atomic.Pointer[baseForm]

@@ -17,7 +17,7 @@ import (
 // valid topological order of the dependency graph), the per-thread
 // completion sequences, and every task's warm start/end. ReSimulate
 // then takes any timing-only view of that baseline — the baseline
-// itself, an *Overlay, or a non-structural *Patch — seeds a priority
+// itself or a non-structural *Patch — seeds a priority
 // queue with the tasks whose effective duration/gap differ from warm,
 // and propagates new start times forward in warm-ordinal order along
 // dependency children and thread successors, stopping wherever a task's
@@ -39,7 +39,7 @@ import (
 // slower in the cases it cannot accelerate.
 //
 // An IncrementalSim is not safe for concurrent use; the sharing model
-// is the overlay's — one per goroutine over one shared immutable
+// is the patch's — one per goroutine over one shared immutable
 // baseline (the warm build itself only reads the graph). The baseline
 // must not be mutated while the IncrementalSim is bound to it.
 type IncrementalSim struct {
@@ -50,13 +50,14 @@ type IncrementalSim struct {
 	// Warm schedule, indexed by task ID unless noted.
 	warmStart []time.Duration
 	warmEnd   []time.Duration
-	warmDur   []time.Duration
-	warmGap   []time.Duration
-	ord       []int32 // execution ordinal; -1 for ID holes
-	byOrd     []int32 // task ID by execution ordinal
-	thrPred   []int32 // previous task ID in warm thread order; -1 none
-	thrSucc   []int32 // next task ID in warm thread order; -1 none
-	thrOf     []int32 // thread ordinal; -1 for ID holes
+	// base is the graph's compiled form, whose dur and gap are the warm
+	// timings, shared read-only with every patch over the graph.
+	base    *baseForm
+	ord     []int32 // execution ordinal; -1 for ID holes
+	byOrd   []int32 // task ID by execution ordinal
+	thrPred []int32 // previous task ID in warm thread order; -1 none
+	thrSucc []int32 // next task ID in warm thread order; -1 none
+	thrOf   []int32 // thread ordinal; -1 for ID holes
 
 	// Per-thread-ordinal warm state.
 	thrIDs        []ThreadID
@@ -104,6 +105,7 @@ func NewIncrementalSim(g *Graph) (*IncrementalSim, error) {
 		return nil, fmt.Errorf("core: NewIncrementalSim: nil graph")
 	}
 	n := len(g.tasks)
+	base := g.compiledBase() // first, so the warm run borrows its layout
 	order := make([]int32, 0, g.live)
 	res, err := g.Simulate(withExecOrder(&order))
 	if err != nil {
@@ -115,8 +117,7 @@ func NewIncrementalSim(g *Graph) (*IncrementalSim, error) {
 		n:         n,
 		warmStart: res.Start,
 		warmEnd:   make([]time.Duration, n),
-		warmDur:   make([]time.Duration, n),
-		warmGap:   make([]time.Duration, n),
+		base:      base,
 		ord:       make([]int32, n),
 		byOrd:     order,
 		thrPred:   make([]int32, n),
@@ -140,7 +141,6 @@ func NewIncrementalSim(g *Graph) (*IncrementalSim, error) {
 		if t == nil {
 			continue
 		}
-		s.warmDur[id], s.warmGap[id] = t.Duration, t.Gap
 		s.warmEnd[id] = s.warmStart[id] + t.Duration + t.Gap
 		if t.Duration+t.Gap < 0 {
 			s.negWarm = true
@@ -197,22 +197,17 @@ func (s *IncrementalSim) LastFellBack() bool { return s.lastFellBack }
 // Stats returns lifetime counters.
 func (s *IncrementalSim) Stats() IncrStats { return s.stats }
 
-// timingView extracts the overlay that carries view's timing deltas
-// over s's baseline, or reports that the view needs a cold simulation
+// timingView extracts the patch that carries view's timing deltas over
+// s's baseline, or reports that the view needs a cold simulation
 // (structural patch, foreign type). A *Graph view (the baseline itself)
-// yields a nil overlay: the empty delta.
-func (s *IncrementalSim) timingView(view TaskView) (o *Overlay, cold bool, err error) {
+// yields a nil patch: the empty delta.
+func (s *IncrementalSim) timingView(view TaskView) (tp *Patch, cold bool, err error) {
 	switch v := view.(type) {
 	case *Graph:
 		if v != s.g {
 			return nil, false, fmt.Errorf("core: ReSimulate: graph view is not the warm baseline")
 		}
 		return nil, false, nil
-	case *Overlay:
-		if v.Base() != s.g {
-			return nil, false, fmt.Errorf("core: ReSimulate: overlay views a different baseline")
-		}
-		return v, false, nil
 	case *Patch:
 		if v.Base() != s.g {
 			return nil, false, fmt.Errorf("core: ReSimulate: patch views a different baseline")
@@ -220,7 +215,7 @@ func (s *IncrementalSim) timingView(view TaskView) (o *Overlay, cold bool, err e
 		if v.Structural() {
 			return nil, true, nil // added/removed tasks or edges: cold
 		}
-		return v.Timing(), false, nil
+		return v, false, nil
 	default:
 		return nil, true, nil
 	}
@@ -234,8 +229,6 @@ func (s *IncrementalSim) coldSimulate(view TaskView, opts []SimOption) (*SimResu
 	s.lastRecomputed = view.NumTasks()
 	switch v := view.(type) {
 	case *Graph:
-		return v.Simulate(opts...)
-	case *Overlay:
 		return v.Simulate(opts...)
 	case *Patch:
 		return v.Simulate(opts...)
@@ -268,7 +261,7 @@ func (s *IncrementalSim) ReSimulate(view TaskView, opts ...SimOption) (*SimResul
 	if err := ctxCanceled(so.ctx); err != nil {
 		return nil, err
 	}
-	o, cold, err := s.timingView(view)
+	tp, cold, err := s.timingView(view)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +269,7 @@ func (s *IncrementalSim) ReSimulate(view TaskView, opts ...SimOption) (*SimResul
 	// reconstructs the full start array the window exists to avoid. The
 	// cold fallback forwards the caller's options verbatim, so the
 	// window takes effect there.
-	if cold || so.window > 0 || s.negWarm || customScheduler(so.scheduler) != nil || (o != nil && o.prioEdited) {
+	if cold || so.window > 0 || s.negWarm || customScheduler(so.scheduler) != nil || (tp != nil && tp.prioEdited) {
 		return s.coldSimulate(view, opts)
 	}
 
@@ -285,32 +278,33 @@ func (s *IncrementalSim) ReSimulate(view TaskView, opts ...SimOption) (*SimResul
 	// end monotonicity, so it goes cold like the other unreachable
 	// deltas.
 	s.seeds = s.seeds[:0]
-	if o != nil {
-		if o.dense {
+	warmDur, warmGap := s.base.dur, s.base.gap
+	if tp != nil {
+		if tp.dense {
 			for id := 0; id < s.n; id++ {
 				if s.ord[id] < 0 {
 					continue
 				}
-				if o.dur[id] != s.warmDur[id] || o.gap[id] != s.warmGap[id] {
-					if o.dur[id]+o.gap[id] < 0 {
+				if tp.dur[id] != warmDur[id] || tp.gap[id] != warmGap[id] {
+					if tp.dur[id]+tp.gap[id] < 0 {
 						return s.coldSimulate(view, opts)
 					}
 					s.seeds = append(s.seeds, int32(id))
 				}
 			}
 		} else {
-			for id, e := range o.sparse {
+			for id, e := range tp.sparse {
 				if id < 0 || id >= s.n || s.ord[id] < 0 {
 					continue
 				}
-				d, gp := s.warmDur[id], s.warmGap[id]
+				d, gp := warmDur[id], warmGap[id]
 				if e.set&editDur != 0 {
 					d = e.dur
 				}
 				if e.set&editGap != 0 {
 					gp = e.gap
 				}
-				if d != s.warmDur[id] || gp != s.warmGap[id] {
+				if d != warmDur[id] || gp != warmGap[id] {
 					if d+gp < 0 {
 						return s.coldSimulate(view, opts)
 					}
@@ -322,7 +316,7 @@ func (s *IncrementalSim) ReSimulate(view TaskView, opts ...SimOption) (*SimResul
 
 	// A delta touching a large fraction of the graph has an affected
 	// cone close to the whole schedule, and the ordinal heap plus the
-	// per-seed bookkeeping then cost more than the overlay's straight
+	// per-seed bookkeeping then cost more than the patch's straight
 	// frontier replay (measured: bulk AMP deltas — about half the live
 	// tasks — run ~3× slower incrementally). Dense deltas go cold
 	// instead: a performance cutoff rather than a soundness fallback,
@@ -378,9 +372,9 @@ func (s *IncrementalSim) ReSimulate(view TaskView, opts ...SimOption) (*SimResul
 				start = e
 			}
 		}
-		d, gp := s.warmDur[id], s.warmGap[id]
-		if o != nil {
-			d, gp = o.Duration(t), o.Gap(t)
+		d, gp := warmDur[id], warmGap[id]
+		if tp != nil {
+			d, gp = tp.Duration(t), tp.Gap(t)
 		}
 		end := start + d + gp
 		s.state[id] = gen
@@ -424,14 +418,14 @@ func (s *IncrementalSim) ReSimulate(view TaskView, opts ...SimOption) (*SimResul
 	s.touched = touched
 	s.lastRecomputed = recomputed
 	s.stats.Recomputed += recomputed
-	return s.fillResult(so.result, o, touched), nil
+	return s.fillResult(so.result, tp, touched), nil
 }
 
 // fillResult reconstructs the full SimResult from the warm schedule
 // plus the recomputed cone, matching a cold simulation of the view bit
-// for bit: starts, makespan, per-thread ends, and (for overlay views)
-// the effective timings.
-func (s *IncrementalSim) fillResult(buf *SimResult, o *Overlay, touched []int32) *SimResult {
+// for bit: starts, makespan, per-thread ends, and (for patch views) the
+// effective timings.
+func (s *IncrementalSim) fillResult(buf *SimResult, tp *Patch, touched []int32) *SimResult {
 	res := buf
 	if res == nil {
 		res = &SimResult{}
@@ -469,34 +463,17 @@ func (s *IncrementalSim) fillResult(buf *SimResult, o *Overlay, touched []int32)
 	}
 
 	// Effective timings: a graph view leaves them empty (Task fields
-	// are authoritative, as in Graph.Simulate); an overlay view carries
+	// are authoritative, as in Graph.Simulate); a patch view carries
 	// them so SimResult.TaskDuration/Finish/CriticalPath read the
-	// overlaid values, as in Overlay.Simulate.
-	if o == nil {
+	// patched values, as in Patch.Simulate.
+	if tp == nil {
 		res.dur = res.dur[:0]
 		res.gap = res.gap[:0]
 		return res
 	}
 	res.dur = resize(res.dur, s.n)
 	res.gap = resize(res.gap, s.n)
-	if o.dense {
-		copy(res.dur, o.dur)
-		copy(res.gap, o.gap)
-	} else {
-		copy(res.dur, s.warmDur)
-		copy(res.gap, s.warmGap)
-		for id, e := range o.sparse {
-			if id < 0 || id >= s.n {
-				continue
-			}
-			if e.set&editDur != 0 {
-				res.dur[id] = e.dur
-			}
-			if e.set&editGap != 0 {
-				res.gap[id] = e.gap
-			}
-		}
-	}
+	tp.fillTiming(s.base, res.dur, res.gap)
 	return res
 }
 

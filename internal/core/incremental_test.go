@@ -43,7 +43,7 @@ func assertSameSim(t *testing.T, v TaskView, got, want *SimResult) {
 // TestIncrementalRandomDeltasZooModel is the randomized convergence
 // test of the incremental engine on a real profiled graph: k random
 // duration (and gap) edits, k ∈ {1, 4, 64}, must re-simulate
-// bit-identically to a cold overlay simulation.
+// bit-identically to a cold patch simulation.
 func TestIncrementalRandomDeltasZooModel(t *testing.T) {
 	g := modelGraph(t, "resnet50")
 	sim, err := NewIncrementalSim(g)
@@ -53,7 +53,7 @@ func TestIncrementalRandomDeltasZooModel(t *testing.T) {
 	tasks := g.Tasks()
 	rng := rand.New(rand.NewSource(42))
 	buf := &SimResult{}
-	o := NewOverlay(g)
+	o := NewPatch(g)
 	for _, k := range []int{1, 4, 64} {
 		for round := 0; round < 8; round++ {
 			o.Reset(g)
@@ -96,7 +96,7 @@ func TestIncrementalRandomDAGs(t *testing.T) {
 			t.Fatal(err)
 		}
 		tasks := g.Tasks()
-		o := NewOverlay(g)
+		o := NewPatch(g)
 		for round := 0; round < 6; round++ {
 			o.Reset(g)
 			for i := rng.Intn(4) + 1; i > 0; i-- {
@@ -135,7 +135,7 @@ func TestIncrementalConeRegression(t *testing.T) {
 	}
 	last := path[len(path)-1]
 
-	o := NewOverlay(g)
+	o := NewPatch(g)
 	const delta = 123 * time.Microsecond
 	o.SetDuration(last, last.Duration+delta)
 	got, err := sim.ReSimulate(o)
@@ -209,7 +209,7 @@ func TestIncrementalFallbacks(t *testing.T) {
 	tasks := g.Tasks()
 
 	t.Run("priority-edit", func(t *testing.T) {
-		o := NewOverlay(g)
+		o := NewPatch(g)
 		o.SetPriority(tasks[3], 99)
 		got, err := sim.ReSimulate(o)
 		if err != nil {
@@ -259,12 +259,12 @@ func TestIncrementalFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameSim(t, p.Timing(), got, want)
+		assertSameSim(t, p, got, want)
 	})
 
 	t.Run("custom-scheduler", func(t *testing.T) {
 		type wrapped struct{ EarliestStart }
-		o := NewOverlay(g)
+		o := NewPatch(g)
 		o.SetDuration(tasks[5], 1*time.Microsecond)
 		got, err := sim.ReSimulate(o, WithScheduler(wrapped{}))
 		if err != nil {
@@ -281,7 +281,7 @@ func TestIncrementalFallbacks(t *testing.T) {
 	})
 
 	t.Run("negative-timing", func(t *testing.T) {
-		o := NewOverlay(g)
+		o := NewPatch(g)
 		o.SetGap(tasks[2], -tasks[2].Duration-time.Microsecond)
 		got, err := sim.ReSimulate(o)
 		if err != nil {
@@ -298,9 +298,9 @@ func TestIncrementalFallbacks(t *testing.T) {
 	})
 
 	t.Run("foreign-baseline-overlay", func(t *testing.T) {
-		o := NewOverlay(g.Clone())
+		o := NewPatch(g.Clone())
 		if _, err := sim.ReSimulate(o); err == nil {
-			t.Fatal("accepted an overlay over a foreign baseline")
+			t.Fatal("accepted a patch over a foreign baseline")
 		}
 	})
 
@@ -355,7 +355,7 @@ func TestIncrementalUnforcedThread(t *testing.T) {
 
 	// Delta that flips the order: c1 slows to 300µs, so g2 becomes
 	// ready first and the cold scheduler runs it first.
-	o := NewOverlay(g)
+	o := NewPatch(g)
 	o.SetDuration(c1, 300*time.Microsecond)
 	got, err := sim.ReSimulate(o)
 	if err != nil {
@@ -395,7 +395,7 @@ func TestIncrementalUnforcedThread(t *testing.T) {
 // storage, Reset empties in place while keeping capacity.
 func TestSimResultResetClone(t *testing.T) {
 	g, tasks := chain(4, 10*time.Microsecond)
-	o := NewOverlay(g)
+	o := NewPatch(g)
 	o.SetDuration(tasks[1], 99*time.Microsecond)
 	res, err := o.Simulate()
 	if err != nil {

@@ -46,8 +46,8 @@ type LayerPhaseIndex struct {
 
 // LayerPhaseIndex returns the graph's memoized layer/phase index,
 // building it on first use. The memo is published atomically, so any
-// number of goroutines sharing an immutable graph (e.g. overlay sweep
-// workers) may call it concurrently; concurrent first calls may build
+// number of goroutines sharing an immutable graph (e.g. sweep workers)
+// may call it concurrently; concurrent first calls may build
 // duplicate-but-identical indexes, of which one wins.
 func (g *Graph) LayerPhaseIndex() *LayerPhaseIndex {
 	if ix := g.layerIdx.Load(); ix != nil {

@@ -10,7 +10,7 @@ import (
 // Since every optimization now applies through a single Patch, the
 // footprint is a fast-path hint (and display label) rather than a
 // dispatch decision: TimingOnly optimizations write only the patch's
-// timing tier (and stay eligible for the pure-overlay simulation fast
+// timing tier (and stay eligible for the timing-only simulation fast
 // path), Structural ones record structural deltas too.
 type OptFootprint uint8
 

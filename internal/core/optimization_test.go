@@ -28,10 +28,9 @@ func optTestGraph(t *testing.T, n int) *Graph {
 // halveGPU is a timing-only test optimization.
 func halveGPU() Optimization {
 	return PatchOpt("halve-gpu", TimingOnly, func(p *Patch) error {
-		o := p.Timing()
-		for _, u := range o.Base().Tasks() {
+		for _, u := range p.Base().Tasks() {
 			if u.OnGPU() {
-				o.SetDuration(u, o.Duration(u)/2)
+				p.SetDuration(u, p.Duration(u)/2)
 			}
 		}
 		return nil

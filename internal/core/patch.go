@@ -9,8 +9,8 @@ import (
 
 // Patch is a copy-on-write view of an immutable baseline Graph that
 // layers structural deltas — task additions, task removals, edge
-// additions and removals with kinds, sequence splices — on top of the
-// timing deltas of an embedded Overlay. It is the unified application
+// additions and removals with kinds, sequence splices — on top of
+// per-task timing deltas (see timing.go). It is the unified application
 // surface of the what-if system: every Optimization applies itself to a
 // Patch, timing-only models write only the timing tier, and structural
 // models (Distributed's all-reduce insertion, P3's push/pull
@@ -51,8 +51,34 @@ import (
 // materialized replay clears them on the private copy, as Graph.Remove
 // does).
 type Patch struct {
-	base   *Graph
-	timing *Overlay
+	base *Graph
+
+	// Timing tier (timing.go): sparse per-task edits below the
+	// crossover, dense effective-value arrays past it, materialized from
+	// the baseline's form and overwritten in place. Dense mode is sticky
+	// across a Reset to the same form (re-materializing is a memcpy), so
+	// a worker evaluating bulk-edit scenarios pays the sparse map only
+	// once.
+	sparse   map[int]timingEdit
+	dense    bool
+	dur, gap []time.Duration
+	prio     []int
+	// prioEdited records whether any baseline priority was edited; when
+	// false the simulation reads Task.Priority directly.
+	prioEdited bool
+	// zeroed records that every baseline task's effective duration and
+	// gap is zero: set by SupersedeBaseline, cleared by any non-zero
+	// timing edit and by Reset.
+	zeroed bool
+	// gen counts timing edits and rebinds; the materialization memo
+	// compares it to invalidate.
+	gen uint64
+	// form is the baseline's compiled form, read from the graph's memo
+	// on Reset and, when the graph had none yet, on first use.
+	form *baseForm
+	// scratch is the simulation working set of runs given no
+	// WithScratch, kept so a reused patch does not reallocate it.
+	scratch *SimScratch
 
 	// added is the appendix: tasks created through the patch, with IDs
 	// continuing the baseline's ID space in creation order.
@@ -83,7 +109,7 @@ type Patch struct {
 	ops []patchOp
 
 	// Materialization memo: mat is the last Materialize result, valid
-	// while the structural journal length and the timing tier's edit
+	// while the structural journal length and the timing edit
 	// generation still match the values captured at materialization.
 	// matCount counts actual clone+replay materializations, for the
 	// double-materialization regression tests.
@@ -124,7 +150,9 @@ const (
 
 // NewPatch returns an empty patch over the baseline graph.
 func NewPatch(g *Graph) *Patch {
-	return &Patch{base: g, timing: NewOverlay(g)}
+	p := &Patch{}
+	p.Reset(g)
+	return p
 }
 
 // ensureStructural lazily allocates the structural delta maps on the
@@ -149,22 +177,34 @@ func (p *Patch) ensureStructural() {
 // Base returns the baseline graph the patch views.
 func (p *Patch) Base() *Graph { return p.base }
 
-// Timing returns the patch's timing tier: the copy-on-write Overlay
-// holding its duration/gap/priority deltas over baseline tasks.
-func (p *Patch) Timing() *Overlay { return p.timing }
-
 // Structural reports whether the patch carries structural deltas (task
 // or edge additions/removals). A non-structural patch simulates on the
-// pure timing-overlay fast path.
+// timing fast path: no structural compile and no child-list overrides.
 func (p *Patch) Structural() bool { return len(p.ops) > 0 }
 
 // Reset drops every delta and rebinds the patch to the given baseline
 // (which may be the current one), retaining all allocated storage — the
 // sweep worker pool relies on this to keep per-scenario evaluation
-// nearly allocation-free.
+// nearly allocation-free. Rebinding reads the baseline's current
+// compiled form.
 func (p *Patch) Reset(g *Graph) {
-	p.timing.Reset(g)
-	p.base = g
+	var f *baseForm
+	if g != nil {
+		f = g.form.Load()
+	}
+	if f == nil || f != p.form {
+		// New baseline, or one whose form was dropped or not built yet.
+		p.dense = false
+	} else if p.dense {
+		// Same form: stay dense, re-materialize by memcpy.
+		copy(p.dur, f.dur)
+		copy(p.gap, f.gap)
+		copy(p.prio, f.prio)
+	}
+	p.base, p.form = g, f
+	p.prioEdited, p.zeroed = false, false
+	p.gen++
+	clear(p.sparse)
 	p.added = p.added[:0]
 	p.ops = p.ops[:0]
 	p.addedEdgeCount = 0
@@ -250,77 +290,6 @@ func (p *Patch) Tasks() []*Task {
 	return out
 }
 
-// Timing tier accessors. For baseline tasks these delegate to the
-// overlay; appendix tasks are private to the patch, so their fields are
-// read and written directly.
-
-// Duration returns the task's effective duration under the patch.
-func (p *Patch) Duration(t *Task) time.Duration {
-	if p.isAppendix(t) {
-		return t.Duration
-	}
-	return p.timing.Duration(t)
-}
-
-// Gap returns the task's effective gap under the patch.
-func (p *Patch) Gap(t *Task) time.Duration {
-	if p.isAppendix(t) {
-		return t.Gap
-	}
-	return p.timing.Gap(t)
-}
-
-// Priority returns the task's effective scheduling priority.
-func (p *Patch) Priority(t *Task) int {
-	if p.isAppendix(t) {
-		return t.Priority
-	}
-	return p.timing.Priority(t)
-}
-
-// SetDuration overrides the task's duration without touching the
-// baseline.
-func (p *Patch) SetDuration(t *Task, d time.Duration) {
-	if p.isAppendix(t) {
-		t.Duration = d
-		p.mat = nil
-		return
-	}
-	p.timing.SetDuration(t, d)
-}
-
-// SetGap overrides the task's gap without touching the baseline.
-func (p *Patch) SetGap(t *Task, d time.Duration) {
-	if p.isAppendix(t) {
-		t.Gap = d
-		p.mat = nil
-		return
-	}
-	p.timing.SetGap(t, d)
-}
-
-// SetPriority overrides the task's scheduling priority without touching
-// the baseline.
-func (p *Patch) SetPriority(t *Task, prio int) {
-	if p.isAppendix(t) {
-		t.Priority = prio
-		p.mat = nil
-		return
-	}
-	p.timing.SetPriority(t, prio)
-}
-
-// SupersedeBaseline sets every baseline task's effective duration and
-// gap to zero in one step: the baseline's execution contributes nothing
-// to the makespan while its dependency structure stays valid (removal
-// without Remove's reconnection cascade). Appendix tasks keep their
-// timings. When nothing else in the patch reaches the baseline — no
-// structural edit touches a baseline task or edge, and no appendix task
-// runs on a baseline thread — an unwindowed Simulate under the default
-// policy or a KeyedScheduler skips the baseline's tasks altogether: they
-// start at 0 whatever the order.
-func (p *Patch) SupersedeBaseline() { p.timing.zeroBaseline() }
-
 // supersedes reports whether the baseline's tasks may be skipped by a
 // static-order simulation of the compiled form: every baseline task has
 // zero effective duration and gap, no structural delta touches a
@@ -328,7 +297,7 @@ func (p *Patch) SupersedeBaseline() { p.timing.zeroBaseline() }
 // tasks starts at 0 and nothing is blocked), and no appendix task runs
 // on one of the first baseThreads thread ordinals (the baseline's).
 func (p *Patch) supersedes(threadOf []int32, baseThreads int) bool {
-	if !p.timing.zeroed || len(p.removedEdges) > 0 {
+	if !p.zeroed || len(p.removedEdges) > 0 {
 		return false
 	}
 	span := p.baseSpan()
@@ -353,12 +322,6 @@ func (p *Patch) supersedes(threadOf []int32, baseThreads int) bool {
 		}
 	}
 	return p.base.isAcyclic()
-}
-
-// ScaleDuration multiplies the task's effective duration by factor,
-// with the same arithmetic as the Scale primitive.
-func (p *Patch) ScaleDuration(t *Task, factor float64) {
-	p.SetDuration(t, time.Duration(float64(p.Duration(t))*factor))
 }
 
 // NewTask creates an appendix task with the next effective ID — exactly
@@ -766,25 +729,24 @@ func (p *Patch) RemoveTask(t *Task) {
 	p.removed[t.ID] = struct{}{}
 }
 
-// Simulate executes Algorithm 1 over the composite view — the
-// structural counterpart of Overlay.Simulate. Baseline tasks read their
-// timings through the patch's timing tier, appendix tasks execute with
-// their own fields, masked tasks and edges are skipped, and patch-added
-// edges contribute to reference counts and relaxation exactly as real
-// edges would. The baseline is only read; results are bit-identical to
-// materializing the patch into a private clone and simulating that.
+// Simulate executes Algorithm 1 over the composite view. Baseline tasks
+// read their timings through the patch's timing tier, appendix tasks
+// execute with their own fields, masked tasks and edges are skipped,
+// and patch-added edges contribute to reference counts and relaxation
+// exactly as real edges would. The baseline is only read; the returned
+// result carries the effective timings, so SimResult.Finish,
+// TaskDuration and CriticalPathView see the patched values. Results
+// are bit-identical to materializing the patch into a private clone and
+// simulating that.
 //
-// A patch with no structural deltas delegates to the timing tier's
-// Simulate, so timing-only scenarios keep the pure-overlay fast path.
-// Custom Schedulers run directly over the composite view too, reading
-// effective timings and priorities through their SchedContext, so
-// vDNN-style scheduling policies on a structural patch are just as
-// clone-free as the default policy.
+// A patch with no structural deltas compiles only its timing arrays
+// over the baseline's structure, the fast path of timing-only
+// scenarios. Custom Schedulers run directly over the composite view
+// too, reading effective timings and priorities through their
+// SchedContext, so vDNN-style scheduling policies on a structural patch
+// are just as clone-free as the default policy.
 func (p *Patch) Simulate(opts ...SimOption) (*SimResult, error) {
-	if !p.Structural() {
-		return p.timing.Simulate(opts...)
-	}
-	so, err := newSimOptions(opts, &p.timing.scratch)
+	so, err := newSimOptions(opts, &p.scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -794,16 +756,31 @@ func (p *Patch) Simulate(opts ...SimOption) (*SimResult, error) {
 	return p.compile(&so).simulate(&so)
 }
 
-// compile extends the timing tier's form with the structural deltas:
-// the appendix joins the task table, timings and thread layout, removed
-// IDs leave the table, and every task whose out-edges the patch changed
-// (removed, edge-masked or edge-adding sources) gets an override child
-// list in one shared buffer.
+// compile compiles the patched baseline: the baseline's structure and
+// its form's thread layout read in place, with effective timings (and
+// priorities, when edited) in per-ID arrays sized for the effective ID
+// span. A structural patch then extends that form: the appendix joins
+// the task table, timings and thread layout, removed IDs leave the
+// table, and every task whose out-edges the patch changed (removed,
+// edge-masked or edge-adding sources) gets an override child list in
+// one shared buffer.
 func (p *Patch) compile(so *simOptions) *simForm {
 	n, span := p.IDSpan(), p.baseSpan()
-	f := p.timing.compile(so, n)
+	base := p.snapshot()
+	dur, gap := so.timings(n)
+	p.fillTiming(base, dur, gap)
 	s := so.scratch
-	f.view, f.live = p, p.NumTasks()
+	f := &s.form
+	*f = simForm{view: p, tasks: p.base.tasks, live: p.base.live, dur: dur, gap: gap, threadOf: base.threadOf, threadIDs: base.threadIDs}
+	if p.prioEdited {
+		s.prio = resize(s.prio, n)
+		p.fillPriority(base, s.prio)
+		f.prio = s.prio
+	}
+	if !p.Structural() {
+		return f
+	}
+	f.live = p.NumTasks()
 	s.tasks = append(append(s.tasks[:0], f.tasks...), p.added...)
 	for id := range p.removed {
 		s.tasks[id] = nil
@@ -887,14 +864,14 @@ func (p *Patch) PredictIteration(opts ...SimOption) (time.Duration, error) {
 // that bypass the patch (direct field assignments on appendix tasks)
 // are not tracked and do not invalidate the memo.
 func (p *Patch) Materialize() (*Graph, error) {
-	if p.mat != nil && p.matOps == len(p.ops) && p.matGen == p.timing.generation() {
+	if p.mat != nil && p.matOps == len(p.ops) && p.matGen == p.gen {
 		return p.mat, nil
 	}
 	c := p.base.Clone()
 	if err := p.materializeInto(c); err != nil {
 		return nil, err
 	}
-	p.mat, p.matOps, p.matGen = c, len(p.ops), p.timing.generation()
+	p.mat, p.matOps, p.matGen = c, len(p.ops), p.gen
 	p.matCount++
 	return c, nil
 }
@@ -1011,9 +988,9 @@ func (p *Patch) materializeInto(target *Graph) error {
 			continue
 		}
 		ct := target.tasks[id]
-		ct.Duration = p.timing.Duration(bt)
-		ct.Gap = p.timing.Gap(bt)
-		ct.Priority = p.timing.Priority(bt)
+		ct.Duration = p.Duration(bt)
+		ct.Gap = p.Gap(bt)
+		ct.Priority = p.Priority(bt)
 	}
 	var appendix map[*Task]*Task
 	if len(p.added) > 0 {

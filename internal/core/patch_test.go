@@ -216,7 +216,7 @@ func TestPatchRemoveDependency(t *testing.T) {
 func TestPatchTimingTierAndAppendixTiming(t *testing.T) {
 	g := patchTestGraph(t, 4)
 	p := NewPatch(g)
-	// Baseline edits go through the overlay tier; appendix edits write
+	// Baseline edits go through the timing tier; appendix edits write
 	// the private fields.
 	k := g.Task(1)
 	p.SetDuration(k, time.Millisecond)
@@ -353,7 +353,7 @@ func TestPatchCustomSchedulerRunsOnCompositeView(t *testing.T) {
 	if _, err := p.Simulate(WithScheduler(EarliestStart{})); err != nil {
 		t.Fatal(err)
 	}
-	// A non-structural patch delegates to the overlay path, which runs
+	// A non-structural patch takes the timing fast path, which runs
 	// custom schedulers view-generically too.
 	p.Reset(g)
 	if _, err := p.Simulate(WithScheduler(lifoPatchScheduler{})); err != nil {
@@ -430,9 +430,9 @@ func TestPatchMaterializeMemo(t *testing.T) {
 	if _, err := p.Materialize(); err != nil {
 		t.Fatal(err)
 	}
-	// …and one through the timing tier directly (the shape of a
-	// timing-only optimization) does too.
-	p.Timing().SetGap(g.Task(1), time.Microsecond)
+	// …and so does a gap edit (the shape of a timing-only
+	// optimization).
+	p.SetGap(g.Task(1), time.Microsecond)
 	if _, err := p.Materialize(); err != nil {
 		t.Fatal(err)
 	}

@@ -14,13 +14,12 @@ import (
 // Pick returns the index into frontier of the task to dispatch; the
 // simulator removes the pick with an O(1) swap, so a custom policy costs
 // one frontier scan per step, not two. The SchedContext exposes the
-// effective state of the view the simulation runs over — a *Graph, an
-// *Overlay or a structural *Patch — so one policy evaluates clone-free
-// everywhere: read timings and priorities through ctx (ctx.Priority,
-// ctx.Duration), never from raw Task fields, which hold baseline values
-// under an overlay or patch. Implementations must be deterministic.
-// Returning an index outside [0, len(frontier)) aborts the simulation
-// with an error.
+// effective state of the view the simulation runs over — a *Graph or a
+// *Patch — so one policy evaluates clone-free everywhere: read timings
+// and priorities through ctx (ctx.Priority, ctx.Duration), never from
+// raw Task fields, which hold baseline values under a patch.
+// Implementations must be deterministic. Returning an index outside
+// [0, len(frontier)) aborts the simulation with an error.
 type Scheduler interface {
 	Pick(frontier []*Task, ctx *SchedContext) int
 }
@@ -55,8 +54,8 @@ type SchedContext struct {
 }
 
 // View returns the task view the simulation runs over: the *Graph
-// itself, or the *Overlay/*Patch whose effective attributes the
-// scheduler must read through.
+// itself, or the *Patch whose effective attributes the scheduler must
+// read through.
 func (c *SchedContext) View() TaskView { return c.f.view }
 
 // EffStart returns the earliest time the task could begin given its
@@ -130,10 +129,10 @@ type SimResult struct {
 	ThreadEnd map[ThreadID]time.Duration
 
 	// dur and gap are the compiled form's effective per-task timings,
-	// kept by every unwindowed Overlay and Patch simulation (empty for a
-	// plain Graph.Simulate, where the Task fields are authoritative).
+	// kept by every unwindowed Patch simulation (empty for a plain
+	// Graph.Simulate, where the Task fields are authoritative).
 	// TaskDuration/TaskGap/Finish read through them so result consumers
-	// never see baseline timings for an overlaid task.
+	// never see baseline timings for a patched task.
 	dur, gap []time.Duration
 
 	// win holds the sliding-window state of a round-windowed simulation
@@ -143,7 +142,7 @@ type SimResult struct {
 }
 
 // TaskDuration returns the task duration the simulation used: the
-// overlay's effective duration for an overlay simulation, the task's own
+// patch's effective duration for a patch simulation, the task's own
 // Duration otherwise. On a windowed result the task must be within the
 // retained window.
 func (r *SimResult) TaskDuration(t *Task) time.Duration {
@@ -283,7 +282,7 @@ func newResult(buf *SimResult, n, threads int) *SimResult {
 		}
 	}
 	// Keep the capacity, drop the content: a plain simulation must not
-	// inherit a previous overlay simulation's timings (or a previous
+	// inherit a previous patch simulation's timings (or a previous
 	// windowed simulation's window).
 	buf.dur = buf.dur[:0]
 	buf.gap = buf.gap[:0]
@@ -367,7 +366,7 @@ func layoutThreads(of []int32, ids []ThreadID, tasks []*Task) ([]int32, []Thread
 // simulation progresses), so an entry whose key is current is the true
 // minimum under the (start, -priority, ID) order — exactly the task
 // EarliestStart's linear scan would have picked. The entry carries the
-// effective priority so overlay simulations can tie-break on overlaid
+// effective priority so patch simulations can tie-break on patched
 // priorities without touching the shared baseline tasks. Under a
 // KeyedScheduler the priority slot holds priority − class·2³², which
 // orders by (class, -priority) in the same comparison; the argument is
@@ -560,8 +559,8 @@ func WithScheduler(s Scheduler) SimOption {
 
 // WithContext makes the simulation cooperatively cancellable: the
 // context is checked on entry and every cancelCheckInterval (1024)
-// task dispatches, on every simulate path (Graph, Overlay, Patch,
-// scheduled, incremental). A canceled context aborts with an error
+// task dispatches, on every simulate path (Graph, Patch, scheduled,
+// incremental). A canceled context aborts with an error
 // wrapping ErrCanceled; an expired deadline wraps ErrDeadlineExceeded —
 // both also match the originating context error under errors.Is. An
 // aborted simulation leaves the caller's scratch and result buffer
@@ -573,8 +572,8 @@ func WithContext(ctx context.Context) SimOption {
 // WithScratch reuses a caller-owned working set across simulations,
 // eliminating per-simulation allocation of the frontier and bookkeeping
 // arrays. The scratch must not be used by two simulations concurrently.
-// Without it, an Overlay or Patch reuses a working set of its own and a
-// Graph, which concurrent simulations may share, allocates a fresh one.
+// Without it, a Patch reuses a working set of its own and a Graph,
+// which concurrent simulations may share, allocates a fresh one.
 func WithScratch(s *SimScratch) SimOption {
 	return func(o *simOptions) { o.scratch = s }
 }
@@ -585,7 +584,7 @@ func WithScratch(s *SimScratch) SimOption {
 // Discard semantics: the previous contents of buf are discarded
 // unconditionally — Makespan is zeroed, Start is resized and cleared to
 // the new view's ID span, ThreadEnd's entries are deleted (the map
-// itself is kept), and any effective timings from an earlier overlay
+// itself is kept), and any effective timings from an earlier patch
 // simulation are dropped so a plain Graph simulation never inherits
 // them. Nothing of the earlier result survives, so a caller that reuses
 // one buffer across simulations must be fully done with the earlier
@@ -648,10 +647,10 @@ func (g *Graph) compile(o *simOptions) *simForm {
 
 // simForm is the flat per-ID form every TaskView compiles to before
 // simulating, so one heap loop and one scheduled loop serve every view.
-// A *Graph compiles to its own task table with no deltas; an Overlay
-// adds effective timings and priorities; a structural Patch adds its
-// appendix, masks removed IDs and overrides the adjacency of just the
-// tasks whose out-edges it changed, so the edge set is never copied.
+// A *Graph compiles to its own task table with no deltas; a Patch adds
+// effective timings and priorities and, when structural, its appendix,
+// masks removed IDs and overrides the adjacency of just the tasks whose
+// out-edges it changed, so the edge set is never copied.
 type simForm struct {
 	view TaskView
 	// tasks holds the live tasks by ID (nil for absent or removed IDs);

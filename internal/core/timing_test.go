@@ -33,9 +33,12 @@ func chainGraph(t *testing.T) (*Graph, []*Task) {
 	return g, []*Task{a, b, k1, k2}
 }
 
+// The TestOverlay… tests hold a patch's timing tier (the one the sweep
+// reports as its overlay tier) to the clone path.
+
 func TestOverlayReadsFallThrough(t *testing.T) {
 	g, ts := chainGraph(t)
-	o := NewOverlay(g)
+	o := NewPatch(g)
 	if got := o.Duration(ts[2]); got != 30 {
 		t.Fatalf("unedited Duration = %v, want 30", got)
 	}
@@ -56,7 +59,7 @@ func TestOverlayReadsFallThrough(t *testing.T) {
 	}
 	// Baseline untouched.
 	if ts[2].Duration != 30 || ts[0].Gap != 5 || ts[3].Priority != 0 {
-		t.Fatal("overlay edit leaked into the baseline graph")
+		t.Fatal("patch timing edit leaked into the baseline graph")
 	}
 	// Editing one field leaves the others falling through.
 	if got := o.Gap(ts[2]); got != 0 {
@@ -75,14 +78,14 @@ func TestOverlayDensifyCrossover(t *testing.T) {
 		g.AppendTask(tk)
 		tasks = append(tasks, tk)
 	}
-	o := NewOverlay(g)
+	o := NewPatch(g)
 	// Force a sparse edit of every task: must cross over to dense and
 	// still read back every value correctly.
 	for i, tk := range tasks {
 		o.SetDuration(tk, time.Duration(10*(i+1)))
 	}
 	if !o.dense {
-		t.Fatalf("overlay with %d edits over %d tasks did not densify", len(tasks), len(tasks))
+		t.Fatalf("patch with %d edits over %d tasks did not densify", len(tasks), len(tasks))
 	}
 	for i, tk := range tasks {
 		if got := o.Duration(tk); got != time.Duration(10*(i+1)) {
@@ -108,7 +111,7 @@ func TestOverlayDensifyCrossover(t *testing.T) {
 	g2.AppendTask(k)
 	o.Reset(g2)
 	if o.dense {
-		t.Fatal("Reset to a new baseline left the overlay dense")
+		t.Fatal("Reset to a new baseline left the patch dense")
 	}
 	if got := o.Duration(k); got != 123 {
 		t.Fatalf("after rebind, Duration = %v, want 123", got)
@@ -116,11 +119,11 @@ func TestOverlayDensifyCrossover(t *testing.T) {
 }
 
 // TestOverlaySimulateMatchesMutatedClone is the core equivalence
-// property: simulate-through-overlay equals clone-mutate-simulate,
-// bit for bit.
+// property of the timing tier: simulating a timing-only patch equals
+// clone-mutate-simulate, bit for bit.
 func TestOverlaySimulateMatchesMutatedClone(t *testing.T) {
 	g, ts := chainGraph(t)
-	o := NewOverlay(g)
+	o := NewPatch(g)
 	o.SetDuration(ts[2], 3) // shrink sgemm kernel
 	o.SetGap(ts[0], 50)     // stretch the launch gap
 	o.SetDuration(ts[1], 0) // zero a launch
@@ -139,11 +142,11 @@ func TestOverlaySimulateMatchesMutatedClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Makespan != want.Makespan {
-		t.Fatalf("overlay makespan %v, clone makespan %v", got.Makespan, want.Makespan)
+		t.Fatalf("patch makespan %v, clone makespan %v", got.Makespan, want.Makespan)
 	}
 	for id := range want.Start {
 		if got.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: overlay %v, clone %v", id, got.Start[id], want.Start[id])
+			t.Fatalf("task %d start: patch %v, clone %v", id, got.Start[id], want.Start[id])
 		}
 	}
 	// The result reads effective timings.
@@ -154,11 +157,11 @@ func TestOverlaySimulateMatchesMutatedClone(t *testing.T) {
 		t.Fatalf("TaskGap = %v, want 50", got.TaskGap(ts[0]))
 	}
 	if got.Finish(ts[2]) != got.Start[ts[2].ID]+3 {
-		t.Fatal("Finish did not use the overlay duration")
+		t.Fatal("Finish did not use the patch duration")
 	}
 }
 
-// TestOverlayPriorityTieBreak checks overlaid priorities drive the
+// TestOverlayPriorityTieBreak checks patched priorities drive the
 // default scheduler's tie-breaking exactly as mutated priorities do.
 func TestOverlayPriorityTieBreak(t *testing.T) {
 	// Two unchained tasks competing for one channel (the P3 pattern:
@@ -184,28 +187,28 @@ func TestOverlayPriorityTieBreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Overlay path: same boost as a delta.
-	o := NewOverlay(g)
+	// Patch path: same boost as a delta.
+	o := NewPatch(g)
 	o.SetPriority(b, 5)
 	got, err := o.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Start[b.ID] != 0 || got.Start[a.ID] != 10 {
-		t.Fatalf("overlay priority ignored: a=%v b=%v", got.Start[a.ID], got.Start[b.ID])
+		t.Fatalf("patch priority ignored: a=%v b=%v", got.Start[a.ID], got.Start[b.ID])
 	}
 	for id := range want.Start {
 		if got.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: overlay %v, clone %v", id, got.Start[id], want.Start[id])
+			t.Fatalf("task %d start: patch %v, clone %v", id, got.Start[id], want.Start[id])
 		}
 	}
 }
 
-// TestOverlayCustomScheduler checks the slice-frontier path reads
-// overlay timings.
+// TestOverlayCustomScheduler checks the slice-frontier path reads a
+// timing-only patch's timings.
 func TestOverlayCustomScheduler(t *testing.T) {
 	g, ts := chainGraph(t)
-	o := NewOverlay(g)
+	o := NewPatch(g)
 	o.SetDuration(ts[2], 300)
 
 	c := g.Clone()
@@ -220,11 +223,11 @@ func TestOverlayCustomScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Makespan != want.Makespan {
-		t.Fatalf("scheduled overlay makespan %v, clone %v", got.Makespan, want.Makespan)
+		t.Fatalf("scheduled patch makespan %v, clone %v", got.Makespan, want.Makespan)
 	}
 	for id := range want.Start {
 		if got.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: overlay %v, clone %v", id, got.Start[id], want.Start[id])
+			t.Fatalf("task %d start: patch %v, clone %v", id, got.Start[id], want.Start[id])
 		}
 	}
 }
@@ -238,27 +241,27 @@ func (lifoScheduler) Pick(frontier []*Task, _ *SchedContext) int {
 }
 
 // TestResultBufferReuse checks WithResultBuffer round-trips between
-// overlay and plain simulations without leaking stale state.
+// patch and plain simulations without leaking stale state.
 func TestResultBufferReuse(t *testing.T) {
 	g, ts := chainGraph(t)
 	buf := &SimResult{}
 
-	o := NewOverlay(g)
+	o := NewPatch(g)
 	o.SetDuration(ts[2], 300)
 	ores, err := o.Simulate(WithResultBuffer(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ores != buf {
-		t.Fatal("overlay Simulate did not return the supplied buffer")
+		t.Fatal("patch Simulate did not return the supplied buffer")
 	}
 	if ores.TaskDuration(ts[2]) != 300 {
-		t.Fatalf("buffered overlay TaskDuration = %v, want 300", ores.TaskDuration(ts[2]))
+		t.Fatalf("buffered patch TaskDuration = %v, want 300", ores.TaskDuration(ts[2]))
 	}
-	overlayMakespan := ores.Makespan
+	patchMakespan := ores.Makespan
 
 	// Reusing the same buffer for a plain simulation must drop the
-	// overlay timings.
+	// patch timings.
 	pres, err := g.Simulate(WithResultBuffer(buf))
 	if err != nil {
 		t.Fatal(err)
@@ -273,8 +276,8 @@ func TestResultBufferReuse(t *testing.T) {
 	if pres.Makespan != fresh.Makespan {
 		t.Fatalf("reused-buffer makespan %v, fresh %v", pres.Makespan, fresh.Makespan)
 	}
-	if pres.Makespan == overlayMakespan {
-		t.Fatal("plain simulation inherited overlay timings")
+	if pres.Makespan == patchMakespan {
+		t.Fatal("plain simulation inherited patch timings")
 	}
 	for id := range fresh.Start {
 		if pres.Start[id] != fresh.Start[id] {
@@ -284,11 +287,11 @@ func TestResultBufferReuse(t *testing.T) {
 }
 
 // TestOverlayCriticalPathUsesEffectiveTimings checks CriticalPath reads
-// the overlay's durations via the result.
+// a timing-only patch's durations via the result.
 func TestOverlayCriticalPathUsesEffectiveTimings(t *testing.T) {
 	g, ts := chainGraph(t)
-	o := NewOverlay(g)
-	o.SetDuration(ts[3], 4000) // k2 dominates under the overlay
+	o := NewPatch(g)
+	o.SetDuration(ts[3], 4000) // k2 dominates under the patch
 
 	res, err := o.Simulate()
 	if err != nil {
@@ -296,7 +299,7 @@ func TestOverlayCriticalPathUsesEffectiveTimings(t *testing.T) {
 	}
 	path := CriticalPath(g, res)
 	if len(path) == 0 || path[len(path)-1] != ts[3] {
-		t.Fatalf("critical path should end at the overlaid kernel, got %v", path)
+		t.Fatalf("critical path should end at the patched kernel, got %v", path)
 	}
 
 	c := g.Clone()
@@ -307,18 +310,18 @@ func TestOverlayCriticalPathUsesEffectiveTimings(t *testing.T) {
 	}
 	cpath := CriticalPath(c, cres)
 	if len(cpath) != len(path) {
-		t.Fatalf("path lengths differ: overlay %d, clone %d", len(path), len(cpath))
+		t.Fatalf("path lengths differ: patch %d, clone %d", len(path), len(cpath))
 	}
 	for i := range path {
 		if path[i].ID != cpath[i].ID {
-			t.Fatalf("path[%d]: overlay #%d, clone #%d", i, path[i].ID, cpath[i].ID)
+			t.Fatalf("path[%d]: patch #%d, clone #%d", i, path[i].ID, cpath[i].ID)
 		}
 	}
 }
 
 // TestOverlayModelGraphEquivalence runs the full property on a real
 // profiled graph: dense (every GPU task halved) and sparse (three
-// tasks) overlays both match their clone counterparts exactly.
+// tasks) timing patches both match their clone counterparts exactly.
 func TestOverlayModelGraphEquivalence(t *testing.T) {
 	g := modelGraph(t, "resnet50")
 	gpu := g.LayerPhaseIndex().GPUTasks()
@@ -327,7 +330,7 @@ func TestOverlayModelGraphEquivalence(t *testing.T) {
 	}
 
 	t.Run("dense", func(t *testing.T) {
-		o := NewOverlay(g)
+		o := NewPatch(g)
 		for _, u := range gpu {
 			o.SetDuration(u, o.Duration(u)/2)
 		}
@@ -340,7 +343,7 @@ func TestOverlayModelGraphEquivalence(t *testing.T) {
 		assertSimEqual(t, o, c)
 	})
 	t.Run("sparse", func(t *testing.T) {
-		o := NewOverlay(g)
+		o := NewPatch(g)
 		picks := []*Task{gpu[0], gpu[len(gpu)/2], gpu[len(gpu)-1]}
 		for _, u := range picks {
 			o.SetDuration(u, u.Duration*7)
@@ -353,9 +356,9 @@ func TestOverlayModelGraphEquivalence(t *testing.T) {
 	})
 }
 
-// assertSimEqual simulates the overlay and the mutated clone and
+// assertSimEqual simulates the patch and the mutated clone and
 // requires bit-identical makespan and starts.
-func assertSimEqual(t *testing.T, o *Overlay, c *Graph) {
+func assertSimEqual(t *testing.T, o *Patch, c *Graph) {
 	t.Helper()
 	got, err := o.Simulate()
 	if err != nil {
@@ -366,17 +369,17 @@ func assertSimEqual(t *testing.T, o *Overlay, c *Graph) {
 		t.Fatal(err)
 	}
 	if got.Makespan != want.Makespan {
-		t.Fatalf("makespan: overlay %v, clone %v", got.Makespan, want.Makespan)
+		t.Fatalf("makespan: patch %v, clone %v", got.Makespan, want.Makespan)
 	}
 	for id := range want.Start {
 		if got.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: overlay %v, clone %v", id, got.Start[id], want.Start[id])
+			t.Fatalf("task %d start: patch %v, clone %v", id, got.Start[id], want.Start[id])
 		}
 	}
 }
 
 // prioViewScheduler is a view-generic priority policy: among the tasks
-// ready earliest it picks the highest *effective* priority — overlaid
+// ready earliest it picks the highest *effective* priority — patched
 // priorities included, which a legacy scheduler could never see.
 type prioViewScheduler struct{}
 
@@ -396,11 +399,11 @@ func (prioViewScheduler) Pick(frontier []*Task, ctx *SchedContext) int {
 }
 
 // TestOverlayPriorityWithCustomScheduler checks a view-generic custom
-// scheduler reads overlaid priorities through the SchedContext and
+// scheduler reads patched priorities through the SchedContext and
 // reproduces the clone path bit for bit.
 func TestOverlayPriorityWithCustomScheduler(t *testing.T) {
 	g, ts := chainGraph(t)
-	o := NewOverlay(g)
+	o := NewPatch(g)
 	o.SetPriority(ts[3], 9)
 
 	c := g.Clone()
@@ -414,16 +417,64 @@ func TestOverlayPriorityWithCustomScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Makespan != want.Makespan {
-		t.Fatalf("scheduled overlay makespan %v, clone %v", got.Makespan, want.Makespan)
+		t.Fatalf("scheduled patch makespan %v, clone %v", got.Makespan, want.Makespan)
 	}
 	for id := range want.Start {
 		if got.Start[id] != want.Start[id] {
-			t.Fatalf("task %d start: overlay %v, clone %v", id, got.Start[id], want.Start[id])
+			t.Fatalf("task %d start: patch %v, clone %v", id, got.Start[id], want.Start[id])
 		}
 	}
 
 	// The default scheduler keeps working.
 	if _, err := o.Simulate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pathSink keeps the reference path growth on the heap, as the
+// returned critical path is.
+var pathSink []*Task
+
+// TestTimingPatchReadsAllocateNothing checks that a patch with no
+// structural deltas reads the baseline's adjacency in place: its
+// Parents, Children, SeqPrev and SeqNext allocate nothing, so a critical
+// path walk over it (or a custom scheduler reading SchedContext.View)
+// costs what the same walk over the graph costs, the path alone.
+func TestTimingPatchReadsAllocateNothing(t *testing.T) {
+	g := modelGraph(t, "resnet50")
+	p := NewPatch(g)
+	for _, u := range g.LayerPhaseIndex().GPUTasks() {
+		p.SetDuration(u, p.Duration(u)/2)
+	}
+	res, err := p.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := p.Tasks()
+	reads := testing.AllocsPerRun(5, func() {
+		for _, u := range tasks {
+			_ = p.Parents(u)
+			_ = p.Children(u)
+			_ = p.SeqPrev(u)
+			_ = p.SeqNext(u)
+		}
+	})
+	if reads != 0 {
+		t.Fatalf("reading a timing-only patch's links allocated %v times per pass, want 0", reads)
+	}
+	path := CriticalPathView(p, res)
+	if len(path) < 2 {
+		t.Fatalf("critical path has %d tasks", len(path))
+	}
+	walk := testing.AllocsPerRun(5, func() { CriticalPathView(p, res) })
+	grow := testing.AllocsPerRun(5, func() {
+		var out []*Task
+		for _, u := range path {
+			out = append(out, u)
+		}
+		pathSink = out
+	})
+	if walk-grow != 0 {
+		t.Fatalf("CriticalPathView over a timing-only patch allocated %v times beyond its %v-task path's %v, want 0", walk-grow, len(path), grow)
 	}
 }

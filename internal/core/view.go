@@ -3,20 +3,19 @@ package core
 import "time"
 
 // TaskView is the read-only task set a simulation, measurement, report
-// or scheduling policy reads from: a *Graph, an *Overlay viewing a
-// shared baseline through copy-on-write timing deltas, or a *Patch
-// layering structural deltas on top of those. Tasks come back in
-// creation order. Consumers must treat the tasks and every returned
-// slice as read-only; a Patch reuses the Tasks slice's backing array
-// across calls.
+// or scheduling policy reads from: a *Graph, or a *Patch viewing a
+// shared baseline through copy-on-write timing and structural deltas.
+// Tasks come back in creation order. Consumers must treat the tasks and
+// every returned slice as read-only; a Patch reuses the Tasks slice's
+// backing array across calls.
 //
 // Beyond enumeration, the view exposes the *effective* per-task
 // attributes — duration, gap, priority, thread, dependency parents and
 // children, sequence links. For a *Graph these are the raw Task fields;
-// for an *Overlay or *Patch they read through the copy-on-write deltas,
-// so code written against the view (scheduling policies,
-// CriticalPathView, Measure functions) works identically over all three
-// without cloning or materializing anything.
+// for a *Patch they read through the copy-on-write deltas, so code
+// written against the view (scheduling policies, CriticalPathView,
+// Measure functions) works identically over both without cloning or
+// materializing anything.
 type TaskView interface {
 	// Tasks returns the live tasks in creation order.
 	Tasks() []*Task
@@ -77,39 +76,10 @@ func (g *Graph) SeqPrev(t *Task) *Task { return t.seqPrev }
 // SeqNext returns the next task on the same thread, or nil (TaskView).
 func (g *Graph) SeqNext(t *Task) *Task { return t.seqNext }
 
-// Overlay's TaskView accessors delegate structure to the baseline
-// (an overlay never changes it) and timings/priorities to the deltas.
-
-// Tasks returns the baseline's live tasks in creation order (TaskView).
-func (o *Overlay) Tasks() []*Task { return o.base.Tasks() }
-
-// Task returns the baseline task with the given ID, or nil (TaskView).
-func (o *Overlay) Task(id int) *Task { return o.base.Task(id) }
-
-// IDSpan returns the baseline's ID span (TaskView).
-func (o *Overlay) IDSpan() int { return o.base.IDSpan() }
-
-// NumTasks returns the baseline's live-task count (TaskView).
-func (o *Overlay) NumTasks() int { return o.base.NumTasks() }
-
-// Thread returns t.Thread (TaskView).
-func (o *Overlay) Thread(t *Task) ThreadID { return t.Thread }
-
-// Parents returns the task's dependency parents (TaskView).
-func (o *Overlay) Parents(t *Task) []*Task { return t.parents }
-
-// Children returns the task's dependents (TaskView).
-func (o *Overlay) Children(t *Task) []*Task { return t.children }
-
-// SeqPrev returns the previous task on the same thread, or nil
-// (TaskView).
-func (o *Overlay) SeqPrev(t *Task) *Task { return t.seqPrev }
-
-// SeqNext returns the next task on the same thread, or nil (TaskView).
-func (o *Overlay) SeqNext(t *Task) *Task { return t.seqNext }
-
-// Patch's TaskView accessors read through the structural deltas; its
-// Tasks/Task/IDSpan/NumTasks/Duration/Gap/Priority live in patch.go.
+// Patch's TaskView accessors read through the structural deltas; a
+// patch with none reads the baseline's own links without allocating.
+// Its Tasks/Task/IDSpan/NumTasks live in patch.go and its
+// Duration/Gap/Priority in timing.go.
 
 // Thread returns t.Thread (TaskView). Appendix tasks carry the thread
 // their placement primitive assigned.
@@ -118,13 +88,25 @@ func (p *Patch) Thread(t *Task) ThreadID { return t.Thread }
 // Parents returns the task's live effective dependency parents: the
 // unmasked baseline parents in baseline order followed by patch-added
 // in-edges in addition order — exactly the parent order the
-// materialized graph would carry (TaskView). The slice is fresh.
-func (p *Patch) Parents(t *Task) []*Task { return p.effParents(t) }
+// materialized graph would carry (TaskView). The slice is fresh unless
+// the patch is not Structural; either way it must not be modified.
+func (p *Patch) Parents(t *Task) []*Task {
+	if !p.Structural() {
+		return t.parents
+	}
+	return p.effParents(t)
+}
 
 // Children returns the task's live effective dependents, unmasked
 // baseline children first, patch-added edges after (TaskView). The
-// slice is fresh.
-func (p *Patch) Children(t *Task) []*Task { return p.effChildren(t) }
+// slice is fresh unless the patch is not Structural; either way it must
+// not be modified.
+func (p *Patch) Children(t *Task) []*Task {
+	if !p.Structural() {
+		return t.children
+	}
+	return p.effChildren(t)
+}
 
 // SeqPrev returns the previous task in the effective thread sequence,
 // or nil (TaskView).

@@ -13,8 +13,8 @@ import (
 // input asks for it), layers random timing and priority edits on it, then
 // random structural deltas — new tasks placed by AppendTask, InsertAfter
 // or InsertBefore (or left unplaced), removals, and added or removed
-// dependencies. At every stage (plain graph, timing overlay, structural
-// patch) these must agree bit for bit:
+// dependencies. At every stage (plain graph, timing-only patch,
+// structural patch) these must agree bit for bit:
 //
 //   - the default heap loop,
 //   - the scheduled loop (wrappedEarliest, the same policy through Pick),
@@ -65,7 +65,6 @@ func FuzzSimulateViewsAgree(f *testing.F) {
 				p.ScaleDuration(u, 0.25+rng.Float64())
 			}
 		}
-		checkViewsAgree(t, "overlay", p.Timing(), scratch, buf)
 		checkViewsAgree(t, "timing patch", p, scratch, buf)
 
 		for i := 0; i < int(structEdits)%24; i++ {
@@ -77,7 +76,7 @@ func FuzzSimulateViewsAgree(f *testing.F) {
 		checkViewsAgree(t, "graph after patch", g, scratch, buf)
 
 		if rounds > 1 {
-			for _, v := range []TaskView{g, p.Timing(), p} {
+			for _, v := range []TaskView{g, p} {
 				checkWindowAgrees(t, v, 1+rng.Intn(rounds-1))
 			}
 		}
@@ -219,8 +218,6 @@ func materializeView(v TaskView) (*Graph, error) {
 	switch view := v.(type) {
 	case *Graph:
 		return view.Clone(), nil
-	case *Overlay:
-		return view.Materialize(), nil
 	case *Patch:
 		return view.Materialize()
 	}

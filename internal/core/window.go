@@ -56,7 +56,7 @@ type RoundSummary struct {
 }
 
 // windowState is the sliding-window storage of a windowed simulation.
-// Per-task starts (and, for overlay/patch runs, effective timings) live
+// Per-task starts (and, for patch runs, effective timings) live
 // in rings indexed by ID mod capacity; the retained ID range is
 // contiguous because the layout is round-major, so distinct retained
 // IDs never share a slot as long as the range fits the ring (record

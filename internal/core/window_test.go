@@ -93,12 +93,10 @@ func checkWindowMatchesFull(t *testing.T, v TaskView, rounds, window int, opts .
 	}
 }
 
-// simulateView dispatches Simulate across the three view types.
+// simulateView dispatches Simulate across the view types.
 func simulateView(v TaskView, opts ...SimOption) (*SimResult, error) {
 	switch view := v.(type) {
 	case *Graph:
-		return view.Simulate(opts...)
-	case *Overlay:
 		return view.Simulate(opts...)
 	case *Patch:
 		return view.Simulate(opts...)
@@ -109,8 +107,8 @@ func simulateView(v TaskView, opts ...SimOption) (*SimResult, error) {
 // TestWindowedMatchesFullOnZoo is the zoo-wide bit-equivalence suite:
 // on every model's repeated graph, a windowed simulation must match the
 // unwindowed one on the retained window and summarize the retired
-// rounds exactly — through the Graph heap path, an edited Overlay, and
-// an edited structural Patch.
+// rounds exactly — through the Graph heap path, a timing-only Patch,
+// and an edited structural Patch.
 func TestWindowedMatchesFullOnZoo(t *testing.T) {
 	const rounds, window = 6, 2
 	for _, name := range dnn.Names() {
@@ -124,7 +122,7 @@ func TestWindowedMatchesFullOnZoo(t *testing.T) {
 				checkWindowMatchesFull(t, rg, rounds, window)
 			})
 			t.Run("overlay", func(t *testing.T) {
-				ov := NewOverlay(rg)
+				ov := NewPatch(rg)
 				for i, task := range rg.Tasks() {
 					if i%7 == 0 {
 						ov.SetDuration(task, task.Duration*2)

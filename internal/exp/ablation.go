@@ -46,9 +46,8 @@ var ablationVariants = []struct {
 		name: "no CPU gaps",
 		note: "drop the un-instrumented framework time between CUDA calls",
 		opt: core.PatchOpt("no-cpu-gaps", core.TimingOnly, func(p *core.Patch) error {
-			o := p.Timing()
-			for _, t := range o.Base().Tasks() {
-				o.SetGap(t, 0)
+			for _, t := range p.Base().Tasks() {
+				p.SetGap(t, 0)
 			}
 			return nil
 		}, nil),
@@ -60,11 +59,10 @@ var ablationVariants = []struct {
 		name: "no sync decomposition",
 		note: "keep blocking calls' full traced durations (waiting counted twice)",
 		opt: core.PatchOpt("no-sync-decomposition", core.TimingOnly, func(p *core.Patch) error {
-			o := p.Timing()
-			for _, t := range o.Base().Tasks() {
+			for _, t := range p.Base().Tasks() {
 				if t.Kind == trace.KindSync ||
 					(t.Kind == trace.KindMemcpyAPI && t.Dir == trace.MemcpyD2H) {
-					o.SetDuration(t, t.TracedDuration)
+					p.SetDuration(t, t.TracedDuration)
 				}
 			}
 			return nil

@@ -95,16 +95,15 @@ func AMPLayerScenarios(g *core.Graph) []sweep.Scenario {
 	for layer := range scenarios {
 		layer := layer
 		scenarios[layer].Opt = core.PatchOpt(fmt.Sprintf("layer-%d", layer), core.TimingOnly, func(p *core.Patch) error {
-			o := p.Timing()
 			compute := ix.GPUComputeBound()
 			for i, u := range ix.GPUTasks() {
 				if !u.HasLayer || u.LayerIndex != layer {
 					continue
 				}
 				if compute[i] {
-					o.SetDuration(u, o.Duration(u)/3)
+					p.SetDuration(u, p.Duration(u)/3)
 				} else {
-					o.SetDuration(u, o.Duration(u)/2)
+					p.SetDuration(u, p.Duration(u)/2)
 				}
 			}
 			return nil

@@ -24,7 +24,7 @@
 // Tensors reference tasks by ID, never by pointer, so one annotation —
 // memoized on the baseline through the core.Graph MemAnnotation hook —
 // serves every view sharing the baseline's ID space: the graph itself,
-// an Overlay, a Patch, and any materialized clone.
+// a Patch, and any materialized clone.
 //
 // # Profiles
 //

@@ -154,28 +154,21 @@ func TestProfilePostPassAcrossTiers(t *testing.T) {
 		samePlan bool // default scheduler, unedited → profile must equal cold's
 	}{
 		{"cold", g, func() (*core.SimResult, error) { return g.Simulate() }, true},
-		{"overlay", core.NewOverlay(g), nil, true},
+		{"overlay", timingNoop(g), nil, true},
 		{"patch", core.NewPatch(g), nil, true},
 		{"scheduled", g, func() (*core.SimResult, error) {
 			return g.Simulate(core.WithScheduler(whatif.VDNNScheduler{}))
 		}, false},
-		{"incremental", g, func() (*core.SimResult, error) { return inc.ReSimulate(core.NewOverlay(g)) }, true},
+		{"incremental", g, func() (*core.SimResult, error) { return inc.ReSimulate(core.NewPatch(g)) }, true},
 	}
 	for _, tier := range tiers {
 		tier := tier
 		t.Run(tier.name, func(t *testing.T) {
 			var res *core.SimResult
 			var err error
-			switch v := tier.view.(type) {
-			case *core.Overlay:
-				if tier.simulate == nil {
-					res, err = v.Simulate()
-				} else {
-					res, err = tier.simulate()
-				}
-			case *core.Patch:
+			if v, ok := tier.view.(*core.Patch); ok {
 				res, err = v.Simulate()
-			default:
+			} else {
 				res, err = tier.simulate()
 			}
 			if err != nil {
@@ -192,6 +185,15 @@ func TestProfilePostPassAcrossTiers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// timingNoop returns a patch over g whose timing tier holds an edit that
+// changes nothing: the sweep's overlay tier for an unedited plan.
+func timingNoop(g *core.Graph) *core.Patch {
+	p := core.NewPatch(g)
+	u := g.Tasks()[0]
+	p.SetDuration(u, u.Duration)
+	return p
 }
 
 // TestProfileCloneVsPatchBitIdentity is the acceptance criterion: for a

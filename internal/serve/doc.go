@@ -23,7 +23,7 @@
 //
 // A baseline is immutable once published: handlers read its graph,
 // schedule and layer index without locks, and every what-if evaluates
-// through worker-owned Patch/Overlay/scratch buffers checked out of a
+// through worker-owned Patch/scratch buffers checked out of a
 // shared sweep.Pool — the baseline itself is never written after
 // upload. At most Config.Workers simulations run at once (a sweep
 // counts as one); up to Config.QueueDepth more may wait. Beyond that

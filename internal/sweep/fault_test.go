@@ -37,9 +37,9 @@ func leakCheck(t *testing.T) func() {
 func shrinkScenario(name string, factor float64) Scenario {
 	return Scenario{
 		Name: name,
-		Opt: timingOpt(func(o *core.Overlay) error {
-			for _, task := range o.Base().Select((*core.Task).OnGPU) {
-				o.ScaleDuration(task, factor)
+		Opt: timingOpt(func(p *core.Patch) error {
+			for _, task := range p.Base().Select((*core.Task).OnGPU) {
+				p.ScaleDuration(task, factor)
 			}
 			return nil
 		}),
@@ -201,7 +201,7 @@ func TestSweepPanicIsolation(t *testing.T) {
 	// transform, a panicking scheduler, and a panicking measurer, all
 	// on the one worker whose buffers they poison.
 	faults := []Scenario{
-		{Name: "panic-transform", Opt: timingOpt(func(o *core.Overlay) error { panic("bad transform") })},
+		{Name: "panic-transform", Opt: timingOpt(func(p *core.Patch) error { panic("bad transform") })},
 		{Name: "panic-sched", SimOptions: []core.SimOption{core.WithScheduler(panicSched{})}},
 		{Name: "panic-measure", Opt: clean[0].Opt,
 			Measure: func(v core.TaskView, res *core.SimResult) (time.Duration, error) { panic("bad measure") }},
@@ -259,7 +259,7 @@ func TestSweepPanicIsolationAcrossTiers(t *testing.T) {
 		}, nil),
 	}
 	cloneSc := Scenario{Name: "rounds", Opt: roundsOpt{insertCommOpt(time.Millisecond), 2}}
-	panicSc := Scenario{Name: "kaboom", Opt: timingOpt(func(o *core.Overlay) error { panic("x") })}
+	panicSc := Scenario{Name: "kaboom", Opt: timingOpt(func(p *core.Patch) error { panic("x") })}
 
 	want, err := Run(g, []Scenario{structural, cloneSc}, Workers(1))
 	if err != nil {

@@ -21,8 +21,8 @@ func singleTaskScenarios(g *core.Graph, n int) []Scenario {
 		u := tasks[len(tasks)-1-(i%len(tasks))]
 		delta := time.Duration(i+1) * time.Microsecond
 		scenarios[i] = Scenario{
-			Opt: timingOpt(func(o *core.Overlay) error {
-				o.SetDuration(u, o.Duration(u)+delta)
+			Opt: timingOpt(func(p *core.Patch) error {
+				p.SetDuration(u, p.Duration(u)+delta)
 				return nil
 			}),
 		}
@@ -165,9 +165,9 @@ func TestPoolDropsRepeatedBaseline(t *testing.T) {
 	if w := idle(); w.patch == nil || w.patch.Base() != g {
 		t.Fatal("a row over the shared baseline did not leave its patch for reuse")
 	}
-	halve := timingOpt(func(o *core.Overlay) error {
-		for _, u := range o.Base().Tasks() {
-			o.SetDuration(u, o.Duration(u)/2)
+	halve := timingOpt(func(p *core.Patch) error {
+		for _, u := range p.Base().Tasks() {
+			p.SetDuration(u, p.Duration(u)/2)
 		}
 		return nil
 	})

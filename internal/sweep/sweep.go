@@ -13,7 +13,7 @@
 //     copy-on-write deltas in a worker-owned core.Patch and simulate
 //     through it — zero clone for timing edits AND structural edits
 //     (task/edge additions and removals). Timing-only patches keep the
-//     pure-overlay fast path, and once a worker has seen two
+//     timing fast path, and once a worker has seen two
 //     timing-only scenarios against the same baseline it builds a
 //     core.IncrementalSim and re-simulates only each delta's affected
 //     cone (the incremental tier; see Result.Tier). Custom Schedulers —
@@ -122,8 +122,8 @@ const (
 	// worker's warm schedule, recomputing only the affected cone.
 	TierIncremental = "incremental"
 	// TierOverlay: a timing-only delta cold-simulated through the
-	// copy-on-write overlay (no warm state yet, a custom scheduler, or
-	// a delta the incremental schedule cannot model).
+	// patch's copy-on-write timing tier (no warm state yet, a custom
+	// scheduler, or a delta the incremental schedule cannot model).
 	TierOverlay = "overlay"
 	// TierPatch: structural copy-on-write deltas simulated through the
 	// composite patch view.
@@ -220,7 +220,7 @@ func KeepSims() Option {
 // schedule, the expensive one — survive from one call to the next.
 // With a pooled worker, a single timing-only scenario against a
 // baseline the pool has seen before rides the incremental tier
-// immediately instead of paying a cold overlay replay.
+// immediately instead of paying a cold replay.
 //
 // A Pool is safe for concurrent use: concurrent Run calls check out
 // disjoint workers, and a worker whose scenario panicked was
@@ -295,7 +295,7 @@ type worker struct {
 
 // quarantine discards every reusable buffer the worker owns. It runs
 // after a recovered panic: a callback that panicked mid-edit can leave
-// the patch, overlay, incremental warm state, scratch or result buffer
+// the patch, incremental warm state, scratch or result buffer
 // in an arbitrary half-written state, and no invariant of theirs can be
 // trusted afterwards. The replacements are rebuilt lazily by the next
 // scenario, so one poisoned scenario costs one round of reallocation —
@@ -377,7 +377,13 @@ func (c *repeats) get(g *core.Graph, n int) (*core.Graph, error) {
 		c.m[k] = r
 	}
 	c.mu.Unlock()
-	r.once.Do(func() { r.g, r.err = g.Repeat(n) })
+	r.once.Do(func() {
+		rg, err := g.Repeat(n)
+		// Published under mu: holds reads r.g from other workers.
+		c.mu.Lock()
+		r.g, r.err = rg, err
+		c.mu.Unlock()
+	})
 	return r.g, r.err
 }
 
@@ -395,22 +401,20 @@ func (c *repeats) holds(g *core.Graph) bool {
 
 // simTimingOnly evaluates the worker's (timing-only) patch on the
 // incremental tier when warm state for base exists or is now justified,
-// and on the cold overlay path otherwise. It returns the simulation
-// result and the dispatch tier taken.
+// and on the cold timing path (TierOverlay) otherwise. It returns the
+// simulation result and the dispatch tier taken.
 func (w *worker) simTimingOnly(base *core.Graph, hasSched bool, simOpts []core.SimOption) (*core.SimResult, string, error) {
 	// A custom scheduler can't ride the incremental tier (ReSimulate
 	// would fall straight through to cold anyway) — and must not arm
 	// the lazy build, whose warm simulation it could never use. The
-	// same goes for a dense delta (one past the overlay's dense-storage
-	// crossover, e.g. AMP rescaling half the graph): its affected cone
-	// is the whole schedule, so it rides the overlay path and neither
-	// arms nor consumes warm state. A sparse delta can have the same
-	// shape — a few edits at the very front of the iteration invalidate
-	// almost the whole warm schedule — so the estimated cone is checked
-	// too: near-total cones (over ~3/4 of the span) take the overlay
-	// replay instead of arming warm state their re-simulation could not
-	// profit from.
-	if !hasSched && !w.patch.Timing().DenseEdits() && !nearTotalCone(w.patch.Timing()) {
+	// same goes for a delta whose estimated cone is near-total (over
+	// ~3/4 of the span): a dense one (past the patch's dense-storage
+	// crossover, e.g. AMP rescaling half the graph) always is, and a
+	// sparse one can be — a few edits at the very front of the
+	// iteration invalidate almost the whole warm schedule. Such a delta
+	// takes the cold replay and neither arms nor consumes warm state
+	// its re-simulation could not profit from.
+	if !hasSched && !nearTotalCone(w.patch) {
 		if w.incr == nil || w.incr.Baseline() != base {
 			if w.incrBase != base {
 				w.incrBase = base
@@ -433,12 +437,12 @@ func (w *worker) simTimingOnly(base *core.Graph, hasSched bool, simOpts []core.S
 	return res, TierOverlay, err
 }
 
-// nearTotalCone reports whether the overlay delta's estimated affected
+// nearTotalCone reports whether the timing delta's estimated affected
 // cone covers more than ~3/4 of the baseline's task span — the
 // tier-chooser threshold past which incremental re-simulation is
-// expected to recompute nearly everything and overlay replay wins.
-func nearTotalCone(o *core.Overlay) bool {
-	cone, total := o.EstimateConeSize()
+// expected to recompute nearly everything and a cold replay wins.
+func nearTotalCone(p *core.Patch) bool {
+	cone, total := p.EstimateConeSize()
 	return total > 0 && cone*4 > total*3
 }
 

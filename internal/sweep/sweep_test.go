@@ -26,10 +26,10 @@ func testGraph(n int) *core.Graph {
 	return g
 }
 
-// timingOpt wraps an edit of the patch's timing tier as a timing-only
-// value (the overlay and incremental tiers).
-func timingOpt(edit func(*core.Overlay) error) core.Optimization {
-	return core.PatchOpt("", core.TimingOnly, func(p *core.Patch) error { return edit(p.Timing()) }, nil)
+// timingOpt wraps a timing edit of the patch as a timing-only value
+// (the overlay and incremental tiers).
+func timingOpt(edit func(*core.Patch) error) core.Optimization {
+	return core.PatchOpt("", core.TimingOnly, edit, nil)
 }
 
 // roundsOpt declares n rounds on top of opt, the way P3 declares the
@@ -205,6 +205,40 @@ func TestSweepSharedBaselineRace(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSweepRoundsRowBesideTimingRows runs round-declaring rows next to
+// cheap timing rows on two workers: a P3-like row over the profile, and
+// one over an already repeated profile, whose Repeat fails. Whichever
+// worker finishes first forgets the call's repeated baselines while the
+// other may be writing one into the memo. Under -race it checks that
+// the memo publishes each result under the lock its readers take.
+func TestSweepRoundsRowBesideTimingRows(t *testing.T) {
+	g := testGraph(200)
+	repeated, err := g.Repeat(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := []Scenario{
+		{Name: "rounds", Opt: roundsOpt{insertCommOpt(time.Millisecond), 4}},
+		{Name: "rounds-of-rounds", Base: repeated, Opt: roundsOpt{insertCommOpt(time.Millisecond), 2}},
+	}
+	for i := 0; i < 6; i++ {
+		scenarios = append(scenarios, scaleScenario(fmt.Sprintf("s%d", i), 0.5+0.1*float64(i)))
+	}
+	// want[i] is row i's sequential value, with the failing row removed.
+	want := sequential(t, g, append(scenarios[:1:1], scenarios[2:]...))
+	for run := 0; run < 4; run++ {
+		got, _ := Run(g, scenarios, Workers(2))
+		if got[1].Err == nil {
+			t.Fatalf("run %d: %s over a repeated profile succeeded", run, got[1].Name)
+		}
+		for i, r := range append(got[:1:1], got[2:]...) {
+			if r.Err != nil || r.Value != want[i] {
+				t.Fatalf("run %d, %s: sweep %v (%v), sequential %v", run, r.Name, r.Value, r.Err, want[i])
+			}
+		}
+	}
+}
+
 func TestSweepEmpty(t *testing.T) {
 	results, err := Run(testGraph(1), nil)
 	if err != nil || len(results) != 0 {
@@ -217,9 +251,9 @@ func TestSweepEmpty(t *testing.T) {
 func scaleScenario(name string, factor float64) Scenario {
 	return Scenario{
 		Name: name,
-		Opt: timingOpt(func(o *core.Overlay) error {
-			for _, u := range o.Base().LayerPhaseIndex().GPUTasks() {
-				o.ScaleDuration(u, factor)
+		Opt: timingOpt(func(p *core.Patch) error {
+			for _, u := range p.Base().LayerPhaseIndex().GPUTasks() {
+				p.ScaleDuration(u, factor)
 			}
 			return nil
 		}),
@@ -287,8 +321,8 @@ func TestSweepOverlayMeasureSeesEffectiveTimings(t *testing.T) {
 	last := kernels[len(kernels)-1]
 	sc := Scenario{
 		Name: "measure",
-		Opt: timingOpt(func(o *core.Overlay) error {
-			o.SetDuration(last, time.Millisecond)
+		Opt: timingOpt(func(p *core.Patch) error {
+			p.SetDuration(last, time.Millisecond)
 			return nil
 		}),
 		Measure: func(v core.TaskView, res *core.SimResult) (time.Duration, error) {
@@ -431,10 +465,9 @@ func TestSweepNamePrecedence(t *testing.T) {
 // value.
 func gpuScaleOpt(factor float64) core.Optimization {
 	return core.PatchOpt(fmt.Sprintf("gpu-x%g", factor), core.TimingOnly, func(p *core.Patch) error {
-		o := p.Timing()
-		for _, u := range o.Base().Tasks() {
+		for _, u := range p.Base().Tasks() {
 			if u.OnGPU() {
-				o.ScaleDuration(u, factor)
+				p.ScaleDuration(u, factor)
 			}
 		}
 		return nil
@@ -692,8 +725,8 @@ type wrappedEarliest struct{ core.EarliestStart }
 func TestSweepNearTotalConeTakesOverlay(t *testing.T) {
 	g := testGraph(40)
 	edit := func(name string, pick func(ks []*core.Task) *core.Task, d time.Duration) Scenario {
-		return Scenario{Name: name, Opt: timingOpt(func(o *core.Overlay) error {
-			o.SetDuration(pick(o.Base().Select((*core.Task).OnGPU)), d)
+		return Scenario{Name: name, Opt: timingOpt(func(p *core.Patch) error {
+			p.SetDuration(pick(p.Base().Select((*core.Task).OnGPU)), d)
 			return nil
 		})}
 	}
@@ -737,9 +770,9 @@ func TestSweepTierDispatch(t *testing.T) {
 	// task (like scaleScenario) would trip the dense-delta cutoff and
 	// legitimately report the overlay tier instead.
 	sparseOverlay := func(name string, d time.Duration) Scenario {
-		return Scenario{Name: name, Opt: timingOpt(func(o *core.Overlay) error {
-			ks := o.Base().Select((*core.Task).OnGPU)
-			o.SetDuration(ks[len(ks)-1], d)
+		return Scenario{Name: name, Opt: timingOpt(func(p *core.Patch) error {
+			ks := p.Base().Select((*core.Task).OnGPU)
+			p.SetDuration(ks[len(ks)-1], d)
 			return nil
 		})}
 	}

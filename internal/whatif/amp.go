@@ -17,14 +17,13 @@ import "daydream/internal/core"
 // scenarios over one profile neither scan nor string-match anything.
 func OptAMP() core.Optimization {
 	return core.PatchOpt("amp", core.TimingOnly, func(p *core.Patch) error {
-		o := p.Timing()
 		ix := p.Base().LayerPhaseIndex()
 		compute := ix.GPUComputeBound()
 		for i, u := range ix.GPUTasks() {
 			if compute[i] {
-				o.SetDuration(u, o.Duration(u)/3)
+				p.SetDuration(u, p.Duration(u)/3)
 			} else {
-				o.SetDuration(u, o.Duration(u)/2)
+				p.SetDuration(u, p.Duration(u)/2)
 			}
 		}
 		return nil

@@ -93,14 +93,13 @@ func OptReconBatchnorm(opts ReconBatchnormOptions) core.Optimization {
 		if err != nil {
 			return err
 		}
-		o := p.Timing()
 		for _, u := range kernels {
 			switch opts.classify(u) {
 			case bnRemove:
-				o.SetDuration(u, 0)
-				o.SetGap(u, 0)
+				p.SetDuration(u, 0)
+				p.SetGap(u, 0)
 			case bnHalve:
-				o.SetDuration(u, o.Duration(u)/2)
+				p.SetDuration(u, p.Duration(u)/2)
 			}
 		}
 		return nil

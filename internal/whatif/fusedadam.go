@@ -37,26 +37,25 @@ func OptFusedAdam() core.Optimization {
 		if len(wuGPU) == 0 {
 			return fmt.Errorf("whatif: FusedAdam: no weight-update GPU tasks found")
 		}
-		o := p.Timing()
 		first := wuGPU[0]
 		var sum time.Duration
 		for _, u := range wuGPU {
-			sum += o.Duration(u)
+			sum += p.Duration(u)
 			if u.TracedStart < first.TracedStart {
 				first = u
 			}
 		}
-		o.SetDuration(first, sum)
+		p.SetDuration(first, sum)
 		for _, u := range wuGPU {
 			if u == first {
 				continue
 			}
 			if peer := u.Peer(); peer != nil && peer.OnCPU() {
-				o.SetDuration(peer, 0)
-				o.SetGap(peer, 0)
+				p.SetDuration(peer, 0)
+				p.SetGap(peer, 0)
 			}
-			o.SetDuration(u, 0)
-			o.SetGap(u, 0)
+			p.SetDuration(u, 0)
+			p.SetGap(u, 0)
 		}
 		return nil
 	}, nil)

@@ -75,14 +75,13 @@ func TestIncrementalEquivalenceAcrossZoo(t *testing.T) {
 					if err := tc.opt.Apply(p); err != nil {
 						return // the workload is rejected; nothing to compare
 					}
-					o := p.Timing()
 					edits := 0
 					for _, u := range g.Tasks() {
-						if o.Duration(u) != u.Duration || o.Gap(u) != u.Gap {
+						if p.Duration(u) != u.Duration || p.Gap(u) != u.Gap {
 							edits++
 						}
 					}
-					got, err := sim.ReSimulate(o, core.WithResultBuffer(buf))
+					got, err := sim.ReSimulate(p, core.WithResultBuffer(buf))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -91,11 +90,11 @@ func TestIncrementalEquivalenceAcrossZoo(t *testing.T) {
 						t.Fatalf("%s: %d/%d tasks edited (dense=%v) but fellBack=%v",
 							tc.name, edits, g.NumTasks(), dense, sim.LastFellBack())
 					}
-					want, err := o.Simulate()
+					want, err := p.Simulate()
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertIncrEquiv(t, o, got, want)
+					assertIncrEquiv(t, p, got, want)
 				})
 			}
 		})

@@ -41,11 +41,10 @@ func OptKernelProfile(profile KernelProfile) core.Optimization {
 			return nil
 		}
 		keys := profile.sortedKeys()
-		o := p.Timing()
 		for _, u := range p.Base().LayerPhaseIndex().GPUTasks() {
 			for _, k := range keys {
 				if core.NameContains(k)(u) {
-					o.SetDuration(u, profile[k])
+					p.SetDuration(u, profile[k])
 					break
 				}
 			}
@@ -61,9 +60,8 @@ func OptKernelProfile(profile KernelProfile) core.Optimization {
 func OptScale(sub string, factor float64) core.Optimization {
 	name := fmt.Sprintf("scale %q x%g", sub, factor)
 	return core.PatchOpt(name, core.TimingOnly, func(p *core.Patch) error {
-		o := p.Timing()
 		for _, u := range p.Base().LayerPhaseIndex().GPUTasksMatching(sub) {
-			o.ScaleDuration(u, factor)
+			p.ScaleDuration(u, factor)
 		}
 		return nil
 	}, nil)

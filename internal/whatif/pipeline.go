@@ -137,7 +137,7 @@ func PipelinePatch(p *core.Patch, opts PipelineOptions) error {
 	fwd := make([]time.Duration, span)
 	bwd := make([]time.Duration, span)
 	var wuTotal time.Duration
-	if cone, _ := p.Timing().EstimateConeSize(); cone == 0 && !p.Structural() && lo >= 0 {
+	if cone, _ := p.EstimateConeSize(); cone == 0 && !p.Structural() && lo >= 0 {
 		sums := baselineSums(g.LayerPhaseIndex())
 		if lo < len(sums.fwd) {
 			copy(fwd, sums.fwd[lo:])

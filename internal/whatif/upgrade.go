@@ -46,7 +46,6 @@ func OptDeviceUpgrade(from, to *xpu.Device) core.Optimization {
 		if err != nil {
 			return err
 		}
-		o := p.Timing()
 		ix := p.Base().LayerPhaseIndex()
 		isCompute := ix.GPUComputeBound()
 		for i, u := range ix.GPUTasks() {
@@ -57,11 +56,11 @@ func OptDeviceUpgrade(from, to *xpu.Device) core.Optimization {
 			case isCompute[i]:
 				ratio = compute
 			}
-			d := scaleDuration(o.Duration(u), ratio)
+			d := scaleDuration(p.Duration(u), ratio)
 			if d < to.KernelFloor {
 				d = to.KernelFloor
 			}
-			o.SetDuration(u, d)
+			p.SetDuration(u, d)
 		}
 		return nil
 	}, nil)

@@ -24,31 +24,28 @@ func profileGraph(tb testing.TB, model string) *daydream.Graph {
 	return g
 }
 
-// ampEdit is Algorithm 3 written by hand against the timing tier.
-func ampEdit(o *daydream.Overlay) error {
-	ix := o.Base().LayerPhaseIndex()
+// ampEdit is Algorithm 3 written by hand against the patch's timings.
+func ampEdit(p *daydream.Patch) error {
+	ix := p.Base().LayerPhaseIndex()
 	compute := ix.GPUComputeBound()
 	for i, u := range ix.GPUTasks() {
 		if compute[i] {
-			o.SetDuration(u, o.Duration(u)/3)
+			p.SetDuration(u, p.Duration(u)/3)
 		} else {
-			o.SetDuration(u, o.Duration(u)/2)
+			p.SetDuration(u, p.Duration(u)/2)
 		}
 	}
 	return nil
 }
 
 // TestCompareAcceptsEveryWhatIfForm pins the unified Compare: the
-// built-in value and the same what-if built with each custom
-// constructor — timing and patch — all predict bit-identically.
+// built-in value and the same what-if built with the custom
+// constructor predict bit-identically.
 func TestCompareAcceptsEveryWhatIfForm(t *testing.T) {
 	g := profileGraph(t, "resnet50")
 	forms := []daydream.Optimization{
 		daydream.OptAMP(),
-		daydream.TimingOptimization("amp-timing", ampEdit),
-		daydream.PatchOptimization("amp-patch", daydream.TimingOnly, func(p *daydream.Patch) error {
-			return ampEdit(p.Timing())
-		}),
+		daydream.PatchOptimization("amp-patch", daydream.TimingOnly, ampEdit),
 	}
 	base, want, err := daydream.Compare(g, forms[0])
 	if err != nil {
