@@ -18,9 +18,10 @@
 // bert-large as copy-on-write patch deltas), the same scenario under a
 // custom Scheduler run view-generically over the patch, the
 // incremental tier (a warm IncrementalSim re-simulating a single-task
-// delta's affected cone, and the per-layer Figure-5 grid swept over
-// one shared baseline), Figure-8-sized concurrent sweeps, a P3
-// bandwidth grid over one shared Repeat, and the serving path) are measured with testing.Benchmark and written as
+// delta's affected cone), the per-layer Figure-5 AMP grid swept over
+// one shared baseline, Figure-8-sized concurrent sweeps, a P3
+// bandwidth grid over one shared Repeat, and the serving path) are
+// measured with testing.Benchmark and written as
 // machine-readable JSON (ns/op,
 // bytes/op, allocs/op, and scenarios/sec for the sweep benchmarks), so
 // the performance trajectory is tracked across changes. With -against,
@@ -45,6 +46,7 @@ import (
 	"daydream"
 	"daydream/internal/core"
 	"daydream/internal/exp"
+	"daydream/internal/mem"
 	"daydream/internal/prof"
 	"daydream/internal/sweep"
 	"daydream/internal/trace"
@@ -336,7 +338,7 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 		// the affected cone of the cached schedule instead of replaying
 		// all ~12.7k tasks — the incremental-vs-overlay headline.
 		{"IncrementalScenario", 0, func(b *testing.B) {
-			sim, err := daydream.NewIncrementalSim(g)
+			sim, err := core.NewIncrementalSim(g)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -456,9 +458,10 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 			}
 		}},
 		// The ampgrid experiment's shape: one timing-only scenario per
-		// BERT_Large DNN layer, all over one shared baseline — the
-		// sweep's worker-owned incremental tier carries all but each
-		// worker's warm-up scenario.
+		// BERT_Large DNN layer, all over one shared baseline. Each
+		// layer's affected cone covers most of the schedule, so every
+		// row takes the overlay tier, not the incremental one; the row
+		// keeps its name, a BENCH.json key.
 		{"Fig5IncrementalSweep", len(layerScenarios), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := sweep.Run(g, layerScenarios, sweepOpts...); err != nil {
@@ -532,12 +535,12 @@ func runMicro(path, against string, tolerance float64, timeout time.Duration) er
 		// This is the marginal cost every tier pays to add a memory
 		// profile to an existing simulation.
 		{"MemoryTimeline", 0, func(b *testing.B) {
-			ann, err := daydream.AnnotateMemory(g)
+			ann, err := mem.AnnotationOf(g)
 			if err != nil {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				if _, err := daydream.ComputeMemoryProfile(g, coldRes, ann); err != nil {
+				if _, err := mem.ComputeProfile(g, coldRes, ann); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -24,8 +24,6 @@ type (
 	// Trace is a profiled training iteration (CUPTI-shaped records plus
 	// layer spans and gradient metadata).
 	Trace = trace.Trace
-	// Activity is one trace record.
-	Activity = trace.Activity
 	// Graph is the kernel-granularity dependency graph.
 	Graph = core.Graph
 	// Task is one node of the dependency graph.
@@ -44,8 +42,6 @@ type (
 	Scheduler = core.Scheduler
 	// SchedContext is the read surface a Scheduler picks through.
 	SchedContext = core.SchedContext
-	// EarliestStart is the default scheduling policy.
-	EarliestStart = core.EarliestStart
 	// SimOption configures a simulation (WithScheduler, …).
 	SimOption = core.SimOption
 	// Topology describes a data-parallel cluster.
@@ -62,8 +58,6 @@ type (
 	SweepResult = sweep.Result
 	// SweepOption configures Sweep (worker count, result retention).
 	SweepOption = sweep.Option
-	// SimScratch is the reusable per-simulation working set.
-	SimScratch = core.SimScratch
 	// Patch is a copy-on-write view of a shared baseline graph that
 	// layers timing deltas (durations, gaps, priorities) and structural
 	// deltas (task and edge additions/removals) — the unified application
@@ -74,12 +68,6 @@ type (
 	// TaskView is the read-only task set a Measure reads from: a
 	// *Graph, or a *Patch viewing one through deltas.
 	TaskView = core.TaskView
-	// IncrementalSim is a warm simulation state over one baseline
-	// graph: ReSimulate recomputes only the affected cone of a
-	// timing-only delta, bit-identical to a cold Simulate.
-	IncrementalSim = core.IncrementalSim
-	// LayerPhaseIndex is the memoized per-graph layer/phase index.
-	LayerPhaseIndex = core.LayerPhaseIndex
 	// Optimization is a first-class what-if value: a self-describing
 	// graph transformation carrying its name and footprint, applied
 	// through the unified Apply(*Patch) surface. The same value drives
@@ -146,16 +134,6 @@ func WithScheduler(s Scheduler) SimOption { return core.WithScheduler(s) }
 // nothing mutates it.
 func NewPatch(g *Graph) *Patch { return core.NewPatch(g) }
 
-// NewIncrementalSim cold-simulates the baseline once and caches the
-// warm schedule. Subsequent ReSimulate calls over timing-only patches
-// of the same baseline recompute only the tasks
-// whose times can actually change (the delta's affected cone),
-// bit-identical to a cold Simulate; deltas the propagation cannot
-// prove safe (priority edits, structural ops, custom schedulers) fall
-// back to a cold simulation transparently. Sweep uses this
-// automatically for timing-only scenario batteries over one baseline.
-func NewIncrementalSim(g *Graph) (*IncrementalSim, error) { return core.NewIncrementalSim(g) }
-
 // Fault-tolerance surface. Every failure the engine produces for
 // hostile or malformed input wraps a typed sentinel, so services
 // classify with errors.Is instead of string matching. Cancellation
@@ -192,7 +170,7 @@ var (
 	// construction.
 	ErrNotRoundMajor = core.ErrNotRoundMajor
 	// ErrWindowedResult marks an operation that needs the full start
-	// array of an unwindowed result — ComputeMemoryProfile, incremental
+	// array of an unwindowed result — the memory profile, incremental
 	// warm builds — applied to a round-windowed one; re-simulate without
 	// WithRoundWindow.
 	ErrWindowedResult = core.ErrWindowedResult
@@ -242,27 +220,8 @@ func SweepWorkers(n int) SweepOption { return sweep.Workers(n) }
 // per scenario, and no goroutine outlives the Sweep call.
 func SweepContext(ctx context.Context) SweepOption { return sweep.WithContext(ctx) }
 
-// SweepFailFast stops a sweep at its first scenario error: the trigger
-// keeps its own error row, the remaining scenarios become ErrCanceled
-// rows. The default policy runs every scenario and collects all errors.
-func SweepFailFast() SweepOption { return sweep.FailFast() }
-
-// SweepKeepGraphs retains each scenario's transformed graph.
-func SweepKeepGraphs() SweepOption { return sweep.KeepGraphs() }
-
 // SweepKeepSims retains each scenario's simulation result.
 func SweepKeepSims() SweepOption { return sweep.KeepSims() }
-
-// SweepPool keeps warm sweep workers (scratch, patch, incremental
-// state) alive between Run calls, so a recurring baseline's timing-only
-// scenarios ride the incremental tier from the first row of every call
-// instead of paying a cold warm-up per call. Safe for concurrent use;
-// the serve subsystem answers every request through one.
-type SweepPool = sweep.Pool
-
-// NewSweepPool builds a pool keeping at most maxIdle warm workers
-// (values below 1 select GOMAXPROCS).
-func NewSweepPool(maxIdle int) *SweepPool { return sweep.NewPool(maxIdle) }
 
 // Server is the long-lived prediction service: an HTTP JSON API over
 // the trace→graph→simulate pipeline with a concurrent baseline
@@ -432,14 +391,6 @@ func OptReconBatchnorm() Optimization {
 	return whatif.OptReconBatchnorm(whatif.ReconBatchnormOptions{})
 }
 
-// OptReconBatchnormRemoval is OptReconBatchnorm's removal form as a
-// patch-form structural value: ReLU kernels are removed (with Remove's
-// reconnection edges) as copy-on-write deltas instead of zeroed — same
-// prediction, true restructured graph shape, still clone-free.
-func OptReconBatchnormRemoval() Optimization {
-	return whatif.OptReconBatchnormRemoval(whatif.ReconBatchnormOptions{})
-}
-
 // OptDistributed returns the data-parallel prediction (Algorithm 6) for
 // the target cluster as an Optimization value.
 func OptDistributed(topo Topology) Optimization {
@@ -473,9 +424,10 @@ func OptVDNN() Optimization { return whatif.OptVDNN(whatif.VDNNOptions{}) }
 // Algorithm 11) as an Optimization value: encode/decode kernels splice
 // around each targeted activation as clone-free patch deltas, with
 // durations estimated from the profile's element-wise kernels. The
-// value implements MemoryMeasurer, so memory-aware surfaces report the
-// compressed activations' predicted savings alongside the encode/decode
-// latency overhead.
+// value rewrites the memory profile's tensor schedule, so memory-aware
+// surfaces (ProfileOptimization, MaxBatchFit) report the compressed
+// activations' predicted savings alongside the encode/decode latency
+// overhead.
 func OptGist() Optimization { return whatif.OptGist(whatif.GistOptions{}) }
 
 // PipelineOptions configures OptPipeline: stage count, microbatch
@@ -502,11 +454,11 @@ func OptPipeline(opts PipelineOptions) Optimization { return whatif.OptPipeline(
 // the device the trace was collected on; names are the device presets
 // plus full marketing names.
 func OptDeviceUpgrade(from, to string) (Optimization, error) {
-	f, err := deviceByAnyName(from)
+	f, err := xpu.FindDevice(from)
 	if err != nil {
 		return nil, err
 	}
-	t, err := deviceByAnyName(to)
+	t, err := xpu.FindDevice(to)
 	if err != nil {
 		return nil, err
 	}
@@ -549,25 +501,11 @@ func PatchOptimization(name string, fp OptFootprint, apply func(*Patch) error) O
 // names from it, so they cannot drift from the library.
 func Optimizations() []OptimizationSpec { return whatif.Registry() }
 
-// OptimizationByName constructs a registered optimization by its
-// registry name (Optimizations lists them), validating the parameter
-// fields it needs.
-func OptimizationByName(name string, p OptimizationParams) (Optimization, error) {
-	return whatif.BuildByName(name, p)
-}
-
 // ParseOptimization resolves a '+'-separated stack expression
 // ("amp+fusedadam") against the registry, composing multiple elements
 // with Stack in expression order.
 func ParseOptimization(expr string, p OptimizationParams) (Optimization, error) {
 	return whatif.ParseStack(expr, p)
-}
-
-// deviceByAnyName resolves short preset names and full marketing names
-// from the xpu preset table, so the accepted-name list (and the error
-// message listing it) can never drift from the device models.
-func deviceByAnyName(name string) (*xpu.Device, error) {
-	return xpu.FindDevice(name)
 }
 
 // Devices returns a fresh model of every preset accelerator, in preset
@@ -600,52 +538,20 @@ func MaxBatchSize(build func(batch int) *Model, memBytes int64) int {
 // the timeline simulates when each activation is allocated (its
 // producing layer's forward kernel starts) and freed (its last backward
 // consumer finishes), so the peak reflects the schedule — and memory
-// what-ifs (OptVDNN, OptGist) change it.
-type (
-	// MemoryProfile is a simulation's per-device memory timeline: peak
-	// bytes, the interval the peak holds over, the full timeline, and
-	// per-tensor peak attribution.
-	MemoryProfile = mem.Profile
-	// DeviceMemoryProfile is one device's timeline within a
-	// MemoryProfile.
-	DeviceMemoryProfile = mem.DeviceProfile
-	// MemorySample is one timeline breakpoint (allocated bytes from T
-	// until the next sample).
-	MemorySample = mem.Sample
-	// MemoryAnnotation is a graph's tensor schedule (who allocates and
-	// frees each activation) plus its resident parameter+gradient
-	// bytes; AnnotateMemory memoizes it on the graph.
-	MemoryAnnotation = mem.Annotation
-	// MemoryTensorUse attributes part of a peak to one tensor.
-	MemoryTensorUse = mem.TensorUse
-	// MemoryMeasurer is the optional Optimization interface whose
-	// RewriteTensors maps the baseline tensor schedule onto the
-	// optimized view (OptVDNN's offloads, OptGist's compression).
-	MemoryMeasurer = mem.MemMeasurer
-)
+// what-ifs (OptVDNN, OptGist) change it. MemoryProfile is a
+// simulation's per-device memory timeline: peak bytes, the interval the
+// peak holds over, the full timeline, and per-tensor peak attribution.
+type MemoryProfile = mem.Profile
 
 // DeviceGPU is the device key single-accelerator profiles report under.
 const DeviceGPU = mem.DeviceGPU
 
-// AnnotateMemory builds (and memoizes on the graph) the tensor schedule
-// the memory timeline sweeps: per activation, the producing forward
-// task and the backward consumers, sized from the layer mapping's
-// activation metadata. It errors on graphs without a layer mapping.
-func AnnotateMemory(g *Graph) (*MemoryAnnotation, error) { return mem.AnnotationOf(g) }
-
-// ComputeMemoryProfile sweeps the annotation's alloc/free events over a
-// finished simulation of any view — Graph or Patch — and
-// returns the per-device timeline. A pure post-pass: the SimResult is
-// bit-identical before and after, on every simulation tier.
-func ComputeMemoryProfile(v TaskView, res *SimResult, ann *MemoryAnnotation) (*MemoryProfile, error) {
-	return mem.ComputeProfile(v, res, ann)
-}
-
 // ProfileOptimization answers one what-if with both halves of the
 // prediction: the optimized makespan and the optimized memory profile,
 // from one simulation. Clone-free through a Patch when the value allows
-// it, under any carried scheduler, with the value's MemoryMeasurer
-// rewrites applied. A nil or no-op opt profiles the baseline itself.
+// it, under any carried scheduler (a WithScheduler in opts wins), with
+// the value's memory rewrites applied. A nil or no-op opt profiles the
+// baseline itself.
 func ProfileOptimization(g *Graph, opt Optimization, opts ...SimOption) (time.Duration, *MemoryProfile, error) {
 	return mem.ProfileOpt(g, opt, opts...)
 }
@@ -673,48 +579,10 @@ func Diagnose(g *Graph) (byResource, byPhase []PathAttribution, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return DiagnoseSim(g, res)
-}
-
-// DiagnoseSim is Diagnose over an existing simulation of any task view
-// — the shared baseline, or the Patch of a clone-free scenario.
-// KeepSims sweep consumers use it to diagnose patch scenarios straight
-// from the retained SimResult, without materializing a graph: the
-// critical path reads effective adjacency and sequence links through
-// the view, and the attribution uses the simulation's effective
-// timings.
-func DiagnoseSim(v TaskView, res *SimResult) (byResource, byPhase []PathAttribution, err error) {
-	path := core.CriticalPathView(v, res)
+	path := core.CriticalPathView(g, res)
 	return core.AttributePathSim(res, path, core.ByThreadKind),
 		core.AttributePathSim(res, path, core.ByPhase), nil
 }
-
-// CriticalPath returns the simulated critical path of any task view —
-// the chain of tasks whose starts coincide with the constraints that
-// determine the makespan. For patch simulations the walk
-// reads the view's effective adjacency, so no materialization is
-// needed.
-func CriticalPath(v TaskView, res *SimResult) []*Task {
-	return core.CriticalPathView(v, res)
-}
-
-// AttributePathSim groups a critical path's time by the labeling
-// function using the simulation's effective per-task timings, sorted by
-// descending time. ByThreadKind, ByPhase and ByLayer are ready-made
-// labelers.
-func AttributePathSim(res *SimResult, path []*Task, label func(*Task) string) []PathAttribution {
-	return core.AttributePathSim(res, path, label)
-}
-
-// ByThreadKind labels tasks by execution-resource kind (cpu/stream/
-// channel), for AttributePathSim.
-func ByThreadKind(t *Task) string { return core.ByThreadKind(t) }
-
-// ByPhase labels mapped tasks by training phase, for AttributePathSim.
-func ByPhase(t *Task) string { return core.ByPhase(t) }
-
-// ByLayer labels mapped tasks by layer name, for AttributePathSim.
-func ByLayer(t *Task) string { return core.ByLayer(t) }
 
 // Compare answers one what-if question against the baseline graph and
 // reports (baseline, predicted) iteration times. Every Optimization

@@ -43,11 +43,12 @@
 // appendix ID range, task removals, edge additions/removals with
 // kinds) on top of per-task timing deltas, and Patch.Simulate runs
 // Algorithm 1 over the composite view bit-identically to cloning and
-// mutating — so no optimization ever needs a clone. The registry
-// (Optimizations, OptimizationByName, ParseOptimization) resolves names
-// and "amp+fusedadam"-style stack expressions (duplicate names are
-// rejected), and PatchOptimization builds custom values that compose
-// with the built-ins.
+// mutating — so no optimization ever needs a clone. A Patch is also the
+// only public way to edit a graph: Graph itself exports no in-place
+// mutator. The registry (Optimizations, ParseOptimization) resolves
+// names and "amp+fusedadam"-style stack expressions (duplicate names
+// are rejected), and PatchOptimization builds custom values that
+// compose with the built-ins.
 //
 // Because a single profile answers arbitrarily many what-if questions,
 // the package is built to make each additional question cheap. The
@@ -83,9 +84,7 @@
 // GPipe policies do. Pick is for opaque custom policies. A pipeline
 // patch supersedes the baseline (Patch.SupersedeBaseline), and a
 // default or keyed simulation of it runs only the stage skeleton.
-// KeepSims consumers diagnose any scenario without materializing:
-// CriticalPath and DiagnoseSim walk the effective adjacency of the
-// TaskView the simulation ran over.
+// Diagnose attributes a graph's critical path by resource and by phase.
 //
 // Every what-if has one form. The built-ins are Opt* values (OptAMP,
 // OptFusedAdam, OptDistributed, …); custom what-ifs are built with

@@ -19,10 +19,10 @@ func wideGraph(t *testing.T) (*Graph, [][]*Task) {
 	streams := make([][]*Task, 3)
 	for i := 0; i < 70; i++ {
 		for s := range streams {
-			k := g.NewTask("k", trace.KindKernel, Stream(s), time.Duration(1+(i*7+s*3)%11))
-			g.AppendTask(k)
+			k := g.newTask("k", trace.KindKernel, Stream(s), time.Duration(1+(i*7+s*3)%11))
+			g.appendTask(k)
 			if s > 0 && i%5 == 0 {
-				if err := g.AddDependency(streams[s-1][i], k, DepCustom); err != nil {
+				if err := g.addDependency(streams[s-1][i], k, DepCustom); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -47,31 +47,31 @@ func TestRebindAfterStructuralEdit(t *testing.T) {
 	}{
 		{"NewTask+AppendTask", func(t *testing.T, g *Graph, streams [][]*Task) func() {
 			return func() {
-				x := g.NewTask("grown", trace.KindKernel, Stream(9), 25)
-				g.AppendTask(x)
-				if err := g.AddDependency(streams[0][3], x, DepCustom); err != nil {
+				x := g.newTask("grown", trace.KindKernel, Stream(9), 25)
+				g.appendTask(x)
+				if err := g.addDependency(streams[0][3], x, DepCustom); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}},
 		{"InsertAfter", func(t *testing.T, g *Graph, streams [][]*Task) func() {
-			x := g.NewTask("moved", trace.KindKernel, Stream(9), 25)
+			x := g.newTask("moved", trace.KindKernel, Stream(9), 25)
 			return func() {
-				if err := g.InsertAfter(streams[1][10], x); err != nil {
+				if err := g.insertAfter(streams[1][10], x); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}},
 		{"InsertBefore", func(t *testing.T, g *Graph, streams [][]*Task) func() {
-			x := g.NewTask("moved", trace.KindKernel, Stream(9), 25)
+			x := g.newTask("moved", trace.KindKernel, Stream(9), 25)
 			return func() {
-				if err := g.InsertBefore(streams[2][0], x); err != nil {
+				if err := g.insertBefore(streams[2][0], x); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}},
 		{"Remove", func(t *testing.T, g *Graph, streams [][]*Task) func() {
-			return func() { g.Remove(streams[1][20]) }
+			return func() { g.remove(streams[1][20]) }
 		}},
 		{"MapLayers", func(t *testing.T, g *Graph, streams [][]*Task) func() {
 			return func() { MapLayers(g, []trace.LayerSpan{{Layer: "l0", End: 1}}) }

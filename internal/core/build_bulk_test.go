@@ -200,22 +200,22 @@ func TestRepeatMatchesReference(t *testing.T) {
 		g := NewGraph()
 		var ts []*Task
 		for i := 0; i < 4; i++ {
-			u := g.NewTask(fmt.Sprint(i), trace.KindKernel, Stream(1), time.Duration(i+1))
-			g.AppendTask(u)
+			u := g.newTask(fmt.Sprint(i), trace.KindKernel, Stream(1), time.Duration(i+1))
+			g.appendTask(u)
 			ts = append(ts, u)
 		}
-		side := g.NewTask("side", trace.KindKernel, Stream(2), 5)
-		g.AppendTask(side)
-		if err := g.AddDependency(ts[0], ts[2], DepCustom); err != nil {
+		side := g.newTask("side", trace.KindKernel, Stream(2), 5)
+		g.appendTask(side)
+		if err := g.addDependency(ts[0], ts[2], DepCustom); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.AddDependency(ts[0], side, DepComm); err != nil {
+		if err := g.addDependency(ts[0], side, DepComm); err != nil {
 			t.Fatal(err)
 		}
 		// Removing ts[1] makes ts[2] the successor of ts[0], already
 		// joined by the custom edge; removing side empties stream 2.
-		g.Remove(ts[1])
-		g.Remove(side)
+		g.remove(ts[1])
+		g.remove(side)
 		for _, n := range []int{1, 2, 3} {
 			got, err := g.Repeat(n)
 			if err != nil {
@@ -242,10 +242,10 @@ func TestRepeatEditsStayPerTask(t *testing.T) {
 	}
 	want := r.Clone()
 	a, b := r.Task(0), r.Task(r.IDSpan()-1)
-	if err := r.AddDependency(a, b, DepCustom); err != nil {
+	if err := r.addDependency(a, b, DepCustom); err != nil {
 		t.Fatal(err)
 	}
-	if !r.RemoveDependency(a, b) {
+	if !r.removeDependency(a, b) {
 		t.Fatal("edge not added")
 	}
 	sameGraph(t, want, r)
@@ -391,7 +391,7 @@ func FuzzBuildMatchesReference(f *testing.F) {
 		sameSimulation(t, got, want)
 
 		for i := 0; i < int(removals)%8 && got.NumTasks() > 0; i++ {
-			got.Remove(got.Tasks()[rng.Intn(got.NumTasks())])
+			got.remove(got.Tasks()[rng.Intn(got.NumTasks())])
 		}
 		rounds := 1 + rng.Intn(3)
 		rg, gerr := got.Repeat(rounds)

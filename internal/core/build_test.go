@@ -36,7 +36,7 @@ func TestBuildFiveDependencyTypes(t *testing.T) {
 	counts := map[DepKind]int{}
 	for _, u := range g.Tasks() {
 		for _, c := range u.Children() {
-			if k, ok := g.EdgeKind(u, c); ok {
+			if k, ok := g.edgeKind(u, c); ok {
 				counts[k]++
 			}
 		}

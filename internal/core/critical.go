@@ -89,27 +89,12 @@ type PathAttribution struct {
 	Tasks int
 }
 
-// AttributePath groups a critical path's time by the given labeling
-// function, sorted by descending time. Times come from the raw Task
-// fields; for paths over a patch simulation use
-// AttributePathSim, which reads the effective timings.
-func AttributePath(path []*Task, label func(*Task) string) []PathAttribution {
-	return attributePath(path, label, func(t *Task) time.Duration {
-		return t.Duration + t.Gap
-	})
-}
-
-// AttributePathSim is AttributePath with the simulation's effective
-// per-task timings: each task contributes res.TaskDuration+res.TaskGap,
-// so paths from clone-free patch scenarios attribute the
-// scenario's timings rather than the shared baseline's.
+// AttributePathSim groups a critical path's time by the given labeling
+// function, sorted by descending time. Each task contributes the
+// simulation's effective res.TaskDuration+res.TaskGap, so paths from
+// clone-free patch scenarios attribute the scenario's timings rather
+// than the shared baseline's.
 func AttributePathSim(res *SimResult, path []*Task, label func(*Task) string) []PathAttribution {
-	return attributePath(path, label, func(t *Task) time.Duration {
-		return res.TaskDuration(t) + res.TaskGap(t)
-	})
-}
-
-func attributePath(path []*Task, label func(*Task) string, cost func(*Task) time.Duration) []PathAttribution {
 	byLabel := map[string]*PathAttribution{}
 	for _, t := range path {
 		l := label(t)
@@ -118,7 +103,7 @@ func attributePath(path []*Task, label func(*Task) string, cost func(*Task) time
 			a = &PathAttribution{Label: l}
 			byLabel[l] = a
 		}
-		a.Time += cost(t)
+		a.Time += res.TaskDuration(t) + res.TaskGap(t)
 		a.Tasks++
 	}
 	out := make([]PathAttribution, 0, len(byLabel))

@@ -26,10 +26,10 @@ func TestCriticalPathSerialChain(t *testing.T) {
 
 func TestCriticalPathPicksLongerThread(t *testing.T) {
 	g := NewGraph()
-	short := g.NewTask("short", trace.KindCPUOp, CPU(1), 5*time.Microsecond)
-	g.AppendTask(short)
-	long := g.NewTask("long", trace.KindKernel, Stream(7), 50*time.Microsecond)
-	g.AppendTask(long)
+	short := g.newTask("short", trace.KindCPUOp, CPU(1), 5*time.Microsecond)
+	g.appendTask(short)
+	long := g.newTask("long", trace.KindKernel, Stream(7), 50*time.Microsecond)
+	g.appendTask(long)
 	res, err := g.Simulate()
 	if err != nil {
 		t.Fatal(err)
@@ -43,16 +43,16 @@ func TestCriticalPathPicksLongerThread(t *testing.T) {
 func TestCriticalPathCrossThread(t *testing.T) {
 	// launch → kernel → sync: all three are binding.
 	g := NewGraph()
-	launch := g.NewTask("launch", trace.KindLaunch, CPU(1), 10*time.Microsecond)
-	g.AppendTask(launch)
-	kernel := g.NewTask("k", trace.KindKernel, Stream(7), 20*time.Microsecond)
-	g.AppendTask(kernel)
+	launch := g.newTask("launch", trace.KindLaunch, CPU(1), 10*time.Microsecond)
+	g.appendTask(launch)
+	kernel := g.newTask("k", trace.KindKernel, Stream(7), 20*time.Microsecond)
+	g.appendTask(kernel)
 	if err := g.Correlate(launch, kernel); err != nil {
 		t.Fatal(err)
 	}
-	sync := g.NewTask("sync", trace.KindSync, CPU(1), 2*time.Microsecond)
-	g.AppendTask(sync)
-	if err := g.AddDependency(kernel, sync, DepSync); err != nil {
+	sync := g.newTask("sync", trace.KindSync, CPU(1), 2*time.Microsecond)
+	g.appendTask(sync)
+	if err := g.addDependency(kernel, sync, DepSync); err != nil {
 		t.Fatal(err)
 	}
 	res, err := g.Simulate()
@@ -96,11 +96,11 @@ func TestCriticalPathCoversMakespan(t *testing.T) {
 // start == 0.
 func TestCriticalPathZeroDurationRoot(t *testing.T) {
 	g := NewGraph()
-	root := g.NewTask("zero-root", trace.KindCPUOp, CPU(1), 0)
-	g.AppendTask(root)
-	kernel := g.NewTask("k", trace.KindKernel, Stream(7), 30*time.Microsecond)
-	g.AppendTask(kernel)
-	if err := g.AddDependency(root, kernel, DepCustom); err != nil {
+	root := g.newTask("zero-root", trace.KindCPUOp, CPU(1), 0)
+	g.appendTask(root)
+	kernel := g.newTask("k", trace.KindKernel, Stream(7), 30*time.Microsecond)
+	g.appendTask(kernel)
+	if err := g.addDependency(root, kernel, DepCustom); err != nil {
 		t.Fatal(err)
 	}
 	res, err := g.Simulate()
@@ -116,10 +116,10 @@ func TestCriticalPathZeroDurationRoot(t *testing.T) {
 	}
 	// Same through a zero-duration sequence predecessor.
 	g2 := NewGraph()
-	seqRoot := g2.NewTask("seq-root", trace.KindCPUOp, CPU(1), 0)
-	g2.AppendTask(seqRoot)
-	op := g2.NewTask("op", trace.KindCPUOp, CPU(1), 20*time.Microsecond)
-	g2.AppendTask(op)
+	seqRoot := g2.newTask("seq-root", trace.KindCPUOp, CPU(1), 0)
+	g2.appendTask(seqRoot)
+	op := g2.newTask("op", trace.KindCPUOp, CPU(1), 20*time.Microsecond)
+	g2.appendTask(op)
 	res2, err := g2.Simulate()
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestAttributePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := CriticalPath(g, res)
-	byKind := AttributePath(path, ByThreadKind)
+	byKind := AttributePathSim(res, path, ByThreadKind)
 	if len(byKind) == 0 {
 		t.Fatal("no attribution groups")
 	}
@@ -241,7 +241,7 @@ func TestAttributePath(t *testing.T) {
 		}
 	}
 	// Phase attribution also works.
-	byPhase := AttributePath(path, ByPhase)
+	byPhase := AttributePathSim(res, path, ByPhase)
 	if len(byPhase) == 0 {
 		t.Fatal("no phase attribution")
 	}

@@ -11,6 +11,14 @@
 //     the Insert forms, RemoveTask) over an immutable baseline, and
 //   - the frontier-based runtime simulator of Algorithm 1.
 //
+// Patch is the only exported way to edit a graph. Graph's in-place
+// mutators (newTask, appendTask, insertAfter, insertBefore,
+// addDependency, removeDependency, remove) are unexported: Build and
+// Repeat lay graphs out with them, Patch.Materialize replays a patch's
+// deltas onto a Clone through them, and core's reference tests hold
+// the bulk builders and the patch views to them. Outside this package a
+// fixture graph is a Patch over NewGraph(), materialized.
+//
 // # Graph layout
 //
 // Build, Graph.Repeat and Graph.Clone produce arena layouts: all tasks in
@@ -18,9 +26,10 @@
 // kinds, parents) of which each task holds capacity-clipped windows.
 // Build and Repeat record their edges in insertion order into one flat
 // list counted exactly up front, then lay it out in one pass, so a
-// task's adjacency order is the order one AddDependency per edge would
-// give. Later edits reallocate per task: a task whose adjacency grows
-// copies its own window out and leaves its neighbours' alone.
+// task's adjacency order is the order one addDependency per edge would
+// give. Later edits (a materialized patch's replay) reallocate per task:
+// a task whose adjacency grows copies its own window out and leaves its
+// neighbours' alone.
 //
 // # Simulation tiers
 //
@@ -38,8 +47,8 @@
 // 28 bytes per task ID — is memoized on the Graph the first time a view
 // compiles it, published atomically and shared read-only by every
 // Patch and IncrementalSim over that graph, so rebinding a patch between
-// baselines is a pointer load. The structural mutators (NewTask,
-// Remove, InsertAfter, InsertBefore) and MapLayers drop it; Clone and
+// baselines is a pointer load. The structural mutators (newTask,
+// remove, insertAfter, insertBefore) and MapLayers drop it; Clone and
 // Repeat start without one; task timing fields written in place after a
 // view has read the graph are not seen. Graph.Simulate borrows its
 // thread layout when one exists and otherwise builds none. A Patch

@@ -77,7 +77,7 @@ func TestPatchCycleIsTyped(t *testing.T) {
 
 func TestGraphCycleIsTyped(t *testing.T) {
 	g, ts := chainGraph(t)
-	if err := g.AddDependency(ts[3], ts[0], DepCustom); err != nil {
+	if err := g.addDependency(ts[3], ts[0], DepCustom); err != nil {
 		t.Fatal(err)
 	}
 

@@ -22,7 +22,7 @@ import (
 // A graph memoizes what its views derive from it: the layer/phase
 // index, the memory annotation, and the compiled per-ID baseline
 // (timings and thread layout) every Patch simulates from.
-// The structural mutators (NewTask, Remove, InsertAfter, InsertBefore)
+// The structural mutators (newTask, remove, insertAfter, insertBefore)
 // and MapLayers drop those memos, so a view rebound with Reset after
 // such an edit sees the grown graph. Task timing fields (Duration, Gap,
 // Priority) written in place after a view has read the graph are not
@@ -31,9 +31,12 @@ import (
 // Build, Repeat and Clone lay a graph out as an arena: one []Task
 // backing every task, and three shared buffers holding every task's
 // children, child kinds and parents as capacity-clipped windows. Later
-// edits (NewTask, Insert*, Remove, AddDependency) work per task: a task
-// whose adjacency grows reallocates its own slice and leaves its
-// neighbours' windows alone.
+// edits (newTask, the insert forms, remove, addDependency) work per
+// task: a task whose adjacency grows reallocates its own slice and
+// leaves its neighbours' windows alone.
+//
+// The mutators are unexported: outside this package every edit is a
+// Patch delta, and Patch.Materialize replays the deltas onto a Clone.
 type Graph struct {
 	// Meta carries workload metadata copied from the source trace,
 	// needed by what-if transformations (gradient sizes, bucketing).
@@ -157,9 +160,9 @@ func (g *Graph) ThreadTasks(tid ThreadID) []*Task {
 	return out
 }
 
-// NewTask creates a task with a fresh ID. The task is not yet placed on a
-// thread; use AppendTask, InsertAfter or InsertBefore.
-func (g *Graph) NewTask(name string, kind trace.Kind, thread ThreadID, dur time.Duration) *Task {
+// newTask creates a task with a fresh ID. The task is not yet placed on a
+// thread; use appendTask, insertAfter or insertBefore.
+func (g *Graph) newTask(name string, kind trace.Kind, thread ThreadID, dur time.Duration) *Task {
 	t := &Task{
 		ID:         len(g.tasks),
 		Name:       name,
@@ -184,9 +187,9 @@ func (g *Graph) seq(tid ThreadID) *seqList {
 	return l
 }
 
-// AppendTask places t at the tail of its thread's sequence, adding the
+// appendTask places t at the tail of its thread's sequence, adding the
 // sequence dependency from the previous tail.
-func (g *Graph) AppendTask(t *Task) {
+func (g *Graph) appendTask(t *Task) {
 	l := g.seq(t.Thread)
 	if l.tail != nil {
 		t.seqPrev = l.tail
@@ -198,9 +201,9 @@ func (g *Graph) AppendTask(t *Task) {
 	l.tail = t
 }
 
-// InsertAfter places t on prev's thread immediately after prev, splicing
+// insertAfter places t on prev's thread immediately after prev, splicing
 // the sequence dependency chain (the paper's Insert primitive, Figure 4).
-func (g *Graph) InsertAfter(prev, t *Task) error {
+func (g *Graph) insertAfter(prev, t *Task) error {
 	if prev == nil {
 		return fmt.Errorf("core: InsertAfter: nil anchor")
 	}
@@ -224,13 +227,13 @@ func (g *Graph) InsertAfter(prev, t *Task) error {
 	return nil
 }
 
-// InsertBefore places t on next's thread immediately before next.
-func (g *Graph) InsertBefore(next, t *Task) error {
+// insertBefore places t on next's thread immediately before next.
+func (g *Graph) insertBefore(next, t *Task) error {
 	if next == nil {
 		return fmt.Errorf("core: InsertBefore: nil anchor")
 	}
 	if prev := next.seqPrev; prev != nil {
-		return g.InsertAfter(prev, t)
+		return g.insertAfter(prev, t)
 	}
 	// Insert at head.
 	t.Thread = next.Thread
@@ -243,9 +246,9 @@ func (g *Graph) InsertBefore(next, t *Task) error {
 	return nil
 }
 
-// AddDependency adds an edge from → to of the given kind. Duplicate edges
+// addDependency adds an edge from → to of the given kind. Duplicate edges
 // are ignored (the first kind wins). Self-edges are rejected.
-func (g *Graph) AddDependency(from, to *Task, kind DepKind) error {
+func (g *Graph) addDependency(from, to *Task, kind DepKind) error {
 	if from == nil || to == nil {
 		return fmt.Errorf("core: AddDependency: nil task")
 	}
@@ -256,10 +259,10 @@ func (g *Graph) AddDependency(from, to *Task, kind DepKind) error {
 	return nil
 }
 
-// RemoveDependency removes the edge from → to if present, reporting
-// whether an edge was removed — the inverse of AddDependency, and the
+// removeDependency removes the edge from → to if present, reporting
+// whether an edge was removed — the inverse of addDependency, and the
 // Graph form of Patch.RemoveDependency.
-func (g *Graph) RemoveDependency(from, to *Task) bool {
+func (g *Graph) removeDependency(from, to *Task) bool {
 	if from == nil || to == nil || !hasEdge(from, to) {
 		return false
 	}
@@ -310,16 +313,6 @@ func (g *Graph) removeEdge(from, to *Task) {
 	}
 }
 
-// EdgeKind returns the kind of the edge from → to, if present.
-func (g *Graph) EdgeKind(from, to *Task) (DepKind, bool) {
-	for i, c := range from.children {
-		if c == to {
-			return from.childKinds[i], true
-		}
-	}
-	return 0, false
-}
-
 func removeTask(s []*Task, t *Task) []*Task {
 	for i, x := range s {
 		if x == t {
@@ -332,7 +325,7 @@ func removeTask(s []*Task, t *Task) []*Task {
 // Correlate records launch ↔ kernel correlation between an API task and a
 // GPU task: peers are linked and a correlation edge is added.
 func (g *Graph) Correlate(api, gpu *Task) error {
-	if err := g.AddDependency(api, gpu, DepCorrelation); err != nil {
+	if err := g.addDependency(api, gpu, DepCorrelation); err != nil {
 		return err
 	}
 	api.peer = gpu
@@ -340,7 +333,7 @@ func (g *Graph) Correlate(api, gpu *Task) error {
 	return nil
 }
 
-// Remove deletes a task (the paper's Remove primitive): the thread
+// remove deletes a task (the paper's Remove primitive): the thread
 // sequence is spliced around it, and every non-sequence ordering
 // constraint through the task is preserved by reconnecting its remaining
 // parents to its remaining children.
@@ -350,7 +343,7 @@ func (g *Graph) Correlate(api, gpu *Task) error {
 // ordered before another parent, or a child already ordered after another
 // child, is skipped — the ordering it needs is implied by the edges the
 // remaining maximal parents and minimal children receive.
-func (g *Graph) Remove(t *Task) {
+func (g *Graph) remove(t *Task) {
 	if !g.containsTask(t) {
 		return
 	}

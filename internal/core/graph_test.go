@@ -12,8 +12,8 @@ func chain(n int, dur time.Duration) (*Graph, []*Task) {
 	g := NewGraph()
 	tasks := make([]*Task, n)
 	for i := 0; i < n; i++ {
-		t := g.NewTask("op", trace.KindCPUOp, CPU(1), dur)
-		g.AppendTask(t)
+		t := g.newTask("op", trace.KindCPUOp, CPU(1), dur)
+		g.appendTask(t)
 		tasks[i] = t
 	}
 	return g, tasks
@@ -44,7 +44,7 @@ func TestAppendCreatesSequenceEdges(t *testing.T) {
 		t.Fatalf("edges = %d, want 2", g.NumEdges())
 	}
 	for i := 0; i < 2; i++ {
-		k, ok := g.EdgeKind(tasks[i], tasks[i+1])
+		k, ok := g.edgeKind(tasks[i], tasks[i+1])
 		if !ok || k != DepSequence {
 			t.Fatalf("edge %d→%d kind = %v, ok=%v", i, i+1, k, ok)
 		}
@@ -56,8 +56,8 @@ func TestAppendCreatesSequenceEdges(t *testing.T) {
 
 func TestInsertAfter(t *testing.T) {
 	g, tasks := chain(2, time.Microsecond)
-	mid := g.NewTask("inserted", trace.KindCPUOp, CPU(1), time.Microsecond)
-	if err := g.InsertAfter(tasks[0], mid); err != nil {
+	mid := g.newTask("inserted", trace.KindCPUOp, CPU(1), time.Microsecond)
+	if err := g.insertAfter(tasks[0], mid); err != nil {
 		t.Fatal(err)
 	}
 	order := g.ThreadTasks(CPU(1))
@@ -65,13 +65,13 @@ func TestInsertAfter(t *testing.T) {
 		t.Fatalf("thread order wrong: %v", order)
 	}
 	// The old direct edge must be gone; the spliced chain present.
-	if _, ok := g.EdgeKind(tasks[0], tasks[1]); ok {
+	if _, ok := g.edgeKind(tasks[0], tasks[1]); ok {
 		t.Fatal("stale sequence edge kept after insert")
 	}
-	if _, ok := g.EdgeKind(tasks[0], mid); !ok {
+	if _, ok := g.edgeKind(tasks[0], mid); !ok {
 		t.Fatal("missing edge to inserted task")
 	}
-	if _, ok := g.EdgeKind(mid, tasks[1]); !ok {
+	if _, ok := g.edgeKind(mid, tasks[1]); !ok {
 		t.Fatal("missing edge from inserted task")
 	}
 	if err := g.Validate(); err != nil {
@@ -81,8 +81,8 @@ func TestInsertAfter(t *testing.T) {
 
 func TestInsertAfterTail(t *testing.T) {
 	g, tasks := chain(1, time.Microsecond)
-	end := g.NewTask("tail", trace.KindCPUOp, CPU(1), time.Microsecond)
-	if err := g.InsertAfter(tasks[0], end); err != nil {
+	end := g.newTask("tail", trace.KindCPUOp, CPU(1), time.Microsecond)
+	if err := g.insertAfter(tasks[0], end); err != nil {
 		t.Fatal(err)
 	}
 	order := g.ThreadTasks(CPU(1))
@@ -90,8 +90,8 @@ func TestInsertAfterTail(t *testing.T) {
 		t.Fatal("insert at tail failed")
 	}
 	// Appending afterwards must link after the new tail.
-	extra := g.NewTask("extra", trace.KindCPUOp, CPU(1), time.Microsecond)
-	g.AppendTask(extra)
+	extra := g.newTask("extra", trace.KindCPUOp, CPU(1), time.Microsecond)
+	g.appendTask(extra)
 	if end.SeqNext() != extra {
 		t.Fatal("tail pointer stale after InsertAfter")
 	}
@@ -99,8 +99,8 @@ func TestInsertAfterTail(t *testing.T) {
 
 func TestInsertBeforeHead(t *testing.T) {
 	g, tasks := chain(2, time.Microsecond)
-	head := g.NewTask("head", trace.KindCPUOp, CPU(1), time.Microsecond)
-	if err := g.InsertBefore(tasks[0], head); err != nil {
+	head := g.newTask("head", trace.KindCPUOp, CPU(1), time.Microsecond)
+	if err := g.insertBefore(tasks[0], head); err != nil {
 		t.Fatal(err)
 	}
 	order := g.ThreadTasks(CPU(1))
@@ -114,25 +114,25 @@ func TestInsertBeforeHead(t *testing.T) {
 
 func TestInsertErrors(t *testing.T) {
 	g, _ := chain(1, time.Microsecond)
-	if err := g.InsertAfter(nil, g.NewTask("x", trace.KindCPUOp, CPU(1), 0)); err == nil {
+	if err := g.insertAfter(nil, g.newTask("x", trace.KindCPUOp, CPU(1), 0)); err == nil {
 		t.Error("nil anchor accepted")
 	}
 	other := NewGraph()
-	foreign := other.NewTask("f", trace.KindCPUOp, CPU(1), 0)
-	other.AppendTask(foreign)
-	if err := g.InsertAfter(foreign, g.NewTask("y", trace.KindCPUOp, CPU(1), 0)); err == nil {
+	foreign := other.newTask("f", trace.KindCPUOp, CPU(1), 0)
+	other.appendTask(foreign)
+	if err := g.insertAfter(foreign, g.newTask("y", trace.KindCPUOp, CPU(1), 0)); err == nil {
 		t.Error("foreign anchor accepted")
 	}
 }
 
 func TestRemoveSplicesSequence(t *testing.T) {
 	g, tasks := chain(3, time.Microsecond)
-	g.Remove(tasks[1])
+	g.remove(tasks[1])
 	order := g.ThreadTasks(CPU(1))
 	if len(order) != 2 || order[0] != tasks[0] || order[1] != tasks[2] {
 		t.Fatalf("splice failed: %v", order)
 	}
-	if k, ok := g.EdgeKind(tasks[0], tasks[2]); !ok || k != DepSequence {
+	if k, ok := g.edgeKind(tasks[0], tasks[2]); !ok || k != DepSequence {
 		t.Fatal("sequence not restored across removal")
 	}
 	if g.NumTasks() != 2 {
@@ -147,32 +147,32 @@ func TestRemovePreservesTransitiveOrder(t *testing.T) {
 	// a → victim (custom), victim → b (custom): removing victim must
 	// keep a before b.
 	g := NewGraph()
-	a := g.NewTask("a", trace.KindKernel, Stream(7), time.Microsecond)
-	g.AppendTask(a)
-	victim := g.NewTask("victim", trace.KindKernel, Stream(7), time.Microsecond)
-	g.AppendTask(victim)
-	b := g.NewTask("b", trace.KindSync, CPU(1), time.Microsecond)
-	g.AppendTask(b)
-	if err := g.AddDependency(victim, b, DepSync); err != nil {
+	a := g.newTask("a", trace.KindKernel, Stream(7), time.Microsecond)
+	g.appendTask(a)
+	victim := g.newTask("victim", trace.KindKernel, Stream(7), time.Microsecond)
+	g.appendTask(victim)
+	b := g.newTask("b", trace.KindSync, CPU(1), time.Microsecond)
+	g.appendTask(b)
+	if err := g.addDependency(victim, b, DepSync); err != nil {
 		t.Fatal(err)
 	}
-	g.Remove(victim)
-	if _, ok := g.EdgeKind(a, b); !ok {
+	g.remove(victim)
+	if _, ok := g.edgeKind(a, b); !ok {
 		t.Fatal("transitive ordering a→b lost")
 	}
 }
 
 func TestRemoveHeadAndTail(t *testing.T) {
 	g, tasks := chain(3, time.Microsecond)
-	g.Remove(tasks[0])
-	g.Remove(tasks[2])
+	g.remove(tasks[0])
+	g.remove(tasks[2])
 	order := g.ThreadTasks(CPU(1))
 	if len(order) != 1 || order[0] != tasks[1] {
 		t.Fatalf("head/tail removal left %v", order)
 	}
 	// New appends must chain after the surviving task.
-	nt := g.NewTask("new", trace.KindCPUOp, CPU(1), 0)
-	g.AppendTask(nt)
+	nt := g.newTask("new", trace.KindCPUOp, CPU(1), 0)
+	g.appendTask(nt)
 	if tasks[1].SeqNext() != nt {
 		t.Fatal("tail pointer stale after removals")
 	}
@@ -180,8 +180,8 @@ func TestRemoveHeadAndTail(t *testing.T) {
 
 func TestRemoveIdempotent(t *testing.T) {
 	g, tasks := chain(2, time.Microsecond)
-	g.Remove(tasks[0])
-	g.Remove(tasks[0]) // second removal is a no-op
+	g.remove(tasks[0])
+	g.remove(tasks[0]) // second removal is a no-op
 	if g.NumTasks() != 1 {
 		t.Fatal("double remove corrupted the graph")
 	}
@@ -189,15 +189,15 @@ func TestRemoveIdempotent(t *testing.T) {
 
 func TestAddDependencyErrors(t *testing.T) {
 	g, tasks := chain(2, time.Microsecond)
-	if err := g.AddDependency(tasks[0], tasks[0], DepCustom); err == nil {
+	if err := g.addDependency(tasks[0], tasks[0], DepCustom); err == nil {
 		t.Error("self edge accepted")
 	}
-	if err := g.AddDependency(nil, tasks[0], DepCustom); err == nil {
+	if err := g.addDependency(nil, tasks[0], DepCustom); err == nil {
 		t.Error("nil endpoint accepted")
 	}
 	// Duplicate edges collapse.
 	before := g.NumEdges()
-	if err := g.AddDependency(tasks[0], tasks[1], DepCustom); err != nil {
+	if err := g.addDependency(tasks[0], tasks[1], DepCustom); err != nil {
 		t.Fatal(err)
 	}
 	if g.NumEdges() != before {
@@ -207,7 +207,7 @@ func TestAddDependencyErrors(t *testing.T) {
 
 func TestValidateDetectsCycle(t *testing.T) {
 	g, tasks := chain(2, time.Microsecond)
-	if err := g.AddDependency(tasks[1], tasks[0], DepCustom); err != nil {
+	if err := g.addDependency(tasks[1], tasks[0], DepCustom); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Validate(); err == nil {
@@ -217,20 +217,20 @@ func TestValidateDetectsCycle(t *testing.T) {
 
 func TestCorrelate(t *testing.T) {
 	g := NewGraph()
-	api := g.NewTask("cudaLaunchKernel", trace.KindLaunch, CPU(1), time.Microsecond)
-	g.AppendTask(api)
-	kern := g.NewTask("k", trace.KindKernel, Stream(7), time.Microsecond)
-	g.AppendTask(kern)
+	api := g.newTask("cudaLaunchKernel", trace.KindLaunch, CPU(1), time.Microsecond)
+	g.appendTask(api)
+	kern := g.newTask("k", trace.KindKernel, Stream(7), time.Microsecond)
+	g.appendTask(kern)
 	if err := g.Correlate(api, kern); err != nil {
 		t.Fatal(err)
 	}
 	if api.Peer() != kern || kern.Peer() != api {
 		t.Fatal("peers not linked")
 	}
-	if k, ok := g.EdgeKind(api, kern); !ok || k != DepCorrelation {
+	if k, ok := g.edgeKind(api, kern); !ok || k != DepCorrelation {
 		t.Fatal("correlation edge missing")
 	}
-	g.Remove(kern)
+	g.remove(kern)
 	if api.Peer() != nil {
 		t.Fatal("dangling peer after removal")
 	}
@@ -243,7 +243,7 @@ func TestCloneIndependence(t *testing.T) {
 	c := g.Clone()
 	// Mutate the clone in every way.
 	c.Task(tasks[1].ID).Duration = time.Hour
-	c.Remove(c.Task(tasks[0].ID))
+	c.remove(c.Task(tasks[0].ID))
 	c.Meta.Gradients[0].Bytes = 99
 	if tasks[1].Duration == time.Hour {
 		t.Fatal("clone shares task storage")
@@ -302,8 +302,8 @@ func TestScale(t *testing.T) {
 func TestThreadsSorted(t *testing.T) {
 	g := NewGraph()
 	for _, tid := range []ThreadID{Channel("z"), Stream(9), CPU(2), CPU(1), Channel("a")} {
-		task := g.NewTask("t", kindFor(tid), tid, 0)
-		g.AppendTask(task)
+		task := g.newTask("t", kindFor(tid), tid, 0)
+		g.appendTask(task)
 	}
 	ths := g.Threads()
 	want := []ThreadID{CPU(1), CPU(2), Stream(9), Channel("a"), Channel("z")}
@@ -322,4 +322,14 @@ func kindFor(tid ThreadID) trace.Kind {
 		return trace.KindComm
 	}
 	return trace.KindCPUOp
+}
+
+// edgeKind returns the kind of the edge from → to, if present.
+func (g *Graph) edgeKind(from, to *Task) (DepKind, bool) {
+	for i, c := range from.children {
+		if c == to {
+			return from.childKinds[i], true
+		}
+	}
+	return 0, false
 }

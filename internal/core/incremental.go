@@ -64,7 +64,6 @@ type IncrementalSim struct {
 	warmThreadEnd []time.Duration
 	forced        []bool // warm order forced by dependency edges
 
-	warmMakespan time.Duration
 	// negWarm: some warm task has Duration+Gap < 0, which breaks the
 	// per-thread end-time monotonicity the makespan reconstruction
 	// relies on; every ReSimulate falls back cold.
@@ -124,8 +123,6 @@ func NewIncrementalSim(g *Graph) (*IncrementalSim, error) {
 		thrSucc:   make([]int32, n),
 		thrOf:     make([]int32, n),
 
-		warmMakespan: res.Makespan,
-
 		state:    make([]uint64, n),
 		inQ:      make([]uint64, n),
 		newStart: make([]time.Duration, n),
@@ -181,9 +178,6 @@ func NewIncrementalSim(g *Graph) (*IncrementalSim, error) {
 
 // Baseline returns the graph the warm schedule was built from.
 func (s *IncrementalSim) Baseline() *Graph { return s.g }
-
-// WarmMakespan returns the baseline's cold-simulated makespan.
-func (s *IncrementalSim) WarmMakespan() time.Duration { return s.warmMakespan }
 
 // RecomputedTasks reports how many tasks the last ReSimulate call
 // recomputed: the affected-cone size for an incremental call, the

@@ -317,23 +317,23 @@ func TestIncrementalFallbacks(t *testing.T) {
 func TestIncrementalUnforcedThread(t *testing.T) {
 	build := func() (*Graph, *Task, *Task, *Task, *Task) {
 		g := NewGraph()
-		c1 := g.NewTask("c1", kindFor(CPU(1)), CPU(1), 100*time.Microsecond)
-		g.AppendTask(c1)
-		c2 := g.NewTask("c2", kindFor(CPU(2)), CPU(2), 200*time.Microsecond)
-		g.AppendTask(c2)
-		g1 := g.NewTask("g1", kindFor(Stream(7)), Stream(7), 50*time.Microsecond)
-		g.AppendTask(g1)
-		g2 := g.NewTask("g2", kindFor(Stream(7)), Stream(7), 50*time.Microsecond)
-		g.AppendTask(g2)
+		c1 := g.newTask("c1", kindFor(CPU(1)), CPU(1), 100*time.Microsecond)
+		g.appendTask(c1)
+		c2 := g.newTask("c2", kindFor(CPU(2)), CPU(2), 200*time.Microsecond)
+		g.appendTask(c2)
+		g1 := g.newTask("g1", kindFor(Stream(7)), Stream(7), 50*time.Microsecond)
+		g.appendTask(g1)
+		g2 := g.newTask("g2", kindFor(Stream(7)), Stream(7), 50*time.Microsecond)
+		g.appendTask(g2)
 		// Unforce the stream: drop the sequence edge so g1/g2 order is
 		// decided by readiness alone.
-		if !g.RemoveDependency(g1, g2) {
+		if !g.removeDependency(g1, g2) {
 			t.Fatal("no sequence edge to remove")
 		}
-		if err := g.AddDependency(c1, g1, DepCustom); err != nil {
+		if err := g.addDependency(c1, g1, DepCustom); err != nil {
 			t.Fatal(err)
 		}
-		if err := g.AddDependency(c2, g2, DepCustom); err != nil {
+		if err := g.addDependency(c2, g2, DepCustom); err != nil {
 			t.Fatal(err)
 		}
 		return g, c1, c2, g1, g2

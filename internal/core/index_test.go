@@ -124,13 +124,13 @@ func TestLayerPhaseIndexMemoAndInvalidation(t *testing.T) {
 		t.Fatal("second call did not return the memoized index")
 	}
 	// Structural mutation invalidates.
-	nt := g.NewTask("extra", trace.KindKernel, Stream(7), 1)
-	g.AppendTask(nt)
+	nt := g.newTask("extra", trace.KindKernel, Stream(7), 1)
+	g.appendTask(nt)
 	ix3 := g.LayerPhaseIndex()
 	if ix3 == ix1 {
 		t.Fatal("NewTask did not invalidate the memoized index")
 	}
-	g.Remove(nt)
+	g.remove(nt)
 	if ix4 := g.LayerPhaseIndex(); ix4 == ix3 {
 		t.Fatal("Remove did not invalidate the memoized index")
 	}

@@ -11,10 +11,10 @@ func TestMapLayersBracketsLaunches(t *testing.T) {
 	g := NewGraph()
 	us := time.Microsecond
 	mk := func(name string, kind trace.Kind, tid ThreadID, start time.Duration, corr uint64) *Task {
-		task := g.NewTask(name, kind, tid, 5*us)
+		task := g.newTask(name, kind, tid, 5*us)
 		task.TracedStart = start
 		task.Correlation = corr
-		g.AppendTask(task)
+		g.appendTask(task)
 		return task
 	}
 	l1 := mk("cudaLaunchKernel", trace.KindLaunch, CPU(1), 0, 1)
@@ -59,9 +59,9 @@ func TestMapLayersEmptySpans(t *testing.T) {
 
 func TestMapLayersRespectsThread(t *testing.T) {
 	g := NewGraph()
-	task := g.NewTask("op", trace.KindCPUOp, CPU(2), time.Microsecond)
+	task := g.newTask("op", trace.KindCPUOp, CPU(2), time.Microsecond)
 	task.TracedStart = 5 * time.Microsecond
-	g.AppendTask(task)
+	g.appendTask(task)
 	spans := []trace.LayerSpan{{Layer: "l", Thread: 1, Start: 0, End: 10 * time.Microsecond}}
 	if MapLayers(g, spans) != 0 {
 		t.Fatal("span on thread 1 mapped a task on thread 2")

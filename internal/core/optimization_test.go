@@ -14,10 +14,10 @@ func optTestGraph(t *testing.T, n int) *Graph {
 	t.Helper()
 	g := NewGraph()
 	for i := 0; i < n; i++ {
-		launch := g.NewTask("cudaLaunchKernel", trace.KindLaunch, CPU(1), 2*time.Microsecond)
-		g.AppendTask(launch)
-		kern := g.NewTask(fmt.Sprintf("k%d", i), trace.KindKernel, Stream(7), 10*time.Microsecond)
-		g.AppendTask(kern)
+		launch := g.newTask("cudaLaunchKernel", trace.KindLaunch, CPU(1), 2*time.Microsecond)
+		g.appendTask(launch)
+		kern := g.newTask(fmt.Sprintf("k%d", i), trace.KindKernel, Stream(7), 10*time.Microsecond)
+		g.appendTask(kern)
 		if err := g.Correlate(launch, kern); err != nil {
 			t.Fatal(err)
 		}
@@ -417,7 +417,7 @@ func TestStackPatchRejectsGraphPart(t *testing.T) {
 	ran := false
 	later := PatchOpt("later", TimingOnly, func(*Patch) error { ran = true; return nil }, nil)
 	noGPU := NewGraph()
-	noGPU.AppendTask(noGPU.NewTask("cpu", trace.KindLaunch, CPU(1), time.Microsecond))
+	noGPU.appendTask(noGPU.newTask("cpu", trace.KindLaunch, CPU(1), time.Microsecond))
 	s := Stack(halveGPU(), dropFirstKernel(), later)
 	if err := s.Apply(NewPatch(noGPU)); err == nil {
 		t.Fatal("stack applied a part that found no GPU task")

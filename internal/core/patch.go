@@ -27,7 +27,7 @@ import (
 //     sequence through override links; the baseline's own links are
 //     never touched.
 //   - AddDependency / RemoveDependency edit the effective edge set;
-//     RemoveTask reproduces Graph.Remove's transitive-ordering
+//     RemoveTask reproduces Graph.remove's transitive-ordering
 //     reconnection on the effective adjacency.
 //
 // Patch.Simulate compiles the composite view into the flat form every
@@ -48,7 +48,7 @@ import (
 // owns one per worker and Reset rebinds it per scenario, reusing all
 // storage). Correlation peers are a per-task property the patch cannot
 // rewrite: RemoveTask leaves the baseline's Peer links untouched (the
-// materialized replay clears them on the private copy, as Graph.Remove
+// materialized replay clears them on the private copy, as Graph.remove
 // does).
 type Patch struct {
 	base *Graph
@@ -325,7 +325,7 @@ func (p *Patch) supersedes(threadOf []int32, baseThreads int) bool {
 }
 
 // NewTask creates an appendix task with the next effective ID — exactly
-// the ID Graph.NewTask would allocate on a clone of the baseline, so
+// the ID Graph.newTask would allocate on a clone of the baseline, so
 // patch and clone results stay positionally interchangeable. The task
 // is not yet placed on a thread; use AppendTask, InsertAfter or
 // InsertBefore.
@@ -403,7 +403,7 @@ func (p *Patch) requirePlaceable(who string, t *Task) error {
 
 // AppendTask places t — a task created by Patch.NewTask — at the tail
 // of its thread's effective sequence, adding the sequence dependency
-// from the previous tail: the patch form of Graph.AppendTask. Passing
+// from the previous tail: the patch form of Graph.appendTask. Passing
 // a task the patch did not create is a programming error (the shared
 // baseline is immutable and its tasks cannot be moved) and panics;
 // the Insert forms report the same misuse through their error return.
@@ -482,7 +482,7 @@ func (p *Patch) InsertBefore(next, t *Task) error {
 }
 
 // AddDependency adds an effective edge from → to of the given kind,
-// with Graph.AddDependency's semantics: duplicate edges are ignored
+// with Graph.addDependency's semantics: duplicate edges are ignored
 // (the first kind wins), self-edges and nil tasks are rejected. Both
 // endpoints must be live in the effective view — an edge touching a
 // removed (or foreign) task is rejected, exactly as the materialized
@@ -503,7 +503,7 @@ func (p *Patch) AddDependency(from, to *Task, kind DepKind) error {
 	}
 	p.ensureStructural()
 	if !p.addEdgeView(from, to, kind) {
-		return nil // duplicate, like Graph.AddDependency
+		return nil // duplicate, like Graph.addDependency
 	}
 	p.ops = append(p.ops, patchOp{kind: opAddDep, anchor: from, t: to, dep: kind})
 	return nil
@@ -645,11 +645,11 @@ func (p *Patch) appendChildren(dst []*Task, t *Task) []*Task {
 }
 
 // RemoveTask deletes a task from the effective view (the paper's Remove
-// primitive), reproducing Graph.Remove's semantics exactly: the
+// primitive), reproducing Graph.remove's semantics exactly: the
 // effective thread sequence is spliced around it, and every
 // non-sequence ordering constraint through the task is preserved by
 // reconnecting its remaining maximal parents to its remaining minimal
-// children (the same bipartite core Graph.Remove materializes).
+// children (the same bipartite core Graph.remove materializes).
 func (p *Patch) RemoveTask(t *Task) {
 	if !p.contains(t) {
 		return
@@ -681,7 +681,7 @@ func (p *Patch) RemoveTask(t *Task) {
 	if prev != nil && next != nil {
 		p.addEdgeView(prev, next, DepSequence)
 	}
-	// Reconnect maximal parents to minimal children, as Graph.Remove
+	// Reconnect maximal parents to minimal children, as Graph.remove
 	// does (ordering among siblings implies the rest).
 	maxParents := parents
 	if len(parents) > 1 {
@@ -1008,7 +1008,7 @@ func (p *Patch) materializeInto(target *Graph) error {
 	for _, op := range p.ops {
 		switch op.kind {
 		case opNewTask:
-			nt := target.NewTask(op.t.Name, op.t.Kind, op.t.Thread, op.t.Duration)
+			nt := target.newTask(op.t.Name, op.t.Kind, op.t.Thread, op.t.Duration)
 			nt.Gap = op.t.Gap
 			nt.TracedStart = op.t.TracedStart
 			nt.TracedDuration = op.t.TracedDuration
@@ -1020,23 +1020,23 @@ func (p *Patch) materializeInto(target *Graph) error {
 			nt.Round = op.t.Round
 			appendix[op.t] = nt
 		case opAppendTask:
-			target.AppendTask(mapT(op.t))
+			target.appendTask(mapT(op.t))
 		case opInsertAfter:
-			if err := target.InsertAfter(mapT(op.anchor), mapT(op.t)); err != nil {
+			if err := target.insertAfter(mapT(op.anchor), mapT(op.t)); err != nil {
 				return err
 			}
 		case opInsertBefore:
-			if err := target.InsertBefore(mapT(op.anchor), mapT(op.t)); err != nil {
+			if err := target.insertBefore(mapT(op.anchor), mapT(op.t)); err != nil {
 				return err
 			}
 		case opAddDep:
-			if err := target.AddDependency(mapT(op.anchor), mapT(op.t), op.dep); err != nil {
+			if err := target.addDependency(mapT(op.anchor), mapT(op.t), op.dep); err != nil {
 				return err
 			}
 		case opRemoveDep:
-			target.RemoveDependency(mapT(op.anchor), mapT(op.t))
+			target.removeDependency(mapT(op.anchor), mapT(op.t))
 		case opRemoveTask:
-			target.Remove(mapT(op.t))
+			target.remove(mapT(op.t))
 		}
 	}
 	return nil

@@ -15,10 +15,10 @@ func patchTestGraph(t *testing.T, n int) *Graph {
 	g := NewGraph()
 	var kernels []*Task
 	for i := 0; i < n; i++ {
-		launch := g.NewTask("cudaLaunchKernel", trace.KindLaunch, CPU(1), 2*time.Microsecond)
-		g.AppendTask(launch)
-		kern := g.NewTask(fmt.Sprintf("k%d", i), trace.KindKernel, Stream(7), time.Duration(10+i)*time.Microsecond)
-		g.AppendTask(kern)
+		launch := g.newTask("cudaLaunchKernel", trace.KindLaunch, CPU(1), 2*time.Microsecond)
+		g.appendTask(launch)
+		kern := g.newTask(fmt.Sprintf("k%d", i), trace.KindKernel, Stream(7), time.Duration(10+i)*time.Microsecond)
+		g.appendTask(kern)
 		if err := g.Correlate(launch, kern); err != nil {
 			t.Fatal(err)
 		}
@@ -26,9 +26,9 @@ func patchTestGraph(t *testing.T, n int) *Graph {
 	}
 	// A sync edge back to the CPU from the middle kernel.
 	if n >= 3 {
-		sync := g.NewTask("cudaStreamSynchronize", trace.KindSync, CPU(1), time.Microsecond)
-		g.AppendTask(sync)
-		if err := g.AddDependency(kernels[n/2], sync, DepSync); err != nil {
+		sync := g.newTask("cudaStreamSynchronize", trace.KindSync, CPU(1), time.Microsecond)
+		g.appendTask(sync)
+		if err := g.addDependency(kernels[n/2], sync, DepSync); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,10 +46,22 @@ func applyBoth(t *testing.T, g *Graph, edit func(t *testing.T, ed interface {
 }, tasks func(int) *Task)) {
 	t.Helper()
 	c := g.Clone()
-	edit(t, c, func(id int) *Task { return c.Task(id) })
+	edit(t, graphEditor{c}, func(id int) *Task { return c.Task(id) })
 	p := NewPatch(g)
 	edit(t, p, func(id int) *Task { return g.Task(id) })
 	assertPatchMatchesGraph(t, p, c)
+}
+
+// graphEditor exposes the Graph primitives under Patch's method names,
+// so one edit script drives both.
+type graphEditor struct{ *Graph }
+
+func (e graphEditor) NewTask(name string, kind trace.Kind, thread ThreadID, dur time.Duration) *Task {
+	return e.newTask(name, kind, thread, dur)
+}
+func (e graphEditor) AppendTask(t *Task) { e.appendTask(t) }
+func (e graphEditor) AddDependency(from, to *Task, kind DepKind) error {
+	return e.addDependency(from, to, kind)
 }
 
 // assertPatchMatchesGraph checks the patch's simulation and
@@ -141,7 +153,7 @@ func TestPatchRemoveTaskMatchesGraphRemove(t *testing.T) {
 			g := patchTestGraph(t, 5)
 			c := g.Clone()
 			for _, id := range ids {
-				c.Remove(c.Task(id))
+				c.remove(c.Task(id))
 			}
 			p := NewPatch(g)
 			for _, id := range ids {
@@ -158,12 +170,12 @@ func TestPatchRemoveTaskMatchesGraphRemove(t *testing.T) {
 func TestPatchInsertPrimitives(t *testing.T) {
 	g := patchTestGraph(t, 4)
 	c := g.Clone()
-	ck := c.NewTask("mid", trace.KindKernel, Stream(7), 7*time.Microsecond)
-	if err := c.InsertAfter(c.Task(3), ck); err != nil {
+	ck := c.newTask("mid", trace.KindKernel, Stream(7), 7*time.Microsecond)
+	if err := c.insertAfter(c.Task(3), ck); err != nil {
 		t.Fatal(err)
 	}
-	ch := c.NewTask("head", trace.KindLaunch, CPU(1), time.Microsecond)
-	if err := c.InsertBefore(c.Task(0), ch); err != nil {
+	ch := c.newTask("head", trace.KindLaunch, CPU(1), time.Microsecond)
+	if err := c.insertBefore(c.Task(0), ch); err != nil {
 		t.Fatal(err)
 	}
 
@@ -191,7 +203,7 @@ func TestPatchRemoveDependency(t *testing.T) {
 	sync := g.Task(g.IDSpan() - 1)
 	kern := g.Task(5) // the kernel feeding the sync task (n/2 = 2 → ID 5)
 	c := g.Clone()
-	if !c.RemoveDependency(c.Task(kern.ID), c.Task(sync.ID)) {
+	if !c.removeDependency(c.Task(kern.ID), c.Task(sync.ID)) {
 		t.Fatal("graph edge not found")
 	}
 	p := NewPatch(g)
@@ -204,7 +216,7 @@ func TestPatchRemoveDependency(t *testing.T) {
 	assertPatchMatchesGraph(t, p, c)
 
 	// Re-adding after removal works, with a (possibly different) kind.
-	if err := c.AddDependency(c.Task(kern.ID), c.Task(sync.ID), DepCustom); err != nil {
+	if err := c.addDependency(c.Task(kern.ID), c.Task(sync.ID), DepCustom); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.AddDependency(kern, sync, DepCustom); err != nil {
@@ -243,9 +255,9 @@ func TestPatchTimingTierAndAppendixTiming(t *testing.T) {
 	c := g.Clone()
 	ck := c.Task(1)
 	ck.Duration, ck.Gap, ck.Priority = time.Millisecond, time.Microsecond, 9
-	ca := c.NewTask("x", trace.KindComm, Channel("c"), 4*time.Microsecond)
-	c.AppendTask(ca)
-	if err := c.AddDependency(ck, ca, DepComm); err != nil {
+	ca := c.newTask("x", trace.KindComm, Channel("c"), 4*time.Microsecond)
+	c.appendTask(ca)
+	if err := c.addDependency(ck, ca, DepComm); err != nil {
 		t.Fatal(err)
 	}
 	ca.Duration, ca.Priority = time.Millisecond, 3

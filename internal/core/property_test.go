@@ -18,12 +18,12 @@ func randomDAG(rng *rand.Rand) *Graph {
 	tasks := make([]*Task, n)
 	for i := 0; i < n; i++ {
 		tid := threads[rng.Intn(len(threads))]
-		task := g.NewTask("t", kindFor(tid), tid, time.Duration(rng.Intn(5000))*time.Microsecond)
+		task := g.newTask("t", kindFor(tid), tid, time.Duration(rng.Intn(5000))*time.Microsecond)
 		if tid.Kind == CPUThread {
 			task.Gap = time.Duration(rng.Intn(500)) * time.Microsecond
 		}
 		task.Priority = rng.Intn(10) - 5
-		g.AppendTask(task)
+		g.appendTask(task)
 		tasks[i] = task
 	}
 	for e := 0; e < n/2; e++ {
@@ -34,7 +34,7 @@ func randomDAG(rng *rand.Rand) *Graph {
 		if i > j {
 			i, j = j, i
 		}
-		_ = g.AddDependency(tasks[i], tasks[j], DepCustom)
+		_ = g.addDependency(tasks[i], tasks[j], DepCustom)
 	}
 	return g
 }
@@ -99,7 +99,7 @@ func TestRandomRemovalsKeepGraphSound(t *testing.T) {
 		rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
 		k := rng.Intn(len(victims)/2 + 1)
 		for _, v := range victims[:k] {
-			g.Remove(v)
+			g.remove(v)
 		}
 		if err := g.Validate(); err != nil {
 			return false

@@ -46,7 +46,7 @@ func refBuild(tr *trace.Trace) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		t := g.NewTask(a.Name, a.Kind, tid, a.Duration)
+		t := g.newTask(a.Name, a.Kind, tid, a.Duration)
 		t.TracedStart = a.Start
 		t.TracedDuration = a.Duration
 		t.Correlation = a.Correlation
@@ -70,7 +70,7 @@ func refBuild(tr *trace.Trace) (*Graph, error) {
 				prev.Gap = gap
 			}
 		}
-		g.AppendTask(t)
+		g.appendTask(t)
 		lastOnThread[t.Thread] = t
 	}
 
@@ -140,7 +140,7 @@ func refRepeat(g *Graph, n int) (*Graph, error) {
 			if t == nil {
 				continue
 			}
-			nt := out.NewTask(t.Name, t.Kind, t.Thread, t.Duration)
+			nt := out.newTask(t.Name, t.Kind, t.Thread, t.Duration)
 			nt.Gap = t.Gap
 			nt.TracedStart = t.TracedStart
 			nt.TracedDuration = t.TracedDuration

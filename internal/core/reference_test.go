@@ -152,7 +152,7 @@ func TestDenseEngineMatchesReferenceAfterTransforms(t *testing.T) {
 	c := g.Clone()
 	scaleTasks(c.Select((*Task).OnGPU), 0.5)
 	for _, u := range c.Select(func(t *Task) bool { return t.Kind.String() == "sync" }) {
-		c.Remove(u)
+		c.remove(u)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestDenseEngineMatchesReferenceOnRandomDAGs(t *testing.T) {
 		victims := g.Tasks()
 		rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
 		for _, v := range victims[:rng.Intn(len(victims)/3+1)] {
-			g.Remove(v)
+			g.remove(v)
 		}
 		want, err := referenceSimulate(g)
 		if err != nil {

@@ -39,10 +39,10 @@ func TestSimulateGapSemantics(t *testing.T) {
 func TestSimulateParallelThreads(t *testing.T) {
 	// Two independent threads run concurrently: makespan = max, not sum.
 	g := NewGraph()
-	a := g.NewTask("a", trace.KindCPUOp, CPU(1), 30*time.Microsecond)
-	g.AppendTask(a)
-	b := g.NewTask("b", trace.KindKernel, Stream(7), 50*time.Microsecond)
-	g.AppendTask(b)
+	a := g.newTask("a", trace.KindCPUOp, CPU(1), 30*time.Microsecond)
+	g.appendTask(a)
+	b := g.newTask("b", trace.KindKernel, Stream(7), 50*time.Microsecond)
+	g.appendTask(b)
 	res, err := g.Simulate()
 	if err != nil {
 		t.Fatal(err)
@@ -59,16 +59,16 @@ func TestSimulateCrossThreadDependency(t *testing.T) {
 	// launch (10µs, CPU) → kernel (20µs, GPU); then a sync on the CPU
 	// waits for the kernel. Classic launch/sync diamond.
 	g := NewGraph()
-	launch := g.NewTask("launch", trace.KindLaunch, CPU(1), 10*time.Microsecond)
-	g.AppendTask(launch)
-	kernel := g.NewTask("k", trace.KindKernel, Stream(7), 20*time.Microsecond)
-	g.AppendTask(kernel)
+	launch := g.newTask("launch", trace.KindLaunch, CPU(1), 10*time.Microsecond)
+	g.appendTask(launch)
+	kernel := g.newTask("k", trace.KindKernel, Stream(7), 20*time.Microsecond)
+	g.appendTask(kernel)
 	if err := g.Correlate(launch, kernel); err != nil {
 		t.Fatal(err)
 	}
-	sync := g.NewTask("sync", trace.KindSync, CPU(1), 2*time.Microsecond)
-	g.AppendTask(sync)
-	if err := g.AddDependency(kernel, sync, DepSync); err != nil {
+	sync := g.newTask("sync", trace.KindSync, CPU(1), 2*time.Microsecond)
+	g.appendTask(sync)
+	if err := g.addDependency(kernel, sync, DepSync); err != nil {
 		t.Fatal(err)
 	}
 	res, err := g.Simulate()
@@ -88,7 +88,7 @@ func TestSimulateCrossThreadDependency(t *testing.T) {
 
 func TestSimulateDetectsCycle(t *testing.T) {
 	g, tasks := chain(2, time.Microsecond)
-	if err := g.AddDependency(tasks[1], tasks[0], DepCustom); err != nil {
+	if err := g.addDependency(tasks[1], tasks[0], DepCustom); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.Simulate(); err == nil {
@@ -101,9 +101,9 @@ func TestSimulateDeterministic(t *testing.T) {
 	// Cross edges to create scheduling choice.
 	tasks := g.Tasks()
 	for i := 0; i+7 < len(tasks); i += 7 {
-		k := g.NewTask("k", trace.KindKernel, Stream(7), 3*time.Microsecond)
-		g.AppendTask(k)
-		if err := g.AddDependency(tasks[i], k, DepCustom); err != nil {
+		k := g.newTask("k", trace.KindKernel, Stream(7), 3*time.Microsecond)
+		g.appendTask(k)
+		if err := g.addDependency(tasks[i], k, DepCustom); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,14 +131,14 @@ func TestSchedulerPriorityTieBreak(t *testing.T) {
 	// Two channel tasks become ready at the same instant; the default
 	// scheduler must favor the higher Priority.
 	g := NewGraph()
-	gate := g.NewTask("gate", trace.KindCPUOp, CPU(1), 10*time.Microsecond)
-	g.AppendTask(gate)
-	low := g.NewTask("low", trace.KindComm, Channel("ps.send"), 10*time.Microsecond)
+	gate := g.newTask("gate", trace.KindCPUOp, CPU(1), 10*time.Microsecond)
+	g.appendTask(gate)
+	low := g.newTask("low", trace.KindComm, Channel("ps.send"), 10*time.Microsecond)
 	low.Priority = -5
-	high := g.NewTask("high", trace.KindComm, Channel("ps.send"), 10*time.Microsecond)
+	high := g.newTask("high", trace.KindComm, Channel("ps.send"), 10*time.Microsecond)
 	high.Priority = 5
 	for _, task := range []*Task{low, high} {
-		if err := g.AddDependency(gate, task, DepComm); err != nil {
+		if err := g.addDependency(gate, task, DepComm); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,14 +175,14 @@ func (reversePriority) Pick(frontier []*Task, ctx *SchedContext) int {
 
 func TestSchedulerOverride(t *testing.T) {
 	g := NewGraph()
-	gate := g.NewTask("gate", trace.KindCPUOp, CPU(1), 10*time.Microsecond)
-	g.AppendTask(gate)
-	low := g.NewTask("low", trace.KindComm, Channel("c"), 10*time.Microsecond)
+	gate := g.newTask("gate", trace.KindCPUOp, CPU(1), 10*time.Microsecond)
+	g.appendTask(gate)
+	low := g.newTask("low", trace.KindComm, Channel("c"), 10*time.Microsecond)
 	low.Priority = -5
-	high := g.NewTask("high", trace.KindComm, Channel("c"), 10*time.Microsecond)
+	high := g.newTask("high", trace.KindComm, Channel("c"), 10*time.Microsecond)
 	high.Priority = 5
 	for _, task := range []*Task{low, high} {
-		if err := g.AddDependency(gate, task, DepComm); err != nil {
+		if err := g.addDependency(gate, task, DepComm); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,12 +241,12 @@ func TestScratchReuseAfterSchedulerError(t *testing.T) {
 	// A cycle error resets too: the next scheduled run on the shared
 	// scratch still succeeds.
 	cyc := NewGraph()
-	a := cyc.NewTask("a", trace.KindCPUOp, CPU(1), time.Microsecond)
-	b := cyc.NewTask("b", trace.KindCPUOp, CPU(2), time.Microsecond)
-	if err := cyc.AddDependency(a, b, DepCustom); err != nil {
+	a := cyc.newTask("a", trace.KindCPUOp, CPU(1), time.Microsecond)
+	b := cyc.newTask("b", trace.KindCPUOp, CPU(2), time.Microsecond)
+	if err := cyc.addDependency(a, b, DepCustom); err != nil {
 		t.Fatal(err)
 	}
-	if err := cyc.AddDependency(b, a, DepCustom); err != nil {
+	if err := cyc.addDependency(b, a, DepCustom); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cyc.Simulate(WithScratch(scratch), WithScheduler(lifoScheduler{})); err == nil {

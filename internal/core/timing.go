@@ -17,7 +17,7 @@ import "time"
 // by every patch over it — so they are memcpy-and-index work rather
 // than pointer chasing. Reset reads the graph's current form, so
 // rebinding costs a pointer load. The form is dropped by the graph's
-// structural mutators (NewTask, Remove, InsertAfter, InsertBefore) and
+// structural mutators (newTask, remove, insertAfter, insertBefore) and
 // MapLayers, so a patch Reset onto a graph that grew since sees the
 // grown graph. Task timing fields written in place after a patch has
 // read the graph are not seen: Clone the graph and edit the clone

@@ -15,15 +15,15 @@ import (
 func chainGraph(t *testing.T) (*Graph, []*Task) {
 	t.Helper()
 	g := NewGraph()
-	a := g.NewTask("launchA", trace.KindLaunch, CPU(0), 10)
+	a := g.newTask("launchA", trace.KindLaunch, CPU(0), 10)
 	a.Gap = 5
-	g.AppendTask(a)
-	b := g.NewTask("launchB", trace.KindLaunch, CPU(0), 20)
-	g.AppendTask(b)
-	k1 := g.NewTask("sgemm_k1", trace.KindKernel, Stream(7), 30)
-	g.AppendTask(k1)
-	k2 := g.NewTask("elemwise_k2", trace.KindKernel, Stream(7), 40)
-	g.AppendTask(k2)
+	g.appendTask(a)
+	b := g.newTask("launchB", trace.KindLaunch, CPU(0), 20)
+	g.appendTask(b)
+	k1 := g.newTask("sgemm_k1", trace.KindKernel, Stream(7), 30)
+	g.appendTask(k1)
+	k2 := g.newTask("elemwise_k2", trace.KindKernel, Stream(7), 40)
+	g.appendTask(k2)
 	if err := g.Correlate(a, k1); err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,8 @@ func TestOverlayDensifyCrossover(t *testing.T) {
 	g := NewGraph()
 	var tasks []*Task
 	for i := 0; i < 2000; i++ {
-		tk := g.NewTask("k", trace.KindKernel, Stream(7), time.Duration(i+1))
-		g.AppendTask(tk)
+		tk := g.newTask("k", trace.KindKernel, Stream(7), time.Duration(i+1))
+		g.appendTask(tk)
 		tasks = append(tasks, tk)
 	}
 	o := NewPatch(g)
@@ -107,8 +107,8 @@ func TestOverlayDensifyCrossover(t *testing.T) {
 	}
 	// Rebinding to a different graph drops the dense state entirely.
 	g2 := NewGraph()
-	k := g2.NewTask("k", trace.KindKernel, Stream(7), 123)
-	g2.AppendTask(k)
+	k := g2.newTask("k", trace.KindKernel, Stream(7), 123)
+	g2.appendTask(k)
 	o.Reset(g2)
 	if o.dense {
 		t.Fatal("Reset to a new baseline left the patch dense")
@@ -169,8 +169,8 @@ func TestOverlayPriorityTieBreak(t *testing.T) {
 	// so the scheduler's priority tie-break decides who goes first.
 	g := NewGraph()
 	ch := Channel("net")
-	a := g.NewTask("a", trace.KindComm, ch, 10)
-	b := g.NewTask("b", trace.KindComm, ch, 10)
+	a := g.newTask("a", trace.KindComm, ch, 10)
+	b := g.newTask("b", trace.KindComm, ch, 10)
 	// In the baseline, a (lower ID) wins the tie and runs first.
 	base, err := g.Simulate()
 	if err != nil {

@@ -24,20 +24,6 @@ func ComputeIntensivePred(t *Task) bool {
 	return strings.Contains(t.Name, "sgemm") || strings.Contains(t.Name, "scudnn")
 }
 
-// MeanDuration returns the mean duration of the given tasks (zero for an
-// empty selection) — handy for estimating inserted kernels "based on
-// existing element-wise kernels" as the paper does for Gist.
-func MeanDuration(tasks []*Task) time.Duration {
-	if len(tasks) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, t := range tasks {
-		sum += t.Duration
-	}
-	return sum / time.Duration(len(tasks))
-}
-
 // Repeat returns a new graph containing n back-to-back copies of g: every
 // thread's sequence is replicated and chained, modeling consecutive
 // training iterations in steady state. Tasks carry their copy index in

@@ -36,16 +36,6 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestMeanDuration(t *testing.T) {
-	if MeanDuration(nil) != 0 {
-		t.Error("empty mean should be 0")
-	}
-	tasks := []*Task{{Duration: 10}, {Duration: 20}, {Duration: 30}}
-	if MeanDuration(tasks) != 20 {
-		t.Error("mean wrong")
-	}
-}
-
 func TestRepeatStructure(t *testing.T) {
 	g := modelGraph(t, "resnet50")
 	n := g.NumTasks()

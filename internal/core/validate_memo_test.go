@@ -35,13 +35,13 @@ func TestValidateMemoResetByEdgeEdits(t *testing.T) {
 		t.Fatal(err)
 	}
 	from, to := anyEdge(t, g)
-	if err := g.AddDependency(to, from, DepCustom); err != nil {
+	if err := g.addDependency(to, from, DepCustom); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Validate(); !errors.Is(err, ErrCycle) {
 		t.Fatalf("Validate after closing a cycle = %v, want ErrCycle", err)
 	}
-	if !g.RemoveDependency(to, from) {
+	if !g.removeDependency(to, from) {
 		t.Fatal("the closing edge was not found")
 	}
 	if err := g.Validate(); err != nil {

@@ -109,8 +109,8 @@ func checkSupersededAgrees(t *testing.T, rng *rand.Rand, g *Graph, variant super
 		base = g.Tasks()
 		i := rng.Intn(len(base) - 1)
 		a, b := base[i], base[i+1+rng.Intn(len(base)-1-i)]
-		_ = g.AddDependency(b, a, DepCustom)
-		_ = g.AddDependency(a, b, DepCustom)
+		_ = g.addDependency(b, a, DepCustom)
+		_ = g.addDependency(a, b, DepCustom)
 	}
 	p := NewPatch(g)
 	p.SupersedeBaseline()

@@ -175,12 +175,12 @@ func TestWindowedScheduledMatchesFull(t *testing.T) {
 // decreasing in Round fail fast with ErrNotRoundMajor.
 func TestWindowRejectsNonRoundMajor(t *testing.T) {
 	g := NewGraph()
-	a := g.NewTask("a", trace.KindKernel, Stream(0), time.Millisecond)
+	a := g.newTask("a", trace.KindKernel, Stream(0), time.Millisecond)
 	a.Round = 1
-	g.AppendTask(a)
-	b := g.NewTask("b", trace.KindKernel, Stream(0), time.Millisecond)
+	g.appendTask(a)
+	b := g.newTask("b", trace.KindKernel, Stream(0), time.Millisecond)
 	b.Round = 0
-	g.AppendTask(b)
+	g.appendTask(b)
 	if _, err := g.Simulate(WithRoundWindow(1)); !errors.Is(err, ErrNotRoundMajor) {
 		t.Fatalf("got %v, want ErrNotRoundMajor", err)
 	}
@@ -194,16 +194,16 @@ func TestWindowRejectsNonRoundMajor(t *testing.T) {
 func TestWindowedRepeatMemoryFootprint(t *testing.T) {
 	const rounds, window = 1000, 4
 	g := NewGraph()
-	launch := g.NewTask("launch", trace.KindKernel, Stream(1), time.Millisecond)
-	g.AppendTask(launch)
-	kernel := g.NewTask("kernel", trace.KindKernel, Stream(2), time.Millisecond)
-	g.AppendTask(kernel)
-	sync := g.NewTask("sync", trace.KindKernel, Stream(1), time.Millisecond)
-	g.AppendTask(sync)
-	if err := g.AddDependency(launch, kernel, DepCustom); err != nil {
+	launch := g.newTask("launch", trace.KindKernel, Stream(1), time.Millisecond)
+	g.appendTask(launch)
+	kernel := g.newTask("kernel", trace.KindKernel, Stream(2), time.Millisecond)
+	g.appendTask(kernel)
+	sync := g.newTask("sync", trace.KindKernel, Stream(1), time.Millisecond)
+	g.appendTask(sync)
+	if err := g.addDependency(launch, kernel, DepCustom); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddDependency(kernel, sync, DepCustom); err != nil {
+	if err := g.addDependency(kernel, sync, DepCustom); err != nil {
 		t.Fatal(err)
 	}
 	rg, err := g.Repeat(rounds)

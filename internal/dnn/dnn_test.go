@@ -163,8 +163,8 @@ func TestGradBytes(t *testing.T) {
 	for _, l := range m.Layers {
 		total += l.GradBytes()
 	}
-	if total != m.GradientBytes() {
-		t.Errorf("per-layer gradients sum %d != model total %d", total, m.GradientBytes())
+	if want := m.ParamCount() * 4; total != want {
+		t.Errorf("per-layer gradients sum %d != fp32 model total %d", total, want)
 	}
 	// VGG-19 gradients ≈ 548–588 MB (the paper's P3 motivation).
 	mb := float64(total) / (1 << 20)
@@ -173,9 +173,20 @@ func TestGradBytes(t *testing.T) {
 	}
 }
 
+// layersOfKind returns m's layers of kind k, in order.
+func layersOfKind(m *Model, k LayerKind) []*Layer {
+	var out []*Layer
+	for _, l := range m.Layers {
+		if l.Kind == k {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 func TestLSTMKernelStructure(t *testing.T) {
 	m, _ := ByName("gnmt")
-	lstm := m.LayersOfKind(LSTM)
+	lstm := layersOfKind(m, LSTM)
 	if len(lstm) != 8 { // 4 encoder (first bidirectional) + 4 decoder
 		t.Fatalf("GNMT LSTM layer count = %d, want 8", len(lstm))
 	}
@@ -206,7 +217,11 @@ func TestInputBytes(t *testing.T) {
 func TestTotalFLOPsPositive(t *testing.T) {
 	for _, name := range Names() {
 		m, _ := ByName(name)
-		if m.TotalFLOPs() <= 0 {
+		var flops float64
+		for _, l := range m.Layers {
+			flops += l.FLOPsFwd + l.FLOPsBwd
+		}
+		if flops <= 0 {
 			t.Errorf("%s: non-positive FLOPs", name)
 		}
 	}
@@ -238,8 +253,8 @@ func TestShareProperty(t *testing.T) {
 
 func TestResNetLayerCensus(t *testing.T) {
 	m, _ := ByName("resnet50")
-	convs := len(m.LayersOfKind(Conv))
-	bns := len(m.LayersOfKind(BatchNorm))
+	convs := len(layersOfKind(m, Conv))
+	bns := len(layersOfKind(m, BatchNorm))
 	if convs != 53 { // 1 stem + 16 blocks × 3 + 4 downsamples
 		t.Errorf("ResNet-50 convs = %d, want 53", convs)
 	}
@@ -250,12 +265,12 @@ func TestResNetLayerCensus(t *testing.T) {
 
 func TestDenseNetLayerCensus(t *testing.T) {
 	m, _ := ByName("densenet121")
-	convs := len(m.LayersOfKind(Conv))
+	convs := len(layersOfKind(m, Conv))
 	// 1 stem + 58 dense layers × 2 + 3 transitions = 120.
 	if convs != 120 {
 		t.Errorf("DenseNet-121 convs = %d, want 120", convs)
 	}
-	if bn := len(m.LayersOfKind(BatchNorm)); bn != 121 {
+	if bn := len(layersOfKind(m, BatchNorm)); bn != 121 {
 		t.Errorf("DenseNet-121 batchnorms = %d, want 121", bn)
 	}
 }

@@ -50,19 +50,6 @@ func EstimateMemory(m *Model) Footprint {
 	}
 }
 
-// OffloadableActivations returns how much activation memory the given
-// layer filter could release (e.g. vDNN_conv offloads convolutional
-// feature maps).
-func OffloadableActivations(m *Model, offload func(*Layer) bool) int64 {
-	var n int64
-	for _, l := range m.Layers {
-		if offload(l) {
-			n += l.ActBytes
-		}
-	}
-	return n
-}
-
 // MaxBatchSize finds, by doubling then binary search, the largest batch
 // size whose estimated footprint fits in memBytes. build constructs the
 // model at a candidate batch size; the search covers [1, 65536].

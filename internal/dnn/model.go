@@ -53,9 +53,6 @@ func (m *Model) ParamCount() int64 {
 	return n
 }
 
-// GradientBytes returns the total fp32 gradient size.
-func (m *Model) GradientBytes() int64 { return m.ParamCount() * 4 }
-
 // ParamTensorCount returns the number of learnable parameter tensors,
 // which is what determines unfused-Adam kernel counts.
 func (m *Model) ParamTensorCount() int {
@@ -66,15 +63,6 @@ func (m *Model) ParamTensorCount() int {
 	return n
 }
 
-// TotalFLOPs returns the forward+backward arithmetic work per iteration.
-func (m *Model) TotalFLOPs() float64 {
-	var f float64
-	for _, l := range m.Layers {
-		f += l.FLOPsFwd + l.FLOPsBwd
-	}
-	return f
-}
-
 // Layer returns the layer with the given name, or nil.
 func (m *Model) Layer(name string) *Layer {
 	for _, l := range m.Layers {
@@ -83,17 +71,6 @@ func (m *Model) Layer(name string) *Layer {
 		}
 	}
 	return nil
-}
-
-// LayersOfKind returns the layers of the given kind, in order.
-func (m *Model) LayersOfKind(k LayerKind) []*Layer {
-	var out []*Layer
-	for _, l := range m.Layers {
-		if l.Kind == k {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // InputBytes returns the size of one mini-batch of input data, used to

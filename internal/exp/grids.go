@@ -88,7 +88,9 @@ func RunAMPLayerGrid() ([]AMPLayerRow, time.Duration, time.Duration, []string, e
 // AMPLayerScenarios returns the per-layer AMP grid over g: one
 // timing-only scenario per DNN layer, named "layer-N", applying
 // Algorithm 3's scaling to that layer's GPU tasks only. Every scenario
-// shares the one baseline, so the sweep's incremental tier engages.
+// shares the one baseline. On bert-large each layer's affected cone
+// covers most of the schedule, so the sweep answers every row on the
+// overlay tier.
 func AMPLayerScenarios(g *core.Graph) []sweep.Scenario {
 	ix := g.LayerPhaseIndex()
 	scenarios := make([]sweep.Scenario, ix.Layers())

@@ -99,7 +99,7 @@ func All() []Experiment {
 		{ID: "table1", Title: "Optimization-model coverage (Table 1)", Run: Table1Coverage},
 		{ID: "ablation", Title: "Modeling-ingredient ablations (replay fidelity)", Run: Ablation},
 		{ID: "upgrade", Title: "Device-upgrade what-if validation (extension)", Run: Upgrade},
-		{ID: "ampgrid", Title: "Per-layer AMP attribution grid (incremental sweep)", Run: AMPLayerGrid},
+		{ID: "ampgrid", Title: "Per-layer AMP attribution grid (one sweep over a shared baseline)", Run: AMPLayerGrid},
 		{ID: "kcurve", Title: "Kernel-profile sensitivity curve (incremental sweep)", Run: KernelCurve},
 		{ID: "memgrid", Title: "Memory-vs-makespan trade-off grid (memory timeline extension)", Run: MemGrid},
 		{ID: "pipegrid", Title: "Pipeline partitioning grid — stages × microbatches vs data-parallel (pipeline extension)", Run: PipeGrid},

@@ -46,7 +46,9 @@ func TestConcurrentKernelsOverlap(t *testing.T) {
 	if len(branches) == 0 {
 		t.Fatal("no kernels on the branch stream")
 	}
-	if trace.IntersectLength(mains, branches) == 0 {
+	// |mains ∩ branches| = |mains| + |branches| − |mains ∪ branches|.
+	both := append(append([]trace.Interval(nil), mains...), branches...)
+	if trace.UnionLength(mains)+trace.UnionLength(branches)-trace.UnionLength(both) == 0 {
 		t.Fatal("branch kernels never overlap the main stream")
 	}
 }

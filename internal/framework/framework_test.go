@@ -271,8 +271,8 @@ func TestGradientMetadata(t *testing.T) {
 	for _, g := range res.Trace.Gradients {
 		total += g.Bytes
 	}
-	if total != m.GradientBytes() {
-		t.Fatalf("gradient metadata sums to %d, want %d", total, m.GradientBytes())
+	if want := m.ParamCount() * 4; total != want {
+		t.Fatalf("gradient metadata sums to %d, want %d", total, want)
 	}
 	// Single-GPU runs leave gradients unbucketed.
 	for _, g := range res.Trace.Gradients {

@@ -47,19 +47,6 @@ type Annotation struct {
 	span int
 }
 
-// ActivationBytes returns the total bytes of tracked activations (every
-// tensor of round 0), the simulated counterpart of the static
-// footprint's Activations column.
-func (a *Annotation) ActivationBytes() int64 {
-	var n int64
-	for _, t := range a.Tensors {
-		if t.Round == 0 {
-			n += t.Bytes
-		}
-	}
-	return n
-}
-
 // Annotate builds the annotation by a single scan of the graph: for
 // every layer carrying activation metadata it finds, per round, the
 // last forward-phase GPU task (producer) and the backward-phase GPU

@@ -370,8 +370,9 @@ func TestAnnotateRejectsUnmappedGraph(t *testing.T) {
 	}
 }
 
-// TestAnnotationMemoInvalidation: structural mutation drops the memo so
-// a stale tensor schedule can never leak into a profile.
+// TestAnnotationMemoInvalidation: invalidating the graph's layer/phase
+// index (what MapLayers and core's structural edits do) drops the memo
+// so a stale tensor schedule can never leak into a profile.
 func TestAnnotationMemoInvalidation(t *testing.T) {
 	g := profile(t, "resnet50")
 	a1, err := mem.AnnotationOf(g)
@@ -385,17 +386,60 @@ func TestAnnotationMemoInvalidation(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("AnnotationOf did not memoize")
 	}
-	g.NewTask("probe", trace.KindKernel, core.CPU(0), 0)
+	g.InvalidateLayerPhaseIndex()
 	a3, err := mem.AnnotationOf(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a3 == a1 {
-		t.Fatal("structural mutation did not invalidate the annotation memo")
+		t.Fatal("InvalidateLayerPhaseIndex did not invalidate the annotation memo")
 	}
 	// A clone must not inherit the memo pointer (it may diverge).
 	c := g.Clone()
 	if c.MemAnnotation() != nil {
 		t.Fatal("clone inherited the memory-annotation memo")
+	}
+}
+
+// countingPick is the default earliest-start policy behind an opaque
+// Pick that counts its calls.
+type countingPick struct{ calls *int }
+
+func (c countingPick) Pick(frontier []*core.Task, ctx *core.SchedContext) int {
+	*c.calls++
+	return core.EarliestStart{}.Pick(frontier, ctx)
+}
+
+// TestProfileOptCallerSchedulerWins: a WithScheduler the caller passes
+// overrides the policy OptVDNN carries, as it does in Compare and in a
+// sweep row, and ProfileOpt leaves the caller's option slice alone.
+func TestProfileOptCallerSchedulerWins(t *testing.T) {
+	g := profile(t, "resnet50")
+	vdnn := whatif.OptVDNN(whatif.VDNNOptions{})
+	var calls int
+	opts := make([]core.SimOption, 1, 4)
+	opts[0] = core.WithScheduler(countingPick{&calls})
+	span, _, err := mem.ProfileOpt(g, vdnn, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 {
+		t.Fatal("ProfileOpt never called the caller's scheduler")
+	}
+	if spare := opts[:cap(opts)]; spare[1] != nil {
+		t.Fatal("ProfileOpt appended into the caller's option slice")
+	}
+	// The caller's policy orders like the default one, so the answer is
+	// the patch simulated under the default policy.
+	p := core.NewPatch(g)
+	if err := vdnn.Apply(p); err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if span != res.Makespan {
+		t.Fatalf("ProfileOpt under the caller's scheduler = %v, default-policy patch = %v", span, res.Makespan)
 	}
 }

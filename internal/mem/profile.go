@@ -265,9 +265,11 @@ func ComputeProfile(view core.TaskView, res *core.SimResult, ann *Annotation, me
 // simulate under the opt's carried scheduler, then profile with the
 // opt's MemMeasurer rewrites — predicted makespan and predicted memory,
 // from one simulation. A nil or no-op opt profiles the baseline itself.
+// As in Compare and a sweep row, a WithScheduler in simOpts wins over
+// the carried policy.
 func ProfileOpt(g *core.Graph, opt core.Optimization, simOpts ...core.SimOption) (time.Duration, *Profile, error) {
 	if sched := core.OptScheduler(opt); sched != nil {
-		simOpts = append(simOpts, core.WithScheduler(sched))
+		simOpts = append([]core.SimOption{core.WithScheduler(sched)}, simOpts...)
 	}
 	if core.OptIsNoop(opt) {
 		ann, err := AnnotationOf(g)

@@ -96,18 +96,22 @@ func referenceProfile(view core.TaskView, res *core.SimResult, ann *Annotation) 
 // the same instant, and simulates it.
 func tieGraph(t *testing.T, rng *rand.Rand, n int) (*core.Graph, *core.SimResult) {
 	t.Helper()
-	g := core.NewGraph()
+	p := core.NewPatch(core.NewGraph())
 	tasks := make([]*core.Task, n)
 	for i := range tasks {
-		tk := g.NewTask("k", trace.KindKernel, core.Stream(rng.Intn(3)), time.Duration(rng.Intn(3)))
+		tk := p.NewTask("k", trace.KindKernel, core.Stream(rng.Intn(3)), time.Duration(rng.Intn(3)))
 		tk.Gap = time.Duration(rng.Intn(2))
-		g.AppendTask(tk)
+		p.AppendTask(tk)
 		if i > 0 && rng.Intn(3) == 0 {
-			if err := g.AddDependency(tasks[rng.Intn(i)], tk, core.DepCustom); err != nil {
+			if err := p.AddDependency(tasks[rng.Intn(i)], tk, core.DepCustom); err != nil {
 				t.Fatal(err)
 			}
 		}
 		tasks[i] = tk
+	}
+	g, err := p.Materialize()
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := g.Simulate()
 	if err != nil {
@@ -154,12 +158,16 @@ func TestComputeProfileKeepsTieOrder(t *testing.T) {
 func TestComputeProfileNilPeakTensors(t *testing.T) {
 	// One stream: a 1ns task, then zero-byte tensors produced later. The
 	// peak is the resident load at 0, where no tensor is live.
-	g := core.NewGraph()
+	p := core.NewPatch(core.NewGraph())
 	var ids []int
 	for i := 0; i < 4; i++ {
-		tk := g.NewTask("k", trace.KindKernel, core.Stream(0), 1)
-		g.AppendTask(tk)
+		tk := p.NewTask("k", trace.KindKernel, core.Stream(0), 1)
+		p.AppendTask(tk)
 		ids = append(ids, tk.ID)
+	}
+	g, err := p.Materialize()
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := g.Simulate()
 	if err != nil {

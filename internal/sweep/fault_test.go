@@ -123,7 +123,9 @@ func TestSweepDeadline(t *testing.T) {
 	}
 }
 
-func TestSweepFailFast(t *testing.T) {
+// TestSweepCollectsEveryError: one scenario's error lands in its own
+// row and is the error Run returns, and every other scenario still runs.
+func TestSweepCollectsEveryError(t *testing.T) {
 	g := testGraph(30)
 	boom := errors.New("boom")
 	var scenarios []Scenario
@@ -142,36 +144,19 @@ func TestSweepFailFast(t *testing.T) {
 		scenarios = append(scenarios, sc)
 	}
 
-	results, err := Run(g, scenarios, Workers(1), FailFast())
+	results, err := Run(g, scenarios, Workers(1))
 	if !errors.Is(err, boom) {
-		t.Fatalf("Run = %v, want the triggering error", err)
+		t.Fatalf("Run = %v, want boom", err)
 	}
 	if !errors.Is(results[2].Err, boom) {
 		t.Fatalf("row 2: Err = %v, want boom", results[2].Err)
 	}
-	for i := 3; i < 12; i++ {
-		if ran[i] {
-			t.Fatalf("scenario %d ran despite FailFast", i)
-		}
-		if !errors.Is(results[i].Err, core.ErrCanceled) {
-			t.Fatalf("row %d: Err = %v, want ErrCanceled", i, results[i].Err)
-		}
-	}
-
-	// Default policy: collect-all — everything runs, same trigger error.
-	for i := range ran {
-		ran[i] = false
-	}
-	results, err = Run(g, scenarios, Workers(1))
-	if !errors.Is(err, boom) {
-		t.Fatalf("collect-all Run = %v, want boom", err)
-	}
 	for i := 0; i < 12; i++ {
 		if !ran[i] {
-			t.Fatalf("collect-all: scenario %d did not run", i)
+			t.Fatalf("scenario %d did not run", i)
 		}
 		if i != 2 && results[i].Err != nil {
-			t.Fatalf("collect-all row %d: Err = %v", i, results[i].Err)
+			t.Fatalf("row %d: Err = %v", i, results[i].Err)
 		}
 	}
 }

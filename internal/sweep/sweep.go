@@ -161,7 +161,6 @@ type config struct {
 	keepGraphs bool
 	keepSims   bool
 	ctx        context.Context
-	failFast   bool
 	pool       *Pool
 	// repeats and repeat share the call's repeated baselines; both are
 	// nil when no scenario declares rounds.
@@ -186,16 +185,6 @@ func Workers(n int) Option {
 // always drains before Run returns, so no goroutines outlive the call.
 func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
-}
-
-// FailFast switches the error policy from collect-all (the default:
-// every scenario runs, errors land in their rows) to stop-on-first:
-// the first scenario error cancels the sweep's context, turning the
-// remaining scenarios into core.ErrCanceled rows. The triggering error
-// is still the one Run returns, as it stays first in scenario order
-// among non-cancellation failures.
-func FailFast() Option {
-	return func(c *config) { c.failFast = true }
 }
 
 // KeepGraphs retains each scenario's transformed graph in its Result.
@@ -450,8 +439,10 @@ func nearTotalCone(p *core.Patch) bool {
 // scenario's own Base) on a worker pool and returns the results in
 // scenario order. The returned error is the first scenario error in
 // scenario order, if any (preferring non-cancellation failures, so a
-// FailFast trigger is reported rather than the rows it canceled);
-// per-scenario errors are also in the results.
+// scenario's own error is reported rather than the rows a canceled
+// context turned into errors); per-scenario errors are also in the
+// results. Every scenario runs: one scenario's error does not stop the
+// others.
 //
 // The baseline (and any scenario Base) must not be mutated while the
 // sweep runs; the sweep itself never writes it.
@@ -478,18 +469,6 @@ func Run(baseline *core.Graph, scenarios []Scenario, opts ...Option) ([]Result, 
 		return results, nil
 	}
 
-	// FailFast needs a context it can cancel even when the caller
-	// supplied none; a caller context is wrapped so the trigger cannot
-	// cancel the caller's own.
-	ctx, cancel := cfg.ctx, func() {}
-	if cfg.failFast {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx, cancel = context.WithCancel(ctx)
-	}
-	cfg.ctx = ctx
-	defer cancel()
 	if cfg.repeats = newRepeats(scenarios); cfg.repeats != nil {
 		cfg.repeat = cfg.repeats.get
 	}
@@ -515,16 +494,13 @@ func Run(baseline *core.Graph, scenarios []Scenario, opts ...Option) ([]Result, 
 			for i := range jobs {
 				// A canceled sweep converts the remaining queue into
 				// typed rows without evaluating anything further.
-				if ctx != nil {
-					if cerr := ctx.Err(); cerr != nil {
+				if cfg.ctx != nil {
+					if cerr := cfg.ctx.Err(); cerr != nil {
 						results[i] = Result{Name: nameOf(&scenarios[i]), Err: core.ContextError(cerr)}
 						continue
 					}
 				}
 				results[i] = runOneSafe(baseline, &scenarios[i], w, &cfg)
-				if cfg.failFast && results[i].Err != nil {
-					cancel()
-				}
 			}
 			if cfg.repeats != nil {
 				w.forget(cfg.repeats.holds)

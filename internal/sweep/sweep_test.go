@@ -13,13 +13,24 @@ import (
 // testGraph builds a small two-thread graph: a CPU chain launching a GPU
 // chain, enough structure for transformations to bite.
 func testGraph(n int) *core.Graph {
-	g := core.NewGraph()
+	p := core.NewPatch(core.NewGraph())
 	for i := 0; i < n; i++ {
-		launch := g.NewTask("cudaLaunchKernel", trace.KindLaunch, core.CPU(1), 2*time.Microsecond)
-		g.AppendTask(launch)
-		kern := g.NewTask(fmt.Sprintf("k%d", i), trace.KindKernel, core.Stream(7), 10*time.Microsecond)
-		g.AppendTask(kern)
-		if err := g.Correlate(launch, kern); err != nil {
+		launch := p.NewTask("cudaLaunchKernel", trace.KindLaunch, core.CPU(1), 2*time.Microsecond)
+		p.AppendTask(launch)
+		kern := p.NewTask(fmt.Sprintf("k%d", i), trace.KindKernel, core.Stream(7), 10*time.Microsecond)
+		p.AppendTask(kern)
+		if err := p.AddDependency(launch, kern, core.DepCorrelation); err != nil {
+			panic(err)
+		}
+	}
+	g, err := p.Materialize()
+	if err != nil {
+		panic(err)
+	}
+	// Correlate links each launch/kernel pair as peers; their edge is
+	// already in place.
+	for i := 0; i < n; i++ {
+		if err := g.Correlate(g.Task(2*i), g.Task(2*i+1)); err != nil {
 			panic(err)
 		}
 	}

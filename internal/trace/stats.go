@@ -37,14 +37,6 @@ func UnionLength(ivs []Interval) time.Duration {
 	return total
 }
 
-// IntersectLength returns the total length of the intersection of the unions
-// of two interval sets, i.e. time covered by both a and b.
-func IntersectLength(a, b []Interval) time.Duration {
-	// |A ∩ B| = |A| + |B| − |A ∪ B|.
-	both := append(append([]Interval(nil), a...), b...)
-	return UnionLength(a) + UnionLength(b) - UnionLength(both)
-}
-
 // Breakdown is the paper's Figure-6 decomposition of one iteration into
 // CPU-only, GPU-only and CPU+GPU-parallel runtime (§6.2 definitions).
 type Breakdown struct {
@@ -146,16 +138,4 @@ func ComputeStats(t *Trace) Stats {
 		st.Span = hi - lo
 	}
 	return st
-}
-
-// Filter returns the activities for which keep returns true, preserving
-// order. The returned slice aliases no storage with the trace.
-func (t *Trace) Filter(keep func(*Activity) bool) []Activity {
-	var out []Activity
-	for i := range t.Activities {
-		if keep(&t.Activities[i]) {
-			out = append(out, t.Activities[i])
-		}
-	}
-	return out
 }

@@ -63,41 +63,6 @@ func TestUnionLengthProperties(t *testing.T) {
 	}
 }
 
-func TestIntersectLength(t *testing.T) {
-	a := []Interval{{0, 10}}
-	b := []Interval{{5, 15}}
-	if got := IntersectLength(a, b); got != 5 {
-		t.Errorf("intersect = %v, want 5", got)
-	}
-	if got := IntersectLength(a, []Interval{{20, 30}}); got != 0 {
-		t.Errorf("disjoint intersect = %v, want 0", got)
-	}
-	if got := IntersectLength(a, a); got != 10 {
-		t.Errorf("self intersect = %v, want 10", got)
-	}
-}
-
-// TestIntersectSymmetry checks |A∩B| == |B∩A| on random inputs.
-func TestIntersectSymmetry(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		gen := func() []Interval {
-			k := rng.Intn(8) + 1
-			ivs := make([]Interval, k)
-			for i := range ivs {
-				s := time.Duration(rng.Intn(500))
-				ivs[i] = Interval{s, s + time.Duration(rng.Intn(80))}
-			}
-			return ivs
-		}
-		a, b := gen(), gen()
-		return IntersectLength(a, b) == IntersectLength(b, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestComputeBreakdown(t *testing.T) {
 	// One kernel [0,100); the CPU waits in a sync covering [40,100);
 	// iteration is 120 long.

@@ -182,19 +182,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	tr := validTrace()
-	got := tr.Filter(func(a *Activity) bool { return a.Kind == KindKernel })
-	if len(got) != 1 || got[0].ID != 1 {
-		t.Fatalf("Filter = %v, want the single kernel", got)
-	}
-	// Mutating the result must not touch the trace.
-	got[0].Name = "mutated"
-	if tr.Activities[1].Name == "mutated" {
-		t.Fatal("Filter aliases trace storage")
-	}
-}
-
 func TestLayerSpanFields(t *testing.T) {
 	s := LayerSpan{Layer: "conv1", Phase: Backward, Start: 10 * time.Microsecond, End: 20 * time.Microsecond}
 	if s.End-s.Start != 10*time.Microsecond {

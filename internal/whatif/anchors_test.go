@@ -131,12 +131,12 @@ func TestLayerAnchorsMatchLinearScans(t *testing.T) {
 // itself and over a patch that removes a tied task and appends tasks at
 // TracedStart 0.
 func TestLayerAnchorsTies(t *testing.T) {
-	g := core.NewGraph()
+	b := core.NewPatch(core.NewGraph())
 	add := func(layer int, phase trace.Phase, stream int, start time.Duration) *core.Task {
-		tk := g.NewTask(fmt.Sprintf("k%d", g.NumTasks()), trace.KindKernel, core.Stream(stream), time.Microsecond)
+		tk := b.NewTask(fmt.Sprintf("k%d", b.NumTasks()), trace.KindKernel, core.Stream(stream), time.Microsecond)
 		tk.Layer, tk.LayerIndex, tk.Phase, tk.HasLayer = fmt.Sprintf("l%d", layer), layer, phase, true
 		tk.TracedStart = start
-		g.AppendTask(tk)
+		b.AppendTask(tk)
 		return tk
 	}
 	const us = time.Microsecond
@@ -149,11 +149,15 @@ func TestLayerAnchorsTies(t *testing.T) {
 		}
 	}
 	// A CPU task and an unmapped GPU task never anchor.
-	cpu := g.NewTask("launch", trace.KindLaunch, core.ThreadID{Kind: core.CPUThread}, us)
+	cpu := b.NewTask("launch", trace.KindLaunch, core.ThreadID{Kind: core.CPUThread}, us)
 	cpu.LayerIndex, cpu.Phase, cpu.HasLayer = 1, trace.Forward, true
 	cpu.TracedStart = time.Hour
-	g.AppendTask(cpu)
-	g.AppendTask(g.NewTask("unmapped", trace.KindKernel, core.Stream(0), us))
+	b.AppendTask(cpu)
+	b.AppendTask(b.NewTask("unmapped", trace.KindKernel, core.Stream(0), us))
+	g, err := b.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkAnchors(t, g)
 
 	p := core.NewPatch(g)
@@ -224,3 +228,28 @@ func benchmarkApply(b *testing.B, opt core.Optimization) {
 func BenchmarkVDNNApply(b *testing.B) { benchmarkApply(b, OptVDNN(VDNNOptions{})) }
 
 func BenchmarkGistApply(b *testing.B) { benchmarkApply(b, OptGist(GistOptions{})) }
+
+// TestMeanDuration: Gist's kernel estimate averages the view's
+// effective durations, so a timing edit on the patch counts.
+func TestMeanDuration(t *testing.T) {
+	b := core.NewPatch(core.NewGraph())
+	for _, d := range []time.Duration{10, 20, 30} {
+		b.AppendTask(b.NewTask("k", trace.KindKernel, core.Stream(0), d))
+	}
+	g, err := b.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := g.Tasks()
+	if got := meanDuration(g, nil); got != 0 {
+		t.Fatalf("empty mean = %v, want 0", got)
+	}
+	if got := meanDuration(g, tasks); got != 20 {
+		t.Fatalf("mean over the graph = %v, want 20", got)
+	}
+	p := core.NewPatch(g)
+	p.SetDuration(tasks[2], 60)
+	if got := meanDuration(p, tasks); got != 30 {
+		t.Fatalf("mean over the patch = %v, want 30 (the edited duration)", got)
+	}
+}

@@ -108,8 +108,8 @@ func OptReconBatchnorm(opts ReconBatchnormOptions) core.Optimization {
 
 // ReconBatchnormPatch is Algorithm 5's removal form as copy-on-write
 // structural deltas: activation (ReLU) GPU kernels are removed through
-// the patch's RemoveTask — reproducing Graph.Remove's reconnection
-// edges over the shared baseline — and batch-normalization kernels
+// the patch's RemoveTask — with the reconnection edges a materialized
+// removal would add, recorded over the shared baseline — and batch-normalization kernels
 // halve through the timing tier. It predicts the same makespan and
 // starts as OptReconBatchnorm, and its critical path routes around the
 // removed kernels.

@@ -2,6 +2,7 @@ package whatif
 
 import (
 	"fmt"
+	"time"
 
 	"daydream/internal/core"
 	"daydream/internal/mem"
@@ -65,9 +66,9 @@ func gistInto(p *core.Patch, view core.TaskView, opts GistOptions) error {
 	}
 	opts.defaults()
 	ix := g.LayerPhaseIndex()
-	est := core.MeanDuration(ix.GPUTasksMatching("elementwise"))
+	est := meanDuration(view, ix.GPUTasksMatching("elementwise"))
 	if est == 0 {
-		est = core.MeanDuration(ix.GPUTasks())
+		est = meanDuration(view, ix.GPUTasks())
 	}
 	if est == 0 {
 		return fmt.Errorf("whatif: Gist: no GPU kernels to estimate encode/decode durations from")
@@ -112,6 +113,21 @@ func gistInto(p *core.Patch, view core.TaskView, opts GistOptions) error {
 		return fmt.Errorf("whatif: Gist: no target activations found")
 	}
 	return nil
+}
+
+// meanDuration averages the view's effective durations over tasks
+// (zero for none), so a timing edit stacked before Gist on the same
+// patch sizes its kernels exactly as it would on the edit's
+// materialized graph.
+func meanDuration(v core.TaskView, tasks []*core.Task) time.Duration {
+	if len(tasks) == 0 {
+		return 0
+	}
+	var sum time.Duration
+	for _, t := range tasks {
+		sum += v.Duration(t)
+	}
+	return sum / time.Duration(len(tasks))
 }
 
 // gistOpt is OptGist's value: patch-form structural surgery plus the

@@ -13,6 +13,7 @@ import (
 	"daydream/internal/core"
 	"daydream/internal/dnn"
 	"daydream/internal/framework"
+	"daydream/internal/mem"
 	"daydream/internal/whatif"
 )
 
@@ -83,4 +84,55 @@ func assertStackEquivalence(t *testing.T, g *core.Graph, parts []core.Optimizati
 		t.Fatal(err)
 	}
 	assertSameSchedule(t, p, got, seq, want, true)
+}
+
+// TestAMPThenGistMatchesSequential: Gist stacked after AMP on one patch
+// sizes its encode/decode kernels from AMP's durations, exactly as Gist
+// applied over AMP's materialized graph does: the same makespan, the
+// same start for every task and the same memory peak.
+func TestAMPThenGistMatchesSequential(t *testing.T) {
+	for _, name := range []string{"vgg19", "resnet50"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			g := profile(t, name, framework.PyTorch)
+			amp, gist := whatif.OptAMP(), whatif.OptGist(whatif.GistOptions{})
+			mid, err := materialized(g, amp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := materialized(mid, gist)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Simulate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stack := core.Stack(amp, gist)
+			p := core.NewPatch(g)
+			if err := stack.Apply(p); err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.Simulate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameSchedule(t, p, got, ref, want, false)
+
+			wantSpan, wantProf, err := mem.ProfileOpt(mid, gist)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotSpan, gotProf, err := mem.ProfileOpt(g, stack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotSpan != wantSpan {
+				t.Fatalf("ProfileOpt makespan: stack %v, sequential %v", gotSpan, wantSpan)
+			}
+			if gp, wp := gotProf.Peak(mem.DeviceGPU), wantProf.Peak(mem.DeviceGPU); gp != wp {
+				t.Fatalf("memory peak: stack %d, sequential %d", gp, wp)
+			}
+		})
+	}
 }

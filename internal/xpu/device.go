@@ -142,7 +142,7 @@ func EPYC7601() *Host {
 
 // presets is the single table every device-name lookup reads: one short
 // preset name per accelerator model. Adding a device here makes it
-// visible to DeviceByName, Devices, DeviceNames and FindDevice at once.
+// visible to Devices, DeviceNames and FindDevice at once.
 var presets = []struct {
 	Short string
 	Build func() *Device
@@ -180,17 +180,6 @@ func DeviceNames() []string {
 		out = append(out, p.Build().Name)
 	}
 	return out
-}
-
-// DeviceByName returns a preset device model by (case-sensitive) short
-// name: "2080ti", "p4000", "v100". It returns false for unknown names.
-func DeviceByName(name string) (*Device, bool) {
-	for _, p := range presets {
-		if p.Short == name {
-			return p.Build(), true
-		}
-	}
-	return nil, false
 }
 
 // FindDevice resolves a short preset name or a full marketing name (the

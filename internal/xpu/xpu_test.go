@@ -175,11 +175,11 @@ func TestDevicePresets(t *testing.T) {
 		t.Error("V100 should have tensor cores")
 	}
 	for _, name := range []string{"2080ti", "p4000", "v100"} {
-		if _, ok := DeviceByName(name); !ok {
-			t.Errorf("DeviceByName(%q) missing", name)
+		if _, err := FindDevice(name); err != nil {
+			t.Errorf("FindDevice(%q): %v", name, err)
 		}
 	}
-	if _, ok := DeviceByName("tpu"); ok {
+	if _, err := FindDevice("tpu"); err == nil {
 		t.Error("unknown device accepted")
 	}
 }
@@ -246,17 +246,13 @@ func TestDevicePresetTable(t *testing.T) {
 	// Every preset short name and every marketing name resolves, and
 	// both spellings agree.
 	for i, short := range PresetNames() {
-		byShort, ok := DeviceByName(short)
-		if !ok {
-			t.Fatalf("preset %q does not resolve", short)
+		byShort, err := FindDevice(short)
+		if err != nil {
+			t.Fatalf("preset %q does not resolve: %v", short, err)
 		}
 		if byShort.Name != devs[i].Name {
 			t.Fatalf("preset %q resolves to %q, Devices()[%d] is %q",
 				short, byShort.Name, i, devs[i].Name)
-		}
-		found, err := FindDevice(short)
-		if err != nil || found.Name != byShort.Name {
-			t.Fatalf("FindDevice(%q) = %v, %v", short, found, err)
 		}
 		byFull, err := FindDevice(byShort.Name)
 		if err != nil || byFull.Name != byShort.Name {
@@ -266,7 +262,7 @@ func TestDevicePresetTable(t *testing.T) {
 	// Devices() hands out fresh models: mutating one does not poison
 	// later lookups.
 	devs[0].MemBytes = 1
-	if d, _ := DeviceByName("2080ti"); d.MemBytes == 1 {
+	if d, _ := FindDevice("2080ti"); d.MemBytes == 1 {
 		t.Fatal("Devices() shares state with the preset table")
 	}
 }

@@ -170,9 +170,9 @@ func TestOptimizationRegistryAPI(t *testing.T) {
 			t.Fatalf("registry misses %q", want)
 		}
 	}
-	opt, err := daydream.OptimizationByName("amp", daydream.OptimizationParams{})
+	opt, err := daydream.ParseOptimization("amp", daydream.OptimizationParams{})
 	if err != nil || opt.Name() != "amp" {
-		t.Fatalf("OptimizationByName(amp) = %v, %v", opt, err)
+		t.Fatalf("ParseOptimization(amp) = %v, %v", opt, err)
 	}
 	stacked, err := daydream.ParseOptimization("amp+fusedadam", daydream.OptimizationParams{})
 	if err != nil {
@@ -181,7 +181,7 @@ func TestOptimizationRegistryAPI(t *testing.T) {
 	if stacked.Name() != "amp+fusedadam" || stacked.Footprint() != daydream.TimingOnly {
 		t.Fatalf("parsed stack = %q (%v)", stacked.Name(), stacked.Footprint())
 	}
-	if _, err := daydream.OptimizationByName("bogus", daydream.OptimizationParams{}); err == nil {
+	if _, err := daydream.ParseOptimization("bogus", daydream.OptimizationParams{}); err == nil {
 		t.Fatal("unknown registry name accepted")
 	}
 }

@@ -131,7 +131,7 @@ func TestSweepReexports(t *testing.T) {
 	var _ daydream.SweepResult = sweep.Result{}
 	g, scenarios := fig8Predictions(t, "resnet50")
 	results, err := daydream.Sweep(g, scenarios[:3],
-		daydream.SweepWorkers(2), daydream.SweepKeepGraphs(), daydream.SweepKeepSims())
+		daydream.SweepWorkers(2), sweep.KeepGraphs(), daydream.SweepKeepSims())
 	if err != nil {
 		t.Fatal(err)
 	}
